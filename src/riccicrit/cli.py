@@ -75,7 +75,7 @@ def _curvature_one(args) -> dict:
     record: dict = {"edge": list(edge)}
     try:
         record.update(ricci(g, edge, route=route).to_json_dict())
-    except DisconnectedNeighborhoodError as exc:
+    except (DisconnectedNeighborhoodError, BlowUpTooLargeError) as exc:
         record["error"] = str(exc)
     return record
 
@@ -133,6 +133,9 @@ def _cmd_solve(args) -> int:
                 return EXIT_USAGE
             sol = randomized_insert(inst, args.seed)
         else:
+            if args.max_k < 1:
+                print(f"error: --max-k must be at least 1, got {args.max_k}", file=sys.stderr)
+                return EXIT_USAGE
             sol = brute_force_opt(inst, args.max_k)
             if sol is None:
                 print(

@@ -27,7 +27,7 @@ from typing import Iterable
 
 import networkx as nx
 
-from .errors import BlowUpTooLargeError, DisconnectedNeighborhoodError
+from .errors import BlowUpTooLargeError, DisconnectedNeighborhoodError, RicciCritError
 from .graphs import Graph, ordered_pair
 from .matching import Matching, matching_cost, min_cost_perfect_matching
 
@@ -231,7 +231,10 @@ def blowup_cap(explicit: int | None = None) -> int:
         return explicit
     env = os.environ.get(BLOWUP_CAP_ENV)
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise RicciCritError(f"{BLOWUP_CAP_ENV} must be an integer, got {env!r}") from None
     return DEFAULT_BLOWUP_CAP
 
 

@@ -48,4 +48,4 @@ class RetryExhaustedError(RicciCritError):
 
 
 class FieldConfigError(RicciCritError):
-    """Interpolation degrees or digit bases are incompatible with the field."""
+    """Interpolation degrees or grid size are incompatible with the field."""

@@ -254,6 +254,7 @@ class Graph:
 
 def parse_edge_list(text: str) -> Graph:
     triples: list[tuple[int, int, int]] = []
+    seen: set[Pair] = set()
     weighted = False
     max_node = -1
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -275,16 +276,14 @@ def parse_edge_list(text: str) -> Graph:
             raise EdgeListParseError(line_no, f"self-loop at node {u}")
         if w < 1:
             raise EdgeListParseError(line_no, f"weight must be positive, got {w}")
+        key = ordered_pair(u, v)
+        if key in seen:
+            raise EdgeListParseError(line_no, f"duplicate edge {key}")
+        seen.add(key)
         if w != 1:
             weighted = True
         triples.append((u, v, w))
         max_node = max(max_node, u, v)
-    seen: set[Pair] = set()
-    for u, v, _ in triples:
-        key = ordered_pair(u, v)
-        if key in seen:
-            raise EdgeListParseError(0, f"duplicate edge {key}")
-        seen.add(key)
     return Graph(max_node + 1, triples, weighted=weighted)
 
 

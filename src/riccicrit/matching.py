@@ -7,9 +7,12 @@ Three layers live here:
 * an exhaustive enumerator used as the desk-scale oracle;
 * randomized search for perfect matchings of a prescribed exact cost, and the
   refinement that also prescribes how many 3-cost and touchable 2-cost edges
-  the matching uses. Search runs over a prime field via determinant
-  interpolation (see ``_detcube``); every witness is verified before it is
-  returned, so randomness can only cause a miss, never a wrong answer.
+  the matching uses. Every edge carries a small vector of digits -- its cost
+  alone, or the signature digits (4 - cost, is-3, is-touchable-2) -- and one
+  search loop asks for a matching with prescribed digit sums. Search runs
+  over a prime field via determinant interpolation (see ``_detcube``); every
+  witness is verified before it is returned, so randomness can only cause a
+  miss, never a wrong answer.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ._detcube import PRIME, SignatureCube, coefficient_at
-from .errors import FieldConfigError, OracleBoundError
+from .errors import OracleBoundError
 
 ENUMERATION_BOUND = 8
 
@@ -196,54 +199,28 @@ def class_counts(
 # -- randomized exact-cost search ---------------------------------------------
 
 
-def shift_constants(q: int) -> tuple[int, int]:
-    """Class-separating weight shifts: K2 dominates any base-cost change and
-    K1 dominates any K2 change, which is all the uniqueness argument needs."""
-    k2 = 4 * q * q + 1
-    k1 = 4 * q * q * k2 + 1
-    return k1, k2
+def _signature_digits(
+    costs: Sequence[Sequence[int]],
+    touchable_mask: Sequence[Sequence[bool]],
+) -> np.ndarray:
+    """Per-edge digits (4 - c, is-3, is-touchable-2) of a 0..3 cost matrix.
 
-
-def _decompose(value: int, bases: tuple[int, ...]) -> tuple[int, ...] | None:
-    """Digits of ``value`` in the mixed-radix system (bases descending, then 1)."""
-    digits = []
-    rest = value
-    for b in bases:
-        digits.append(rest // b)
-        rest %= b
-    digits.append(rest)
-    if any(d < 0 for d in digits):
-        return None
-    return tuple(digits)
-
-
-def _digit_matrix(costs: Sequence[Sequence[int]], bases: tuple[int, ...], q: int) -> np.ndarray:
-    naxes = len(bases) + 1
-    digits = np.zeros((q, q, naxes), dtype=np.int64)
-    for i in range(q):
-        for j in range(q):
-            d = _decompose(int(costs[i][j]), bases)
-            if d is None:
-                raise FieldConfigError("cost entry does not decompose over the digit bases")
-            digits[i, j, :] = d
-    # Faithful encoding: the summed lower digits of any q edges must never
-    # carry into the next base, otherwise two different digit signatures
-    # could share a total cost.
-    ext_bases = tuple(bases) + (1,)
-    for axis in range(len(bases)):
-        carry = 0
-        for lower in range(axis + 1, naxes):
-            carry += q * int(digits[:, :, lower].max(initial=0)) * ext_bases[lower]
-        if carry >= ext_bases[axis]:
-            raise FieldConfigError("digit bases too close together for this q")
-    return digits
+    A perfect matching of cost x with k 3-edges and l touchable 2-edges has
+    digit sums (4q - x, k, l).
+    """
+    c = np.array(costs, dtype=np.int64)
+    if c.max() > 3:
+        raise ValueError("signature queries expect costs in 0..3")
+    touchable_2 = (c == 2) & np.array(touchable_mask, dtype=bool)
+    return np.stack([4 - c, c == 3, touchable_2], axis=2).astype(np.int64)
 
 
 class _CubeCache:
-    """Per-(matrix, seed, trial) signature cubes, shared across targets.
+    """Per-(digits, seed, trial) signature cubes, shared across targets.
 
-    Existence queries against the same matrix and seed re-use the same random
-    scalars, so sweeping many targets costs one interpolation per trial.
+    Queries against the same digits and seed re-use the same random scalars,
+    so sweeping many targets costs one interpolation per trial, and a witness
+    query after a ``signature_support`` sweep starts on the sweep's cubes.
     """
 
     def __init__(self, maxsize: int = 64):
@@ -269,7 +246,6 @@ def _trial_scalars(seed: int, trial: int, q: int) -> np.ndarray:
 
 
 def _trial_cube(digits: np.ndarray, seed: int, trial: int) -> tuple[SignatureCube, np.ndarray]:
-    q = digits.shape[0]
     key = (digits.tobytes(), digits.shape, seed, trial)
     return _CUBES.get(key, lambda: _build_trial(digits, seed, trial))
 
@@ -323,55 +299,54 @@ def _extract_assignment(
     return [chosen[i] for i in range(n)]
 
 
+def _search(digits: np.ndarray, target: tuple[int, ...], trials: int, seed: int) -> list[int] | None:
+    """An assignment whose digit sums are ``target``, or None after ``trials`` misses.
+
+    Each trial certifies the target on its (cached) cube before paying for
+    the extraction; a failed extraction moves on to fresh scalars.
+    """
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    for trial in range(trials):
+        cube, scalars = _trial_cube(digits, seed, trial)
+        if cube.coefficient(target) == 0:
+            continue
+        assignment = _extract_assignment(digits, scalars, target)
+        if assignment is not None:
+            return assignment
+    return None
+
+
 def exact_cost_matching(
     costs: Sequence[Sequence[int]],
     target: int,
     *,
     trials: int = 20,
     seed: int = 0,
-    bases: tuple[int, ...] = (),
 ) -> Matching | None:
     """Perfect matching of cost exactly ``target``, or None if none was found.
 
-    A miss requires every trial's random scalars to kill the certifying
-    coefficient, which happens with probability at most (q/PRIME) per trial;
-    None is therefore wrong only with vanishing probability. A returned
-    matching is always genuine: its cost is verified before returning.
-    ``bases`` optionally declares that costs live in a mixed-radix system
-    (large class-separating constants); digits are then interpolated
-    independently, which keeps the polynomial degrees proportional to q
-    instead of to the constants.
+    The costs themselves are the one digit axis. A miss requires every
+    trial's random scalars to kill the certifying coefficient, which happens
+    with probability at most (q/PRIME) per trial; None is therefore wrong
+    only with vanishing probability. A returned matching is always genuine:
+    its cost is verified before returning.
     """
-    q = _check_square(costs)
+    _check_square(costs)
     if target < 0:
         return None
-    if trials < 1:
-        raise ValueError("trials must be positive")
     # The minimum-cost matching is a free certificate for its own cost.
     mcpm = min_cost_perfect_matching(costs)
     if mcpm.cost == target:
         return mcpm
     if target < mcpm.cost:
         return None
-
-    digits = _digit_matrix(costs, bases, q)
-    tgt = _decompose(target, bases)
-    if tgt is None:
+    digits = np.array(costs, dtype=np.int64)[:, :, None]
+    assignment = _search(digits, (target,), trials, seed)
+    if assignment is None:
         return None
-    if len(tgt) != digits.shape[2]:
-        raise FieldConfigError("target does not decompose over the digit bases")
-
-    for trial in range(trials):
-        cube, scalars = _trial_cube(digits, seed, trial)
-        if cube.coefficient(tgt) == 0:
-            continue
-        assignment = _extract_assignment(digits, scalars, tgt)
-        if assignment is None:
-            continue
-        cost = matching_cost(costs, assignment)
-        if cost == target:
-            return Matching(tuple(assignment), cost)
-    return None
+    cost = matching_cost(costs, assignment)
+    return Matching(tuple(assignment), cost) if cost == target else None
 
 
 def matching_with_counts(
@@ -387,46 +362,23 @@ def matching_with_counts(
     """Perfect matching of cost ``target_cost`` with exactly ``k`` 3-edges and
     ``l`` touchable 2-edges, or None.
 
-    Reduction: flip weights e -> 4 - w(e), then lift every flipped 1-edge
-    (original 3-edge) to weight K1 and every touchable flipped 2-edge
-    (original touchable 2-edge) to weight K2, and ask for cost exactly
-    K1*k + K2*l + (q1 - k - 2*l) with q1 = 4q - target_cost: the lifted
-    edges' base weights (k ones and l twos) move into the K terms. The shift
-    constants are far enough apart that only (k, l)-correct matchings can hit
-    that total. Returned witnesses are re-verified against the original
-    matrix unconditionally.
+    Searches the signature digits for the sums (4q - target_cost, k, l), on
+    the same cubes ``signature_support`` builds for the same matrix and
+    seed. Returned witnesses are re-verified against the original matrix
+    unconditionally.
     """
     q = _check_square(costs)
-    for row in costs:
-        for c in row:
-            if c > 3:
-                raise ValueError("matching_with_counts expects costs in 0..3")
+    digits = _signature_digits(costs, touchable_mask)
     if k < 0 or l < 0 or k + l > q:
         return None
-    k1, k2 = shift_constants(q)
-
-    def _shifted(i: int, j: int) -> int:
-        c = costs[i][j]
-        if c == 3:
-            return k1
-        if c == 2 and touchable_mask[i][j]:
-            return k2
-        return 4 - c
-
-    shifted = [[_shifted(i, j) for j in range(q)] for i in range(q)]
-    q1 = 4 * q - target_cost
-    alpha = q1 - k - 2 * l
-    if alpha < 0:
+    assignment = _search(digits, (4 * q - target_cost, k, l), trials, seed)
+    if assignment is None:
         return None
-    delta = k1 * k + k2 * l + alpha
-    found = exact_cost_matching(shifted, delta, trials=trials, seed=seed, bases=(k1, k2))
-    if found is None:
+    found = Matching(tuple(assignment), matching_cost(costs, assignment))
+    counts = class_counts(costs, touchable_mask, found)
+    if found.cost != target_cost or counts.n3 != k or counts.n2_touchable != l:
         return None
-    cost = matching_cost(costs, found.assignment)
-    counts = class_counts(costs, touchable_mask, Matching(found.assignment, cost))
-    if cost != target_cost or counts.n3 != k or counts.n2_touchable != l:
-        return None
-    return Matching(found.assignment, cost)
+    return found
 
 
 def signature_support(
@@ -443,20 +395,9 @@ def signature_support(
     solver sweep, which wants the whole landscape at once.
     """
     q = _check_square(costs)
-    digits = np.zeros((q, q, 3), dtype=np.int64)
-    for i in range(q):
-        for j in range(q):
-            c = int(costs[i][j])
-            if c > 3:
-                raise ValueError("signature_support expects costs in 0..3")
-            digits[i, j] = (
-                4 - c,
-                1 if c == 3 else 0,
-                1 if (c == 2 and touchable_mask[i][j]) else 0,
-            )
+    digits = _signature_digits(costs, touchable_mask)
     merged: set[tuple[int, int, int]] = set()
     for trial in range(trials):
         cube, _ = _trial_cube(digits, seed, trial)
-        for alpha, n3, n2t in cube.support():
-            merged.add((4 * q - alpha, n3, n2t))
+        merged.update((4 * q - alpha, n3, n2t) for alpha, n3, n2t in cube.support())
     return merged

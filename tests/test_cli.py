@@ -79,6 +79,35 @@ def test_parse_error_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "curvature", str(bad), "--all")
     assert code == 2
     assert "line 2" in err
+    bad.write_text("0 1\n# comment\n1 2\n1 0\n")
+    code, _, err = run(capsys, "curvature", str(bad), "--all")
+    assert code == 2
+    assert "line 4: duplicate edge (0, 1)" in err
+
+
+def test_blowup_cap_env_must_be_an_integer(capsys, p3_file, monkeypatch):
+    monkeypatch.setenv("RICCI_BLOWUP_CAP", "abc")
+    code, out, err = run(capsys, "curvature", p3_file, "--all")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error:") and "RICCI_BLOWUP_CAP" in err
+
+
+def test_curvature_all_reports_oversized_edges_and_keeps_the_rest(capsys, tmp_path, monkeypatch):
+    # Triangle 0-1-2 with pendant 3: q = 3 on (0, 1), 12 on (0, 2) and
+    # (1, 2), 4 on (2, 3); a cap of 4 refuses only the q = 12 edges.
+    path = tmp_path / "paw.edges"
+    path.write_text("0 1\n1 2\n0 2\n2 3\n")
+    monkeypatch.setenv("RICCI_BLOWUP_CAP", "4")
+    code, out, _ = run(capsys, "curvature", str(path), "--all")
+    assert code == 0
+    records = {tuple(r["edge"]): r for r in json.loads(out)["results"]}
+    assert set(records) == {(0, 1), (0, 2), (1, 2), (2, 3)}
+    for edge in [(0, 2), (1, 2)]:
+        assert "q=12 exceeds cap 4" in records[edge]["error"]
+        assert "ric" not in records[edge]
+    for edge in [(0, 1), (2, 3)]:
+        assert "error" not in records[edge] and "ric" in records[edge]
 
 
 def test_missing_file_exit_code(capsys):
@@ -95,6 +124,10 @@ def test_usage_errors(capsys, p3_file):
     code, _, err = run(capsys, "solve", p3_file, "--edge", "0", "1",
                        "--variant", "uw-rt-ins-ntp", "--method", "randomized")
     assert code == 4  # positive curvature cannot be an ntp instance
+    for max_k in ("0", "-1"):
+        code, out, err = run(capsys, "solve", p3_file, "--edge", "0", "1",
+                             "--variant", "uw-rt-del-ptn", "--method", "brute", "--max-k", max_k)
+        assert code == 4 and out == "" and "--max-k" in err
 
 
 def test_randomized_requires_seed(capsys, tmp_path):

@@ -14,7 +14,7 @@ from riccicrit import (
     matching_with_counts,
     min_cost_perfect_matching,
 )
-from riccicrit.matching import matching_cost, shift_constants
+from riccicrit.matching import matching_cost, signature_support
 
 
 def test_zero_diagonal_is_free():
@@ -89,20 +89,6 @@ def test_exact_cost_trivial_cases():
     assert exact_cost_matching(costs, mc.cost - 1, seed=1) is None
 
 
-def test_shift_constants_separate_classes():
-    # Distinct (k, l) pairs may never collide on the shifted total, for any
-    # residual sums two matchings could produce.
-    for q in range(2, 8):
-        k1, k2 = shift_constants(q)
-        assert k2 > 4 * q * q and k1 > 4 * q * q * k2
-        seen = {}
-        for k in range(q + 1):
-            for l in range(q + 1 - k):
-                for alpha in range(4 * q + 1):
-                    delta = k1 * k + k2 * l + alpha
-                    assert seen.setdefault(delta, (k, l)) == (k, l)
-
-
 def test_exact_cost_and_counts_agree_with_enumeration():
     rng = random.Random(99)
     for _ in range(6):
@@ -150,3 +136,25 @@ def test_exact_cost_never_returns_wrong_cost():
         got = exact_cost_matching(costs, target, trials=2, seed=rng.randint(0, 100))
         if got is not None:
             assert matching_cost(costs, got.assignment) == target
+
+
+def test_signature_support_is_sound_and_witnessed():
+    # Every certified signature is a real one, and the witness query on the
+    # same seed (hence the same cubes) recovers a verified matching for it.
+    rng = random.Random(31)
+    for trial in range(12):
+        q = rng.randint(1, 5)
+        costs = [[rng.randint(0, 3) for _ in range(q)] for _ in range(q)]
+        touch = [[rng.random() < 0.6 for _ in range(q)] for _ in range(q)]
+        signatures = set()
+        for m in enumerate_matchings(costs):
+            cc = class_counts(costs, touch, m)
+            signatures.add((m.cost, cc.n3, cc.n2_touchable))
+        support = signature_support(costs, touch, seed=trial)
+        assert support and support <= signatures
+        for x, k, l in support:
+            got = matching_with_counts(costs, touch, x, k, l, seed=trial)
+            assert got is not None
+            cc = class_counts(costs, touch, got)
+            assert (got.cost, matching_cost(costs, got.assignment)) == (x, x)
+            assert (cc.n3, cc.n2_touchable) == (k, l)
