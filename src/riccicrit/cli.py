@@ -81,6 +81,9 @@ def _curvature_one(args) -> dict:
 
 
 def _cmd_curvature(args) -> int:
+    if args.jobs < 1:
+        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return EXIT_USAGE
     g = _load_graph(args.input)
     if args.all:
         edges = [(u, v) for u, v, _ in g.edges()]
@@ -93,10 +96,9 @@ def _cmd_curvature(args) -> int:
         if not g.has_edge(u, v):
             print(f"error: ({u}, {v}) is not an edge", file=sys.stderr)
             return EXIT_USAGE
-    jobs = max(1, args.jobs)
     work = [(g, e, args.route) for e in edges]
-    if jobs > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    if args.jobs > 1 and len(work) > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             records = list(pool.map(_curvature_one, work))
     else:
         records = [_curvature_one(w) for w in work]
@@ -286,6 +288,9 @@ def _random_graph(n: int, rng) -> Graph:
 def _cmd_oracle_check(args) -> int:
     import random
 
+    if args.random is not None and args.random < 1:
+        print(f"error: --random must be at least 1, got {args.random}", file=sys.stderr)
+        return EXIT_USAGE
     graphs: list[Graph] = []
     if args.input:
         graphs.append(_load_graph(args.input))

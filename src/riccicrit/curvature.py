@@ -7,9 +7,12 @@ the same exact rational:
 
 * the matching route replicates the r x s neighborhood cost matrix into a
   q x q matrix (q = lcm(r, s)) whose minimum-cost perfect matchings have cost
-  exactly q * EMD, and
+  exactly q * EMD; the matching solver groups the blow-up's identical rows and
+  columns back into the r x s transportation problem, solves that by
+  successive shortest paths and expands the lexicographically smallest
+  optimal matching, and
 * the flow route solves the transportation LP directly as an integer
-  min-cost-flow after scaling both marginals by q.
+  min-cost-flow (networkx network simplex) after scaling both marginals by q.
 
 The matching route is the default because downstream solvers consume the
 matching witness; the flow route stays as the independent oracle and also
@@ -327,7 +330,7 @@ def canonicalize_matching(
     """
     if mirrors is None:
         mirrors = bm.source.mirror_pairs()
-    optimal = min_cost_perfect_matching(bm.costs, lex_tiebreak=False)
+    optimal = min_cost_perfect_matching(bm.costs)
     if m.cost != optimal.cost or matching_cost(bm.costs, m.assignment) != m.cost:
         raise ValueError("canonicalization requires a minimum-cost perfect matching")
     assignment = list(m.assignment)

@@ -2,8 +2,10 @@
 
 Three layers live here:
 
-* a deterministic assignment solver (potentials + shortest augmenting paths,
-  cubic time, exact integer arithmetic, lexicographic tie-breaking);
+* an exact minimum-cost perfect matching solver: identical rows and columns
+  are grouped into a transportation problem, which successive shortest paths
+  with potentials solve; the lexicographically smallest optimal assignment is
+  then expanded from its tight groups;
 * an exhaustive enumerator used as the desk-scale oracle;
 * randomized search for perfect matchings of a prescribed exact cost, and the
   refinement that also prescribes how many 3-cost and touchable 2-cost edges
@@ -17,9 +19,11 @@ Three layers live here:
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -78,6 +82,8 @@ def _check_square(costs: Sequence[Sequence[int]]) -> int:
     for row in costs:
         if len(row) != n:
             raise ValueError("cost matrix must be square")
+        if set(map(type, row)) == {int} and min(row) >= 0:
+            continue  # the common all-int row, checked without a Python-level loop
         for c in row:
             if not isinstance(c, (int, np.integer)) or c < 0:
                 raise ValueError(f"costs must be non-negative integers, got {c!r}")
@@ -88,71 +94,152 @@ def matching_cost(costs: Sequence[Sequence[int]], assignment: Sequence[int]) -> 
     return sum(costs[i][j] for i, j in enumerate(assignment))
 
 
-def _solve_assignment(costs: Sequence[Sequence[int]]) -> list[int]:
-    """Classical O(n^3) assignment algorithm (dual potentials, 1-indexed cols).
+def _group(rows: Iterable[Sequence[int]]) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Label each row by its first identical row: (labels, distinct rows in order)."""
+    index: dict[tuple[int, ...], int] = {}
+    labels = [index.setdefault(tuple(row), len(index)) for row in rows]
+    return labels, list(index)
 
-    Works on arbitrary-precision integers so callers may pass perturbed or
-    shifted costs without overflow concerns.
+
+def _transport(
+    cost: list[list[int]], supply: list[int], demand: list[int]
+) -> tuple[list[list[int]], list[list[bool]]]:
+    """Min-cost integral transportation plan and its tight cells.
+
+    Successive shortest paths with potentials (Edmonds-Karp 1972): Dijkstra on
+    reduced costs from every row with supply left to the nearest column with
+    demand left, then the bottleneck is pushed along that path. Forward cells
+    are uncapacitated, so every column is reachable and the plan completes.
+    The final potentials are optimal duals; a cell is tight when its reduced
+    cost is zero, and by complementary slackness a plan is optimal exactly
+    when it ships only on tight cells.
     """
-    n = len(costs)
-    inf = float("inf")
-    u = [0] * (n + 1)
-    v = [0] * (n + 1)
-    match_row = [0] * (n + 1)  # column -> matched row (1-indexed, 0 = free)
-    way = [0] * (n + 1)
-    for i in range(1, n + 1):
-        match_row[0] = i
-        j0 = 0
-        minv: list = [inf] * (n + 1)
-        used = [False] * (n + 1)
+    rows, cols = len(supply), len(demand)
+    supply, demand = list(supply), list(demand)
+    flow = [[0] * cols for _ in range(rows)]
+    pot_r, pot_c = [0] * rows, [0] * cols
+    while any(supply):
+        dist_r: list = [0 if supply[g] else math.inf for g in range(rows)]
+        dist_c: list = [math.inf] * cols
+        via_r, via_c = [-1] * rows, [-1] * cols  # predecessor on the path
+        heap = [(0, 0, g) for g in range(rows) if supply[g]]
         while True:
-            used[j0] = True
-            i0 = match_row[j0]
-            delta = inf
-            j1 = -1
-            row = costs[i0 - 1]
-            for j in range(1, n + 1):
-                if not used[j]:
-                    cur = row[j - 1] - u[i0] - v[j]
-                    if cur < minv[j]:
-                        minv[j] = cur
-                        way[j] = j0
-                    if minv[j] < delta:
-                        delta = minv[j]
-                        j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[match_row[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if match_row[j0] == 0:
+            d, is_col, x = heapq.heappop(heap)
+            if is_col:
+                if d > dist_c[x]:
+                    continue
+                if demand[x]:
+                    target = x
+                    break
+                for g in range(rows):  # back along a used cell, at reduced cost 0
+                    if flow[g][x] and d < dist_r[g]:
+                        dist_r[g], via_r[g] = d, x
+                        heapq.heappush(heap, (d, 0, g))
+            else:
+                if d > dist_r[x]:
+                    continue
+                base = d + pot_r[x]
+                for h, c in enumerate(cost[x]):
+                    nd = base + c - pot_c[h]
+                    if nd < dist_c[h]:
+                        dist_c[h], via_c[h] = nd, x
+                        heapq.heappush(heap, (nd, 1, h))
+        # Capping at the target's distance keeps every residual reduced cost
+        # non-negative, including at nodes the early stop left unsettled.
+        top = dist_c[target]
+        for g in range(rows):
+            pot_r[g] += min(dist_r[g], top)
+        for h in range(cols):
+            pot_c[h] += min(dist_c[h], top)
+        path = []  # (row, col, +1 forward / -1 backward)
+        h = target
+        while True:
+            source = via_c[h]
+            path.append((source, h, 1))
+            if via_r[source] < 0:
                 break
-        while j0:
-            j1 = way[j0]
-            match_row[j0] = match_row[j1]
-            j0 = j1
-    assignment = [0] * n
-    for j in range(1, n + 1):
-        assignment[match_row[j] - 1] = j - 1
-    return assignment
+            h = via_r[source]
+            path.append((source, h, -1))
+        push = min(demand[target], supply[source], *(flow[g][h] for g, h, sign in path if sign < 0))
+        for g, h, sign in path:
+            flow[g][h] += sign * push
+        supply[source] -= push
+        demand[target] -= push
+    tight = [[cost[g][h] + pot_r[g] == pot_c[h] for h in range(cols)] for g in range(rows)]
+    return flow, tight
 
 
-def min_cost_perfect_matching(costs: Sequence[Sequence[int]], *, lex_tiebreak: bool = True) -> Matching:
-    """Optimal assignment; ties broken toward the lexicographically smallest
-    assignment vector (row 0 first) so repeated runs are reproducible."""
-    n = _check_square(costs)
-    if lex_tiebreak:
-        # Encode the lexicographic preference as an additive perturbation that
-        # can never overturn a strict cost difference.
-        base = n + 1
-        rank = [base ** (n - 1 - i) for i in range(n)]
-        shift = base**n
-        work = [[costs[i][j] * shift + j * rank[i] for j in range(n)] for i in range(n)]
-        assignment = _solve_assignment(work)
-    else:
-        assignment = _solve_assignment(costs)
+def _take_unit(flow: list[list[int]], tight: list[list[bool]], g: int, pick) -> int:
+    """Remove one unit of row ``g`` from the plan, shipped to the column ``pick`` prefers.
+
+    The columns tight with ``g`` that can reach ``g`` in the residual graph
+    (back along used cells, forward along tight ones) are exactly those to
+    which some optimal plan for the remaining rows ships a unit of ``g``. One
+    search, expanding each row at most once, finds them all; the plan is then
+    rerouted along the path so that the unit leaves at the chosen column.
+    """
+    via_c: dict[int, int] = {}
+    via_r = {g: -1}
+    stack = [g]
+    while stack:
+        x = stack.pop()
+        for h, f in enumerate(flow[x]):
+            if f and h not in via_c:
+                via_c[h] = x
+                for y, row in enumerate(tight):
+                    if row[h] and y not in via_r:
+                        via_r[y] = h
+                        stack.append(y)
+    chosen = h = pick(c for c in via_c if tight[g][c])
+    x = via_c[h]
+    flow[x][h] -= 1
+    while x != g:
+        h = via_r[x]
+        flow[x][h] += 1
+        x = via_c[h]
+        flow[x][h] -= 1
+    return chosen
+
+
+def min_cost_perfect_matching(costs: Sequence[Sequence[int]]) -> Matching:
+    """The lexicographically smallest minimum-cost perfect matching.
+
+    Identical rows and identical columns are grouped, so the q x q blow-up of
+    an r x s matrix becomes an r x s (or smaller) transportation problem whose
+    supplies and demands are the group sizes. Its optimal duals mark the tight
+    groups, which every minimum-cost matching uses exclusively. The rows are
+    then expanded in order, each taking the smallest free column of a tight
+    group that still leaves a feasible plan for the remaining rows, which
+    yields the lexicographically smallest minimum-cost assignment vector (row
+    0 first) in O(q * R * K) for R row and K column groups. Exact integers
+    throughout.
+    """
+    _check_square(costs)
+    row_of, row_keys = _group(costs)
+    col_of, col_keys = _group(zip(*row_keys))
+    # Plain ints: numpy entries could overflow in the potentials.
+    cost = [[int(c) for c in row] for row in zip(*col_keys)]
+    members: list[list[int]] = [[] for _ in col_keys]
+    for j, h in enumerate(col_of):
+        members[h].append(j)
+    supply = [row_of.count(g) for g in range(len(row_keys))]
+    flow, tight = _transport(cost, supply, [len(m) for m in members])
+    taken = [0] * len(members)
+
+    def first_free(groups):
+        return min(groups, key=lambda h: members[h][taken[h]])
+
+    assignment = []
+    for g in row_of:
+        # The smallest free tight column is feasible outright when the plan
+        # already ships g to its group; otherwise a search finds the best one.
+        h = first_free(h for h, t in enumerate(tight[g]) if t and taken[h] < len(members[h]))
+        if flow[g][h]:
+            flow[g][h] -= 1
+        else:
+            h = _take_unit(flow, tight, g, first_free)
+        assignment.append(members[h][taken[h]])
+        taken[h] += 1
     return Matching(tuple(assignment), matching_cost(costs, assignment))
 
 

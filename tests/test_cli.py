@@ -209,6 +209,12 @@ def test_oracle_check_random(capsys):
     assert payload["edges_checked"] > 0
 
 
+def test_oracle_check_random_count_below_one(capsys):
+    for count in ("0", "-2"):
+        code, out, err = run(capsys, "oracle-check", "--random", count)
+        assert code == 4 and out == "" and err.startswith("error:") and "--random" in err
+
+
 def test_oracle_check_file_and_output(capsys, p3_file, tmp_path):
     out_path = tmp_path / "report.json"
     code, _, _ = run(capsys, "oracle-check", p3_file, "--output", str(out_path))
@@ -222,3 +228,9 @@ def test_curvature_jobs_parallel_matches_serial(capsys, blocker_files):
     _, out1, _ = run(capsys, "curvature", edges, "--all")
     _, out2, _ = run(capsys, "curvature", edges, "--all", "--jobs", "2")
     assert out1 == out2
+
+
+def test_curvature_jobs_below_one(capsys, p3_file):
+    for jobs in ("0", "-3"):
+        code, out, err = run(capsys, "curvature", p3_file, "--all", "--jobs", jobs)
+        assert code == 4 and out == "" and err.startswith("error:") and "--jobs" in err

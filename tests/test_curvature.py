@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from riccicrit import (
     ricci,
 )
 from riccicrit.curvature import BLOWUP_CAP_ENV
-from riccicrit.matching import class_counts
+from riccicrit.matching import class_counts, min_cost_perfect_matching
 
 from conftest import random_connected_graph
 
@@ -206,3 +207,22 @@ def test_curvature_result_json_plan_optional():
     with_plan = res.to_json_dict()
     without = res.to_json_dict(include_plan=False)
     assert "plan" in with_plan and "plan" not in without
+
+
+def test_matching_cost_is_q_times_flow_emd_on_a_sparse_random_graph():
+    rng = random.Random(200800)
+    edges: set[tuple[int, int]] = set()
+    while len(edges) < 800:
+        u, v = rng.sample(range(200), 2)
+        edges.add((min(u, v), max(u, v)))
+    g = Graph(200, sorted(edges))
+    checked = 0
+    for e in sorted(edges):
+        cm = build_cost_matrix(g, e)[1]
+        bm = blow_up(cm)
+        if bm.q > 120:
+            continue
+        emd, _ = emd_via_flow(cm)
+        assert min_cost_perfect_matching(bm.costs).cost == bm.q * emd
+        checked += 1
+    assert checked > 600

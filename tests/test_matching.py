@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -55,6 +56,27 @@ def test_lex_tiebreak_is_minimal_assignment(costs):
     got = min_cost_perfect_matching(costs)
     winners = [m.assignment for m in enumerate_matchings(costs) if m.cost == got.cost]
     assert got.assignment == min(winners)
+
+
+@st.composite
+def _blow_ups(draw):
+    """q x q blow-ups of r x s matrices (r, s <= 4, q <= 8) with costs 0..3,
+    whose r block rows are drawn from a smaller pool so that identical rows
+    recur across blocks."""
+    r, s = draw(st.sampled_from([(r, s) for r in range(1, 5) for s in range(1, 5) if math.lcm(r, s) <= 8]))
+    pool = draw(st.lists(st.lists(st.integers(0, 3), min_size=s, max_size=s), min_size=1, max_size=r))
+    base = [pool[k] for k in draw(st.lists(st.integers(0, len(pool) - 1), min_size=r, max_size=r))]
+    q = math.lcm(r, s)
+    a, b = q // r, q // s
+    return [[base[i // a][j // b] for j in range(q)] for i in range(q)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_blow_ups())
+def test_blow_up_matching_is_first_min_cost_enumerated(costs):
+    matchings = list(enumerate_matchings(costs))
+    best = min(m.cost for m in matchings)
+    assert min_cost_perfect_matching(costs) == next(m for m in matchings if m.cost == best)
 
 
 def test_enumeration_counts_and_bound():
