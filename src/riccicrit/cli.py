@@ -1,31 +1,36 @@
 """Command-line front end: curvature, solving, feasibility, gadgets, oracle checks.
 
-Exit codes: 0 success, 2 input parse error, 3 infeasible instance, 4 usage
-error (bad flags, unsupported variant/method), 5 internal verification
-failure -- a solver produced something it could not verify, which the
-library is designed never to do. Randomized methods require an explicit
---seed so runs stay reproducible; JSON output is byte-stable for a given
-input and seed.
+Exit codes: 0 success; 2 a file named on the command line is missing,
+unreadable, not UTF-8 or malformed, or an output path cannot be written;
+3 infeasible instance; 4 usage error (bad flags, unsupported variant or
+method, malformed --start sidecar); 5 internal verification failure -- a
+solver produced something it could not verify, which the library is
+designed never to do; oracle-check exits 1 when the routes disagree.
+Commands raise, and `main` maps the exception to its exit code through
+`_EXIT_CODES`. Randomized methods require an explicit --seed so runs stay
+reproducible; JSON output is byte-stable for a given input and seed.
+`curvature --jobs` is capped at the CPU count and at the number of edges.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from fractions import Fraction
 
 from . import gadgets
 from .curvature import blow_up, build_cost_matrix, edge_ref, emd_via_flow, emd_via_matching, ricci
 from .errors import (
     BlowUpTooLargeError,
-    BudgetExceededError,
     DisconnectedNeighborhoodError,
     EdgeListParseError,
     InfeasibleInstanceError,
     RetryExhaustedError,
     RicciCritError,
-    UnsupportedVariantError,
 )
 from .graphs import Graph, format_edge_list, load_edge_list
 from .matching import Matching, enumerate_matchings
@@ -44,6 +49,15 @@ EXIT_INFEASIBLE = 3
 EXIT_USAGE = 4
 EXIT_VERIFY = 5
 
+# Which exception means which exit code. Rows are matched in order, and the
+# last row holds the base classes of the errors above it.
+_EXIT_CODES = (
+    ((EdgeListParseError, OSError, UnicodeDecodeError), EXIT_PARSE, "error"),
+    ((InfeasibleInstanceError,), EXIT_INFEASIBLE, "infeasible"),
+    ((RetryExhaustedError, AssertionError), EXIT_VERIFY, "verification failure"),
+    ((RicciCritError, ValueError), EXIT_USAGE, "error"),
+)
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -59,17 +73,6 @@ def _emit(payload: dict, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_graph(path: str) -> Graph:
-    try:
-        return load_edge_list(path)
-    except FileNotFoundError:
-        print(f"error: no such file: {path}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
-    except EdgeListParseError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
-
-
 def _curvature_one(args) -> dict:
     g, edge, route = args
     record: dict = {"edge": list(edge)}
@@ -82,23 +85,22 @@ def _curvature_one(args) -> dict:
 
 def _cmd_curvature(args) -> int:
     if args.jobs < 1:
-        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
-        return EXIT_USAGE
-    g = _load_graph(args.input)
+        raise RicciCritError(f"--jobs must be at least 1, got {args.jobs}")
+    g = load_edge_list(args.input)
     if args.all:
         edges = [(u, v) for u, v, _ in g.edges()]
     elif args.edge:
         edges = [edge_ref(u, v) for u, v in args.edge]
     else:
-        print("error: provide --edge U V (repeatable) or --all", file=sys.stderr)
-        return EXIT_USAGE
+        raise RicciCritError("provide --edge U V (repeatable) or --all")
     for u, v in edges:
         if not g.has_edge(u, v):
-            print(f"error: ({u}, {v}) is not an edge", file=sys.stderr)
-            return EXIT_USAGE
+            raise RicciCritError(f"({u}, {v}) is not an edge")
     work = [(g, e, args.route) for e in edges]
-    if args.jobs > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # No more workers than CPUs or edges: a fork-started pool forks them all at its first submit.
+    workers = min(args.jobs, len(edges), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_curvature_one, work))
     else:
         records = [_curvature_one(w) for w in work]
@@ -107,56 +109,43 @@ def _cmd_curvature(args) -> int:
 
 
 def _start_matching_from(path: str) -> Matching:
+    """The adversarial start matching of a gadget sidecar (optionally under "descriptor")."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    desc = data.get("descriptor", data)
-    assignment = desc.get("parameters", {}).get("adversarial_assignment")
-    cost = desc.get("parameters", {}).get("adversarial_cost")
-    if assignment is None or cost is None:
+    if isinstance(data, dict):
+        data = data.get("descriptor", data)
+    params = data.get("parameters") if isinstance(data, dict) else None
+    if not isinstance(params, dict):
         raise ValueError(f"{path} carries no start matching")
-    return Matching(tuple(assignment), int(cost))
+    assignment = params.get("adversarial_assignment")
+    cost = params.get("adversarial_cost")
+    if not (
+        isinstance(assignment, list)
+        and all(type(a) is int for a in assignment)
+        and sorted(assignment) == list(range(len(assignment)))
+    ):
+        raise ValueError(f"{path}: adversarial_assignment must be a permutation of 0..n-1")
+    if type(cost) is not int:
+        raise ValueError(f"{path}: adversarial_cost must be an integer")
+    return Matching(tuple(assignment), cost)
 
 
 def _cmd_solve(args) -> int:
-    g = _load_graph(args.input)
-    try:
-        variant = ProblemVariant.parse(args.variant)
-        inst = Instance(g, edge_ref(*args.edge), variant)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        if args.method == "greedy":
-            start = _start_matching_from(args.start) if args.start else None
-            sol = greedy_insert(inst, start)
-        elif args.method == "randomized":
-            if args.seed is None:
-                print("error: --seed is required for randomized solving", file=sys.stderr)
-                return EXIT_USAGE
-            sol = randomized_insert(inst, args.seed)
-        else:
-            if args.max_k < 1:
-                print(f"error: --max-k must be at least 1, got {args.max_k}", file=sys.stderr)
-                return EXIT_USAGE
-            sol = brute_force_opt(inst, args.max_k)
-            if sol is None:
-                print(
-                    f"infeasible: no edit set of size <= {args.max_k} flips the sign",
-                    file=sys.stderr,
-                )
-                return EXIT_INFEASIBLE
-    except UnsupportedVariantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except InfeasibleInstanceError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except (BudgetExceededError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except RetryExhaustedError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+    g = load_edge_list(args.input)
+    inst = Instance(g, edge_ref(*args.edge), ProblemVariant.parse(args.variant))
+    if args.method == "greedy":
+        start = _start_matching_from(args.start) if args.start else None
+        sol = greedy_insert(inst, start)
+    elif args.method == "randomized":
+        if args.seed is None:
+            raise RicciCritError("--seed is required for randomized solving")
+        sol = randomized_insert(inst, args.seed)
+    else:
+        if args.max_k < 1:
+            raise RicciCritError(f"--max-k must be at least 1, got {args.max_k}")
+        sol = brute_force_opt(inst, args.max_k)
+        if sol is None:
+            raise InfeasibleInstanceError(f"no edit set of size <= {args.max_k} flips the sign")
     payload = sol.to_json_dict()
     if args.method == "brute":
         payload["optimal_within_max_k"] = True
@@ -165,17 +154,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_feasible(args) -> int:
-    g = _load_graph(args.input)
-    try:
-        variant = ProblemVariant.parse(args.variant)
-        inst = Instance(g, edge_ref(*args.edge), variant)
-        feasible, sol = feasible_by_saturation(inst)
-    except UnsupportedVariantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    g = load_edge_list(args.input)
+    variant = ProblemVariant.parse(args.variant)
+    feasible, sol = feasible_by_saturation(Instance(g, edge_ref(*args.edge), variant))
     payload: dict = {"variant": variant.key, "feasible": feasible}
     if sol is not None:
         payload["saturation_solution"] = sol.to_json_dict()
@@ -205,32 +186,24 @@ def _parse_h0(text: str) -> list[tuple[int, int]]:
 
 
 def _cmd_gadget(args) -> int:
-    try:
-        if args.kind == "maxcov":
-            g, edge, desc = gadgets.gen_maxcov(args.universe, _parse_sets(args.sets), args.kappa)
-        elif args.kind == "blocker":
-            g, edge, desc = gadgets.gen_blocker(args.n, _parse_h0(args.h0_edges))
-        elif args.kind == "setcover":
-            g, edge, desc = gadgets.gen_setcover(args.universe, _parse_sets(args.sets), args.heavy_weight)
-        else:  # tightness
-            if args.graph_form:
-                g, edge, _adv, desc = gadgets.gen_tightness_graph(args.m)
-            else:
-                cm, adv, opt, desc = gadgets.gen_tightness(args.m)
-                payload = {
-                    "descriptor": desc.to_json_dict(),
-                    "cost_matrix": [list(row) for row in cm.costs],
-                    "adversarial": adv.to_json_dict(),
-                    "optimal": opt.to_json_dict(),
-                }
-                if args.output:
-                    _emit(payload, args.output + ".json")
-                else:
-                    _emit(payload, None)
-                return EXIT_OK
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.kind == "maxcov":
+        g, edge, desc = gadgets.gen_maxcov(args.universe, _parse_sets(args.sets), args.kappa)
+    elif args.kind == "blocker":
+        g, edge, desc = gadgets.gen_blocker(args.n, _parse_h0(args.h0_edges))
+    elif args.kind == "setcover":
+        g, edge, desc = gadgets.gen_setcover(args.universe, _parse_sets(args.sets), args.heavy_weight)
+    elif args.graph_form:
+        g, edge, _adv, desc = gadgets.gen_tightness_graph(args.m)
+    else:
+        cm, adv, opt, desc = gadgets.gen_tightness(args.m)
+        payload = {
+            "descriptor": desc.to_json_dict(),
+            "cost_matrix": [list(row) for row in cm.costs],
+            "adversarial": adv.to_json_dict(),
+            "optimal": opt.to_json_dict(),
+        }
+        _emit(payload, args.output + ".json" if args.output else None)
+        return EXIT_OK
     sidecar = {"descriptor": desc.to_json_dict(), "edge": list(edge)}
     text = format_edge_list(g)
     if args.output:
@@ -247,12 +220,8 @@ def _check_edge_routes(g: Graph, edge, enum_bound: int) -> dict:
     record: dict = {"edge": list(edge)}
     try:
         _pair, cm = build_cost_matrix(g, edge)
-    except DisconnectedNeighborhoodError as exc:
-        record["skipped"] = str(exc)
-        return record
-    try:
         bm = blow_up(cm)
-    except BlowUpTooLargeError as exc:
+    except (DisconnectedNeighborhoodError, BlowUpTooLargeError) as exc:
         record["skipped"] = str(exc)
         return record
     emd_m, _ = emd_via_matching(bm)
@@ -262,8 +231,6 @@ def _check_edge_routes(g: Graph, edge, enum_bound: int) -> dict:
     agree = emd_m == emd_f
     if bm.q <= enum_bound:
         best = min(m.cost for m in enumerate_matchings(bm.costs, bound=enum_bound))
-        from fractions import Fraction
-
         emd_e = Fraction(best, bm.q)
         record["emd_enumeration"] = f"{emd_e.numerator}/{emd_e.denominator}"
         agree = agree and emd_m == emd_e
@@ -286,21 +253,17 @@ def _random_graph(n: int, rng) -> Graph:
 
 
 def _cmd_oracle_check(args) -> int:
-    import random
-
     if args.random is not None and args.random < 1:
-        print(f"error: --random must be at least 1, got {args.random}", file=sys.stderr)
-        return EXIT_USAGE
+        raise RicciCritError(f"--random must be at least 1, got {args.random}")
     graphs: list[Graph] = []
     if args.input:
-        graphs.append(_load_graph(args.input))
+        graphs.append(load_edge_list(args.input))
     elif args.random:
         rng = random.Random(args.seed)
         for _ in range(args.random):
             graphs.append(_random_graph(rng.randint(4, 10), rng))
     else:
-        print("error: provide an input file or --random N", file=sys.stderr)
-        return EXIT_USAGE
+        raise RicciCritError("provide an input file or --random N")
     records = []
     mismatches = 0
     for g in graphs:
@@ -377,18 +340,20 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except RicciCritError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except AssertionError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+    try:
+        return args.func(args)
+    except Exception as exc:
+        for types, code, prefix in _EXIT_CODES:
+            if isinstance(exc, types):
+                # A parse error carries its line; the file is the command's input.
+                where = f"{args.input}: " if isinstance(exc, EdgeListParseError) else ""
+                print(f"{prefix}: {where}{exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

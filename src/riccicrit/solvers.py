@@ -47,6 +47,7 @@ from .errors import (
 )
 from .graphs import Graph, ordered_pair
 from .matching import (
+    EdgeClassCounts,
     Matching,
     matching_cost,
     matching_with_counts,
@@ -321,12 +322,11 @@ def brute_force_opt(inst: Instance, max_k: int, *, budget: int = 2_000_000) -> S
 # -- the kappa machinery --------------------------------------------------------
 
 
-def kappa_hat(counts, x: int, mcpm: int, rho: int, q: int) -> KappaState:
+def kappa_hat(counts: EdgeClassCounts, x: int, mcpm: int, rho: int, q: int) -> KappaState:
     """Minimum drops for a cost-x matching to fall strictly below q.
 
     Matched 3-edges drop to 1 (saving 2 each) before touchable 2-edges
     (saving 1); a matching without enough droppable weight is "unwanted".
-    ``counts`` needs attributes n3 and n2_touchable.
     """
     tau = rho + (x - mcpm)  # equals x - q
     n3 = counts.n3
@@ -556,12 +556,6 @@ def greedy_insert(inst: Instance, start: Matching | None = None) -> Solution:
 # -- randomized ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _SignatureCounts:
-    n3: int
-    n2_touchable: int
-
-
 def randomized_insert(inst: Instance, seed: int, *, trials: int = 4) -> Solution:
     """Randomized approximation for restricted insert-to-positive.
 
@@ -591,7 +585,7 @@ def randomized_insert(inst: Instance, seed: int, *, trials: int = 4) -> Solution
         if x not in by_cost:
             continue
         k, l = max(by_cost[x])  # most 3-edges, then most touchable 2-edges
-        state = kappa_hat(_SignatureCounts(k, l), x, setup.delta, setup.rho, setup.q)
+        state = kappa_hat(EdgeClassCounts(0, 0, l, 0, k), x, setup.delta, setup.rho, setup.q)
         if state.unwanted:
             continue
         if best is None or state.total < best[0]:

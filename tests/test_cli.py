@@ -1,8 +1,21 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import riccicrit
+from riccicrit import cli
 from riccicrit.cli import main
+
+# Double star: (0, 1) has curvature -1/2 and is a feasible uw-rt-ins-ntp instance.
+STAR6 = "0 1\n0 2\n0 3\n1 4\n1 5\n"
 
 
 def run(capsys, *argv):
@@ -234,3 +247,184 @@ def test_curvature_jobs_below_one(capsys, p3_file):
     for jobs in ("0", "-3"):
         code, out, err = run(capsys, "curvature", p3_file, "--all", "--jobs", jobs)
         assert code == 4 and out == "" and err.startswith("error:") and "--jobs" in err
+
+
+def test_curvature_jobs_capped_by_cpus_and_edges(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "k3.edges"
+    path.write_text("0 1\n1 2\n0 2\n")
+    _, serial, _ = run(capsys, "curvature", str(path), "--all")
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    for jobs, cpus, expected in [
+        ("5000", 4, [3]),  # capped at the edge count
+        ("5000", 2, [2]),  # capped at the CPU count
+        ("2", 4, [2]),
+        ("5000", 1, []),  # one worker runs in-process
+        ("5000", None, []),  # unknown CPU count counts as one
+    ]:
+        pools.clear()
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        code, out, _ = run(capsys, "curvature", str(path), "--all", "--jobs", jobs)
+        assert code == 0 and out == serial
+        assert pools == expected, (jobs, cpus)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["curvature", "{p3}", "--edge", "2", "2"], 4),
+        (["curvature", "{dir}", "--all"], 2),
+        (["curvature", "{latin1}", "--all"], 2),
+        (["curvature", "{p3}", "--all", "--output", "{dir}/missing/out.json"], 2),
+        (["gadget", "tightness", "--m", "4", "--output", "{dir}/missing/x"], 2),
+        (["solve", "{star}", "--edge", "0", "1", "--variant", "uw-rt-ins-ntp",
+          "--method", "greedy", "--start", "{dir}/missing.json"], 2),
+        (["solve", "{star}", "--edge", "0", "1", "--variant", "uw-rt-ins-ntp",
+          "--method", "greedy", "--start", "{scalar_sidecar}"], 4),
+        (["solve", "{star}", "--edge", "0", "1", "--variant", "uw-rt-ins-ntp",
+          "--method", "greedy", "--start", "{list_sidecar}"], 4),
+    ],
+    ids=["self-loop-edge", "directory-input", "non-utf8-input", "output-dir-missing",
+         "gadget-output-dir-missing", "start-missing", "start-scalar-assignment", "start-list"],
+)
+def test_bad_input_exits_with_one_error_line(capsys, tmp_path, p3_file, argv, expected):
+    paths = {"p3": p3_file, "dir": str(tmp_path)}
+    for name, content in [
+        ("latin1", b"0 1\n\xe9 2\n"),
+        ("star", STAR6.encode()),
+        ("scalar_sidecar", b'{"parameters": {"adversarial_assignment": 5, "adversarial_cost": 1}}'),
+        ("list_sidecar", b"[1, 2]"),
+    ]:
+        (tmp_path / name).write_bytes(content)
+        paths[name] = str(tmp_path / name)
+    code, out, err = run(capsys, *[a.format(**paths) for a in argv])
+    assert code == expected
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_module_entry_point_maps_errors(tmp_path):
+    src = str(Path(riccicrit.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "riccicrit.cli", "curvature", str(tmp_path), "--all"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+@pytest.fixture(scope="module")
+def contract_paths(tmp_path_factory):
+    """Good and bad (missing, directory, non-UTF-8, malformed) inputs, graphs of at most 6 nodes."""
+    d = tmp_path_factory.mktemp("contract")
+    files = {
+        "star.edges": STAR6.encode(),
+        "paw.edges": b"0 1\n1 2\n0 2\n2 3\n",
+        "weighted.edges": b"0 1 2\n1 2 1\n2 3 3\n0 3 1\n1 4 2\n",
+        "latin1.edges": b"0 1\n1 2 \xe9\n",
+        "malformed.edges": b"0 1\n1 1\n",
+        "start.json": b'{"descriptor": {"parameters": {"adversarial_assignment": [0, 1, 2], "adversarial_cost": 6}}}',
+        "scalar_start.json": b'{"parameters": {"adversarial_assignment": 5, "adversarial_cost": 1}}',
+        "list_start.json": b"[0, 1, 2]",
+    }
+    for name, content in files.items():
+        (d / name).write_bytes(content)
+    (d / "out").mkdir()
+    bad = [str(d / name) for name in ("latin1.edges", "malformed.edges", "missing.edges")] + [str(d)]
+    return {
+        "graphs": ([str(d / n) for n in ("star.edges", "paw.edges", "weighted.edges")], bad),
+        "starts": ([str(d / "start.json")], [str(d / "scalar_start.json"), str(d / "list_start.json"), *bad]),
+        "outputs": ([str(d / "out" / "result")], [str(d / "missing" / "result")]),
+    }
+
+
+_EDGES = ([("0", "1"), ("1", "0"), ("0", "2")], [("2", "2"), ("0", "5"), ("7", "9")])
+_VARIANTS = (
+    ["uw-rt-ins-ntp", "uw-ut-ins-ntp", "uw-rt-del-ptn", "wt-rt-ins-ntp", "wt-ut-del-ptn"],
+    ["uw-rt-ins-ptn", "uw-rt-del", "xx-rt-ins-ntp"],
+)
+_SETS = ["0,1;2,3", "0;1", "", "0,x", "0,1;5"]
+_GADGETS = {
+    "maxcov": {"--universe": ["0", "2", "4"], "--sets": _SETS, "--kappa": ["0", "1", "2"]},
+    "blocker": {"--n": ["0", "1", "3"], "--h0-edges": ["0:0,1:1,2:2", "0:1:2", "5:5", "0:0,0:1"]},
+    "setcover": {"--universe": ["0", "2", "3", "4"], "--sets": _SETS, "--heavy-weight": ["1", "1000"]},
+    "tightness": {"--m": ["-2", "3", "4", "6"]},
+}
+
+
+def _pick(draw, choices):
+    """A good choice seven times in eight, so valid runs reach the solvers."""
+    good, bad = choices
+    return draw(st.sampled_from(bad if draw(st.integers(0, 7)) == 7 else good))
+
+
+def _maybe(draw, flag, values):
+    return [flag, draw(st.sampled_from(values))] if draw(st.booleans()) else []
+
+
+@st.composite
+def _argv(draw, paths):
+    command = draw(st.sampled_from(["curvature", "solve", "feasible", "gadget", "oracle-check"]))
+    argv = [command]
+    if command == "gadget":
+        kind = draw(st.sampled_from(sorted(_GADGETS)))
+        argv.append(kind)
+        for flag, values in _GADGETS[kind].items():
+            argv += _maybe(draw, flag, values)
+        if kind == "tightness" and draw(st.booleans()):
+            argv.append("--graph-form")
+    elif command == "oracle-check":
+        if draw(st.booleans()):
+            argv.append(_pick(draw, paths["graphs"]))
+        argv += _maybe(draw, "--random", ["-1", "0", "1", "2"])
+        argv += _maybe(draw, "--seed", ["0", "1", "2"])
+        argv += _maybe(draw, "--enum-bound", ["0", "4", "8"])
+    else:
+        argv.append(_pick(draw, paths["graphs"]))
+        if command == "curvature":
+            if draw(st.booleans()):
+                argv.append("--all")
+            for _ in range(draw(st.integers(0, 2))):
+                argv += ["--edge", *_pick(draw, _EDGES)]
+            argv += _maybe(draw, "--route", ["matching", "flow"])
+            argv += _maybe(draw, "--jobs", ["-1", "0", "1", "2"])
+        else:
+            argv += ["--edge", *_pick(draw, _EDGES), "--variant", _pick(draw, _VARIANTS)]
+        if command == "solve":
+            argv += ["--method", draw(st.sampled_from(["greedy", "randomized", "brute"]))]
+            if draw(st.integers(0, 3)):
+                argv += ["--seed", draw(st.sampled_from(["0", "7"]))]
+            if draw(st.booleans()):
+                argv += ["--max-k", _pick(draw, (["1", "2"], ["-1", "0"]))]
+            if draw(st.booleans()):
+                argv += ["--start", _pick(draw, paths["starts"])]
+    if draw(st.booleans()):
+        argv += ["--output", _pick(draw, paths["outputs"])]
+    return argv
+
+
+@settings(max_examples=600, deadline=None)
+@given(data=st.data())
+def test_exit_code_contract(contract_paths, data):
+    argv = data.draw(_argv(contract_paths), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in {0, 2, 3, 4, 5}
+    if code != 0:
+        assert out.getvalue() == ""
