@@ -22,6 +22,7 @@ from .errors import (
     EdgeListParseError,
     FieldConfigError,
     InfeasibleInstanceError,
+    InputFileError,
     OracleBoundError,
     RetryExhaustedError,
     RicciCritError,

@@ -29,10 +29,11 @@ from .errors import (
     DisconnectedNeighborhoodError,
     EdgeListParseError,
     InfeasibleInstanceError,
+    InputFileError,
     RetryExhaustedError,
     RicciCritError,
 )
-from .graphs import Graph, format_edge_list, load_edge_list
+from .graphs import Graph, format_edge_list, load_edge_list, read_text
 from .matching import Matching, enumerate_matchings
 from .solvers import (
     Instance,
@@ -52,7 +53,7 @@ EXIT_VERIFY = 5
 # Which exception means which exit code. Rows are matched in order, and the
 # last row holds the base classes of the errors above it.
 _EXIT_CODES = (
-    ((EdgeListParseError, OSError, UnicodeDecodeError), EXIT_PARSE, "error"),
+    ((EdgeListParseError, OSError, InputFileError), EXIT_PARSE, "error"),
     ((InfeasibleInstanceError,), EXIT_INFEASIBLE, "infeasible"),
     ((RetryExhaustedError, AssertionError), EXIT_VERIFY, "verification failure"),
     ((RicciCritError, ValueError), EXIT_USAGE, "error"),
@@ -110,8 +111,11 @@ def _cmd_curvature(args) -> int:
 
 def _start_matching_from(path: str) -> Matching:
     """The adversarial start matching of a gadget sidecar (optionally under "descriptor")."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    text = read_text(path)
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not JSON: {exc}") from exc
     if isinstance(data, dict):
         data = data.get("descriptor", data)
     params = data.get("parameters") if isinstance(data, dict) else None

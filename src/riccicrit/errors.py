@@ -15,6 +15,10 @@ class EdgeListParseError(RicciCritError):
         self.line_no = line_no
 
 
+class InputFileError(RicciCritError):
+    """A named input file is not UTF-8 text; the message names the file."""
+
+
 class DisconnectedNeighborhoodError(RicciCritError):
     """Some node of one closed neighborhood cannot reach the other side.
 

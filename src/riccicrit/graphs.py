@@ -13,7 +13,7 @@ from collections import deque
 from heapq import heappop, heappush
 from typing import Iterable
 
-from .errors import EdgeListParseError
+from .errors import EdgeListParseError, InputFileError
 
 INFINITY = math.inf
 
@@ -294,6 +294,14 @@ def format_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_edge_list(path) -> Graph:
+def read_text(path) -> str:
+    """The text of a UTF-8 file; ``InputFileError``, which names the file, if it is not UTF-8."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputFileError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def load_edge_list(path) -> Graph:
+    return parse_edge_list(read_text(path))

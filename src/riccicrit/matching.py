@@ -12,9 +12,11 @@ Three layers live here:
   the matching uses. Every edge carries a small vector of digits -- its cost
   alone, or the signature digits (4 - cost, is-3, is-touchable-2) -- and one
   search loop asks for a matching with prescribed digit sums. Search runs
-  over a prime field via determinant interpolation (see ``_detcube``); every
-  witness is verified before it is returned, so randomness can only cause a
-  miss, never a wrong answer.
+  over a prime field via determinant interpolation (see ``_detcube``): a
+  signature cube certifies the target, then the witness is fixed row by
+  row, one cofactor pass per row giving the target's share of every column
+  at once. Every witness is verified before it is returned, so randomness
+  can only cause a miss, never a wrong answer.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._detcube import PRIME, SignatureCube, coefficient_at
+from ._detcube import PRIME, SignatureCube, row_coefficients
 from .errors import OracleBoundError
 
 ENUMERATION_BOUND = 8
@@ -347,43 +349,29 @@ def _extract_assignment(
     scalars: np.ndarray,
     target: tuple[int, ...],
 ) -> list[int] | None:
-    """Self-reduction: fix one edge of the certified signature at a time.
+    """Self-reduction: fix the rows in order, one cofactor pass per row.
 
-    For the first live row, try columns in ascending order and keep the first
-    whose residual minor still certifies the remaining digit budget. A false
-    negative (random unluck) aborts the attempt; the caller retries with
-    fresh scalars.
+    Row i's pass (``row_coefficients`` on rows i.. and the columns not yet
+    taken) splits the remaining digit budget's coefficient by the column row
+    i takes, and row i keeps the first column whose share is nonzero: its
+    minor then still certifies the rest of the budget. That share is zero
+    exactly when ``coefficient_at`` is on the same minor with the same
+    scalars. A false negative (random unluck) aborts the attempt; the caller
+    retries with fresh scalars.
     """
     n = digits.shape[0]
-    live_rows = list(range(n))
-    live_cols = list(range(n))
-    remaining = list(target)
-    chosen: dict[int, int] = {}
-    while live_rows:
-        i = live_rows[0]
-        rest_rows = live_rows[1:]
-        found = None
-        for j in live_cols:
-            after = [remaining[a] - int(digits[i, j, a]) for a in range(len(remaining))]
-            if any(x < 0 for x in after):
-                continue
-            if not rest_rows:
-                if all(x == 0 for x in after):
-                    found = j
-                    break
-                continue
-            sub = digits[np.ix_(rest_rows, [c for c in live_cols if c != j])]
-            subsc = scalars[np.ix_(rest_rows, [c for c in live_cols if c != j])]
-            if coefficient_at(sub, subsc, tuple(after)) != 0:
-                found = j
-                break
-        if found is None:
+    cols = list(range(n))
+    remaining = np.array(target, dtype=np.int64)
+    assignment = []
+    for i in range(n):
+        live = np.ix_(range(i, n), cols)
+        shares = np.flatnonzero(row_coefficients(digits[live], scalars[live], remaining))
+        if not shares.size:
             return None
-        chosen[i] = found
-        remaining = [remaining[a] - int(digits[i, found, a]) for a in range(len(remaining))]
-        live_rows = rest_rows
-        live_cols = [c for c in live_cols if c != found]
-    return [chosen[i] for i in range(n)]
+        j = cols.pop(int(shares[0]))
+        assignment.append(j)
+        remaining = remaining - digits[i, j]
+    return assignment
 
 
 def _search(digits: np.ndarray, target: tuple[int, ...], trials: int, seed: int) -> list[int] | None:
@@ -482,6 +470,8 @@ def signature_support(
     solver sweep, which wants the whole landscape at once.
     """
     q = _check_square(costs)
+    if trials < 1:
+        raise ValueError("trials must be positive")
     digits = _signature_digits(costs, touchable_mask)
     merged: set[tuple[int, int, int]] = set()
     for trial in range(trials):

@@ -567,6 +567,8 @@ def randomized_insert(inst: Instance, seed: int, *, trials: int = 4) -> Solution
     validity.
     """
     _require_approx_variant(inst)
+    if trials < 1:
+        raise ValueError("trials must be positive")
     feasible, _ = feasible_by_saturation(inst)
     if not feasible:
         raise InfeasibleInstanceError("no permissible insertion set flips this edge")

@@ -317,6 +317,27 @@ def test_bad_input_exits_with_one_error_line(capsys, tmp_path, p3_file, argv, ex
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, content, expected",
+    [
+        (["curvature", "{bad}", "--all"], b"0 1\n\xe9 2\n", 2),
+        (["solve", "{star}", "--edge", "0", "1", "--variant", "uw-rt-ins-ntp",
+          "--method", "greedy", "--start", "{bad}"], b'{"parameters": "\xe9"}', 2),
+        (["solve", "{star}", "--edge", "0", "1", "--variant", "uw-rt-ins-ntp",
+          "--method", "greedy", "--start", "{bad}"], b'{"parameters": ', 4),
+    ],
+    ids=["edge-list-not-utf8", "start-not-utf8", "start-not-json"],
+)
+def test_undecodable_file_error_names_the_file(capsys, tmp_path, argv, content, expected):
+    star, bad = tmp_path / "star", tmp_path / "bad-file"
+    star.write_text(STAR6)
+    bad.write_bytes(content)
+    code, out, err = run(capsys, *[a.format(bad=bad, star=star) for a in argv])
+    assert code == expected
+    assert out == ""
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+
+
 def test_module_entry_point_maps_errors(tmp_path):
     src = str(Path(riccicrit.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -1,0 +1,165 @@
+import itertools
+import random
+
+import numpy as np
+import pytest
+
+from riccicrit import _detcube
+from riccicrit._detcube import PRIME, SignatureCube, coefficient_at, det_batch, row_coefficients
+from riccicrit.matching import _signature_digits
+
+
+def exact_det(rows: list[list[int]]) -> int:
+    """Integer determinant by fraction-free (Bareiss) elimination, Python ints throughout."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1] if n else 1
+
+
+def exact_minor(rows: list[list[int]], i: int, j: int) -> int:
+    return exact_det([[x for c, x in enumerate(r) if c != j] for rr, r in enumerate(rows) if rr != i])
+
+
+def seeded_batch(seed: int, n: int, count: int) -> np.ndarray:
+    """Random n x n matrices: full-range residues, small entries with zero
+    leading pivots (forcing row swaps), and singular ones (a repeated row, a
+    zero column, a row that is a multiple of another)."""
+    rng = random.Random(seed)
+    mats = []
+    for b in range(count):
+        kind = b % 5
+        if kind == 0:
+            m = [[rng.randrange(PRIME) for _ in range(n)] for _ in range(n)]
+        elif kind == 1:
+            m = [[rng.choice([0, 0, 1, 2, 3]) for _ in range(n)] for _ in range(n)]
+            m[0][0] = 0
+        elif kind == 2:
+            m = [[rng.randrange(-5, 6) for _ in range(n)] for _ in range(n)]
+            if n > 1:
+                m[-1] = list(m[0])
+        elif kind == 3:
+            m = [[rng.randrange(PRIME) for _ in range(n)] for _ in range(n)]
+            c = rng.randrange(n)
+            for r in m:
+                r[c] = 0
+        else:
+            m = [[rng.randrange(1, 50) for _ in range(n)] for _ in range(n)]
+            if n > 1:
+                m[1] = [(3 * x) % PRIME for x in m[0]]
+        mats.append(m)
+    return np.array(mats, dtype=np.int64)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
+def test_det_batch_matches_exact_determinants(n):
+    mats = seeded_batch(100 + n, n, 40)
+    got = det_batch(mats)
+    want = [exact_det(m.tolist()) % PRIME for m in mats]
+    assert got.tolist() == want
+    assert any(w == 0 for w in want) and any(w != 0 for w in want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 6])
+def test_cofactor_mode_matches_exact_minors(n):
+    mats = seeded_batch(200 + n, n, 30)
+    for row in sorted({0, n - 1, n // 2}):
+        det, cof = det_batch(mats, row=row)
+        assert det.tolist() == det_batch(mats).tolist()
+        for b, m in enumerate(mats.tolist()):
+            want = [(-1) ** (row + j) * exact_minor(m, row, j) % PRIME for j in range(n)]
+            assert cof[b].tolist() == want, (b, row)
+
+
+def test_cofactor_mode_falls_back_to_minors_only_when_singular(monkeypatch):
+    calls = []
+    original = _detcube._minor_row
+
+    def spy(mats, row):
+        calls.append(mats.shape[0])
+        return original(mats, row)
+
+    monkeypatch.setattr(_detcube, "_minor_row", spy)
+    mats = seeded_batch(7, 4, 10)
+    det, _ = det_batch(mats, row=1)
+    assert calls == [int((det == 0).sum())] and calls[0] > 0
+    calls.clear()
+    det_batch(mats[det != 0], row=1)
+    assert calls == []
+
+
+def enumerated_signatures(digits: np.ndarray) -> set[tuple[int, ...]]:
+    n = digits.shape[0]
+    return {
+        tuple(int(x) for x in sum(digits[i, p[i]] for i in range(n)))
+        for p in itertools.permutations(range(n))
+    }
+
+
+def seeded_signature_instances(seed: int, count: int, max_q: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        q = rng.randint(1, max_q)
+        costs = [[rng.randint(0, 3) for _ in range(q)] for _ in range(q)]
+        touch = [[rng.random() < 0.5 for _ in range(q)] for _ in range(q)]
+        scalars = np.array([[rng.randrange(1, PRIME) for _ in range(q)] for _ in range(q)], dtype=np.int64)
+        yield _signature_digits(costs, touch), scalars
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_cube_support_is_the_enumerated_signature_set(seed):
+    for digits, scalars in seeded_signature_instances(seed, 15, 5):
+        assert SignatureCube(digits, scalars).support() == enumerated_signatures(digits)
+
+
+def test_row_coefficients_split_the_cube_coefficient_by_column():
+    # Entry j is zero exactly when coefficient_at is on the (0, j) minor at
+    # the budget left after (0, j), and the entries add up to the cube's
+    # coefficient.
+    for digits, scalars in seeded_signature_instances(11, 12, 5):
+        n = digits.shape[0]
+        cube = SignatureCube(digits, scalars)
+        for target in sorted(cube.support()) + [(0, 0, 0), (4 * n + 1, 0, 0)]:
+            shares = row_coefficients(digits, scalars, target)
+            assert int(shares.sum() % PRIME) == cube.coefficient(target) % PRIME
+            for j in range(n):
+                after = tuple(int(t - d) for t, d in zip(target, digits[0, j]))
+                keep = [c for c in range(n) if c != j]
+                minor = coefficient_at(digits[1:][:, keep], scalars[1:][:, keep], after) if min(after) >= 0 else 0
+                assert (shares[j] != 0) == (minor != 0), (target, j)
+
+
+def test_targets_on_a_window_edge_are_read_off_one_grid_point(monkeypatch):
+    # The lowest and the highest coefficient of an axis need no
+    # interpolation along it, so a target on the edge of every axis's
+    # window costs one cofactor elimination (plus the minors if that one
+    # matrix is singular), with the same shares.
+    batches = []
+    original = _detcube.det_batch
+    monkeypatch.setattr(_detcube, "det_batch", lambda mats, row=None: batches.append(len(mats)) or original(mats, row))
+    rng = random.Random(23)
+    for _ in range(10):
+        n = rng.randint(2, 6)
+        digits = np.array([[[rng.randint(0, 5)] for _ in range(n)] for _ in range(n)], dtype=np.int64)
+        scalars = np.array([[rng.randrange(1, PRIME) for _ in range(n)] for _ in range(n)], dtype=np.int64)
+        _, (offset,), (dims,) = _detcube._factor(digits)
+        for target in (offset, offset + dims - 1):
+            batches.clear()
+            shares = row_coefficients(digits, scalars, (target,))
+            assert batches[0] == 1
+            for j in range(n):
+                keep = [c for c in range(n) if c != j]
+                after = target - int(digits[0, j, 0])
+                minor = coefficient_at(digits[1:][:, keep], scalars[1:][:, keep], (after,)) if after >= 0 else 0
+                assert (shares[j] != 0) == (minor != 0)

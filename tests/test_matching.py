@@ -1,6 +1,8 @@
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,15 @@ from riccicrit import (
     matching_with_counts,
     min_cost_perfect_matching,
 )
-from riccicrit.matching import matching_cost, signature_support
+from riccicrit import _detcube
+from riccicrit._detcube import coefficient_at, det_batch, row_coefficients
+from riccicrit.matching import (
+    _extract_assignment,
+    _signature_digits,
+    _trial_scalars,
+    matching_cost,
+    signature_support,
+)
 
 
 def test_zero_diagonal_is_free():
@@ -160,6 +170,12 @@ def test_exact_cost_never_returns_wrong_cost():
             assert matching_cost(costs, got.assignment) == target
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_signature_support_rejects_a_trial_count_below_one(trials):
+    with pytest.raises(ValueError, match="trials must be positive"):
+        signature_support([[0, 1], [1, 0]], [[True] * 2] * 2, trials=trials)
+
+
 def test_signature_support_is_sound_and_witnessed():
     # Every certified signature is a real one, and the witness query on the
     # same seed (hence the same cubes) recovers a verified matching for it.
@@ -180,3 +196,74 @@ def test_signature_support_is_sound_and_witnessed():
             cc = class_counts(costs, touch, got)
             assert (got.cost, matching_cost(costs, got.assignment)) == (x, x)
             assert (cc.n3, cc.n2_touchable) == (k, l)
+
+
+def test_witness_is_the_first_enumerated_matching_with_its_signature():
+    # The self-reduction fixes rows in order, each to the first column that
+    # keeps the signature reachable, so the witness is the lexicographically
+    # first matching with that signature.
+    rng = random.Random(2024)
+    checked = 0
+    for case in range(40):
+        q = rng.randint(1, 6)
+        costs = [[rng.randint(0, 3) for _ in range(q)] for _ in range(q)]
+        touch = [[rng.random() < 0.5 for _ in range(q)] for _ in range(q)]
+        first: dict[tuple[int, int, int], Matching] = {}
+        for m in enumerate_matchings(costs):
+            cc = class_counts(costs, touch, m)
+            first.setdefault((m.cost, cc.n3, cc.n2_touchable), m)
+        for (x, k, l), m in first.items():
+            assert matching_with_counts(costs, touch, x, k, l, trials=20, seed=case) == m
+            checked += 1
+    assert checked > 300
+
+
+def _minor_by_minor_extraction(digits, scalars, target):
+    """The self-reduction with ``coefficient_at`` as its test: for each row in
+    order, the first column whose minor certifies the remaining budget."""
+    n = digits.shape[0]
+    cols, remaining, out = list(range(n)), list(target), []
+    for i in range(n):
+        for j in cols:
+            after = [r - int(d) for r, d in zip(remaining, digits[i, j])]
+            live = np.ix_(range(i + 1, n), [c for c in cols if c != j])
+            if min(after) >= 0 and coefficient_at(digits[live], scalars[live], tuple(after)) != 0:
+                break
+        else:
+            return None
+        out.append(j)
+        cols.remove(j)
+        remaining = after
+    return out
+
+
+def test_extraction_at_singular_points_agrees_with_coefficient_at(monkeypatch):
+    # Two equal scalar rows make the matrix singular at the all-ones grid
+    # point, so each pass there needs the minor fallback; its shares must
+    # still be zero exactly where coefficient_at is on the candidate minor.
+    fallbacks = []
+    original = _detcube._minor_row
+    monkeypatch.setattr(_detcube, "_minor_row", lambda mats, row: fallbacks.append(row) or original(mats, row))
+    rng = random.Random(17)
+    for case in range(6):
+        q = rng.randint(3, 5)
+        costs = [[rng.randint(0, 3) for _ in range(q)] for _ in range(q)]
+        touch = [[rng.random() < 0.5 for _ in range(q)] for _ in range(q)]
+        digits = _signature_digits(costs, touch)
+        scalars = _trial_scalars(case, 0, q)
+        scalars[q - 1] = scalars[0]
+        assert det_batch(scalars[None])[0] == 0
+        signatures = {
+            tuple(int(x) for x in sum(digits[i, p[i]] for i in range(q)))
+            for p in itertools.permutations(range(q))
+        }
+        for target in sorted(signatures):
+            shares = row_coefficients(digits, scalars, target)
+            for j in range(q):
+                after = tuple(int(t - d) for t, d in zip(target, digits[0, j]))
+                keep = [c for c in range(q) if c != j]
+                minor = coefficient_at(digits[1:][:, keep], scalars[1:][:, keep], after) if min(after) >= 0 else 0
+                assert (shares[j] != 0) == (minor != 0), (case, target, j)
+            want = _minor_by_minor_extraction(digits, scalars, target)
+            assert _extract_assignment(digits, scalars, target) == want
+    assert fallbacks

@@ -345,6 +345,13 @@ def test_randomized_verified_and_opt_when_b1(rng):
         assert len(sol.edits) == len(opt.edits)
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_randomized_rejects_a_trial_count_below_one(trials):
+    # Zero trials certify nothing; that must not read as a randomized miss.
+    with pytest.raises(ValueError, match="trials must be positive"):
+        randomized_insert(neg_instance(), seed=1, trials=trials)
+
+
 def test_randomized_general_bound(rng):
     instances = sample_spade_instances(rng, 8, degree_pool=[(3, 5, 0.3), (4, 7, 0.3)])
     for i, inst in enumerate(instances):
