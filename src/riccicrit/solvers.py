@@ -15,7 +15,13 @@ algorithms exist only where the underlying theory provides them:
   exact-cost matching machinery;
 * plain brute force over edit subsets as the acceptance oracle.
 
-Every solver re-verifies its answer by recomputing the curvature on the
+On unweighted graphs (``uw-rt-ins-ntp``, ``uw-ut-ins-ntp``,
+``uw-rt-del-ptn`` and ``uw-ut-del-ptn``) the searches -- brute force, the
+single-edit shortcut and the feasibility check inside greedy and randomized
+-- run on the local cost matrix: an edit set is judged from the adjacency
+sets of the edge's 2-ball and a small r x s transportation problem, without
+building a graph. Weighted variants search on edited graphs. Either way,
+every edit set a solver returns is re-verified by the flow route on the
 edited graph; an unverified edit set is never returned.
 """
 
@@ -23,7 +29,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Set
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable
 
@@ -49,6 +57,7 @@ from .graphs import Graph, ordered_pair
 from .matching import (
     EdgeClassCounts,
     Matching,
+    _transport,
     matching_cost,
     matching_with_counts,
     min_cost_perfect_matching,
@@ -150,6 +159,13 @@ class Instance:
 
     def base_curvature(self) -> CurvatureResult:
         return ricci(self.graph, self.edge, route="flow")
+
+    @cached_property
+    def _local(self) -> "_LocalEvaluator | None":
+        """Edit-set evaluator on the local cost matrix; None for weighted variants."""
+        if self.variant.weighting != "uw":
+            return None
+        return _LocalEvaluator(self.graph, self.edge, self.variant)
 
 
 @dataclass(frozen=True)
@@ -266,6 +282,113 @@ def _flips(inst: Instance, edits: Iterable) -> tuple[bool, Fraction | None]:
     return res.sign == _demanded_sign(inst), res.ric
 
 
+class _LocalEvaluator:
+    """Exact curvature of an unweighted edge after an edit set, from adjacency sets.
+
+    No permissible edit removes the edge u-v, so every node of N[u] is within
+    3 hops of every node of N[v] through it: a cost entry is 0 if x = y, 1 if
+    x and y are adjacent, 2 if they share a neighbor and 3 otherwise. An edit
+    changes only its two endpoints' adjacency sets, which are copied before
+    they change; N[u] and N[v] are read from the edited sets, so edits at u
+    or v (unrestricted variants) are covered too. The EMD times q is the
+    optimum of the r x s transportation problem with supplies q/r and
+    demands q/s.
+    """
+
+    def __init__(self, g: Graph, edge: tuple[int, int], variant: ProblemVariant):
+        self._graph = g
+        self._u, self._v = edge
+        self._insert = variant.operation == "ins"
+        self._to_positive = variant.direction == "ntp"
+        self._restricted = variant.restriction == "rt"
+        self._base: dict[int, frozenset[int]] = {}
+
+    def neighbors(self, x: int, edited: dict[int, set[int]]) -> Set[int]:
+        """Adjacency set of ``x`` under ``edited``, the sets the edits so far changed."""
+        near = edited.get(x)
+        if near is None:
+            near = self._base.get(x)
+            if near is None:
+                near = self._base[x] = frozenset(self._graph.neighbors(x))
+        return near
+
+    def apply(self, edited: dict[int, set[int]], edit) -> None:
+        """Apply one edit to ``edited``, copying each endpoint's set on first change."""
+        a, b = edit[0] if self._insert else edit
+        for x, y in ((a, b), (b, a)):
+            near = edited.get(x)
+            if near is None:
+                near = edited[x] = set(self.neighbors(x, edited))
+            if self._insert:
+                near.add(y)
+            else:
+                near.discard(y)
+
+    def total(self, edits: Iterable) -> tuple[int, int]:
+        """(q * EMD, q) of the edge after ``edits``."""
+        edited: dict[int, set[int]] = {}
+        for edit in edits:
+            self.apply(edited, edit)
+        rows = [self._u, *self.neighbors(self._u, edited)]
+        cols = [self._v, *self.neighbors(self._v, edited)]
+        col_sets = [(y, self.neighbors(y, edited)) for y in cols]
+        costs = []
+        for x in rows:
+            near = self.neighbors(x, edited)
+            costs.append(
+                [0 if x == y else 1 if y in near else 3 if near.isdisjoint(ny) else 2 for y, ny in col_sets]
+            )
+        r, s = len(rows), len(cols)
+        q = math.lcm(r, s)
+        flow, _ = _transport(costs, [q // r] * r, [q // s] * s)
+        return sum(c * f for crow, frow in zip(costs, flow) for c, f in zip(crow, frow)), q
+
+    def flips(self, edits: Iterable) -> bool:
+        """Whether ``edits`` give the edge the variant's demanded sign."""
+        total, q = self.total(edits)
+        return total < q if self._to_positive else total > q
+
+    def out_of_reach(self, cands: Iterable, k: int) -> bool:
+        """True when no k of the edits ``cands`` can flip the sign.
+
+        A restricted edit leaves N[u] and N[v] alone and changes only entries
+        in the rows and columns of its endpoints: the edited pair's own
+        entries by at most 2, every other entry by at most 1. A plan ships
+        a = q/r from each row and b = q/s into each column, so the edits
+        move its cost, and hence q * EMD, by at most a per endpoint row and
+        b per endpoint column. The k largest such sums bound every k-subset.
+        """
+        if not self._restricted:
+            return False
+        total, q = self.total(())
+        gap = total - q if self._to_positive else q - total
+        rows = self.neighbors(self._u, {}) | {self._u}
+        cols = self.neighbors(self._v, {}) | {self._v}
+        a, b = q // len(rows), q // len(cols)
+        reach = sorted(
+            (sum(a * (x in rows) + b * (x in cols) for x in (edit[0] if self._insert else edit)) for edit in cands),
+            reverse=True,
+        )
+        return sum(reach[:k]) <= gap
+
+
+def _first_flip(inst: Instance, subsets: Iterable[tuple]) -> tuple[tuple, Fraction] | None:
+    """The first subset whose edits flip the sign, with the resulting curvature.
+
+    Subsets are screened on the local cost matrix where the variant has an
+    evaluator; a subset is taken only once the flow route on the edited
+    graph confirms it.
+    """
+    local = inst._local
+    for edits in subsets:
+        if local is not None and not local.flips(edits):
+            continue
+        flipped, ric_after = _flips(inst, edits)
+        if flipped:
+            return edits, ric_after
+    return None
+
+
 def _check_saturation_variant(inst: Instance) -> None:
     key = inst.variant.key_tuple
     if key not in _SATURATION_VARIANTS:
@@ -300,10 +423,14 @@ def brute_force_opt(inst: Instance, max_k: int, *, budget: int = 2_000_000) -> S
 
     Cardinality-lexicographic: levels are searched in increasing size and
     candidate subsets in lexicographic order, so the result is deterministic.
+    On unweighted graphs subsets are screened on the local cost matrix, and
+    a restricted level that provably cannot flip is skipped; the subset
+    returned is the first one the edited graph confirms.
     Returns None when nothing within ``max_k`` edits flips. Exponential by
     design; refuses search spaces beyond ``budget`` subsets.
     """
     cands = permissible_edits(inst)
+    local = inst._local
     spent = 0
     for k in range(1, max_k + 1):
         level = math.comb(len(cands), k)
@@ -312,10 +439,11 @@ def brute_force_opt(inst: Instance, max_k: int, *, budget: int = 2_000_000) -> S
                 f"level {k} needs {level} subsets ({spent} already searched), over budget {budget}"
             )
         spent += level
-        for combo in itertools.combinations(cands, k):
-            flipped, ric_after = _flips(inst, combo)
-            if flipped:
-                return Solution(tuple(combo), ric_after, "brute")
+        if local is not None and local.out_of_reach(cands, k):
+            continue
+        hit = _first_flip(inst, itertools.combinations(cands, k))
+        if hit is not None:
+            return Solution(hit[0], hit[1], "brute")
     return None
 
 
@@ -396,12 +524,18 @@ def _require_approx_variant(inst: Instance) -> None:
         )
 
 
+def _require_feasible_insertion(inst: Instance) -> None:
+    """Raise unless inserting every permissible edge flips the sign (saturation)."""
+    edits = permissible_edits(inst)
+    if not edits or not inst._local.flips(edits):
+        raise InfeasibleInstanceError("no permissible insertion set flips this edge")
+
+
 def _single_edit_solution(inst: Instance, method: str) -> Solution | None:
-    for edit in permissible_edits(inst):
-        flipped, ric_after = _flips(inst, [edit])
-        if flipped:
-            return Solution((edit,), ric_after, method, drops=1)
-    return None
+    hit = _first_flip(inst, ((edit,) for edit in permissible_edits(inst)))
+    if hit is None:
+        return None
+    return Solution(hit[0], hit[1], method, drops=1)
 
 
 def _finish_insert_solution(inst: Instance, blocks: Iterable[tuple[int, int]], method: str, drops: int) -> Solution:
@@ -436,6 +570,22 @@ def weight_propagation(g: Graph, cm: CostMatrix, inserted: tuple[int, int]) -> C
     if not cm.touchable[i][j]:
         raise ValueError(f"entry for {inserted} is untouchable")
     costs = [list(row) for row in cm.costs]
+    _propagate_insertion(costs, cm, (i, j), set(g.neighbors(x)), set(g.neighbors(y)))
+    return CostMatrix(
+        cm.u, cm.v, cm.row_nodes, cm.col_nodes, tuple(tuple(r) for r in costs), cm.touchable
+    )
+
+
+def _propagate_insertion(
+    costs: list[list[int]], cm: CostMatrix, cell: tuple[int, int], near_x: Set[int], near_y: Set[int]
+) -> None:
+    """In-place core of ``weight_propagation`` for the touchable ``cell``.
+
+    ``near_x`` and ``near_y`` are the adjacency sets of the cell's row and
+    column nodes before the insertion.
+    """
+    i, j = cell
+    x, y = cm.row_nodes[i], cm.col_nodes[j]
     if costs[i][j] > 1:
         costs[i][j] = 1
     # Common neighbors sit on both sides, so the inserted pair may name a
@@ -447,14 +597,11 @@ def weight_propagation(g: Graph, cm: CostMatrix, inserted: tuple[int, int]) -> C
         if costs[ti][tj] > 1:
             costs[ti][tj] = 1
     for i2, xn in enumerate(cm.row_nodes):
-        if i2 != i and costs[i2][j] == 3 and g.has_edge(x, xn):
+        if i2 != i and costs[i2][j] == 3 and xn in near_x:
             costs[i2][j] = 2
     for j2, yn in enumerate(cm.col_nodes):
-        if j2 != j and costs[i][j2] == 3 and g.has_edge(y, yn):
+        if j2 != j and costs[i][j2] == 3 and yn in near_y:
             costs[i][j2] = 2
-    return CostMatrix(
-        cm.u, cm.v, cm.row_nodes, cm.col_nodes, tuple(tuple(r) for r in costs), cm.touchable
-    )
 
 
 # -- greedy ----------------------------------------------------------------------
@@ -506,9 +653,7 @@ def greedy_insert(inst: Instance, start: Matching | None = None) -> Solution:
     all copies of a block fall together.
     """
     _require_approx_variant(inst)
-    feasible, _ = feasible_by_saturation(inst)
-    if not feasible:
-        raise InfeasibleInstanceError("no permissible insertion set flips this edge")
+    _require_feasible_insertion(inst)
     setup = _setup(inst)
     if setup.rho == 0:
         single = _single_edit_solution(inst, "greedy")
@@ -523,33 +668,17 @@ def greedy_insert(inst: Instance, start: Matching | None = None) -> Solution:
             raise ValueError("start matching must be minimum-cost")
     matched_blocks = [setup.bm.block(row, col) for row, col in enumerate(start.assignment)]
 
-    state = {"graph": inst.graph, "cm": setup.cm}
+    cm, local = setup.cm, inst._local
+    inserted: dict[int, set[int]] = {}
 
     def after_drop(weights, cell):
-        pair = ordered_pair(setup.cm.row_nodes[cell[0]], setup.cm.col_nodes[cell[1]])
-        cm_now = CostMatrix(
-            setup.cm.u,
-            setup.cm.v,
-            setup.cm.row_nodes,
-            setup.cm.col_nodes,
-            tuple(tuple(r) for r in weights),
-            setup.cm.touchable,
-        )
         # The entry is already 1 in `weights`; propagation only needs to
         # lower the 3-entries reachable through the new edge.
-        updated = weight_propagation(state["graph"], cm_now, (setup.cm.row_nodes[cell[0]], setup.cm.col_nodes[cell[1]]))
-        for i in range(len(weights)):
-            for j in range(len(weights[i])):
-                weights[i][j] = updated.costs[i][j]
-        state["graph"] = state["graph"].insert_edges([(pair, 1)])
+        x, y = cm.row_nodes[cell[0]], cm.col_nodes[cell[1]]
+        _propagate_insertion(weights, cm, cell, local.neighbors(x, inserted), local.neighbors(y, inserted))
+        local.apply(inserted, (ordered_pair(x, y), 1))
 
-    drops, _ = greedy_schedule(
-        setup.cm.costs,
-        setup.cm.touchable,
-        matched_blocks,
-        setup.q,
-        after_drop=after_drop,
-    )
+    drops, _ = greedy_schedule(cm.costs, cm.touchable, matched_blocks, setup.q, after_drop=after_drop)
     return _finish_insert_solution(inst, drops, "greedy", len(drops))
 
 
@@ -569,9 +698,7 @@ def randomized_insert(inst: Instance, seed: int, *, trials: int = 4) -> Solution
     _require_approx_variant(inst)
     if trials < 1:
         raise ValueError("trials must be positive")
-    feasible, _ = feasible_by_saturation(inst)
-    if not feasible:
-        raise InfeasibleInstanceError("no permissible insertion set flips this edge")
+    _require_feasible_insertion(inst)
     setup = _setup(inst)
     if setup.rho == 0:
         single = _single_edit_solution(inst, "randomized")

@@ -1,7 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from riccicrit import (
     BudgetExceededError,
@@ -10,12 +13,14 @@ from riccicrit import (
     Instance,
     ProblemVariant,
     Sign,
+    Solution,
     UnsupportedVariantError,
     brute_force_opt,
     build_cost_matrix,
     feasible_by_saturation,
     gen_blocker,
     gen_maxcov,
+    gen_tightness_graph,
     greedy_insert,
     kappa_hat,
     permissible_edits,
@@ -26,7 +31,10 @@ from riccicrit import (
 from riccicrit.gadgets import cover_insertions_maxcov
 from riccicrit.matching import EdgeClassCounts
 from riccicrit.solvers import (
+    _LocalEvaluator,
+    _flips,
     _setup,
+    _single_edit_solution,
     apply_edits,
     candidate_edits,
     has_spade_property,
@@ -412,3 +420,98 @@ def test_solution_json_shape():
     assert set(payload) == {"edits", "resulting_ric", "resulting_ric_str", "method", "verified"}
     assert payload["verified"] is True
     assert all(set(e) == {"edge", "weight"} for e in payload["edits"])
+
+
+# -- the local edit-set evaluator --------------------------------------------------
+
+UW_VARIANTS = ["uw-rt-ins-ntp", "uw-ut-ins-ntp", "uw-rt-del-ptn", "uw-ut-del-ptn"]
+MAX_NODES = 8
+MAX_PAIRS = MAX_NODES * (MAX_NODES - 1) // 2
+
+
+@st.composite
+def _graphs_with_edge_01(draw):
+    n = draw(st.integers(3, MAX_NODES))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if (a, b) != (0, 1)]
+    kept = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return n, [(0, 1)] + [p for p, keep in zip(pairs, kept) if keep]
+
+
+# Curvature exactly zero (rho = 0): no direction's flip is reached.
+_ZERO = (6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (3, 5)])
+# 2 and 3 meet only through the outside node 4, which also reaches 5.
+_OUTSIDE = (6, [(0, 1), (0, 2), (1, 3), (2, 4), (3, 4), (4, 5)])
+_NONE = [False] * MAX_PAIRS
+
+
+@settings(max_examples=400, deadline=None)
+@given(_graphs_with_edge_01(), st.sampled_from(UW_VARIANTS), st.lists(st.booleans(), min_size=MAX_PAIRS, max_size=MAX_PAIRS))
+@example(_ZERO, "uw-rt-ins-ntp", _NONE)
+@example(_ZERO, "uw-rt-del-ptn", _NONE)
+@example(_OUTSIDE, "uw-rt-del-ptn", [True] + _NONE[1:])  # deletes (2, 4): cost(2, 3) goes 2 -> 3
+@example(_OUTSIDE, "uw-rt-del-ptn", [False, False, True] + _NONE[3:])  # deletes (4, 5): both ends outside
+@example(_OUTSIDE, "uw-ut-del-ptn", [True] + _NONE[1:])  # deletes (0, 2): N[u] shrinks
+def test_local_evaluator_matches_flow_route(graph, key, picks):
+    n, edges = graph
+    g = Graph(n, edges)
+    variant = ProblemVariant.parse(key)
+    edits = [c for c, keep in zip(candidate_edits(g, (0, 1), variant), picks) if keep]
+    edited = g.insert_edges(edits) if variant.operation == "ins" else g.delete_edges(edits)
+    after = ricci(edited, (0, 1), route="flow")
+    local = _LocalEvaluator(g, (0, 1), variant)
+    assert 1 - Fraction(*local.total(edits)) == after.ric
+    demanded = Sign.POSITIVE if variant.direction == "ntp" else Sign.NEGATIVE
+    assert local.flips(edits) == (after.sign == demanded)
+    if local.flips(edits):
+        assert not local.out_of_reach(edits, len(edits))
+
+
+def _reference_brute_force(inst, max_k):
+    """Graph-level brute force: every subset checked on the edited graph, in order."""
+    cands = permissible_edits(inst)
+    for k in range(1, max_k + 1):
+        for combo in itertools.combinations(cands, k):
+            flipped, ric_after = _flips(inst, combo)
+            if flipped:
+                return Solution(combo, ric_after, "brute")
+    return None
+
+
+def _brute_force_cases():
+    rng = random.Random(606)
+    cases = [(inst, 6) for inst in sample_spade_instances(rng, 4, degree_pool=[(3, 5, 0.3), (2, 5, 0.3)])]
+    for n in (3, 4, 5):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        inner = {(i, perm[i]) for i in range(n)} | {(i, j) for i in range(n) for j in range(n) if rng.random() < 0.25}
+        g, e, _ = gen_blocker(n, sorted(inner))
+        cases.append((Instance(g, e, DEL_PTN), 3))
+    # Tightness gadgets: the optimum m/2 lies past levels the reach bound
+    # skips. At m = 6 only the skipped levels are compared; the graph-level
+    # search of level 3 alone takes about 20 s.
+    for m, max_k in ((4, 1), (4, 2), (6, 2)):
+        g, e, _, _ = gen_tightness_graph(m)
+        cases.append((Instance(g, e, NTP), max_k))
+    return cases
+
+
+def test_brute_force_matches_graph_level_reference():
+    for inst, max_k in _brute_force_cases():
+        sol = brute_force_opt(inst, max_k)
+        ref = _reference_brute_force(inst, max_k)
+        assert sol == ref
+        assert sol is None or sol.to_json_dict() == ref.to_json_dict()
+
+
+def test_unconfirmed_local_flip_is_never_returned(monkeypatch):
+    # A local verdict the edited graph does not confirm must not leak out.
+    insts = [neg_instance(3, 5, []), Instance(double_star(3, 3, [(1, 1)]), (0, 1), NTP)]
+    g, e, _ = gen_blocker(3, [(0, 0), (1, 1), (2, 2)])
+    insts.append(Instance(g, e, DEL_PTN))
+    expected = [(brute_force_opt(inst, 2), _single_edit_solution(inst, "greedy")) for inst in insts]
+    monkeypatch.setattr(_LocalEvaluator, "flips", lambda self, edits: True)
+    for inst, (opt, single) in zip(insts, expected):
+        assert brute_force_opt(inst, 2) == opt == _reference_brute_force(inst, 2)
+        assert _single_edit_solution(inst, "greedy") == single
+    assert expected[0][1] is None  # no single insertion flips it, whatever the local verdict
+    assert expected[1][1] is not None
