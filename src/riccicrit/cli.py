@@ -26,7 +26,6 @@ from . import gadgets
 from .curvature import blow_up, build_cost_matrix, edge_ref, emd_via_flow, emd_via_matching, ricci
 from .errors import (
     BlowUpTooLargeError,
-    DisconnectedNeighborhoodError,
     EdgeListParseError,
     InfeasibleInstanceError,
     InputFileError,
@@ -79,7 +78,7 @@ def _curvature_one(args) -> dict:
     record: dict = {"edge": list(edge)}
     try:
         record.update(ricci(g, edge, route=route).to_json_dict())
-    except (DisconnectedNeighborhoodError, BlowUpTooLargeError) as exc:
+    except BlowUpTooLargeError as exc:
         record["error"] = str(exc)
     return record
 
@@ -225,7 +224,7 @@ def _check_edge_routes(g: Graph, edge, enum_bound: int) -> dict:
     try:
         _pair, cm = build_cost_matrix(g, edge)
         bm = blow_up(cm)
-    except (DisconnectedNeighborhoodError, BlowUpTooLargeError) as exc:
+    except BlowUpTooLargeError as exc:
         record["skipped"] = str(exc)
         return record
     emd_m, _ = emd_via_matching(bm)

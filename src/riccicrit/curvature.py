@@ -16,7 +16,12 @@ the same exact rational:
 
 The matching route is the default because downstream solvers consume the
 matching witness; the flow route stays as the independent oracle and also
-avoids building the blown-up matrix when q is huge.
+avoids building the blown-up matrix when q is huge. networkx is imported on
+the first flow-route call, so the matching route never loads it.
+
+Both routes start from the same cost matrix, read from bounded distance
+balls: the edge itself joins every node of N[u] to every node of N[v], so no
+entry needs a search beyond that path's length.
 """
 
 from __future__ import annotations
@@ -28,9 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-import networkx as nx
-
-from .errors import BlowUpTooLargeError, DisconnectedNeighborhoodError, RicciCritError
+from .errors import BlowUpTooLargeError, RicciCritError
 from .graphs import Graph, ordered_pair
 from .matching import Matching, matching_cost, min_cost_perfect_matching
 
@@ -196,8 +199,12 @@ def build_cost_matrix(g: Graph, e: tuple[int, int]) -> tuple[NeighborhoodPair, C
     """Neighborhood pair and exact distance matrix for an existing edge.
 
     The lower-degree endpoint supplies the rows (ties broken toward the
-    smaller node id). Any unreachable row/column pair makes the curvature
-    undefined and raises DisconnectedNeighborhoodError.
+    smaller node id). The edge itself joins every row node x to every column
+    node y along x-u-v-y, so each entry is read from x's bounded distance
+    ball: on unweighted graphs the ball of radius 2, where a column node
+    missing from it is at distance 3; on weighted graphs the ball of radius
+    max w(x, u) + w(u, v) + max w(v, y), which holds every column node. No
+    entry is ever unreachable.
     """
     a, b = e
     if not g.has_edge(a, b):
@@ -208,24 +215,23 @@ def build_cost_matrix(g: Graph, e: tuple[int, int]) -> tuple[NeighborhoodPair, C
         u, v = b, a
     vu = g.closed_neighborhood(u)
     vv = g.closed_neighborhood(v)
-    rows = []
-    for x in vu:
-        dist_row = g.distances_from(x)
-        row = []
-        for y in vv:
-            d = dist_row[y]
-            if d == math.inf:
-                raise DisconnectedNeighborhoodError(
-                    f"nodes {x} and {y} are disconnected; curvature undefined for edge ({u}, {v})"
-                )
-            row.append(int(d))
-        rows.append(tuple(row))
+    if g.weighted:
+        radius = (
+            max(g.weight(x, u) for x in vu if x != u)
+            + g.weight(u, v)
+            + max(g.weight(v, y) for y in vv if y != v)
+        )
+        balls = [g.distances_from(x, radius) for x in vu]
+        costs = tuple(tuple(ball[y] for y in vv) for ball in balls)
+    else:
+        balls = [g.distances_from(x, 2) for x in vu]
+        costs = tuple(tuple(ball.get(y, 3) for y in vv) for ball in balls)
     ends = {u, v}
     touchable = tuple(
         tuple(x not in ends and y not in ends for y in vv) for x in vu
     )
     pair = NeighborhoodPair(u, v, vu, vv)
-    cm = CostMatrix(u, v, vu, vv, tuple(rows), touchable)
+    cm = CostMatrix(u, v, vu, vv, costs, touchable)
     return pair, cm
 
 
@@ -242,17 +248,22 @@ def blowup_cap(explicit: int | None = None) -> int:
 
 
 def blow_up(cm: CostMatrix, *, cap: int | None = None) -> BlowUpMatrix:
-    """Replicate the cost matrix to a q x q matrix, q = lcm(r, s)."""
+    """Replicate the cost matrix to a q x q matrix, q = lcm(r, s).
+
+    Each row node's expanded row (every entry repeated b times) is built
+    once, and its a copies in the blow-up are that same tuple, so the Python
+    work is r*q cells, not q^2.
+    """
     r, s = cm.r, cm.s
     q = math.lcm(r, s)
     limit = blowup_cap(cap)
     if q > limit:
         raise BlowUpTooLargeError(f"blow-up size q={q} exceeds cap {limit}")
     a, b = q // r, q // s
-    costs = tuple(
-        tuple(cm.costs[row // a][col // b] for col in range(q)) for row in range(q)
-    )
-    return BlowUpMatrix(cm, q, a, b, costs)
+    costs = []
+    for row in cm.costs:
+        costs.extend([tuple(c for c in row for _ in range(b))] * a)
+    return BlowUpMatrix(cm, q, a, b, tuple(costs))
 
 
 def emd_via_matching(bm: BlowUpMatrix) -> tuple[Fraction, Matching]:
@@ -271,6 +282,8 @@ def emd_via_flow(cm: CostMatrix) -> tuple[Fraction, TransportPlan]:
     r, s = cm.r, cm.s
     q = math.lcm(r, s)
     a, b = q // r, q // s
+    import networkx as nx  # here, so that importing riccicrit does not load networkx
+
     g = nx.DiGraph()
     for i in range(r):
         g.add_node(("r", i), demand=-a)
@@ -371,7 +384,7 @@ def ricci(
     themselves.
     """
     pair, cm = build_cost_matrix(g, e)
-    dist_uv = g.shortest_dist(pair.u, pair.v)
+    dist_uv = g.distances_from(pair.u, g.weight(pair.u, pair.v))[pair.v]
     if route == "matching":
         bm = blow_up(cm, cap=cap)
         emd, m = emd_via_matching(bm)
@@ -380,8 +393,8 @@ def ricci(
         emd, witness = emd_via_flow(cm)
     else:
         raise ValueError(f"unknown route {route!r}")
-    ric = 1 - emd / int(dist_uv)
-    return CurvatureResult(emd, int(dist_uv), ric, sign_of(ric), witness)
+    ric = 1 - emd / dist_uv
+    return CurvatureResult(emd, dist_uv, ric, sign_of(ric), witness)
 
 
 def edge_ref(u: int, v: int) -> tuple[int, int]:

@@ -22,8 +22,9 @@ class InputFileError(RicciCritError):
 class DisconnectedNeighborhoodError(RicciCritError):
     """Some node of one closed neighborhood cannot reach the other side.
 
-    Curvature is left undefined for such edges instead of guessing a value
-    for infinite transport distances.
+    An existing edge never raises it: the edge itself joins every node of
+    one closed neighborhood to every node of the other. The class stays
+    exported so that code catching it keeps working.
     """
 
 

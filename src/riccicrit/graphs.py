@@ -3,13 +3,17 @@
 Node ids are dense integers ``0..node_count-1``. Mutation helpers return new
 graph values, so instances can be shared freely between threads and used as
 dictionary keys. Distances are exact integers computed on demand (BFS for
-unweighted graphs, Dijkstra otherwise) and memoized per source node.
+unweighted graphs, Dijkstra otherwise) over a bounded ball: a search from x
+with radius r stops at distance r and returns the distance to every node
+within r of x. Balls are memoized per source node; the memo keeps the largest
+radius computed so far and serves every request up to it, so the curvature of
+an edge, which needs only radius 2 on unweighted graphs, never searches the
+whole graph.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from heapq import heappop, heappush
 from typing import Iterable
 
@@ -32,7 +36,7 @@ class Graph:
     weights. Self-loops and parallel edges are rejected.
     """
 
-    __slots__ = ("node_count", "weighted", "_weights", "_adj", "_dist_rows", "_edge_tuple", "_hash")
+    __slots__ = ("node_count", "weighted", "_weights", "_adj", "_balls", "_edge_tuple", "_hash")
 
     def __init__(
         self,
@@ -75,7 +79,7 @@ class Graph:
         object.__setattr__(self, "weighted", bool(weighted))
         object.__setattr__(self, "_weights", weights)
         object.__setattr__(self, "_adj", adj)
-        object.__setattr__(self, "_dist_rows", {})
+        object.__setattr__(self, "_balls", {})
         object.__setattr__(self, "_edge_tuple", tuple(sorted((u, v, w) for (u, v), w in weights.items())))
         object.__setattr__(self, "_hash", hash((node_count, weighted, self._edge_tuple)))
 
@@ -147,51 +151,62 @@ class Graph:
 
     # -- distances ---------------------------------------------------------
 
-    def distances_from(self, x: int) -> tuple:
-        """Exact single-source distances; unreachable nodes get INFINITY."""
+    def distances_from(self, x: int, radius: float = INFINITY) -> dict[int, int]:
+        """Exact distances from ``x`` to every node within ``radius`` of it.
+
+        The result maps node to distance, nearest nodes first; a node missing
+        from it is farther than ``radius`` (or unreachable, for the default
+        unbounded radius). The returned dict is shared with the memo: do not
+        mutate it.
+        """
         self._check_node(x)
-        cached = self._dist_rows.get(x)
-        if cached is not None:
-            return cached
-        if self.weighted:
-            row = self._dijkstra(x)
-        else:
-            row = self._bfs(x)
-        self._dist_rows[x] = row
-        return row
+        cached = self._balls.get(x)
+        if cached is None or cached[0] < radius:
+            ball = self._dijkstra(x, radius) if self.weighted else self._bfs(x, radius)
+            self._balls[x] = (radius, ball)
+            return ball
+        if cached[0] == radius:
+            return cached[1]
+        return {y: d for y, d in cached[1].items() if d <= radius}
 
-    def _bfs(self, src: int) -> tuple:
+    def _bfs(self, src: int, radius: float) -> dict[int, int]:
+        adj = self._adj
+        dist = {src: 0}
+        frontier = [src]
+        d = 0
+        while frontier and d < radius:
+            d += 1
+            layer = []
+            for x in frontier:
+                for y in adj[x]:
+                    if y not in dist:
+                        dist[y] = d
+                        layer.append(y)
+            frontier = layer
+        return dist
+
+    def _dijkstra(self, src: int, radius: float) -> dict[int, int]:
+        adj = self._adj
         dist: list = [INFINITY] * self.node_count
         dist[src] = 0
-        queue = deque([src])
-        while queue:
-            x = queue.popleft()
-            d = dist[x] + 1
-            for y in self._adj[x]:
-                if dist[y] == INFINITY:
-                    dist[y] = d
-                    queue.append(y)
-        return tuple(dist)
-
-    def _dijkstra(self, src: int) -> tuple:
-        dist: list = [INFINITY] * self.node_count
-        dist[src] = 0
+        ball: dict[int, int] = {}
         heap: list[tuple[int, int]] = [(0, src)]
         while heap:
             d, x = heappop(heap)
             if d > dist[x]:
                 continue
-            for y, w in self._adj[x].items():
+            ball[x] = d
+            for y, w in adj[x].items():
                 nd = d + w
-                if nd < dist[y]:
+                if nd < dist[y] and nd <= radius:
                     dist[y] = nd
                     heappush(heap, (nd, y))
-        return tuple(dist)
+        return ball
 
     def shortest_dist(self, x: int, y: int):
         """Shortest-path distance between two nodes, INFINITY if disconnected."""
         self._check_node(y)
-        return self.distances_from(x)[y]
+        return self.distances_from(x).get(y, INFINITY)
 
     # -- mutation (returns new values) --------------------------------------
 

@@ -48,7 +48,6 @@ from .curvature import (
 )
 from .errors import (
     BudgetExceededError,
-    DisconnectedNeighborhoodError,
     InfeasibleInstanceError,
     RetryExhaustedError,
     UnsupportedVariantError,
@@ -274,11 +273,8 @@ def _demanded_sign(inst: Instance) -> Sign:
     return Sign.POSITIVE if inst.variant.direction == "ntp" else Sign.NEGATIVE
 
 
-def _flips(inst: Instance, edits: Iterable) -> tuple[bool, Fraction | None]:
-    try:
-        res = ricci(apply_edits(inst, edits), inst.edge, route="flow")
-    except DisconnectedNeighborhoodError:
-        return False, None
+def _flips(inst: Instance, edits: Iterable) -> tuple[bool, Fraction]:
+    res = ricci(apply_edits(inst, edits), inst.edge, route="flow")
     return res.sign == _demanded_sign(inst), res.ric
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from riccicrit import (
     Graph,
@@ -30,6 +31,21 @@ def random_connected_graph(rng: random.Random, n: int, *, weighted: bool = False
         g = Graph(n, edges, weighted=weighted)
         if all(g.shortest_dist(0, x) != INFINITY for x in range(n)):
             return g
+
+
+def graphs(min_nodes: int = 1, min_edges: int = 0):
+    """Hypothesis strategy: unweighted or weighted (1..6) graphs of min_nodes..9
+    nodes, often disconnected and with isolated nodes."""
+
+    def build(n: int, weighted: bool):
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] < p[1])
+        weight = st.integers(1, 6) if weighted else st.just(1)
+        return st.builds(
+            lambda items: Graph(n, [(u, v, w) for (u, v), w in sorted(dict(items).items())], weighted=weighted),
+            st.lists(st.tuples(pair, weight), min_size=min_edges, max_size=16),
+        )
+
+    return st.tuples(st.integers(min_nodes, 9), st.booleans()).flatmap(lambda nw: build(*nw))
 
 
 def double_star(du: int, dv: int, cross: list[tuple[int, int]]) -> Graph:

@@ -349,6 +349,28 @@ def test_module_entry_point_maps_errors(tmp_path):
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
+def test_networkx_is_imported_only_by_the_flow_route(capsys, tmp_path):
+    src = str(Path(riccicrit.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def fresh(*args):
+        proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    probe = "import sys, riccicrit, riccicrit.cli; print('networkx' in sys.modules)"
+    assert fresh("-c", probe) == "False\n"
+    star = tmp_path / "star.edges"
+    star.write_text(STAR6)
+    flow = json.loads(fresh("-m", "riccicrit.cli", "curvature", str(star), "--all", "--route", "flow"))
+    assert [r["ric_str"] for r in flow["results"]] == ["-1/2", "1/4", "1/4", "1/4", "1/4"]
+    code, out, _ = run(capsys, "curvature", str(star), "--all", "--route", "flow")
+    assert code == 0 and json.loads(out) == flow
+    checked = fresh("-m", "riccicrit.cli", "oracle-check", "--random", "2", "--seed", "3")
+    assert json.loads(checked)["mismatches"] == 0
+    assert run(capsys, "oracle-check", "--random", "2", "--seed", "3") == (0, checked, "")
+
+
 @pytest.fixture(scope="module")
 def contract_paths(tmp_path_factory):
     """Good and bad (missing, directory, non-UTF-8, malformed) inputs, graphs of at most 6 nodes."""

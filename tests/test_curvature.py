@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from riccicrit import (
     BlowUpTooLargeError,
@@ -19,7 +20,7 @@ from riccicrit import (
 from riccicrit.curvature import BLOWUP_CAP_ENV
 from riccicrit.matching import class_counts, min_cost_perfect_matching
 
-from conftest import random_connected_graph
+from conftest import graphs, random_connected_graph
 
 P3 = Graph(3, [(0, 1), (1, 2)])
 K3 = Graph(3, [(0, 1), (1, 2), (0, 2)])
@@ -226,3 +227,48 @@ def test_matching_cost_is_q_times_flow_emd_on_a_sparse_random_graph():
         assert min_cost_perfect_matching(bm.costs).cost == bm.q * emd
         checked += 1
     assert checked > 600
+
+
+def _full_row_cost_matrix(g: Graph, e: tuple[int, int]) -> tuple:
+    """Rows, columns and costs of an edge read from unbounded BFS/Dijkstra rows
+    of a fresh copy of ``g``, so no bounded ball is in its memo."""
+    fresh = Graph(g.node_count, g.edges(), weighted=g.weighted)
+    a, b = e
+    u, v = (a, b) if (fresh.degree(a), a) <= (fresh.degree(b), b) else (b, a)
+    rows, cols = fresh.closed_neighborhood(u), fresh.closed_neighborhood(v)
+    costs = tuple(tuple(fresh.distances_from(x)[y] for y in cols) for x in rows)
+    return rows, cols, costs
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(min_nodes=2, min_edges=1))
+def test_bounded_ball_cost_matrix_equals_full_row_matrix(g: Graph):
+    for u, v, _w in g.edges():
+        _, cm = build_cost_matrix(g, (u, v))
+        assert (cm.row_nodes, cm.col_nodes, cm.costs) == _full_row_cost_matrix(g, (u, v))
+        bm = blow_up(cm)
+        assert all(
+            bm.costs[i][j] == cm.costs[i // bm.a][j // bm.b] for i in range(bm.q) for j in range(bm.q)
+        )
+        assert ricci(g, (u, v)).dist_uv == g.shortest_dist(u, v)
+
+
+def test_dist_uv_takes_a_lighter_detour():
+    g = Graph(4, [(0, 1, 5), (0, 2, 1), (1, 2, 1), (1, 3, 1)], weighted=True)
+    for route in ("matching", "flow"):
+        res = ricci(g, (0, 1), route=route)
+        assert res.dist_uv == 2 and res.ric == 1 - res.emd / 2
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_bounded_ball_cost_matrix_on_a_sparse_graph_with_isolated_nodes(weighted):
+    rng = random.Random(300600 + weighted)
+    edges: dict[tuple[int, int], int] = {}
+    while len(edges) < 450:
+        u, v = rng.sample(range(300), 2)
+        edges[(min(u, v), max(u, v))] = rng.randint(1, 9) if weighted else 1
+    g = Graph(300, [(u, v, w) for (u, v), w in sorted(edges.items())], weighted=weighted)
+    assert any(g.degree(x) == 0 for x in range(300))
+    for u, v, _w in g.edges():
+        _, cm = build_cost_matrix(g, (u, v))
+        assert (cm.row_nodes, cm.col_nodes, cm.costs) == _full_row_cost_matrix(g, (u, v))

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from riccicrit import EdgeListParseError, Graph, INFINITY, format_edge_list, parse_edge_list
 
+from conftest import graphs
+
 
 def test_construction_rejects_bad_edges():
     with pytest.raises(ValueError):
@@ -137,6 +139,45 @@ def test_unit_insertion_never_grows_distances(g: Graph):
     for x in range(g.node_count):
         for y in range(g.node_count):
             assert g2.shortest_dist(x, y) <= g.shortest_dist(x, y)
+
+
+def _all_pairs(g: Graph) -> list[list]:
+    """Floyd-Warshall reference distances, INFINITY where unreachable."""
+    n = g.node_count
+    dist = [[0 if x == y else INFINITY for y in range(n)] for x in range(n)]
+    for u, v, w in g.edges():
+        dist[u][v] = dist[v][u] = w
+    for k in range(n):
+        for x in range(n):
+            for y in range(n):
+                if dist[x][k] + dist[k][y] < dist[x][y]:
+                    dist[x][y] = dist[x][k] + dist[k][y]
+    return dist
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(), st.data())
+def test_bounded_ball_is_the_full_row_cut_at_the_radius(g: Graph, data):
+    full = _all_pairs(g)
+    radii = st.one_of(st.integers(0, 12), st.just(INFINITY))
+    requests = data.draw(st.lists(st.tuples(st.integers(0, g.node_count - 1), radii), min_size=1, max_size=12))
+    for x, r in requests:  # any order of radii, so smaller ones are served from the memo
+        ball = g.distances_from(x, r)
+        assert ball == {y: d for y, d in enumerate(full[x]) if d <= r and d != INFINITY}
+        assert list(ball.values()) == sorted(ball.values())
+    for x in range(g.node_count):  # INFINITY where unreachable, whatever the memo holds
+        assert [g.shortest_dist(x, y) for y in range(g.node_count)] == full[x]
+
+
+def test_bounded_ball_stops_at_the_radius():
+    path = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    assert path.distances_from(0, 2) == {0: 0, 1: 1, 2: 2}
+    assert path.distances_from(0, 1) == {0: 0, 1: 1}
+    assert path.distances_from(0) == {0: 0, 1: 1, 2: 2, 3: 3, 4: 4}
+    heavy = Graph(3, [(0, 1, 4), (1, 2, 1)], weighted=True)
+    assert heavy.distances_from(1, 3) == {1: 0, 2: 1}
+    assert heavy.distances_from(0, 4) == {0: 0, 1: 4}
+    assert heavy.shortest_dist(0, 2) == 5
 
 
 def test_parse_edge_list_roundtrip():
