@@ -4,7 +4,6 @@ from .curvature import (
     BlowUpMatrix,
     CostMatrix,
     CurvatureResult,
-    NeighborhoodPair,
     Sign,
     TransportPlan,
     blow_up,

@@ -44,6 +44,7 @@ everything vectorizes under numpy.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -143,8 +144,10 @@ def _minor_row(mats: np.ndarray, row: int) -> np.ndarray:
     return np.where(odd, (-dets) % PRIME, dets)
 
 
-def _vandermonde_inverse(npoints: int) -> np.ndarray:
-    """Inverse mod PRIME of the Vandermonde matrix on points 1..npoints."""
+@functools.cache
+def vandermonde_inverse(npoints: int) -> np.ndarray:
+    """Inverse mod PRIME of the Vandermonde matrix on points 1..npoints, read-only
+    because one array is shared by every caller."""
     if npoints >= PRIME:
         raise FieldConfigError("more interpolation points than field elements")
     pts = np.arange(1, npoints + 1, dtype=np.int64)
@@ -165,18 +168,9 @@ def _vandermonde_inverse(npoints: int) -> np.ndarray:
         for r in range(npoints):
             if r != k and aug[r, k]:
                 aug[r] = (aug[r] - aug[r, k] * aug[k]) % PRIME
-    return aug[:, npoints:] % PRIME
-
-
-_VINV_CACHE: dict[int, np.ndarray] = {}
-
-
-def vandermonde_inverse(npoints: int) -> np.ndarray:
-    got = _VINV_CACHE.get(npoints)
-    if got is None:
-        got = _vandermonde_inverse(npoints)
-        _VINV_CACHE[npoints] = got
-    return got
+    inv = aug[:, npoints:] % PRIME
+    inv.flags.writeable = False
+    return inv
 
 
 def _mod_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -222,7 +222,7 @@ def _cmd_gadget(args) -> int:
 def _check_edge_routes(g: Graph, edge, enum_bound: int) -> dict:
     record: dict = {"edge": list(edge)}
     try:
-        _pair, cm = build_cost_matrix(g, edge)
+        cm = build_cost_matrix(g, edge)
         bm = blow_up(cm)
     except BlowUpTooLargeError as exc:
         record["skipped"] = str(exc)

@@ -19,9 +19,11 @@ matching witness; the flow route stays as the independent oracle and also
 avoids building the blown-up matrix when q is huge. networkx is imported on
 the first flow-route call, so the matching route never loads it.
 
-Both routes start from the same cost matrix, read from bounded distance
-balls: the edge itself joins every node of N[u] to every node of N[v], so no
-entry needs a search beyond that path's length.
+Both routes start from the same ``CostMatrix``, the one per-edge object that
+``build_cost_matrix`` returns: the r x s distances between N[u] and N[v],
+read from bounded distance balls. The edge itself joins every node of N[u]
+to every node of N[v], so no entry needs a search beyond that path's
+length, and the entry of u's row at v's column is dist(u, v).
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
 from .errors import BlowUpTooLargeError, RicciCritError
@@ -60,39 +63,11 @@ def fraction_json(x: Fraction) -> dict:
 
 
 @dataclass(frozen=True)
-class NeighborhoodPair:
-    """The two closed neighborhoods of an edge, low-degree endpoint first."""
-
-    u: int
-    v: int
-    vu: tuple[int, ...]
-    vv: tuple[int, ...]
-
-    @property
-    def r(self) -> int:
-        return len(self.vu)
-
-    @property
-    def s(self) -> int:
-        return len(self.vv)
-
-    @property
-    def mass_u(self) -> Fraction:
-        return Fraction(1, self.r)
-
-    @property
-    def mass_v(self) -> Fraction:
-        return Fraction(1, self.s)
-
-
-@dataclass(frozen=True)
 class CostMatrix:
     """Complete bipartite cost matrix between the two closed neighborhoods.
 
     ``costs[i][j]`` is the exact shortest-path distance between row node i
-    and column node j. An entry is touchable when neither of its endpoints is
-    u or v; only touchable entries can be lowered by a restricted edge
-    insertion.
+    and column node j.
     """
 
     u: int
@@ -100,7 +75,15 @@ class CostMatrix:
     row_nodes: tuple[int, ...]
     col_nodes: tuple[int, ...]
     costs: tuple[tuple[int, ...], ...]
-    touchable: tuple[tuple[bool, ...], ...]
+
+    @cached_property
+    def touchable(self) -> tuple[tuple[bool, ...], ...]:
+        """An entry is touchable when neither of its endpoints is u or v; only
+        touchable entries can be lowered by a restricted edge insertion."""
+        ends = {self.u, self.v}
+        return tuple(
+            tuple(x not in ends and y not in ends for y in self.col_nodes) for x in self.row_nodes
+        )
 
     @property
     def r(self) -> int:
@@ -139,9 +122,6 @@ class BlowUpMatrix:
 
     def block(self, row: int, col: int) -> tuple[int, int]:
         return (row // self.a, col // self.b)
-
-    def block_cost(self, i: int, j: int) -> int:
-        return self.source.costs[i][j]
 
     def touchable(self, row: int, col: int) -> bool:
         i, j = self.block(row, col)
@@ -195,8 +175,8 @@ class CurvatureResult:
         return out
 
 
-def build_cost_matrix(g: Graph, e: tuple[int, int]) -> tuple[NeighborhoodPair, CostMatrix]:
-    """Neighborhood pair and exact distance matrix for an existing edge.
+def build_cost_matrix(g: Graph, e: tuple[int, int]) -> CostMatrix:
+    """The ``CostMatrix`` of an existing edge: exact distances from N[u] to N[v].
 
     The lower-degree endpoint supplies the rows (ties broken toward the
     smaller node id). The edge itself joins every row node x to every column
@@ -226,13 +206,7 @@ def build_cost_matrix(g: Graph, e: tuple[int, int]) -> tuple[NeighborhoodPair, C
     else:
         balls = [g.distances_from(x, 2) for x in vu]
         costs = tuple(tuple(ball.get(y, 3) for y in vv) for ball in balls)
-    ends = {u, v}
-    touchable = tuple(
-        tuple(x not in ends and y not in ends for y in vv) for x in vu
-    )
-    pair = NeighborhoodPair(u, v, vu, vv)
-    cm = CostMatrix(u, v, vu, vv, costs, touchable)
-    return pair, cm
+    return CostMatrix(u, v, vu, vv, costs)
 
 
 def blowup_cap(explicit: int | None = None) -> int:
@@ -321,7 +295,7 @@ def plan_from_matching(bm: BlowUpMatrix, m: Matching) -> TransportPlan:
     total = 0
     for (i, j), cnt in sorted(cell_count.items()):
         entries.append((bm.source.row_nodes[i], bm.source.col_nodes[j], Fraction(cnt, bm.q)))
-        total += bm.block_cost(i, j) * cnt
+        total += bm.source.costs[i][j] * cnt
     if total != m.cost:
         raise ValueError("matching cost does not match the blow-up costs")
     return TransportPlan(tuple(entries), Fraction(total, bm.q))
@@ -379,12 +353,12 @@ def ricci(
     """Exact Ollivier-Ricci curvature of an edge.
 
     The unweighted formula 1 - EMD is the weighted one with dist(u, v) = 1,
-    so both cases share 1 - EMD/dist(u, v). The sign is reported as a
-    three-valued enum; callers that need a strict inequality must demand it
-    themselves.
+    so both cases share 1 - EMD/dist(u, v); dist(u, v) is the cost matrix's
+    entry at u's row and v's column. The sign is reported as a three-valued
+    enum; callers that need a strict inequality must demand it themselves.
     """
-    pair, cm = build_cost_matrix(g, e)
-    dist_uv = g.distances_from(pair.u, g.weight(pair.u, pair.v))[pair.v]
+    cm = build_cost_matrix(g, e)
+    dist_uv = cm.costs[cm.row_nodes.index(cm.u)][cm.col_nodes.index(cm.v)]
     if route == "matching":
         bm = blow_up(cm, cap=cap)
         emd, m = emd_via_matching(bm)

@@ -207,10 +207,10 @@ def gen_tightness(m: int) -> tuple[CostMatrix, Matching, Matching, GadgetDescrip
     while the friendly one needs only m/2.
 
     The matrix is the m x m pattern (unit diagonal on the first half, two
-    2-diagonals across the halves, 3 elsewhere) plus one untouchable padding
-    index whose zero diagonal stands in for the forced endpoint rows, making
-    the flip threshold q = m+1. Emitted at the cost-matrix level; the greedy
-    consumes a start matching directly.
+    2-diagonals across the halves, 3 elsewhere) plus one padding index, named
+    as both u and v so that it is untouchable, whose zero diagonal stands in
+    for the forced endpoint rows, making the flip threshold q = m+1. Emitted
+    at the cost-matrix level; the greedy consumes a start matching directly.
     """
     if m < 4 or m % 2 != 0:
         raise ValueError("m must be an even integer >= 4")
@@ -232,10 +232,7 @@ def gen_tightness(m: int) -> tuple[CostMatrix, Matching, Matching, GadgetDescrip
         costs.append(tuple(row))
     row_nodes = tuple(list(range(m)) + [pad])
     col_nodes = tuple(list(range(m, 2 * m)) + [pad])
-    touchable = tuple(
-        tuple(not (i == m or j == m) for j in range(q)) for i in range(q)
-    )
-    cm = CostMatrix(pad, pad, row_nodes, col_nodes, tuple(costs), touchable)
+    cm = CostMatrix(pad, pad, row_nodes, col_nodes, tuple(costs))
     adversarial = [0] * q
     for i in range(half):
         adversarial[i] = i + half

@@ -21,6 +21,7 @@ Three layers live here:
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -81,7 +82,11 @@ def _check_square(costs: Sequence[Sequence[int]]) -> int:
     n = len(costs)
     if n == 0:
         raise ValueError("cost matrix must be non-empty")
+    prev = None
     for row in costs:
+        if row is prev:
+            continue  # a blow-up repeats one row object for a row node's copies
+        prev = row
         if len(row) != n:
             raise ValueError("cost matrix must be square")
         if set(map(type, row)) == {int} and min(row) >= 0:
@@ -304,44 +309,26 @@ def _signature_digits(
     return np.stack([4 - c, c == 3, touchable_2], axis=2).astype(np.int64)
 
 
-class _CubeCache:
-    """Per-(digits, seed, trial) signature cubes, shared across targets.
-
-    Queries against the same digits and seed re-use the same random scalars,
-    so sweeping many targets costs one interpolation per trial, and a witness
-    query after a ``signature_support`` sweep starts on the sweep's cubes.
-    """
-
-    def __init__(self, maxsize: int = 64):
-        self.maxsize = maxsize
-        self._store: dict = {}
-
-    def get(self, key, build):
-        got = self._store.get(key)
-        if got is None:
-            got = build()
-            if len(self._store) >= self.maxsize:
-                self._store.pop(next(iter(self._store)))
-            self._store[key] = got
-        return got
-
-
-_CUBES = _CubeCache()
-
-
 def _trial_scalars(seed: int, trial: int, q: int) -> np.ndarray:
     rng = np.random.default_rng((seed, trial, q))
     return rng.integers(1, PRIME, size=(q, q), dtype=np.int64)
 
 
-def _trial_cube(digits: np.ndarray, seed: int, trial: int) -> tuple[SignatureCube, np.ndarray]:
-    key = (digits.tobytes(), digits.shape, seed, trial)
-    return _CUBES.get(key, lambda: _build_trial(digits, seed, trial))
+def _trial_cube(digits: np.ndarray, seed: int, trial: int) -> SignatureCube:
+    """The signature cube of ``digits`` at the scalars of (seed, trial)."""
+    return _cached_cube(digits.tobytes(), digits.shape, seed, trial)
 
 
-def _build_trial(digits: np.ndarray, seed: int, trial: int) -> tuple[SignatureCube, np.ndarray]:
-    scalars = _trial_scalars(seed, trial, digits.shape[0])
-    return SignatureCube(digits, scalars), scalars
+@functools.lru_cache(maxsize=64)
+def _cached_cube(data: bytes, shape: tuple[int, ...], seed: int, trial: int) -> SignatureCube:
+    """Signature cubes shared across targets and calls.
+
+    Queries against the same digits and seed re-use the same random scalars,
+    so sweeping many targets costs one interpolation per trial, and a witness
+    query after a ``signature_support`` sweep starts on the sweep's cubes.
+    """
+    digits = np.frombuffer(data, dtype=np.int64).reshape(shape)
+    return SignatureCube(digits, _trial_scalars(seed, trial, shape[0]))
 
 
 def _extract_assignment(
@@ -383,10 +370,10 @@ def _search(digits: np.ndarray, target: tuple[int, ...], trials: int, seed: int)
     if trials < 1:
         raise ValueError("trials must be positive")
     for trial in range(trials):
-        cube, scalars = _trial_cube(digits, seed, trial)
+        cube = _trial_cube(digits, seed, trial)
         if cube.coefficient(target) == 0:
             continue
-        assignment = _extract_assignment(digits, scalars, target)
+        assignment = _extract_assignment(digits, cube.scalars, target)
         if assignment is not None:
             return assignment
     return None
@@ -475,6 +462,6 @@ def signature_support(
     digits = _signature_digits(costs, touchable_mask)
     merged: set[tuple[int, int, int]] = set()
     for trial in range(trials):
-        cube, _ = _trial_cube(digits, seed, trial)
+        cube = _trial_cube(digits, seed, trial)
         merged.update((4 * q - alpha, n3, n2t) for alpha, n3, n2t in cube.support())
     return merged

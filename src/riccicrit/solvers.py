@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Set
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import Iterable
@@ -138,6 +138,7 @@ class Instance:
     graph: Graph
     edge: tuple[int, int]
     variant: ProblemVariant
+    _base: CurvatureResult = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         u, v = self.edge
@@ -147,6 +148,7 @@ class Instance:
         if self.variant.weighting == "uw" and self.graph.weighted:
             raise ValueError("uw variants require an unweighted graph")
         base = ricci(self.graph, self.edge, route="flow")
+        object.__setattr__(self, "_base", base)
         if self.variant.direction == "ntp":
             # Sign zero is admitted as the degenerate boundary case where a
             # single suitable edit already decides the instance.
@@ -157,7 +159,8 @@ class Instance:
                 raise ValueError("ptn instances need strictly positive starting curvature")
 
     def base_curvature(self) -> CurvatureResult:
-        return ricci(self.graph, self.edge, route="flow")
+        """The edge's curvature by the flow route, as computed to check the sign."""
+        return self._base
 
     @cached_property
     def _local(self) -> "_LocalEvaluator | None":
@@ -476,7 +479,7 @@ def select_drop_edges(
     twos = []
     for row, col in enumerate(m.assignment):
         i, j = bm.block(row, col)
-        c = bm.block_cost(i, j)
+        c = bm.source.costs[i][j]
         if c == 3:
             threes.append((row, col))
         elif c == 2 and bm.source.touchable[i][j]:
@@ -492,25 +495,33 @@ def select_drop_edges(
 
 @dataclass(frozen=True)
 class _Setup:
-    pair_u: int
-    pair_v: int
-    cm: CostMatrix
+    """The blow-up of an instance's cost matrix and its lex-min minimum-cost matching."""
+
     bm: BlowUpMatrix
     mcpm: Matching
-    delta: int
-    rho: int
+
+    @property
+    def cm(self) -> CostMatrix:
+        return self.bm.source
 
     @property
     def q(self) -> int:
         return self.bm.q
 
+    @property
+    def delta(self) -> int:
+        """The minimum matched cost, q * EMD."""
+        return self.mcpm.cost
+
+    @property
+    def rho(self) -> int:
+        """How far the minimum matched cost lies above the flip threshold q."""
+        return self.delta - self.q
+
 
 def _setup(inst: Instance) -> _Setup:
-    pair, cm = build_cost_matrix(inst.graph, inst.edge)
-    bm = blow_up(cm)
-    best = min_cost_perfect_matching(bm.costs)
-    delta = best.cost
-    return _Setup(pair.u, pair.v, cm, bm, best, delta, delta - bm.q)
+    bm = blow_up(build_cost_matrix(inst.graph, inst.edge))
+    return _Setup(bm, min_cost_perfect_matching(bm.costs))
 
 
 def _require_approx_variant(inst: Instance) -> None:
@@ -534,8 +545,9 @@ def _single_edit_solution(inst: Instance, method: str) -> Solution | None:
     return Solution(hit[0], hit[1], method, drops=1)
 
 
-def _finish_insert_solution(inst: Instance, blocks: Iterable[tuple[int, int]], method: str, drops: int) -> Solution:
-    cm = build_cost_matrix(inst.graph, inst.edge)[1]
+def _finish_insert_solution(
+    inst: Instance, cm: CostMatrix, blocks: Iterable[tuple[int, int]], method: str, drops: int
+) -> Solution:
     pairs = sorted({ordered_pair(cm.row_nodes[i], cm.col_nodes[j]) for i, j in blocks})
     edits = tuple((pair, 1) for pair in pairs)
     flipped, ric_after = _flips(inst, edits)
@@ -567,9 +579,7 @@ def weight_propagation(g: Graph, cm: CostMatrix, inserted: tuple[int, int]) -> C
         raise ValueError(f"entry for {inserted} is untouchable")
     costs = [list(row) for row in cm.costs]
     _propagate_insertion(costs, cm, (i, j), set(g.neighbors(x)), set(g.neighbors(y)))
-    return CostMatrix(
-        cm.u, cm.v, cm.row_nodes, cm.col_nodes, tuple(tuple(r) for r in costs), cm.touchable
-    )
+    return CostMatrix(cm.u, cm.v, cm.row_nodes, cm.col_nodes, tuple(tuple(r) for r in costs))
 
 
 def _propagate_insertion(
@@ -675,7 +685,7 @@ def greedy_insert(inst: Instance, start: Matching | None = None) -> Solution:
         local.apply(inserted, (ordered_pair(x, y), 1))
 
     drops, _ = greedy_schedule(cm.costs, cm.touchable, matched_blocks, setup.q, after_drop=after_drop)
-    return _finish_insert_solution(inst, drops, "greedy", len(drops))
+    return _finish_insert_solution(inst, cm, drops, "greedy", len(drops))
 
 
 # -- randomized ------------------------------------------------------------------
@@ -725,4 +735,4 @@ def randomized_insert(inst: Instance, seed: int, *, trials: int = 4) -> Solution
         raise RetryExhaustedError("witness extraction failed for the selected signature")
     state = select_drop_edges(setup.bm, witness, state)
     blocks = {setup.bm.block(row, col) for row, col in state.selected_edges}
-    return _finish_insert_solution(inst, blocks, "randomized", len(state.selected_edges))
+    return _finish_insert_solution(inst, setup.cm, blocks, "randomized", len(state.selected_edges))

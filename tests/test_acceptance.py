@@ -106,7 +106,7 @@ def test_criterion_1_and_2_route_equivalence_and_rationality():
         weighted = i % 2 == 1
         g = random_connected_graph(rng, rng.randint(4, 10), weighted=weighted, max_w=5)
         for u, v, _w in g.edges():
-            bm = blow_up(build_cost_matrix(g, (u, v))[1])
+            bm = blow_up(build_cost_matrix(g, (u, v)))
             emd_m, _ = emd_via_matching(bm)
             emd_f, _ = emd_via_flow(bm.source)
             assert emd_m == emd_f, f"route mismatch on {g} edge ({u},{v})"
@@ -403,7 +403,7 @@ def test_criterion_11_canonicalization():
     while checked < 60:
         g = random_connected_graph(rng, rng.randint(3, 8), p=0.5)
         for u, v, _w in g.edges():
-            bm = blow_up(build_cost_matrix(g, (u, v))[1])
+            bm = blow_up(build_cost_matrix(g, (u, v)))
             if bm.q > 8:
                 continue
             emd, m = emd_via_matching(bm)

@@ -14,6 +14,7 @@ from riccicrit import (
     emd_via_flow,
     emd_via_matching,
     enumerate_matchings,
+    gen_tightness,
     plan_from_matching,
     ricci,
 )
@@ -28,7 +29,7 @@ K3 = Graph(3, [(0, 1), (1, 2), (0, 2)])
 
 def test_single_edge_matrix():
     g = Graph(2, [(0, 1, 4)], weighted=True)
-    pair, cm = build_cost_matrix(g, (0, 1))
+    cm = build_cost_matrix(g, (0, 1))
     assert cm.row_nodes == (0, 1) and cm.col_nodes == (0, 1)
     assert cm.costs == ((0, 4), (4, 0))
     res = ricci(g, (0, 1))
@@ -36,24 +37,23 @@ def test_single_edge_matrix():
 
 
 def test_path_cost_matrix_and_orientation():
-    pair, cm = build_cost_matrix(P3, (0, 1))
+    cm = build_cost_matrix(P3, (0, 1))
     # lower-degree endpoint 0 supplies the rows
-    assert pair.u == 0 and pair.v == 1
-    assert pair.r == 2 and pair.s == 3
+    assert cm.u == 0 and cm.v == 1
+    assert cm.r == 2 and cm.s == 3
     assert cm.row_nodes == (0, 1) and cm.col_nodes == (0, 1, 2)
     assert cm.costs == ((0, 1, 2), (1, 0, 1))
-    assert pair.mass_u == Fraction(1, 2) and pair.mass_v == Fraction(1, 3)
     # entries touching 0 or 1 are untouchable; only (row 0 or 1) x col 2 vary
     assert all(not cm.touchable[i][j] for i in range(2) for j in range(2))
     assert not cm.touchable[0][2] and not cm.touchable[1][2]
 
 
 def test_blow_up_shapes():
-    _, cm = build_cost_matrix(K3, (0, 1))
+    cm = build_cost_matrix(K3, (0, 1))
     bm = blow_up(cm)
     assert (bm.q, bm.a, bm.b) == (3, 1, 1)
     assert bm.costs == cm.costs
-    _, cm = build_cost_matrix(P3, (0, 1))
+    cm = build_cost_matrix(P3, (0, 1))
     bm = blow_up(cm)
     assert (bm.q, bm.a, bm.b) == (6, 3, 2)
     for row in range(6):
@@ -63,7 +63,7 @@ def test_blow_up_shapes():
 
 
 def test_blow_up_cap(monkeypatch):
-    _, cm = build_cost_matrix(P3, (0, 1))
+    cm = build_cost_matrix(P3, (0, 1))
     with pytest.raises(BlowUpTooLargeError):
         blow_up(cm, cap=5)
     monkeypatch.setenv(BLOWUP_CAP_ENV, "5")
@@ -74,7 +74,7 @@ def test_blow_up_cap(monkeypatch):
 
 
 def test_path_emd_both_routes():
-    _, cm = build_cost_matrix(P3, (0, 1))
+    cm = build_cost_matrix(P3, (0, 1))
     bm = blow_up(cm)
     emd_m, matching = emd_via_matching(bm)
     emd_f, plan = emd_via_flow(cm)
@@ -104,7 +104,7 @@ def test_ricci_examples():
 
 
 def test_plan_from_matching_matches_flow_cost():
-    _, cm = build_cost_matrix(P3, (0, 1))
+    cm = build_cost_matrix(P3, (0, 1))
     bm = blow_up(cm)
     emd, m = emd_via_matching(bm)
     plan = plan_from_matching(bm, m)
@@ -131,7 +131,7 @@ def test_route_equivalence_random(rng):
     for i in range(40):
         g = random_connected_graph(rng, rng.randint(4, 9), weighted=(i % 2 == 0), max_w=4)
         for u, v, _ in g.edges():
-            bm = blow_up(build_cost_matrix(g, (u, v))[1])
+            bm = blow_up(build_cost_matrix(g, (u, v)))
             emd_m, _ = emd_via_matching(bm)
             emd_f, _ = emd_via_flow(bm.source)
             assert emd_m == emd_f
@@ -152,7 +152,7 @@ def test_scale_invariance(rng):
 
 
 def test_canonicalize_fixed_point_and_groups():
-    _, cm = build_cost_matrix(K3, (0, 1))
+    cm = build_cost_matrix(K3, (0, 1))
     bm = blow_up(cm)
     _, m = emd_via_matching(bm)
     canon = canonicalize_matching(bm, m)
@@ -162,7 +162,7 @@ def test_canonicalize_fixed_point_and_groups():
 
 
 def test_canonicalize_rejects_non_optimal():
-    _, cm = build_cost_matrix(P3, (0, 1))
+    cm = build_cost_matrix(P3, (0, 1))
     bm = blow_up(cm)
     worst = max(enumerate_matchings(bm.costs), key=lambda m: m.cost)
     with pytest.raises(ValueError):
@@ -177,7 +177,7 @@ def test_canonicalize_untouchable_structure(rng):
     while checked < 60:
         g = random_connected_graph(rng, rng.randint(3, 8), p=0.5)
         for u, v, _ in g.edges():
-            bm = blow_up(build_cost_matrix(g, (u, v))[1])
+            bm = blow_up(build_cost_matrix(g, (u, v)))
             if bm.q > 8:
                 continue
             emd, m = emd_via_matching(bm)
@@ -219,7 +219,7 @@ def test_matching_cost_is_q_times_flow_emd_on_a_sparse_random_graph():
     g = Graph(200, sorted(edges))
     checked = 0
     for e in sorted(edges):
-        cm = build_cost_matrix(g, e)[1]
+        cm = build_cost_matrix(g, e)
         bm = blow_up(cm)
         if bm.q > 120:
             continue
@@ -244,7 +244,7 @@ def _full_row_cost_matrix(g: Graph, e: tuple[int, int]) -> tuple:
 @given(graphs(min_nodes=2, min_edges=1))
 def test_bounded_ball_cost_matrix_equals_full_row_matrix(g: Graph):
     for u, v, _w in g.edges():
-        _, cm = build_cost_matrix(g, (u, v))
+        cm = build_cost_matrix(g, (u, v))
         assert (cm.row_nodes, cm.col_nodes, cm.costs) == _full_row_cost_matrix(g, (u, v))
         bm = blow_up(cm)
         assert all(
@@ -270,5 +270,33 @@ def test_bounded_ball_cost_matrix_on_a_sparse_graph_with_isolated_nodes(weighted
     g = Graph(300, [(u, v, w) for (u, v), w in sorted(edges.items())], weighted=weighted)
     assert any(g.degree(x) == 0 for x in range(300))
     for u, v, _w in g.edges():
-        _, cm = build_cost_matrix(g, (u, v))
+        cm = build_cost_matrix(g, (u, v))
         assert (cm.row_nodes, cm.col_nodes, cm.costs) == _full_row_cost_matrix(g, (u, v))
+
+
+def _untouchable_cells(cm) -> set[tuple[int, int]]:
+    """Every cell in a row or a column of u or v."""
+    ends = {cm.u, cm.v}
+    rows = [i for i, x in enumerate(cm.row_nodes) if x in ends]
+    cols = [j for j, y in enumerate(cm.col_nodes) if y in ends]
+    return {(i, j) for i in rows for j in range(cm.s)} | {(i, j) for i in range(cm.r) for j in cols}
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(min_nodes=2, min_edges=1))
+def test_touchable_is_the_endpoint_rule(g: Graph):
+    for u, v, _w in g.edges():
+        cm = build_cost_matrix(g, (u, v))
+        untouchable = {(i, j) for i in range(cm.r) for j in range(cm.s) if not cm.touchable[i][j]}
+        assert untouchable == _untouchable_cells(cm)
+        bm = blow_up(cm)
+        assert bm.touchable_mask() == tuple(
+            tuple(cm.touchable[i // bm.a][j // bm.b] for j in range(bm.q)) for i in range(bm.q)
+        )
+
+
+@pytest.mark.parametrize("m", [4, 6, 8])
+def test_tightness_gadget_pads_only_the_untouchable_index(m):
+    cm, _adv, _opt, _desc = gen_tightness(m)
+    assert cm.touchable == tuple(tuple(not (i == m or j == m) for j in range(m + 1)) for i in range(m + 1))
+    assert {(i, j) for i in range(m + 1) for j in range(m + 1) if not cm.touchable[i][j]} == _untouchable_cells(cm)

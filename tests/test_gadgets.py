@@ -53,7 +53,7 @@ def test_blocker_layout_and_value():
     res = ricci(g, e)
     assert res.ric == Fraction(1, n + 3)
     # non-inner-edge entries sit at distance 3 in the cost matrix
-    _, cm = build_cost_matrix(g, e)
+    cm = build_cost_matrix(g, e)
     i = cm.row_nodes.index(desc.named_nodes["left_0"])
     j = cm.col_nodes.index(desc.named_nodes["right_1"])
     assert cm.costs[i][j] == 3
@@ -106,8 +106,8 @@ def test_maxcov_bookkeeping_and_signs():
     assert g.weight(v, desc.named_nodes["set_0"]) == 3
     assert g.weight(v, desc.named_nodes["sink_0"]) == 1
     assert g.weight(desc.named_nodes["set_0"], desc.named_nodes["set_1"]) == 1
-    pair, cm = build_cost_matrix(g, e)
-    assert pair.r == 3
+    cm = build_cost_matrix(g, e)
+    assert cm.r == 3
     bm = blow_up(cm)
     assert bm.q == 3 * n + 3 * m and bm.b == 1
     emd, _ = emd_via_flow(cm)
@@ -149,7 +149,7 @@ def test_setcover_structure_and_signs():
     g, e, desc = gen_setcover(n, sets)
     u, v = e
     assert g.degree(u) == 1 and g.degree(v) == n + 1
-    pair, cm = build_cost_matrix(g, e)
+    cm = build_cost_matrix(g, e)
     bm = blow_up(cm)
     assert bm.b == 1
     assert ricci(g, e, route="flow").sign == Sign.NEGATIVE
@@ -234,7 +234,7 @@ def test_tightness_graph_realization(m):
     g, e, adv, desc = gen_tightness_graph(m)
     base = ricci(g, e)
     assert base.sign == Sign.NEGATIVE
-    _, cm = build_cost_matrix(g, e)
+    cm = build_cost_matrix(g, e)
     bm = blow_up(cm)
     assert bm.q == m + 3 and bm.a == bm.b == 1
     assert matching_cost(bm.costs, adv.assignment) == 2 * m + 2

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -18,8 +19,10 @@ from riccicrit import (
     min_cost_perfect_matching,
 )
 from riccicrit import _detcube
-from riccicrit._detcube import coefficient_at, det_batch, row_coefficients
+from riccicrit._detcube import SignatureCube, coefficient_at, det_batch, row_coefficients
 from riccicrit.matching import (
+    _cached_cube,
+    _check_square,
     _extract_assignment,
     _signature_digits,
     _trial_scalars,
@@ -267,3 +270,60 @@ def test_extraction_at_singular_points_agrees_with_coefficient_at(monkeypatch):
             want = _minor_by_minor_extraction(digits, scalars, target)
             assert _extract_assignment(digits, scalars, target) == want
     assert fallbacks
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ((0, -1, 2), "costs must be non-negative integers, got -1"),
+        ((0, 0.5, 2), "costs must be non-negative integers, got 0.5"),
+        ((0, 1), "cost matrix must be square"),
+    ],
+    ids=["negative", "non-integer", "short-row"],
+)
+def test_check_square_rejects_bad_cells_in_repeated_rows(bad, message):
+    # A blow-up repeats one row object for a row node's copies; a bad row is
+    # still rejected wherever its run of copies starts, with the message a
+    # matrix of distinct row objects gets.
+    good = (1, 2, 3)
+    for rows in ([good, good, bad], [bad, bad, good], [good, bad, bad]):
+        with pytest.raises(ValueError) as distinct:
+            _check_square([list(row) for row in rows])
+        assert str(distinct.value) == message
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _check_square(rows)
+
+
+def test_check_square_checks_an_equal_row_that_is_another_object():
+    # (1.0, 2) == (1, 2), but only a row that is the same object as the one
+    # before it may be skipped.
+    assert _check_square([(1, 2), (1, 2)]) == 2
+    with pytest.raises(ValueError, match=r"^costs must be non-negative integers, got 1\.0$"):
+        _check_square([(1, 2), (1.0, 2)])
+
+
+def test_signature_cubes_are_reused_across_calls(monkeypatch):
+    built = []
+    init = SignatureCube.__init__
+    monkeypatch.setattr(SignatureCube, "__init__", lambda self, *a: built.append(1) or init(self, *a))
+    _cached_cube.cache_clear()
+    rng = random.Random(4242)
+    costs = [[rng.randint(0, 3) for _ in range(5)] for _ in range(5)]
+    touch = [[rng.random() < 0.5 for _ in range(5)] for _ in range(5)]
+    x, k, l = sorted(signature_support(costs, touch, trials=2, seed=9))[-1]
+    swept = len(built)
+    assert swept == 2
+    first = matching_with_counts(costs, touch, x, k, l, trials=2, seed=9)
+    assert first is not None and len(built) == swept  # the witness query starts on the sweep's cubes
+    assert matching_with_counts(costs, touch, x, k, l, trials=2, seed=9) == first
+    assert len(built) == swept
+
+    costs_found = sorted({m.cost for m in enumerate_matchings(costs)})
+    target = costs_found[1]
+    before = len(built)
+    hit = exact_cost_matching(costs, target, trials=3, seed=9)
+    assert hit is not None and hit.cost == target
+    after_first = len(built)
+    assert after_first > before
+    assert exact_cost_matching(costs, target, trials=3, seed=9) == hit
+    assert len(built) == after_first

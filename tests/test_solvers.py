@@ -29,7 +29,7 @@ from riccicrit import (
     weight_propagation,
 )
 from riccicrit.gadgets import cover_insertions_maxcov
-from riccicrit.matching import EdgeClassCounts
+from riccicrit.matching import EdgeClassCounts, min_cost_perfect_matching
 from riccicrit.solvers import (
     _LocalEvaluator,
     _flips,
@@ -261,13 +261,13 @@ def test_weight_propagation_matches_rebuild(rng):
     while checked < 120:
         g = random_connected_graph(rng, rng.randint(5, 9), p=0.35)
         u, v, _w = g.edges()[rng.randrange(g.edge_count())]
-        pair, cm = build_cost_matrix(g, (u, v))
+        cm = build_cost_matrix(g, (u, v))
         cands = [
             (x, y)
-            for x in g.neighbors(pair.u)
-            if x != pair.v
-            for y in g.neighbors(pair.v)
-            if y != pair.u and x != y and not g.has_edge(x, y)
+            for x in g.neighbors(cm.u)
+            if x != cm.v
+            for y in g.neighbors(cm.v)
+            if y != cm.u and x != y and not g.has_edge(x, y)
         ]
         if not cands:
             continue
@@ -278,7 +278,7 @@ def test_weight_propagation_matches_rebuild(rng):
             continue
         updated = weight_propagation(g, cm, (x, y))
         g2 = g.insert_edges([(tuple(sorted((x, y))), 1)])
-        _, rebuilt = build_cost_matrix(g2, (u, v))
+        rebuilt = build_cost_matrix(g2, (u, v))
         assert rebuilt.row_nodes == cm.row_nodes and rebuilt.col_nodes == cm.col_nodes
         assert updated.costs == rebuilt.costs
         checked += 1
@@ -286,7 +286,7 @@ def test_weight_propagation_matches_rebuild(rng):
 
 def test_weight_propagation_noop_under_spade():
     inst = neg_instance(3, 5, [(0, 1)])
-    _, cm = build_cost_matrix(inst.graph, inst.edge)
+    cm = build_cost_matrix(inst.graph, inst.edge)
     x, y = 2, 4
     assert not inst.graph.has_edge(x, y)
     updated = weight_propagation(inst.graph, cm, (x, y))
@@ -515,3 +515,16 @@ def test_unconfirmed_local_flip_is_never_returned(monkeypatch):
         assert _single_edit_solution(inst, "greedy") == single
     assert expected[0][1] is None  # no single insertion flips it, whatever the local verdict
     assert expected[1][1] is not None
+
+
+def test_setup_holds_one_cost_matrix_and_its_matching():
+    rng = random.Random(880)
+    pool = [(3, 4, 0.3), (3, 5, 0.25), (4, 6, 0.3), (2, 5, 0.2)]
+    for inst in sample_spade_instances(rng, 6, degree_pool=pool):
+        setup = _setup(inst)
+        assert setup.cm is setup.bm.source
+        assert setup.cm == build_cost_matrix(inst.graph, inst.edge)
+        assert setup.mcpm == min_cost_perfect_matching(setup.bm.costs)
+        assert setup.delta == setup.mcpm.cost == setup.q * inst.base_curvature().emd
+        assert setup.rho == setup.delta - setup.q
+        assert inst.base_curvature() == ricci(inst.graph, inst.edge, route="flow")
