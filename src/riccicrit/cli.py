@@ -10,12 +10,16 @@ Commands raise, and `main` maps the exception to its exit code through
 `_EXIT_CODES`. Randomized methods require an explicit --seed so runs stay
 reproducible; JSON output is byte-stable for a given input and seed.
 `curvature --jobs` is capped at the CPU count and at the number of edges.
+The graph goes to each worker once, when the worker starts, so the worker's
+distance memo serves every edge it is given; edges go out in chunks, and the
+records come back in edge order.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -73,14 +77,28 @@ def _emit(payload: dict, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _curvature_one(args) -> dict:
-    g, edge, route = args
+def _curvature_one(g: Graph, route: str, edge) -> dict:
     record: dict = {"edge": list(edge)}
     try:
         record.update(ricci(g, edge, route=route).to_json_dict())
     except BlowUpTooLargeError as exc:
         record["error"] = str(exc)
     return record
+
+
+# The (graph, route) a pool worker was started with; set once per worker
+# process by `_start_worker`, so one Graph and its distance memo serve every
+# edge the worker is sent.
+_worker_job: tuple = ()
+
+
+def _start_worker(g: Graph, route: str) -> None:
+    global _worker_job
+    _worker_job = (g, route)
+
+
+def _curvature_in_worker(edge) -> dict:
+    return _curvature_one(*_worker_job, edge)
 
 
 def _cmd_curvature(args) -> int:
@@ -96,14 +114,16 @@ def _cmd_curvature(args) -> int:
     for u, v in edges:
         if not g.has_edge(u, v):
             raise RicciCritError(f"({u}, {v}) is not an edge")
-    work = [(g, e, args.route) for e in edges]
     # No more workers than CPUs or edges: a fork-started pool forks them all at its first submit.
     workers = min(args.jobs, len(edges), os.cpu_count() or 1)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_curvature_one, work))
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_start_worker, initargs=(g, args.route)
+        ) as pool:
+            chunk = math.ceil(len(edges) / (4 * workers))
+            records = list(pool.map(_curvature_in_worker, edges, chunksize=chunk))
     else:
-        records = [_curvature_one(w) for w in work]
+        records = [_curvature_one(g, args.route, e) for e in edges]
     _emit({"input": args.input, "results": records}, args.output)
     return EXIT_OK
 

@@ -8,7 +8,9 @@ with radius r stops at distance r and returns the distance to every node
 within r of x. Balls are memoized per source node; the memo keeps the largest
 radius computed so far and serves every request up to it, so the curvature of
 an edge, which needs only radius 2 on unweighted graphs, never searches the
-whole graph.
+whole graph. A ball that holds every node is the whole row and serves every
+radius, so a source whose first search reaches the whole graph is never
+searched again.
 """
 
 from __future__ import annotations
@@ -163,11 +165,12 @@ class Graph:
         cached = self._balls.get(x)
         if cached is None or cached[0] < radius:
             ball = self._dijkstra(x, radius) if self.weighted else self._bfs(x, radius)
-            self._balls[x] = (radius, ball)
+            self._balls[x] = (INFINITY if len(ball) == self.node_count else radius, ball)
             return ball
-        if cached[0] == radius:
-            return cached[1]
-        return {y: d for y, d in cached[1].items() if d <= radius}
+        ball = cached[1]
+        if next(reversed(ball.values())) <= radius:  # nearest first: the farthest node is last
+            return ball
+        return {y: d for y, d in ball.items() if d <= radius}
 
     def _bfs(self, src: int, radius: float) -> dict[int, int]:
         adj = self._adj

@@ -17,6 +17,9 @@ Three layers live here:
   row, one cofactor pass per row giving the target's share of every column
   at once. Every witness is verified before it is returned, so randomness
   can only cause a miss, never a wrong answer.
+
+numpy and ``_detcube`` are imported when a randomized search first runs, so
+the matching kernel (and with it every curvature route) never loads numpy.
 """
 
 from __future__ import annotations
@@ -25,13 +28,16 @@ import functools
 import heapq
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-import numpy as np
-
-from ._detcube import PRIME, SignatureCube, row_coefficients
 from .errors import OracleBoundError
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from ._detcube import SignatureCube
 
 ENUMERATION_BOUND = 8
 
@@ -92,7 +98,7 @@ def _check_square(costs: Sequence[Sequence[int]]) -> int:
         if set(map(type, row)) == {int} and min(row) >= 0:
             continue  # the common all-int row, checked without a Python-level loop
         for c in row:
-            if not isinstance(c, (int, np.integer)) or c < 0:
+            if not isinstance(c, numbers.Integral) or c < 0:
                 raise ValueError(f"costs must be non-negative integers, got {c!r}")
     return n
 
@@ -302,6 +308,8 @@ def _signature_digits(
     A perfect matching of cost x with k 3-edges and l touchable 2-edges has
     digit sums (4q - x, k, l).
     """
+    import numpy as np
+
     c = np.array(costs, dtype=np.int64)
     if c.max() > 3:
         raise ValueError("signature queries expect costs in 0..3")
@@ -310,6 +318,10 @@ def _signature_digits(
 
 
 def _trial_scalars(seed: int, trial: int, q: int) -> np.ndarray:
+    import numpy as np
+
+    from ._detcube import PRIME
+
     rng = np.random.default_rng((seed, trial, q))
     return rng.integers(1, PRIME, size=(q, q), dtype=np.int64)
 
@@ -327,6 +339,10 @@ def _cached_cube(data: bytes, shape: tuple[int, ...], seed: int, trial: int) -> 
     so sweeping many targets costs one interpolation per trial, and a witness
     query after a ``signature_support`` sweep starts on the sweep's cubes.
     """
+    import numpy as np
+
+    from ._detcube import SignatureCube
+
     digits = np.frombuffer(data, dtype=np.int64).reshape(shape)
     return SignatureCube(digits, _trial_scalars(seed, trial, shape[0]))
 
@@ -346,6 +362,10 @@ def _extract_assignment(
     scalars. A false negative (random unluck) aborts the attempt; the caller
     retries with fresh scalars.
     """
+    import numpy as np
+
+    from ._detcube import row_coefficients
+
     n = digits.shape[0]
     cols = list(range(n))
     remaining = np.array(target, dtype=np.int64)
@@ -403,6 +423,8 @@ def exact_cost_matching(
         return mcpm
     if target < mcpm.cost:
         return None
+    import numpy as np
+
     digits = np.array(costs, dtype=np.int64)[:, :, None]
     assignment = _search(digits, (target,), trials, seed)
     if assignment is None:

@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import math
 import os
+import pickle
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,8 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import riccicrit
-from riccicrit import cli
+from riccicrit import Graph, cli, format_edge_list
 from riccicrit.cli import main
+
+from conftest import random_connected_graph
 
 # Double star: (0, 1) has curvature -1/2 and is a feasible uw-rt-ins-ntp instance.
 STAR6 = "0 1\n0 2\n0 3\n1 4\n1 5\n"
@@ -112,10 +117,13 @@ def test_curvature_all_reports_oversized_edges_and_keeps_the_rest(capsys, tmp_pa
     path = tmp_path / "paw.edges"
     path.write_text("0 1\n1 2\n0 2\n2 3\n")
     monkeypatch.setenv("RICCI_BLOWUP_CAP", "4")
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     code, out, _ = run(capsys, "curvature", str(path), "--all")
     assert code == 0
+    # Two workers give the same records, errors included, in edge order.
+    assert run(capsys, "curvature", str(path), "--all", "--jobs", "2") == (0, out, "")
+    assert [r["edge"] for r in json.loads(out)["results"]] == [[0, 1], [0, 2], [1, 2], [2, 3]]
     records = {tuple(r["edge"]): r for r in json.loads(out)["results"]}
-    assert set(records) == {(0, 1), (0, 2), (1, 2), (2, 3)}
     for edge in [(0, 2), (1, 2)]:
         assert "q=12 exceeds cap 4" in records[edge]["error"]
         assert "ric" not in records[edge]
@@ -236,11 +244,54 @@ def test_oracle_check_file_and_output(capsys, p3_file, tmp_path):
     assert payload["mismatches"] == 0
 
 
-def test_curvature_jobs_parallel_matches_serial(capsys, blocker_files):
-    edges, _ = blocker_files
-    _, out1, _ = run(capsys, "curvature", edges, "--all")
-    _, out2, _ = run(capsys, "curvature", edges, "--all", "--jobs", "2")
-    assert out1 == out2
+@pytest.fixture()
+def serial_pool(monkeypatch):
+    """Replace the process pool by one in-process worker; returns its log.
+
+    The worker is started the way a real one is: the initializer runs on a
+    pickled copy of ``initargs``, and every mapped item is pickled too, so
+    what a real pool would ship to its workers is shipped here as well.
+    """
+    log = {"workers": [], "chunksize": []}
+
+    class SerialPool:
+        def __init__(self, max_workers, initializer, initargs):
+            log["workers"].append(max_workers)
+            initializer(*pickle.loads(pickle.dumps(initargs)))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            log["chunksize"].append(chunksize)
+            return [fn(pickle.loads(pickle.dumps(item))) for item in items]
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli, "_worker_job", ())
+    return log
+
+
+@pytest.fixture()
+def weighted_file(tmp_path):
+    """A seeded connected weighted graph (weights 1..5) with 60 nodes and ~300 edges."""
+    g = random_connected_graph(random.Random(9), 60, weighted=True, p=0.17)
+    path = tmp_path / "weighted.edges"
+    path.write_text(format_edge_list(g))
+    return g, str(path)
+
+
+def test_curvature_jobs_parallel_matches_serial(capsys, monkeypatch, blocker_files, weighted_file):
+    g, weighted = weighted_file
+    assert g.edge_count() > 4 * 2  # several chunks per worker
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    for path in (blocker_files[0], weighted):
+        for route in ("matching", "flow"):
+            _, out1, _ = run(capsys, "curvature", path, "--all", "--route", route)
+            _, out2, _ = run(capsys, "curvature", path, "--all", "--route", route, "--jobs", "2")
+            assert out1 == out2, (path, route)
 
 
 def test_curvature_jobs_below_one(capsys, p3_file):
@@ -249,26 +300,11 @@ def test_curvature_jobs_below_one(capsys, p3_file):
         assert code == 4 and out == "" and err.startswith("error:") and "--jobs" in err
 
 
-def test_curvature_jobs_capped_by_cpus_and_edges(capsys, tmp_path, monkeypatch):
+def test_curvature_jobs_capped_by_cpus_and_edges(capsys, tmp_path, monkeypatch, serial_pool):
     path = tmp_path / "k3.edges"
     path.write_text("0 1\n1 2\n0 2\n")
     _, serial, _ = run(capsys, "curvature", str(path), "--all")
-    pools = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    pools = serial_pool["workers"]
     for jobs, cpus, expected in [
         ("5000", 4, [3]),  # capped at the edge count
         ("5000", 2, [2]),  # capped at the CPU count
@@ -281,6 +317,26 @@ def test_curvature_jobs_capped_by_cpus_and_edges(capsys, tmp_path, monkeypatch):
         code, out, _ = run(capsys, "curvature", str(path), "--all", "--jobs", jobs)
         assert code == 0 and out == serial
         assert pools == expected, (jobs, cpus)
+
+
+def test_curvature_jobs_ships_the_graph_once_per_worker(capsys, monkeypatch, serial_pool, weighted_file):
+    g, path = weighted_file
+    searches = []
+    dijkstra = Graph._dijkstra
+
+    def counted(self, src, radius):
+        searches.append(src)
+        return dijkstra(self, src, radius)
+
+    monkeypatch.setattr(Graph, "_dijkstra", counted)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    code, out, _ = run(capsys, "curvature", path, "--all", "--route", "flow", "--jobs", "2")
+    assert code == 0 and len(json.loads(out)["results"]) == g.edge_count()
+    assert serial_pool == {"workers": [2], "chunksize": [math.ceil(g.edge_count() / 8)]}
+    # One graph, and so one distance memo, serves every edge: each source is
+    # searched at most once. A graph shipped with every edge would redo the
+    # row searches of N[u] for each of the ~300 edges.
+    assert len(searches) <= g.node_count
 
 
 @pytest.mark.parametrize(
@@ -369,6 +425,37 @@ def test_networkx_is_imported_only_by_the_flow_route(capsys, tmp_path):
     checked = fresh("-m", "riccicrit.cli", "oracle-check", "--random", "2", "--seed", "3")
     assert json.loads(checked)["mismatches"] == 0
     assert run(capsys, "oracle-check", "--random", "2", "--seed", "3") == (0, checked, "")
+
+
+def test_numpy_is_imported_only_by_the_randomized_solvers(tmp_path):
+    src = str(Path(riccicrit.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    star = tmp_path / "star.edges"
+    star.write_text(STAR6)
+    out = tmp_path / "out.json"
+
+    def numpy_loaded_by(argv):
+        """Whether a fresh interpreter has numpy loaded after importing the CLI and running ``argv``."""
+        probe = (
+            "import sys, riccicrit, riccicrit.cli; "
+            "code = riccicrit.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
+            "print(code, 'numpy' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, loaded = proc.stdout.split()
+        assert code == "0", proc.stderr
+        return loaded == "True"
+
+    assert not numpy_loaded_by([])
+    for route in ("matching", "flow"):
+        assert not numpy_loaded_by(["curvature", str(star), "--all", "--route", route, "--output", str(out)])
+        assert len(json.loads(out.read_text())["results"]) == 5
+    solve = ["solve", str(star), "--edge", "0", "1", "--variant", "uw-rt-ins-ntp", "--method", "randomized"]
+    assert numpy_loaded_by([*solve, "--seed", "1", "--output", str(out)])
+    assert json.loads(out.read_text())["verified"] is True
 
 
 @pytest.fixture(scope="module")

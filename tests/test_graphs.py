@@ -180,6 +180,25 @@ def test_bounded_ball_stops_at_the_radius():
     assert heavy.shortest_dist(0, 2) == 5
 
 
+def test_a_ball_holding_every_node_serves_every_radius(monkeypatch):
+    searches = []
+    dijkstra = Graph._dijkstra
+
+    def counted(self, src, radius):
+        searches.append((src, radius))
+        return dijkstra(self, src, radius)
+
+    monkeypatch.setattr(Graph, "_dijkstra", counted)
+    g = Graph(4, [(0, 1, 2), (1, 2, 1), (2, 3, 3)], weighted=True)
+    assert g.distances_from(1, 3) == {1: 0, 2: 1, 0: 2}  # misses node 3 at distance 4
+    whole = g.distances_from(1, 5)
+    assert whole == {1: 0, 2: 1, 0: 2, 3: 4}
+    assert g.distances_from(1, 9) is whole and g.distances_from(1) is whole
+    assert g.distances_from(1, 2) == {1: 0, 2: 1, 0: 2}
+    assert g.shortest_dist(1, 3) == 4
+    assert searches == [(1, 3), (1, 5)]
+
+
 def test_parse_edge_list_roundtrip():
     text = "# comment\n0 1\n1 2  # trailing\n\n2 3\n"
     g = parse_edge_list(text)
