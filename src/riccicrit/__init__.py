@@ -56,7 +56,6 @@ from .solvers import (
     kappa_hat,
     permissible_edits,
     randomized_insert,
-    weight_propagation,
 )
 
 __version__ = "0.1.0"

@@ -34,7 +34,6 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
 
 from .errors import BlowUpTooLargeError, RicciCritError
 from .graphs import Graph, ordered_pair
@@ -139,12 +138,6 @@ class TransportPlan:
 
     entries: tuple[tuple[int, int, Fraction], ...]  # (from node, to node, mass)
     total_cost: Fraction
-
-    def mass(self, x: int, y: int) -> Fraction:
-        for a, b, m in self.entries:
-            if a == x and b == y:
-                return m
-        return Fraction(0)
 
     def to_json_list(self) -> list[dict]:
         return [
@@ -301,11 +294,7 @@ def plan_from_matching(bm: BlowUpMatrix, m: Matching) -> TransportPlan:
     return TransportPlan(tuple(entries), Fraction(total, bm.q))
 
 
-def canonicalize_matching(
-    bm: BlowUpMatrix,
-    m: Matching,
-    mirrors: Iterable[tuple[int, int]] | None = None,
-) -> Matching:
+def canonicalize_matching(bm: BlowUpMatrix, m: Matching) -> Matching:
     """Rearrange a min-cost matching so every mirrored node feeds itself.
 
     For each (row index, column index) pair naming the same graph node (u, v,
@@ -315,15 +304,13 @@ def canonicalize_matching(
     through the mirrored node), so the cost is preserved exactly for min-cost
     input; non-optimal input is rejected.
     """
-    if mirrors is None:
-        mirrors = bm.source.mirror_pairs()
     optimal = min_cost_perfect_matching(bm.costs)
     if m.cost != optimal.cost or matching_cost(bm.costs, m.assignment) != m.cost:
         raise ValueError("canonicalization requires a minimum-cost perfect matching")
     assignment = list(m.assignment)
     col_to_row = {c: r for r, c in enumerate(assignment)}
     a, b = bm.a, bm.b
-    for i, j in mirrors:
+    for i, j in bm.source.mirror_pairs():
         row_copies = set(range(i * a, (i + 1) * a))
         for col in range(j * b, (j + 1) * b):
             r0 = col_to_row[col]

@@ -16,6 +16,7 @@ searched again.
 from __future__ import annotations
 
 import math
+import re
 from heapq import heappop, heappush
 from typing import Iterable
 
@@ -24,6 +25,9 @@ from .errors import EdgeListParseError, InputFileError
 INFINITY = math.inf
 
 Pair = tuple[int, int]
+
+# The header ``format_edge_list`` writes; it keeps trailing isolated nodes.
+_NODES_HEADER = re.compile(r"# nodes: ([0-9]+)")
 
 
 def ordered_pair(a: int, b: int) -> Pair:
@@ -271,11 +275,21 @@ class Graph:
 
 
 def parse_edge_list(text: str) -> Graph:
+    """The graph of an edge-list text.
+
+    A comment line of exactly the form ``# nodes: N`` sets a lower bound on
+    the node count, which is max(N, largest node id + 1); every other
+    comment is ignored.
+    """
     triples: list[tuple[int, int, int]] = []
     seen: set[Pair] = set()
     weighted = False
     max_node = -1
     for line_no, raw in enumerate(text.splitlines(), start=1):
+        header = _NODES_HEADER.fullmatch(raw.strip())
+        if header:
+            max_node = max(max_node, int(header[1]) - 1)
+            continue
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -58,9 +58,6 @@ class Matching:
         if sorted(self.assignment) != list(range(n)):
             raise ValueError("assignment must be a permutation of 0..n-1")
 
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple((i, j) for i, j in enumerate(self.assignment))
-
     def to_json_dict(self) -> dict:
         return {"assignment": list(self.assignment), "cost": self.cost}
 

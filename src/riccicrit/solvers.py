@@ -20,9 +20,10 @@ On unweighted graphs (``uw-rt-ins-ntp``, ``uw-ut-ins-ntp``,
 single-edit shortcut and the feasibility check inside greedy and randomized
 -- run on the local cost matrix: an edit set is judged from the adjacency
 sets of the edge's 2-ball and a small r x s transportation problem, without
-building a graph. Weighted variants search on edited graphs. Either way,
-every edit set a solver returns is re-verified by the flow route on the
-edited graph; an unverified edit set is never returned.
+building a graph. Greedy re-reads its weights from the same edited
+adjacency sets after each insertion. Weighted variants search on edited
+graphs. Either way, every edit set a solver returns is re-verified by the
+flow route on the edited graph; an unverified edit set is never returned.
 """
 
 from __future__ import annotations
@@ -281,17 +282,30 @@ def _flips(inst: Instance, edits: Iterable) -> tuple[bool, Fraction]:
     return res.sign == _demanded_sign(inst), res.ric
 
 
+def _adjacency_costs(rows, cols, near) -> list[list[int]]:
+    """Unweighted distances from each of ``rows`` to each of ``cols``, in order.
+
+    ``near(x)`` is the adjacency set of ``x``. The nodes lie in N[u] and N[v]
+    of an edge u-v that no permissible edit removes, so every row node is
+    within 3 hops of every column node through it: an entry is 0 if x = y, 1
+    if x and y are adjacent, 2 if they share a neighbor and 3 otherwise.
+    """
+    col_sets = [(y, near(y)) for y in cols]
+    costs = []
+    for x in rows:
+        near_x = near(x)
+        costs.append([0 if x == y else 1 if y in near_x else 3 if near_x.isdisjoint(ny) else 2 for y, ny in col_sets])
+    return costs
+
+
 class _LocalEvaluator:
     """Exact curvature of an unweighted edge after an edit set, from adjacency sets.
 
-    No permissible edit removes the edge u-v, so every node of N[u] is within
-    3 hops of every node of N[v] through it: a cost entry is 0 if x = y, 1 if
-    x and y are adjacent, 2 if they share a neighbor and 3 otherwise. An edit
-    changes only its two endpoints' adjacency sets, which are copied before
-    they change; N[u] and N[v] are read from the edited sets, so edits at u
-    or v (unrestricted variants) are covered too. The EMD times q is the
-    optimum of the r x s transportation problem with supplies q/r and
-    demands q/s.
+    The cost entries follow ``_adjacency_costs``. An edit changes only its
+    two endpoints' adjacency sets, which are copied before they change; N[u]
+    and N[v] are read from the edited sets, so edits at u or v (unrestricted
+    variants) are covered too. The EMD times q is the optimum of the r x s
+    transportation problem with supplies q/r and demands q/s.
     """
 
     def __init__(self, g: Graph, edge: tuple[int, int], variant: ProblemVariant):
@@ -330,13 +344,7 @@ class _LocalEvaluator:
             self.apply(edited, edit)
         rows = [self._u, *self.neighbors(self._u, edited)]
         cols = [self._v, *self.neighbors(self._v, edited)]
-        col_sets = [(y, self.neighbors(y, edited)) for y in cols]
-        costs = []
-        for x in rows:
-            near = self.neighbors(x, edited)
-            costs.append(
-                [0 if x == y else 1 if y in near else 3 if near.isdisjoint(ny) else 2 for y, ny in col_sets]
-            )
+        costs = _adjacency_costs(rows, cols, lambda x: self.neighbors(x, edited))
         r, s = len(rows), len(cols)
         q = math.lcm(r, s)
         flow, _ = _transport(costs, [q // r] * r, [q // s] * s)
@@ -531,11 +539,22 @@ def _require_approx_variant(inst: Instance) -> None:
         )
 
 
-def _require_feasible_insertion(inst: Instance) -> None:
-    """Raise unless inserting every permissible edge flips the sign (saturation)."""
+def _approx_setup(inst: Instance, method: str) -> _Setup | Solution:
+    """The set-up of an approximation solver, or its answer if that is one edit.
+
+    Raises unless inserting every permissible edge flips the sign
+    (saturation). When the minimum matched cost sits at the threshold
+    (rho = 0), a single verified edit, if any flips, is the answer.
+    """
     edits = permissible_edits(inst)
     if not edits or not inst._local.flips(edits):
         raise InfeasibleInstanceError("no permissible insertion set flips this edge")
+    setup = _setup(inst)
+    if setup.rho == 0:
+        single = _single_edit_solution(inst, method)
+        if single is not None:
+            return single
+    return setup
 
 
 def _single_edit_solution(inst: Instance, method: str) -> Solution | None:
@@ -556,60 +575,6 @@ def _finish_insert_solution(
     return Solution(edits, ric_after, method, drops=drops)
 
 
-# -- weight propagation (restricted insertions, general neighborhoods) ----------
-
-
-def weight_propagation(g: Graph, cm: CostMatrix, inserted: tuple[int, int]) -> CostMatrix:
-    """Cost-matrix update for inserting the weight-1 edge ``inserted``.
-
-    The direct entry falls to 1. The only other entries that can change are
-    3-entries in the inserted column whose row neighbors the inserted row
-    node, and 3-entries in the inserted row whose column neighbors the
-    inserted column node; each falls to 2 (a two-step path through the new
-    edge). ``g`` is the graph before this insertion, including all earlier
-    insertions.
-    """
-    x, y = inserted
-    try:
-        i = cm.row_nodes.index(x)
-        j = cm.col_nodes.index(y)
-    except ValueError:
-        raise ValueError(f"inserted pair {inserted} does not map to a cost-matrix cell") from None
-    if not cm.touchable[i][j]:
-        raise ValueError(f"entry for {inserted} is untouchable")
-    costs = [list(row) for row in cm.costs]
-    _propagate_insertion(costs, cm, (i, j), set(g.neighbors(x)), set(g.neighbors(y)))
-    return CostMatrix(cm.u, cm.v, cm.row_nodes, cm.col_nodes, tuple(tuple(r) for r in costs))
-
-
-def _propagate_insertion(
-    costs: list[list[int]], cm: CostMatrix, cell: tuple[int, int], near_x: Set[int], near_y: Set[int]
-) -> None:
-    """In-place core of ``weight_propagation`` for the touchable ``cell``.
-
-    ``near_x`` and ``near_y`` are the adjacency sets of the cell's row and
-    column nodes before the insertion.
-    """
-    i, j = cell
-    x, y = cm.row_nodes[i], cm.col_nodes[j]
-    if costs[i][j] > 1:
-        costs[i][j] = 1
-    # Common neighbors sit on both sides, so the inserted pair may name a
-    # second, transposed cell; rows/columns of common neighbors never hold
-    # 3-entries, hence no further family updates are needed around it.
-    if y in cm.row_nodes and x in cm.col_nodes:
-        ti = cm.row_nodes.index(y)
-        tj = cm.col_nodes.index(x)
-        if costs[ti][tj] > 1:
-            costs[ti][tj] = 1
-    for i2, xn in enumerate(cm.row_nodes):
-        if i2 != i and costs[i2][j] == 3 and xn in near_x:
-            costs[i2][j] = 2
-    for j2, yn in enumerate(cm.col_nodes):
-        if j2 != j and costs[i][j2] == 3 and yn in near_y:
-            costs[i][j2] = 2
-
-
 # -- greedy ----------------------------------------------------------------------
 
 
@@ -624,8 +589,9 @@ def greedy_schedule(
 
     Drops the lexicographically first matched touchable 3-entry (then
     2-entry) to 1 until the matched cost is strictly below ``threshold``.
-    ``after_drop(weights, (i, j))`` may lower further entries in place (weight
-    propagation). Returns the list of dropped cells.
+    ``after_drop(weights, (i, j))`` may rewrite ``weights`` in place after
+    each drop; ``greedy_insert`` re-reads every entry from the adjacency sets
+    with the inserted edge. Returns the list of dropped cells.
     """
     weights = [list(row) for row in costs]
     drops: list[tuple[int, int]] = []
@@ -654,17 +620,14 @@ def greedy_insert(inst: Instance, start: Matching | None = None) -> Solution:
 
     Starting from a canonicalized minimum-cost perfect matching of the
     blow-up, repeatedly pick a matched touchable 3-entry (then 2-entry),
-    insert the corresponding graph edge, and propagate the induced weight
-    drops, until the matched cost falls below q. One drop per inserted edge:
-    all copies of a block fall together.
+    insert the corresponding graph edge, and re-read the weights of the
+    edited neighborhoods, until the matched cost falls below q. One drop per
+    inserted edge: all copies of a block fall together.
     """
     _require_approx_variant(inst)
-    _require_feasible_insertion(inst)
-    setup = _setup(inst)
-    if setup.rho == 0:
-        single = _single_edit_solution(inst, "greedy")
-        if single is not None:
-            return single
+    setup = _approx_setup(inst, "greedy")
+    if isinstance(setup, Solution):
+        return setup
     if start is None:
         start = canonicalize_matching(setup.bm, setup.mcpm)
     else:
@@ -678,11 +641,8 @@ def greedy_insert(inst: Instance, start: Matching | None = None) -> Solution:
     inserted: dict[int, set[int]] = {}
 
     def after_drop(weights, cell):
-        # The entry is already 1 in `weights`; propagation only needs to
-        # lower the 3-entries reachable through the new edge.
-        x, y = cm.row_nodes[cell[0]], cm.col_nodes[cell[1]]
-        _propagate_insertion(weights, cm, cell, local.neighbors(x, inserted), local.neighbors(y, inserted))
-        local.apply(inserted, (ordered_pair(x, y), 1))
+        local.apply(inserted, (ordered_pair(cm.row_nodes[cell[0]], cm.col_nodes[cell[1]]), 1))
+        weights[:] = _adjacency_costs(cm.row_nodes, cm.col_nodes, lambda x: local.neighbors(x, inserted))
 
     drops, _ = greedy_schedule(cm.costs, cm.touchable, matched_blocks, setup.q, after_drop=after_drop)
     return _finish_insert_solution(inst, cm, drops, "greedy", len(drops))
@@ -704,12 +664,9 @@ def randomized_insert(inst: Instance, seed: int, *, trials: int = 4) -> Solution
     _require_approx_variant(inst)
     if trials < 1:
         raise ValueError("trials must be positive")
-    _require_feasible_insertion(inst)
-    setup = _setup(inst)
-    if setup.rho == 0:
-        single = _single_edit_solution(inst, "randomized")
-        if single is not None:
-            return single
+    setup = _approx_setup(inst, "randomized")
+    if isinstance(setup, Solution):
+        return setup
     mask = setup.bm.touchable_mask()
     support = signature_support(setup.bm.costs, mask, trials=min(trials, 2), seed=seed)
     by_cost: dict[int, list[tuple[int, int]]] = {}

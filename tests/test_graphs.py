@@ -207,6 +207,10 @@ def test_parse_edge_list_roundtrip():
     w = parse_edge_list("0 1 3\n1 2 1\n")
     assert w.weighted and w.weight(0, 1) == 3
     assert parse_edge_list(format_edge_list(w)) == w
+    isolated = Graph(4, [(0, 1)])
+    assert parse_edge_list(format_edge_list(isolated)) == isolated
+    assert parse_edge_list("# nodes: 2\n0 4\n").node_count == 5
+    assert parse_edge_list("# nodes: 9 extra\n#nodes: 9\n0 1\n").node_count == 2
 
 
 @pytest.mark.parametrize(

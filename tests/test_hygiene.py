@@ -1,0 +1,69 @@
+"""Source hygiene checks on the package modules."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import riccicrit
+
+PACKAGE = Path(riccicrit.__file__).parent
+# __init__.py imports only to re-export.
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Each name an import statement binds, with its line."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    """Every name read in the module, string annotations included."""
+    used = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for annotation in annotations:
+        for part in ast.walk(annotation):
+            if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                used |= _used_names(ast.parse(part.value, mode="eval"))
+    return used
+
+
+def _names(source: str) -> tuple[dict[str, int], set[str]]:
+    tree = ast.parse(source)
+    return _imported_names(tree), _used_names(tree)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    imported, used = _names(path.read_text(encoding="utf-8"))
+    unused = sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+    assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def test_unused_import_check_sees_annotations():
+    source = (
+        "from typing import Iterable, Mapping\n"
+        "import os.path\n"
+        "from x import Quoted, Unused\n"
+        "def f(a: Iterable) -> 'Quoted | None':\n"
+        "    return os.path.sep\n"
+    )
+    imported, used = _names(source)
+    assert sorted(name for name in imported if name not in used) == ["Mapping", "Unused"]

@@ -26,12 +26,12 @@ from riccicrit import (
     permissible_edits,
     randomized_insert,
     ricci,
-    weight_propagation,
 )
 from riccicrit.gadgets import cover_insertions_maxcov
 from riccicrit.matching import EdgeClassCounts, min_cost_perfect_matching
 from riccicrit.solvers import (
     _LocalEvaluator,
+    _adjacency_costs,
     _flips,
     _setup,
     _single_edit_solution,
@@ -253,52 +253,6 @@ def test_selected_drops_cross_the_threshold():
     assert new_cost < setup.q
 
 
-# -- weight propagation ------------------------------------------------------------
-
-
-def test_weight_propagation_matches_rebuild(rng):
-    checked = 0
-    while checked < 120:
-        g = random_connected_graph(rng, rng.randint(5, 9), p=0.35)
-        u, v, _w = g.edges()[rng.randrange(g.edge_count())]
-        cm = build_cost_matrix(g, (u, v))
-        cands = [
-            (x, y)
-            for x in g.neighbors(cm.u)
-            if x != cm.v
-            for y in g.neighbors(cm.v)
-            if y != cm.u and x != y and not g.has_edge(x, y)
-        ]
-        if not cands:
-            continue
-        x, y = cands[rng.randrange(len(cands))]
-        if x not in cm.row_nodes:
-            x, y = y, x
-        if x not in cm.row_nodes or y not in cm.col_nodes:
-            continue
-        updated = weight_propagation(g, cm, (x, y))
-        g2 = g.insert_edges([(tuple(sorted((x, y))), 1)])
-        rebuilt = build_cost_matrix(g2, (u, v))
-        assert rebuilt.row_nodes == cm.row_nodes and rebuilt.col_nodes == cm.col_nodes
-        assert updated.costs == rebuilt.costs
-        checked += 1
-
-
-def test_weight_propagation_noop_under_spade():
-    inst = neg_instance(3, 5, [(0, 1)])
-    cm = build_cost_matrix(inst.graph, inst.edge)
-    x, y = 2, 4
-    assert not inst.graph.has_edge(x, y)
-    updated = weight_propagation(inst.graph, cm, (x, y))
-    diffs = [
-        (i, j)
-        for i in range(cm.r)
-        for j in range(cm.s)
-        if updated.costs[i][j] != cm.costs[i][j]
-    ]
-    assert diffs == [(cm.row_nodes.index(x), cm.col_nodes.index(y))]
-
-
 # -- greedy / randomized / brute ----------------------------------------------------
 
 
@@ -464,6 +418,13 @@ def test_local_evaluator_matches_flow_route(graph, key, picks):
     assert local.flips(edits) == (after.sign == demanded)
     if local.flips(edits):
         assert not local.out_of_reach(edits, len(edits))
+    sets: dict[int, set[int]] = {}
+    for edit in edits:
+        local.apply(sets, edit)
+    cm = build_cost_matrix(edited, (0, 1))
+    assert _adjacency_costs(cm.row_nodes, cm.col_nodes, lambda x: local.neighbors(x, sets)) == [
+        list(row) for row in cm.costs
+    ]
 
 
 def _reference_brute_force(inst, max_k):
