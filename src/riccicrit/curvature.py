@@ -7,17 +7,20 @@ the same exact rational:
 
 * the matching route replicates the r x s neighborhood cost matrix into a
   q x q matrix (q = lcm(r, s)) whose minimum-cost perfect matchings have cost
-  exactly q * EMD; the matching solver groups the blow-up's identical rows and
-  columns back into the r x s transportation problem, solves that by
-  successive shortest paths and expands the lexicographically smallest
-  optimal matching, and
+  exactly q * EMD; the matching solver groups the blow-up's runs of identical
+  rows and columns back into the r x s transportation problem, solves that
+  by successive shortest paths and expands the lexicographically smallest
+  optimal matching a run of rows at a time, and
 * the flow route solves the transportation LP directly as an integer
   min-cost-flow (networkx network simplex) after scaling both marginals by q.
 
 The matching route is the default because downstream solvers consume the
 matching witness; the flow route stays as the independent oracle and also
 avoids building the blown-up matrix when q is huge. networkx is imported on
-the first flow-route call, so the matching route never loads it.
+the first flow-route call, so the matching route never loads it. Building
+the blow-up (r distinct rows of q cells, each row object repeated a times)
+and folding the q matched pairs back into a plan run at C speed
+(``itertools``, ``collections.Counter``).
 
 Both routes start from the same ``CostMatrix``, the one per-edge object that
 ``build_cost_matrix`` returns: the r x s distances between N[u] and N[v],
@@ -31,9 +34,12 @@ from __future__ import annotations
 import enum
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, repeat
+from operator import floordiv
 
 from .errors import BlowUpTooLargeError, RicciCritError
 from .graphs import Graph, ordered_pair
@@ -218,8 +224,9 @@ def blow_up(cm: CostMatrix, *, cap: int | None = None) -> BlowUpMatrix:
     """Replicate the cost matrix to a q x q matrix, q = lcm(r, s).
 
     Each row node's expanded row (every entry repeated b times) is built
-    once, and its a copies in the blow-up are that same tuple, so the Python
-    work is r*q cells, not q^2.
+    once, and its a copies in the blow-up are that same tuple. ``itertools``
+    repeats the cells at C speed, so the Python work is one step per row
+    node, not per cell.
     """
     r, s = cm.r, cm.s
     q = math.lcm(r, s)
@@ -227,10 +234,9 @@ def blow_up(cm: CostMatrix, *, cap: int | None = None) -> BlowUpMatrix:
     if q > limit:
         raise BlowUpTooLargeError(f"blow-up size q={q} exceeds cap {limit}")
     a, b = q // r, q // s
-    costs = []
-    for row in cm.costs:
-        costs.extend([tuple(c for c in row for _ in range(b))] * a)
-    return BlowUpMatrix(cm, q, a, b, tuple(costs))
+    rows = (tuple(chain.from_iterable(map(repeat, row, repeat(b, s)))) for row in cm.costs)
+    costs = tuple(chain.from_iterable(map(repeat, rows, repeat(a, r))))
+    return BlowUpMatrix(cm, q, a, b, costs)
 
 
 def emd_via_matching(bm: BlowUpMatrix) -> tuple[Fraction, Matching]:
@@ -276,22 +282,21 @@ def plan_from_matching(bm: BlowUpMatrix, m: Matching) -> TransportPlan:
 
     Each matched copy pair ships mass 1/q between its block's nodes, so the
     plan costs cost(m)/q and meets the row-sum 1/r and column-sum 1/s
-    constraints exactly.
+    constraints exactly. The pairs are counted per block at C speed; the
+    Python work is per block that ships, not per row.
     """
     if len(m.assignment) != bm.q:
         raise ValueError("matching size does not match the blow-up")
-    cell_count: dict[tuple[int, int], int] = {}
-    for row, col in enumerate(m.assignment):
-        key = bm.block(row, col)
-        cell_count[key] = cell_count.get(key, 0) + 1
+    q, a, b = bm.q, bm.a, bm.b
+    cell_count = Counter(zip(map(floordiv, range(q), repeat(a)), map(floordiv, m.assignment, repeat(b))))
     entries = []
     total = 0
     for (i, j), cnt in sorted(cell_count.items()):
-        entries.append((bm.source.row_nodes[i], bm.source.col_nodes[j], Fraction(cnt, bm.q)))
+        entries.append((bm.source.row_nodes[i], bm.source.col_nodes[j], Fraction(cnt, q)))
         total += bm.source.costs[i][j] * cnt
     if total != m.cost:
         raise ValueError("matching cost does not match the blow-up costs")
-    return TransportPlan(tuple(entries), Fraction(total, bm.q))
+    return TransportPlan(tuple(entries), Fraction(total, q))
 
 
 def canonicalize_matching(bm: BlowUpMatrix, m: Matching) -> Matching:

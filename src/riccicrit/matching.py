@@ -2,10 +2,12 @@
 
 Three layers live here:
 
-* an exact minimum-cost perfect matching solver: identical rows and columns
-  are grouped into a transportation problem, which successive shortest paths
-  with potentials solve; the lexicographically smallest optimal assignment is
-  then expanded from its tight groups;
+* an exact minimum-cost perfect matching solver: runs of identical rows and
+  columns are grouped into a transportation problem, which successive
+  shortest paths with potentials solve; the lexicographically smallest
+  optimal assignment is then expanded from its tight groups, a run of rows
+  taking a run of one group's free columns per step, so the q-level work is
+  C-level and the Python work is per run;
 * an exhaustive enumerator used as the desk-scale oracle;
 * randomized search for perfect matchings of a prescribed exact cost, and the
   refinement that also prescribes how many 3-cost and touchable 2-cost edges
@@ -24,6 +26,7 @@ the matching kernel (and with it every curvature route) never loads numpy.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import heapq
 import itertools
@@ -104,11 +107,17 @@ def matching_cost(costs: Sequence[Sequence[int]], assignment: Sequence[int]) -> 
     return sum(costs[i][j] for i, j in enumerate(assignment))
 
 
-def _group(rows: Iterable[Sequence[int]]) -> tuple[list[int], list[tuple[int, ...]]]:
-    """Label each row by its first identical row: (labels, distinct rows in order)."""
-    index: dict[tuple[int, ...], int] = {}
-    labels = [index.setdefault(tuple(row), len(index)) for row in rows]
-    return labels, list(index)
+def _runs(rows: Iterable[tuple]) -> tuple[list[tuple[int, int]], list[tuple]]:
+    """Group the runs of consecutive equal rows.
+
+    Returns each run's (label, length) in order, labelling a run by the first
+    run with an equal row, and the distinct rows by label. A blow-up repeats
+    one row object for a row node's copies, and ``groupby`` checks identity
+    before equality, so such a run costs no element comparisons.
+    """
+    index: dict[tuple, int] = {}
+    runs = [(index.setdefault(key, len(index)), len(list(run))) for key, run in itertools.groupby(rows)]
+    return runs, list(index)
 
 
 def _transport(
@@ -179,14 +188,61 @@ def _transport(
     return flow, tight
 
 
-def _take_unit(flow: list[list[int]], tight: list[list[bool]], g: int, pick) -> int:
-    """Remove one unit of row ``g`` from the plan, shipped to the column ``pick`` prefers.
+class _FreeColumns:
+    """Each column group's columns in order, and how many it has given out.
+
+    ``head[h]`` is group h's smallest free column, or the column count once
+    the group is full, so a full group never has the smallest head.
+    """
+
+    def __init__(self, runs: list[tuple[int, int]], groups: int):
+        self.members: list[list[int]] = [[] for _ in range(groups)]
+        start = 0
+        for h, n in runs:
+            self.members[h] += range(start, start + n)
+            start += n
+        self.end = start
+        self.taken = [0] * groups
+        self.head = [m[0] for m in self.members]
+
+    def first_run(self, groups: list[int]) -> tuple[int, int]:
+        """The group among ``groups`` whose free column is smallest, and how
+        many of its free columns come before every other group's head."""
+        head = self.head
+        h = min(groups, key=head.__getitem__)
+        first = head[h]
+        head[h] = self.end  # h out of the way while the others' smallest head is read
+        bound = min(map(head.__getitem__, groups))
+        head[h] = first
+        start = self.taken[h]
+        return h, bisect.bisect_left(self.members[h], bound, start) - start
+
+    def take(self, h: int, k: int) -> list[int]:
+        """Give out group h's next k free columns."""
+        members, start = self.members[h], self.taken[h]
+        self.taken[h] = stop = start + k
+        self.head[h] = members[stop] if stop < len(members) else self.end
+        return members[start:stop]
+
+
+def _take_units(
+    flow: list[list[int]],
+    tight: list[list[bool]],
+    g: int,
+    want: int,
+    free: _FreeColumns,
+) -> tuple[int, int]:
+    """Remove up to ``want`` units of row ``g`` from the plan, all shipped to
+    the column group whose next free column is smallest among those allowed.
 
     The columns tight with ``g`` that can reach ``g`` in the residual graph
     (back along used cells, forward along tight ones) are exactly those to
     which some optimal plan for the remaining rows ships a unit of ``g``. One
-    search, expanding each row at most once, finds them all; the plan is then
-    rerouted along the path so that the unit leaves at the chosen column.
+    search, expanding each row at most once, finds them all. The plan is then
+    rerouted along the path so that k units leave at the chosen group, k
+    being at most the path's bottleneck and the chosen group's free columns
+    below every other allowed group's next one, so that k single-unit calls
+    would have chosen the same group each time. Returns (group, k).
     """
     via_c: dict[int, int] = {}
     via_r = {g: -1}
@@ -200,57 +256,70 @@ def _take_unit(flow: list[list[int]], tight: list[list[bool]], g: int, pick) -> 
                     if row[h] and y not in via_r:
                         via_r[y] = h
                         stack.append(y)
-    chosen = h = pick(c for c in via_c if tight[g][c])
-    x = via_c[h]
-    flow[x][h] -= 1
-    while x != g:
-        h = via_r[x]
-        flow[x][h] += 1
+    chosen, room = free.first_run([c for c in via_c if tight[g][c]])
+    back, ahead = [], []  # the path's cells that lose and gain flow
+    h = chosen
+    while True:
         x = via_c[h]
-        flow[x][h] -= 1
-    return chosen
+        back.append((x, h))
+        if x == g:
+            break
+        h = via_r[x]
+        ahead.append((x, h))
+    k = min(want, room, *(flow[x][h] for x, h in back))
+    for x, h in back:
+        flow[x][h] -= k
+    for x, h in ahead:
+        flow[x][h] += k
+    return chosen, k
 
 
 def min_cost_perfect_matching(costs: Sequence[Sequence[int]]) -> Matching:
     """The lexicographically smallest minimum-cost perfect matching.
 
-    Identical rows and identical columns are grouped, so the q x q blow-up of
-    an r x s matrix becomes an r x s (or smaller) transportation problem whose
-    supplies and demands are the group sizes. Its optimal duals mark the tight
-    groups, which every minimum-cost matching uses exclusively. The rows are
-    then expanded in order, each taking the smallest free column of a tight
-    group that still leaves a feasible plan for the remaining rows, which
-    yields the lexicographically smallest minimum-cost assignment vector (row
-    0 first) in O(q * R * K) for R row and K column groups. Exact integers
-    throughout.
+    Runs of consecutive identical rows, and of identical columns, are
+    grouped, so the q x q blow-up of an r x s matrix becomes an r x s (or
+    smaller) transportation problem whose supplies and demands are the group
+    sizes. Its optimal duals mark the tight groups, which every minimum-cost
+    matching uses exclusively. The rows are then expanded in order, each
+    taking the smallest free column of a tight group that still leaves a
+    feasible plan for the remaining rows, which yields the lexicographically
+    smallest minimum-cost assignment vector (row 0 first). The groups
+    feasible for a row's group only shrink as its run is expanded, so a
+    stretch of the run that takes consecutive free columns of one group is
+    placed in one step: the plan's own shipment when it already ships there,
+    else one rerouting along a residual path (``_take_units``). Grouping and
+    placing the columns are O(q) C-level work; the Python work is per run,
+    not per row. Exact integers throughout: the cost is summed over the
+    grouped costs as plain ints, whatever the input's element type.
     """
     _check_square(costs)
-    row_of, row_keys = _group(costs)
-    col_of, col_keys = _group(zip(*row_keys))
-    # Plain ints: numpy entries could overflow in the potentials.
+    row_runs, row_keys = _runs(map(tuple, costs))
+    col_runs, col_keys = _runs(zip(*row_keys))
+    # Plain ints: numpy entries could overflow in the potentials and the total.
     cost = [[int(c) for c in row] for row in zip(*col_keys)]
-    members: list[list[int]] = [[] for _ in col_keys]
-    for j, h in enumerate(col_of):
-        members[h].append(j)
-    supply = [row_of.count(g) for g in range(len(row_keys))]
-    flow, tight = _transport(cost, supply, [len(m) for m in members])
-    taken = [0] * len(members)
-
-    def first_free(groups):
-        return min(groups, key=lambda h: members[h][taken[h]])
-
-    assignment = []
-    for g in row_of:
-        # The smallest free tight column is feasible outright when the plan
-        # already ships g to its group; otherwise a search finds the best one.
-        h = first_free(h for h, t in enumerate(tight[g]) if t and taken[h] < len(members[h]))
-        if flow[g][h]:
-            flow[g][h] -= 1
-        else:
-            h = _take_unit(flow, tight, g, first_free)
-        assignment.append(members[h][taken[h]])
-        taken[h] += 1
-    return Matching(tuple(assignment), matching_cost(costs, assignment))
+    free = _FreeColumns(col_runs, len(col_keys))
+    supply = [0] * len(row_keys)
+    for g, n in row_runs:
+        supply[g] += n
+    flow, tight = _transport(cost, supply, list(map(len, free.members)))
+    tight_of = [list(itertools.compress(range(len(row)), row)) for row in tight]
+    assignment: list[int] = []
+    total = 0
+    for g, left in row_runs:
+        while left:
+            # The plan's own shipment to the first free tight group is
+            # feasible outright; otherwise a search finds the best group.
+            h, room = free.first_run(tight_of[g])
+            if flow[g][h]:
+                k = min(left, room, flow[g][h])
+                flow[g][h] -= k
+            else:
+                h, k = _take_units(flow, tight, g, left, free)
+            assignment += free.take(h, k)
+            total += k * cost[g][h]
+            left -= k
+    return Matching(tuple(assignment), total)
 
 
 def enumerate_matchings(costs: Sequence[Sequence[int]], *, bound: int = ENUMERATION_BOUND) -> Iterator[Matching]:

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -81,6 +82,43 @@ def test_curvature_all_edges_deterministic(capsys, p3_file):
     assert code1 == code2 == 0
     assert out1 == out2
     assert len(json.loads(out1)["results"]) == 2
+
+
+def _unweighted_pin_graph():
+    rng, pairs = random.Random(3), set()
+    while len(pairs) < 800:
+        a, b = rng.randrange(200), rng.randrange(200)
+        if a != b:
+            pairs.add((min(a, b), max(a, b)))
+    return "".join(f"{u} {v}\n" for u, v in sorted(pairs))
+
+
+def _weighted_pin_graph():
+    rng, weights = random.Random(4), {}
+    while len(weights) < 150:
+        a, b = rng.randrange(40), rng.randrange(40)
+        if a != b:
+            weights.setdefault((min(a, b), max(a, b)), rng.randint(1, 5))
+    return "".join(f"{u} {v} {w}\n" for (u, v), w in sorted(weights.items()))
+
+
+@pytest.mark.parametrize(
+    "name, graph, digest",
+    [
+        ("g200.edges", _unweighted_pin_graph, "b0d04fc689263bfb3d4b6ceb59fb9dee823bca88468c1102260a33b3d6b85374"),
+        ("w40.edges", _weighted_pin_graph, "abfe6dade0322ece11864db34d977c03883288215af898b05ef7638e23f02415"),
+    ],
+    ids=["unweighted", "weighted"],
+)
+def test_curvature_all_default_route_output_is_pinned(capsys, tmp_path, monkeypatch, name, graph, digest):
+    # The exact stdout of the matching route, plans included, as the
+    # row-by-row expansion printed it. The payload names its input file, so
+    # the file is passed by a relative name.
+    monkeypatch.chdir(tmp_path)
+    Path(name).write_text(graph())
+    code, out, _ = run(capsys, "curvature", name, "--all")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_curvature_flow_route_agrees(capsys, p3_file):

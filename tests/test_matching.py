@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import re
@@ -18,13 +19,14 @@ from riccicrit import (
     matching_with_counts,
     min_cost_perfect_matching,
 )
-from riccicrit import _detcube
+from riccicrit import _detcube, matching
 from riccicrit._detcube import SignatureCube, coefficient_at, det_batch, row_coefficients
 from riccicrit.matching import (
     _cached_cube,
     _check_square,
     _extract_assignment,
     _signature_digits,
+    _transport,
     _trial_scalars,
     matching_cost,
     signature_support,
@@ -56,7 +58,7 @@ _matrices = st.integers(2, 5).flatmap(
 
 @settings(max_examples=120, deadline=None)
 @given(_matrices)
-def test_hungarian_matches_enumeration(costs):
+def test_kernel_matches_enumeration(costs):
     best = min(m.cost for m in enumerate_matchings(costs))
     got = min_cost_perfect_matching(costs)
     assert got.cost == best
@@ -90,6 +92,125 @@ def test_blow_up_matching_is_first_min_cost_enumerated(costs):
     matchings = list(enumerate_matchings(costs))
     best = min(m.cost for m in matchings)
     assert min_cost_perfect_matching(costs) == next(m for m in matchings if m.cost == best)
+
+
+def _row_by_row(costs):
+    """The lex-min kernel's former expansion, one row at a time: each row
+    takes the smallest free column of a tight group, straight from the plan
+    when the plan ships its group there, else after one residual search
+    that reroutes a single unit."""
+    index = {}
+    row_of = [index.setdefault(tuple(row), len(index)) for row in costs]
+    row_keys = list(index)
+    index = {}
+    col_of = [index.setdefault(col, len(index)) for col in zip(*row_keys)]
+    cost = [[int(c) for c in row] for row in zip(*index)]
+    members = [[] for _ in index]
+    for j, h in enumerate(col_of):
+        members[h].append(j)
+    flow, tight = _transport(cost, [row_of.count(g) for g in range(len(row_keys))], list(map(len, members)))
+    taken = [0] * len(members)
+
+    def first_free(groups):
+        return min(groups, key=lambda h: members[h][taken[h]])
+
+    def take_unit(g):
+        via_c, via_r, stack = {}, {g: -1}, [g]
+        while stack:
+            x = stack.pop()
+            for h, f in enumerate(flow[x]):
+                if f and h not in via_c:
+                    via_c[h] = x
+                    for y, row in enumerate(tight):
+                        if row[h] and y not in via_r:
+                            via_r[y] = h
+                            stack.append(y)
+        chosen = h = first_free(c for c in via_c if tight[g][c])
+        x = via_c[h]
+        flow[x][h] -= 1
+        while x != g:
+            h = via_r[x]
+            flow[x][h] += 1
+            x = via_c[h]
+            flow[x][h] -= 1
+        return chosen
+
+    assignment = []
+    for g in row_of:
+        h = first_free(h for h, t in enumerate(tight[g]) if t and taken[h] < len(members[h]))
+        if flow[g][h]:
+            flow[g][h] -= 1
+        else:
+            h = take_unit(g)
+        assignment.append(members[h][taken[h]])
+        taken[h] += 1
+    return Matching(tuple(assignment), sum(int(costs[i][j]) for i, j in enumerate(assignment)))
+
+
+@st.composite
+def _shaped_matrices(draw):
+    """Blow-ups of r x s matrices (r, s <= 9) whose rows come from a small
+    pool, some with rows and columns permuted so that groups are not
+    contiguous, as list, tuple or numpy rows."""
+    r, s = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    top = draw(st.sampled_from([1, 3, 100, 10**30]))
+    pool = draw(st.lists(st.lists(st.integers(0, top), min_size=s, max_size=s), min_size=1, max_size=r))
+    base = [pool[k] for k in draw(st.lists(st.integers(0, len(pool) - 1), min_size=r, max_size=r))]
+    q = math.lcm(r, s)
+    a, b = q // r, q // s
+    rows = [tuple(c for c in row for _ in range(b)) for row in base]
+    costs = [rows[i // a] for i in range(q)]
+    if draw(st.booleans()):
+        pr, pc = draw(st.permutations(range(q))), draw(st.permutations(range(q)))
+        costs = [tuple(costs[i][j] for j in pc) for i in pr]
+    form = draw(st.sampled_from(["tuple", "list", "numpy"] if top < 2**62 else ["tuple", "list"]))
+    if form == "list":
+        return [list(row) for row in costs]
+    return np.array(costs, dtype=np.int64) if form == "numpy" else costs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_shaped_matrices())
+def test_run_expansion_matches_the_row_by_row_expansion(costs):
+    got = min_cost_perfect_matching(costs)
+    assert got == _row_by_row(costs)
+    assert type(got.cost) is int
+
+
+def test_take_units_moves_a_run_in_one_reroute(monkeypatch):
+    # Row group (2, 2, 2, 3) needs both copies of column group (2, 2), which
+    # the plan may ship from the other row group; one reroute moves both.
+    moved = []
+    original = matching._take_units
+    monkeypatch.setattr(matching, "_take_units", lambda *a: moved.append(original(*a)) or moved[-1])
+    costs = [(2, 2, 2, 3), (2, 2, 2, 3), (0, 2, 2, 0), (0, 2, 2, 0)]
+    got = min_cost_perfect_matching(costs)
+    assert got == _row_by_row(costs) == Matching((1, 2, 0, 3), 4)
+    assert moved == [(1, 2)]
+
+
+def test_numpy_costs_give_an_exact_int_cost():
+    big = min_cost_perfect_matching(np.array([[2**62] * 2] * 2))
+    assert type(big.cost) is int and big.cost == 2**63
+    m = min_cost_perfect_matching(np.array([[1, 2], [2, 1]]))
+    assert json.loads(json.dumps(m.to_json_dict())) == {"assignment": [0, 1], "cost": 2}
+
+
+@pytest.mark.parametrize("r, s, seed", [(71, 73, 0), (64, 81, 2)])
+def test_expansion_work_does_not_grow_with_q(monkeypatch, r, s, seed):
+    # q = 5183 and 5184: a row-by-row expansion reroutes 742 and 1503 times
+    # here, one unit each; the run expansion stays within a tenth of r*s.
+    calls = []
+    original = matching._take_units
+    monkeypatch.setattr(matching, "_take_units", lambda *a: calls.append(1) or original(*a))
+    rng = random.Random(seed)
+    base = [[rng.randint(0, 3) for _ in range(s)] for _ in range(r)]
+    q = math.lcm(r, s)
+    rows = [tuple(c for c in row for _ in range(q // s)) for row in base]
+    costs = [row for row in rows for _ in range(q // r)]
+    got = min_cost_perfect_matching(costs)
+    assert matching_cost(costs, got.assignment) == got.cost
+    assert len(calls) <= r * s // 10
 
 
 def test_enumeration_counts_and_bound():
