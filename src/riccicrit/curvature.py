@@ -23,10 +23,11 @@ and folding the q matched pairs back into a plan run at C speed
 (``itertools``, ``collections.Counter``).
 
 Both routes start from the same ``CostMatrix``, the one per-edge object that
-``build_cost_matrix`` returns: the r x s distances between N[u] and N[v],
-read from bounded distance balls. The edge itself joins every node of N[u]
-to every node of N[v], so no entry needs a search beyond that path's
-length, and the entry of u's row at v's column is dist(u, v).
+``build_cost_matrix`` returns: the r x s distances between N[u] and N[v].
+The edge itself joins every node of N[u] to every node of N[v], so no entry
+exceeds that path's length, and the entry of u's row at v's column is
+dist(u, v). Unweighted entries follow from radius-1 balls by the solvers'
+own rule (``_adjacency_costs``); weighted rows from bounded Dijkstra balls.
 """
 
 from __future__ import annotations
@@ -102,12 +103,7 @@ class CostMatrix:
         """(row index, column index) pairs that name the same graph node:
         u, v, and every common neighbor."""
         col_of = {node: j for j, node in enumerate(self.col_nodes)}
-        out = []
-        for i, node in enumerate(self.row_nodes):
-            j = col_of.get(node)
-            if j is not None:
-                out.append((i, j))
-        return tuple(out)
+        return tuple((i, col_of[node]) for i, node in enumerate(self.row_nodes) if node in col_of)
 
 
 @dataclass(frozen=True)
@@ -174,16 +170,28 @@ class CurvatureResult:
         return out
 
 
+def _adjacency_costs(rows, cols, near) -> list[list[int]]:
+    """Unweighted distances from each of ``rows`` to each of ``cols``, in order.
+
+    ``near(x)`` is x's open or closed neighborhood. The nodes lie in N[u] and
+    N[v] of an edge u-v, joined along x-u-v-y, so an entry is 0 if x = y, 1 if
+    y is near x, 2 if their neighborhoods meet, else 3.
+    """
+    col_sets = [(y, near(y)) for y in cols]
+    costs = []
+    for x in rows:
+        near_x = near(x)
+        costs.append([0 if x == y else 1 if y in near_x else 3 if near_x.isdisjoint(ny) else 2 for y, ny in col_sets])
+    return costs
+
+
 def build_cost_matrix(g: Graph, e: tuple[int, int]) -> CostMatrix:
     """The ``CostMatrix`` of an existing edge: exact distances from N[u] to N[v].
 
     The lower-degree endpoint supplies the rows (ties broken toward the
-    smaller node id). The edge itself joins every row node x to every column
-    node y along x-u-v-y, so each entry is read from x's bounded distance
-    ball: on unweighted graphs the ball of radius 2, where a column node
-    missing from it is at distance 3; on weighted graphs the ball of radius
-    max w(x, u) + w(u, v) + max w(v, y), which holds every column node. No
-    entry is ever unreachable.
+    smaller node id). Unweighted entries follow ``_adjacency_costs`` on
+    radius-1 balls; weighted row x is read from x's ball of radius
+    max w(x, u) + w(u, v) + max w(v, y), which holds every column node.
     """
     a, b = e
     if not g.has_edge(a, b):
@@ -203,8 +211,7 @@ def build_cost_matrix(g: Graph, e: tuple[int, int]) -> CostMatrix:
         balls = [g.distances_from(x, radius) for x in vu]
         costs = tuple(tuple(ball[y] for y in vv) for ball in balls)
     else:
-        balls = [g.distances_from(x, 2) for x in vu]
-        costs = tuple(tuple(ball.get(y, 3) for y in vv) for ball in balls)
+        costs = tuple(map(tuple, _adjacency_costs(vu, vv, lambda x: g.distances_from(x, 1).keys())))
     return CostMatrix(u, v, vu, vv, costs)
 
 
@@ -258,13 +265,11 @@ def emd_via_flow(cm: CostMatrix) -> tuple[Fraction, TransportPlan]:
     import networkx as nx  # here, so that importing riccicrit does not load networkx
 
     g = nx.DiGraph()
-    for i in range(r):
-        g.add_node(("r", i), demand=-a)
-    for j in range(s):
-        g.add_node(("c", j), demand=b)
-    for i in range(r):
-        for j in range(s):
-            g.add_edge(("r", i), ("c", j), weight=cm.costs[i][j], capacity=b)
+    g.add_nodes_from((("r", i), {"demand": -a}) for i in range(r))
+    g.add_nodes_from((("c", j), {"demand": b}) for j in range(s))
+    g.add_edges_from(
+        (("r", i), ("c", j), {"weight": c, "capacity": b}) for i, row in enumerate(cm.costs) for j, c in enumerate(row)
+    )
     flow = nx.min_cost_flow(g)
     entries = []
     total = 0
@@ -325,10 +330,8 @@ def canonicalize_matching(bm: BlowUpMatrix, m: Matching) -> Matching:
             # column group; swap partners with it.
             src = next(r for r in sorted(row_copies) if assignment[r] not in range(j * b, (j + 1) * b))
             other_col = assignment[src]
-            assignment[src] = col
-            assignment[r0] = other_col
-            col_to_row[col] = src
-            col_to_row[other_col] = r0
+            assignment[src], assignment[r0] = col, other_col
+            col_to_row[col], col_to_row[other_col] = src, r0
     new_cost = matching_cost(bm.costs, assignment)
     if new_cost != m.cost:
         raise AssertionError("canonicalization changed the matching cost")

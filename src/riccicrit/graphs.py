@@ -7,10 +7,10 @@ unweighted graphs, Dijkstra otherwise) over a bounded ball: a search from x
 with radius r stops at distance r and returns the distance to every node
 within r of x. Balls are memoized per source node; the memo keeps the largest
 radius computed so far and serves every request up to it, so the curvature of
-an edge, which needs only radius 2 on unweighted graphs, never searches the
-whole graph. A ball that holds every node is the whole row and serves every
-radius, so a source whose first search reaches the whole graph is never
-searched again.
+an edge, which needs only radius-1 balls on unweighted graphs, never searches
+the whole graph. A ball that holds every node is the whole row and serves
+every radius, so a source whose first search reaches the whole graph is
+never searched again.
 """
 
 from __future__ import annotations

@@ -3,11 +3,10 @@
 Three layers live here:
 
 * an exact minimum-cost perfect matching solver: runs of identical rows and
-  columns are grouped into a transportation problem, which successive
-  shortest paths with potentials solve; the lexicographically smallest
-  optimal assignment is then expanded from its tight groups, a run of rows
-  taking a run of one group's free columns per step, so the q-level work is
-  C-level and the Python work is per run;
+  columns are grouped into a transportation problem, which the primal-dual
+  method solves, one Dijkstra per phase; the lexicographically smallest
+  optimal assignment is expanded from its tight groups, a run of rows
+  taking a run of one group's free columns per step;
 * an exhaustive enumerator used as the desk-scale oracle;
 * randomized search for perfect matchings of a prescribed exact cost, and the
   refinement that also prescribes how many 3-cost and touchable 2-cost edges
@@ -120,72 +119,107 @@ def _runs(rows: Iterable[tuple]) -> tuple[list[tuple[int, int]], list[tuple]]:
     return runs, list(index)
 
 
+def _residual_search(starts, cols_of, rows_of, goal=None):
+    """Search from ``starts``, row x leading to ``cols_of(x)`` and column h to
+    ``rows_of(h)``, expanding each node once. Returns the tree -- each reached
+    column's row, each reached row's column (-1 at a start) -- and the first
+    reached column meeting ``goal``."""
+    via_c: dict[int, int] = {}
+    via_r = dict.fromkeys(starts, -1)
+    stack = starts[::-1]  # the first start is expanded first
+    while stack:
+        x = stack.pop()
+        for h in cols_of(x):
+            if h not in via_c:
+                via_c[h] = x
+                if goal is not None and goal(h):
+                    return via_c, via_r, h
+                for y in rows_of(h):
+                    if y not in via_r:
+                        via_r[y] = h
+                        stack.append(y)
+    return via_c, via_r, None
+
+
+def _tree_path(via_c: dict[int, int], via_r: dict[int, int], h: int):
+    """The tree's path to column h: the cells entering a column, those entering a row, and its start row."""
+    to_cols, to_rows = [], []
+    while True:
+        x = via_c[h]
+        to_cols.append((x, h))
+        h = via_r[x]
+        if h < 0:
+            return to_cols, to_rows, x
+        to_rows.append((x, h))
+
+
+def _reprice(cost, users, supply, demand, pot_r, pot_c) -> None:
+    """Dijkstra on reduced costs from the rows with supply left, forward on any
+    cell, back on used ones (column h's are ``users[h]``), to the nearest
+    column with demand; raising the potentials by the distances, capped at
+    its own, makes its path tight and keeps every reduced cost >= 0."""
+    dist_r: list = [0 if n else math.inf for n in supply]
+    dist_c: list = [math.inf] * len(demand)
+    heap = [(0, 0, g) for g, n in enumerate(supply) if n]
+    while True:
+        d, is_col, x = heapq.heappop(heap)
+        if is_col and d <= dist_c[x]:
+            if demand[x]:
+                break
+            for g in users[x]:  # back along a used cell, at reduced cost 0
+                if d < dist_r[g]:
+                    dist_r[g] = d
+                    heapq.heappush(heap, (d, 0, g))
+        elif not is_col and d <= dist_r[x]:
+            base = d + pot_r[x]
+            for h, c in enumerate(cost[x]):
+                nd = base + c - pot_c[h]
+                if nd < dist_c[h]:
+                    dist_c[h] = nd
+                    heapq.heappush(heap, (nd, 1, h))
+    pot_r[:] = [p + min(dr, d) for p, dr in zip(pot_r, dist_r)]
+    pot_c[:] = [p + min(dc, d) for p, dc in zip(pot_c, dist_c)]
+
+
 def _transport(
     cost: list[list[int]], supply: list[int], demand: list[int]
 ) -> tuple[list[list[int]], list[list[bool]]]:
     """Min-cost integral transportation plan and its tight cells.
 
-    Successive shortest paths with potentials (Edmonds-Karp 1972): Dijkstra on
-    reduced costs from every row with supply left to the nearest column with
-    demand left, then the bottleneck is pushed along that path. Forward cells
-    are uncapacitated, so every column is reachable and the plan completes.
-    The final potentials are optimal duals; a cell is tight when its reduced
-    cost is zero, and by complementary slackness a plan is optimal exactly
-    when it ships only on tight cells.
+    The primal-dual method (Kuhn 1955; Ford and Fulkerson 1957): every
+    reduced cost cost + pot_r - pot_c stays non-negative and the plan ships
+    only on tight (zero reduced cost) cells, so it is optimal for what it has
+    shipped. The warm start prices each column at its cheapest cell. A phase
+    pushes bottlenecks along admissible paths -- forward on tight cells, back
+    on used ones, one search per path -- until none is left; ``_reprice`` then
+    runs one Dijkstra. The final potentials are optimal duals.
     """
-    rows, cols = len(supply), len(demand)
     supply, demand = list(supply), list(demand)
-    flow = [[0] * cols for _ in range(rows)]
-    pot_r, pot_c = [0] * rows, [0] * cols
-    while any(supply):
-        dist_r: list = [0 if supply[g] else math.inf for g in range(rows)]
-        dist_c: list = [math.inf] * cols
-        via_r, via_c = [-1] * rows, [-1] * cols  # predecessor on the path
-        heap = [(0, 0, g) for g in range(rows) if supply[g]]
+    flow = [[0] * len(demand) for _ in supply]
+    users: list[set[int]] = [set() for _ in demand]
+    pot_r, pot_c = [0] * len(supply), [min(col) for col in zip(*cost)]
+    while True:
+        tight = [[c + p == pc for c, pc in zip(row, pot_c)] for row, p in zip(cost, pot_r)]
+        tight_of = [list(itertools.compress(itertools.count(), row)) for row in tight]
         while True:
-            d, is_col, x = heapq.heappop(heap)
-            if is_col:
-                if d > dist_c[x]:
-                    continue
-                if demand[x]:
-                    target = x
-                    break
-                for g in range(rows):  # back along a used cell, at reduced cost 0
-                    if flow[g][x] and d < dist_r[g]:
-                        dist_r[g], via_r[g] = d, x
-                        heapq.heappush(heap, (d, 0, g))
-            else:
-                if d > dist_r[x]:
-                    continue
-                base = d + pot_r[x]
-                for h, c in enumerate(cost[x]):
-                    nd = base + c - pot_c[h]
-                    if nd < dist_c[h]:
-                        dist_c[h], via_c[h] = nd, x
-                        heapq.heappush(heap, (nd, 1, h))
-        # Capping at the target's distance keeps every residual reduced cost
-        # non-negative, including at nodes the early stop left unsettled.
-        top = dist_c[target]
-        for g in range(rows):
-            pot_r[g] += min(dist_r[g], top)
-        for h in range(cols):
-            pot_c[h] += min(dist_c[h], top)
-        path = []  # (row, col, +1 forward / -1 backward)
-        h = target
-        while True:
-            source = via_c[h]
-            path.append((source, h, 1))
-            if via_r[source] < 0:
+            starts = [g for g, n in enumerate(supply) if n]
+            via_c, via_r, target = _residual_search(starts, tight_of.__getitem__, users.__getitem__, demand.__getitem__)
+            if target is None:
                 break
-            h = via_r[source]
-            path.append((source, h, -1))
-        push = min(demand[target], supply[source], *(flow[g][h] for g, h, sign in path if sign < 0))
-        for g, h, sign in path:
-            flow[g][h] += sign * push
-        supply[source] -= push
-        demand[target] -= push
-    tight = [[cost[g][h] + pot_r[g] == pot_c[h] for h in range(cols)] for g in range(rows)]
-    return flow, tight
+            gain, lose, source = _tree_path(via_c, via_r, target)
+            push = min(supply[source], demand[target], *(flow[g][h] for g, h in lose))
+            for g, h in gain:
+                flow[g][h] += push
+                users[h].add(g)
+            for g, h in lose:
+                flow[g][h] -= push
+                if not flow[g][h]:
+                    users[h].discard(g)
+            supply[source] -= push
+            demand[target] -= push
+        if not any(supply):
+            return flow, tight
+        _reprice(cost, users, supply, demand, pot_r, pot_c)
 
 
 class _FreeColumns:
@@ -227,7 +261,8 @@ class _FreeColumns:
 
 def _take_units(
     flow: list[list[int]],
-    tight: list[list[bool]],
+    tight_of: list[list[int]],
+    tight_rows: list[list[int]],
     g: int,
     want: int,
     free: _FreeColumns,
@@ -235,37 +270,18 @@ def _take_units(
     """Remove up to ``want`` units of row ``g`` from the plan, all shipped to
     the column group whose next free column is smallest among those allowed.
 
-    The columns tight with ``g`` that can reach ``g`` in the residual graph
-    (back along used cells, forward along tight ones) are exactly those to
-    which some optimal plan for the remaining rows ships a unit of ``g``. One
-    search, expanding each row at most once, finds them all. The plan is then
-    rerouted along the path so that k units leave at the chosen group, k
-    being at most the path's bottleneck and the chosen group's free columns
-    below every other allowed group's next one, so that k single-unit calls
-    would have chosen the same group each time. Returns (group, k).
+    The columns of ``tight_of[g]`` that reach ``g`` back along used cells and
+    forward along tight ones (``tight_rows[h]``) are those to which some
+    optimal plan for the remaining rows ships a unit of ``g``. One search
+    finds them all; the plan is rerouted along the path so that k units leave
+    at the chosen group, k at most the path's bottleneck and the group's free
+    columns below every other allowed group's next one, as k single-unit
+    calls would have chosen. Returns (group, k).
     """
-    via_c: dict[int, int] = {}
-    via_r = {g: -1}
-    stack = [g]
-    while stack:
-        x = stack.pop()
-        for h, f in enumerate(flow[x]):
-            if f and h not in via_c:
-                via_c[h] = x
-                for y, row in enumerate(tight):
-                    if row[h] and y not in via_r:
-                        via_r[y] = h
-                        stack.append(y)
-    chosen, room = free.first_run([c for c in via_c if tight[g][c]])
-    back, ahead = [], []  # the path's cells that lose and gain flow
-    h = chosen
-    while True:
-        x = via_c[h]
-        back.append((x, h))
-        if x == g:
-            break
-        h = via_r[x]
-        ahead.append((x, h))
+    cols = range(len(flow[g]))
+    via_c, via_r, _ = _residual_search([g], lambda x: itertools.compress(cols, flow[x]), tight_rows.__getitem__)
+    chosen, room = free.first_run([c for c in tight_of[g] if c in via_c])
+    back, ahead, _ = _tree_path(via_c, via_r, chosen)  # the path's cells that lose and gain flow
     k = min(want, room, *(flow[x][h] for x, h in back))
     for x, h in back:
         flow[x][h] -= k
@@ -278,20 +294,15 @@ def min_cost_perfect_matching(costs: Sequence[Sequence[int]]) -> Matching:
     """The lexicographically smallest minimum-cost perfect matching.
 
     Runs of consecutive identical rows, and of identical columns, are
-    grouped, so the q x q blow-up of an r x s matrix becomes an r x s (or
-    smaller) transportation problem whose supplies and demands are the group
-    sizes. Its optimal duals mark the tight groups, which every minimum-cost
-    matching uses exclusively. The rows are then expanded in order, each
-    taking the smallest free column of a tight group that still leaves a
-    feasible plan for the remaining rows, which yields the lexicographically
-    smallest minimum-cost assignment vector (row 0 first). The groups
-    feasible for a row's group only shrink as its run is expanded, so a
-    stretch of the run that takes consecutive free columns of one group is
-    placed in one step: the plan's own shipment when it already ships there,
-    else one rerouting along a residual path (``_take_units``). Grouping and
-    placing the columns are O(q) C-level work; the Python work is per run,
-    not per row. Exact integers throughout: the cost is summed over the
-    grouped costs as plain ints, whatever the input's element type.
+    grouped into a transportation problem (r x s or smaller for the blow-up
+    of an r x s matrix) whose optimal duals mark the tight groups, which
+    every minimum-cost matching uses exclusively. The rows are expanded in
+    order, each taking the smallest free column of a tight group that still
+    leaves a feasible plan for the remaining rows. Those groups only shrink
+    as a run is expanded, so a stretch of a run taking consecutive free
+    columns of one group is placed in one step: from the plan's own
+    shipment, else after one reroute (``_take_units``). The Python work is
+    per run, not per row, and the cost is an exact int.
     """
     _check_square(costs)
     row_runs, row_keys = _runs(map(tuple, costs))
@@ -304,6 +315,7 @@ def min_cost_perfect_matching(costs: Sequence[Sequence[int]]) -> Matching:
         supply[g] += n
     flow, tight = _transport(cost, supply, list(map(len, free.members)))
     tight_of = [list(itertools.compress(range(len(row)), row)) for row in tight]
+    tight_rows = [list(itertools.compress(range(len(tight)), col)) for col in zip(*tight)]
     assignment: list[int] = []
     total = 0
     for g, left in row_runs:
@@ -315,7 +327,7 @@ def min_cost_perfect_matching(costs: Sequence[Sequence[int]]) -> Matching:
                 k = min(left, room, flow[g][h])
                 flow[g][h] -= k
             else:
-                h, k = _take_units(flow, tight, g, left, free)
+                h, k = _take_units(flow, tight_of, tight_rows, g, left, free)
             assignment += free.take(h, k)
             total += k * cost[g][h]
             left -= k

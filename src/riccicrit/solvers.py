@@ -19,11 +19,11 @@ On unweighted graphs (``uw-rt-ins-ntp``, ``uw-ut-ins-ntp``,
 ``uw-rt-del-ptn`` and ``uw-ut-del-ptn``) the searches -- brute force, the
 single-edit shortcut and the feasibility check inside greedy and randomized
 -- run on the local cost matrix: an edit set is judged from the adjacency
-sets of the edge's 2-ball and a small r x s transportation problem, without
-building a graph. Greedy re-reads its weights from the same edited
-adjacency sets after each insertion. Weighted variants search on edited
-graphs. Either way, every edit set a solver returns is re-verified by the
-flow route on the edited graph; an unverified edit set is never returned.
+sets of the nodes of N[u] and N[v] and a small r x s transportation
+problem, without building a graph. Greedy re-reads its weights from the
+same edited adjacency sets after each insertion. Weighted variants search
+on edited graphs. Either way, each edit set a solver returns is verified
+by the flow route on the edited graph; an unverified set is never returned.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .curvature import (
     CostMatrix,
     CurvatureResult,
     Sign,
+    _adjacency_costs,
     blow_up,
     build_cost_matrix,
     canonicalize_matching,
@@ -280,22 +281,6 @@ def _demanded_sign(inst: Instance) -> Sign:
 def _flips(inst: Instance, edits: Iterable) -> tuple[bool, Fraction]:
     res = ricci(apply_edits(inst, edits), inst.edge, route="flow")
     return res.sign == _demanded_sign(inst), res.ric
-
-
-def _adjacency_costs(rows, cols, near) -> list[list[int]]:
-    """Unweighted distances from each of ``rows`` to each of ``cols``, in order.
-
-    ``near(x)`` is the adjacency set of ``x``. The nodes lie in N[u] and N[v]
-    of an edge u-v that no permissible edit removes, so every row node is
-    within 3 hops of every column node through it: an entry is 0 if x = y, 1
-    if x and y are adjacent, 2 if they share a neighbor and 3 otherwise.
-    """
-    col_sets = [(y, near(y)) for y in cols]
-    costs = []
-    for x in rows:
-        near_x = near(x)
-        costs.append([0 if x == y else 1 if y in near_x else 3 if near_x.isdisjoint(ny) else 2 for y, ny in col_sets])
-    return costs
 
 
 class _LocalEvaluator:

@@ -21,7 +21,7 @@ from riccicrit import (
 from riccicrit.curvature import BLOWUP_CAP_ENV
 from riccicrit.matching import class_counts, min_cost_perfect_matching
 
-from conftest import graphs, random_connected_graph
+from conftest import double_star, graphs, random_connected_graph
 
 P3 = Graph(3, [(0, 1), (1, 2)])
 K3 = Graph(3, [(0, 1), (1, 2), (0, 2)])
@@ -251,6 +251,35 @@ def test_bounded_ball_cost_matrix_equals_full_row_matrix(g: Graph):
             bm.costs[i][j] == cm.costs[i // bm.a][j // bm.b] for i in range(bm.q) for j in range(bm.q)
         )
         assert ricci(g, (u, v)).dist_uv == g.shortest_dist(u, v)
+
+
+def _gnm(n: int, m: int, seed: int) -> Graph:
+    """Seeded G(n, m): m distinct edges drawn uniformly, isolated nodes kept."""
+    rng = random.Random(seed)
+    edges: set[tuple[int, int]] = set()
+    while len(edges) < m:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return Graph(n, sorted(edges))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        *(_gnm(80, 120, seed) for seed in (1, 2, 3)),
+        *(_gnm(25, 200, seed) for seed in (1, 2)),
+        Graph(8, [(0, x) for x in range(1, 8)]),
+        Graph(8, [(x, x + 1) for x in range(7)]),
+        Graph(6, [(x, y) for x in range(6) for y in range(x + 1, 6)]),
+        double_star(4, 5, [(0, 0), (1, 2), (2, 2)]),
+    ],
+    ids=["gnm-sparse-1", "gnm-sparse-2", "gnm-sparse-3", "gnm-dense-1", "gnm-dense-2", "star", "path", "complete", "double-star"],
+)
+def test_unweighted_cost_rule_equals_bfs_distances(g: Graph):
+    # The radius-1 rule against unbounded BFS rows of a fresh copy.
+    for u, v, _w in g.edges():
+        cm = build_cost_matrix(g, (u, v))
+        assert (cm.row_nodes, cm.col_nodes, cm.costs) == _full_row_cost_matrix(g, (u, v))
 
 
 def test_dist_uv_takes_a_lighter_detour():

@@ -67,3 +67,41 @@ def test_unused_import_check_sees_annotations():
     )
     imported, used = _names(source)
     assert sorted(name for name in imported if name not in used) == ["Mapping", "Unused"]
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    """Names a module reads, the attributes it reads and the names it imports."""
+    names = _used_names(tree) | set(_imported_names(tree))
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return names
+
+
+def _orphans(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions and classes that no module references."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    referenced = set().union(*map(_referenced_names, trees.values()))
+    return sorted(
+        f"{name}: {node.name} (line {node.lineno})"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in referenced
+    )
+
+
+def test_every_private_helper_is_referenced():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    orphans = _orphans(sources)
+    assert not orphans, f"private helpers nothing references: {', '.join(orphans)}"
+
+
+def test_orphan_check_counts_other_modules_and_attributes():
+    sources = {
+        "a.py": 'def _used(): pass\ndef _orphan(): "_orphan in a docstring is no use"\nclass _Kept: pass\n',
+        "b.py": "from .a import _used\nimport a\nx: '_Kept' = a._orphan\n",
+    }
+    assert _orphans(sources) == []
+    sources["b.py"] = "from .a import _used\n"
+    assert _orphans(sources) == ["a.py: _Kept (line 3)", "a.py: _orphan (line 2)"]

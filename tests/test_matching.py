@@ -4,6 +4,7 @@ import math
 import random
 import re
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -177,16 +178,56 @@ def test_run_expansion_matches_the_row_by_row_expansion(costs):
     assert type(got.cost) is int
 
 
-def test_take_units_moves_a_run_in_one_reroute(monkeypatch):
-    # Row group (2, 2, 2, 3) needs both copies of column group (2, 2), which
-    # the plan may ship from the other row group; one reroute moves both.
-    moved = []
-    original = matching._take_units
-    monkeypatch.setattr(matching, "_take_units", lambda *a: moved.append(original(*a)) or moved[-1])
+def test_take_units_moves_a_run_in_one_reroute():
+    # Row groups A, B and column groups X = {0, 1}, Y = {2, 3}, two units
+    # each, every cell tight. The plan ships A to Y and B to X, so A's first
+    # free group X is reached through B: one reroute moves both units.
+    flow = [[0, 2], [2, 0]]
+    tight_of = [[0, 1], [0, 1]]
+    free = matching._FreeColumns([(0, 2), (1, 2)], 2)
+    assert matching._take_units(flow, tight_of, tight_of, 0, 2, free) == (0, 2)
+    assert flow == [[0, 0], [0, 2]]
     costs = [(2, 2, 2, 3), (2, 2, 2, 3), (0, 2, 2, 0), (0, 2, 2, 0)]
-    got = min_cost_perfect_matching(costs)
-    assert got == _row_by_row(costs) == Matching((1, 2, 0, 3), 4)
-    assert moved == [(1, 2)]
+    assert min_cost_perfect_matching(costs) == _row_by_row(costs) == Matching((1, 2, 0, 3), 4)
+
+
+@st.composite
+def _transport_instances(draw):
+    """R x K transportation problems (R, K <= 8) with equal supply and
+    demand totals, some zero supplies and demands, costs 0..3 or huge."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    cell = st.integers(0, draw(st.sampled_from([3, 10**30])))
+    cost = draw(st.lists(st.lists(cell, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    supply = draw(st.lists(st.integers(0, 5), min_size=rows, max_size=rows))
+    cuts = sorted(draw(st.lists(st.integers(0, sum(supply)), min_size=cols - 1, max_size=cols - 1)))
+    demand = [b - a for a, b in zip([0, *cuts], [*cuts, sum(supply)])]
+    return cost, supply, demand
+
+
+@settings(max_examples=300, deadline=None)
+@given(_transport_instances())
+def test_transport_plan_is_optimal_and_ships_only_on_tight_cells(instance):
+    cost, supply, demand = instance
+    phases = []
+    reprice = matching._reprice
+
+    def counted(*args):
+        phases.append(1)
+        assert len(phases) <= sum(supply), "a phase shipped nothing"
+        reprice(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matching, "_reprice", counted)
+        flow, tight = _transport(cost, supply, demand)
+    assert [sum(row) for row in flow] == supply
+    assert [sum(col) for col in zip(*flow)] == demand
+    assert all(f == 0 or t for frow, trow in zip(flow, tight) for f, t in zip(frow, trow))
+    g = nx.DiGraph()
+    g.add_nodes_from((("r", i), {"demand": -n}) for i, n in enumerate(supply))
+    g.add_nodes_from((("c", j), {"demand": n}) for j, n in enumerate(demand))
+    g.add_edges_from((("r", i), ("c", j), {"weight": c}) for i, row in enumerate(cost) for j, c in enumerate(row))
+    total = sum(c * f for crow, frow in zip(cost, flow) for c, f in zip(crow, frow))
+    assert total == nx.min_cost_flow_cost(g)
 
 
 def test_numpy_costs_give_an_exact_int_cost():
@@ -200,9 +241,12 @@ def test_numpy_costs_give_an_exact_int_cost():
 def test_expansion_work_does_not_grow_with_q(monkeypatch, r, s, seed):
     # q = 5183 and 5184: a row-by-row expansion reroutes 742 and 1503 times
     # here, one unit each; the run expansion stays within a tenth of r*s.
-    calls = []
-    original = matching._take_units
+    # Successive shortest paths ran 149 and 153 Dijkstra searches, one per
+    # augmentation; the phased transport runs one per phase.
+    calls, searches = [], []
+    original, reprice = matching._take_units, matching._reprice
     monkeypatch.setattr(matching, "_take_units", lambda *a: calls.append(1) or original(*a))
+    monkeypatch.setattr(matching, "_reprice", lambda *a: searches.append(1) or reprice(*a))
     rng = random.Random(seed)
     base = [[rng.randint(0, 3) for _ in range(s)] for _ in range(r)]
     q = math.lcm(r, s)
@@ -211,6 +255,7 @@ def test_expansion_work_does_not_grow_with_q(monkeypatch, r, s, seed):
     got = min_cost_perfect_matching(costs)
     assert matching_cost(costs, got.assignment) == got.cost
     assert len(calls) <= r * s // 10
+    assert len(searches) <= 10
 
 
 def test_enumeration_counts_and_bound():

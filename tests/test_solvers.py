@@ -27,11 +27,11 @@ from riccicrit import (
     randomized_insert,
     ricci,
 )
+from riccicrit.curvature import _adjacency_costs
 from riccicrit.gadgets import cover_insertions_maxcov
 from riccicrit.matching import EdgeClassCounts, min_cost_perfect_matching
 from riccicrit.solvers import (
     _LocalEvaluator,
-    _adjacency_costs,
     _flips,
     _setup,
     _single_edit_solution,
