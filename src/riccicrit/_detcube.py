@@ -39,7 +39,13 @@ and dearest signatures often are) needs no points along that axis at all;
 ``row_coefficients`` explains the substitution.
 
 The prime is kept below 2^31 so products of two residues fit in int64 and
-everything vectorizes under numpy.
+everything vectorizes under numpy. Most batches are small, so an
+elimination step's fixed cost matters as much as its arithmetic: each step
+inverts its pivots with one modular exponentiation (Montgomery's batch
+trick, in Python ints below ``_TREE_MIN`` pivots), and reduces the block
+update by floor division, which numpy does by a multiply and a shift
+(Granlund and Montgomery's division by invariant integers), instead of its
+much slower ``%``.
 """
 
 from __future__ import annotations
@@ -55,16 +61,36 @@ PRIME = (1 << 31) - 1
 
 _MAX_GRID_POINTS = 2_000_000
 
+# Batch size from which _inverse_vec's product tree beats its Python-int loop.
+_TREE_MIN = 100
+
 
 def _inverse_vec(x: np.ndarray) -> np.ndarray:
-    """Elementwise inverse mod PRIME of a vector of nonzero residues.
+    """Elementwise inverse mod PRIME of a vector of residues; a 0 is taken as 1.
 
-    Montgomery's batch trick on a product tree: multiply neighbours pairwise
-    up to one product, invert that with a single exponentiation, and
-    multiply back down, each inverse being its parent's times its sibling.
+    Montgomery's trick: invert the product of all the elements with one
+    exponentiation, then peel each inverse off with two multiplications by
+    the prefix products. Small batches, most of them in practice, do this in
+    Python ints, where a call costs a few microseconds; from ``_TREE_MIN``
+    elements on the Python loop costs more than a product tree in numpy,
+    which multiplies neighbours pairwise up to one product and back down,
+    each inverse being its parent's times its sibling.
     """
-    size = 1 << max(0, x.size - 1).bit_length()
-    levels = [np.concatenate([x % PRIME, np.ones(size - x.size, dtype=np.int64)])]
+    if x.size < _TREE_MIN:
+        vals = [v or 1 for v in x.tolist()]
+        prefix = []
+        acc = 1
+        for v in vals:
+            prefix.append(acc)
+            acc = acc * v % PRIME
+        inv = pow(acc, -1, PRIME)
+        for i in range(len(vals) - 1, -1, -1):
+            v = vals[i]
+            vals[i] = inv * prefix[i] % PRIME
+            inv = inv * v % PRIME
+        return np.array(vals, dtype=np.int64)
+    size = 1 << (x.size - 1).bit_length()
+    levels = [np.concatenate([np.where(x == 0, 1, x), np.ones(size - x.size, dtype=np.int64)])]
     while levels[-1].size > 1:
         pairs = levels[-1].reshape(-1, 2)
         levels.append((pairs[:, 0] * pairs[:, 1]) % PRIME)
@@ -74,6 +100,17 @@ def _inverse_vec(x: np.ndarray) -> np.ndarray:
     return inv[: x.size]
 
 
+def _mod_prime(t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``t mod PRIME`` into ``out`` (another array of t's shape) and return it.
+
+    As t - (t // PRIME) * PRIME, which floor division makes equal to numpy's
+    ``%`` for negative ``t`` too, and faster (see the module docstring).
+    """
+    np.floor_divide(t, PRIME, out=out)
+    out *= PRIME
+    return np.subtract(t, out, out=out)
+
+
 def det_batch(mats: np.ndarray, row: int | None = None) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Determinants mod PRIME of a (B, n, n) int64 batch, via Gaussian elimination.
 
@@ -81,53 +118,64 @@ def det_batch(mats: np.ndarray, row: int | None = None) -> np.ndarray | tuple[np
     e_i, and the result is ``(det, cof)`` with ``cof[b, j]`` the (i, j)
     cofactor of ``mats[b]``, from back substitution as det * (M^-1)_ji. A
     singular matrix has no inverse; its cofactors are computed as minors.
+
+    The batch is the last axis of the working array ``a``, so every
+    elementwise pass runs over whole rows of the batch at once. Step k
+    computes the update ``block - f * row`` into a scratch buffer and
+    reduces it back into the front of ``a``'s own buffer, so ``a`` shrinks
+    to rows and columns k+1.. and stays contiguous. With ``row=i`` each
+    pivot row is kept for the back substitution.
     """
-    a = mats % PRIME
-    batch, n, _ = a.shape
+    batch, n, _ = mats.shape
+    width = n if row is None else n + 1
+    a = np.empty((n, width, batch), dtype=np.int64)
+    _mod_prime(mats.transpose(1, 2, 0), a[:, :n])
     if row is not None:
-        rhs = np.zeros((batch, n, 1), dtype=np.int64)
-        rhs[:, row] = 1
-        a = np.concatenate([a, rhs], axis=2)
-        inverses = np.empty((batch, n), dtype=np.int64)
+        a[:, n] = 0
+        a[row, n] = 1
+        upper = np.empty((n, n + 1, batch), dtype=np.int64)
+        inverses = np.empty((n, batch), dtype=np.int64)
+    spare = np.empty(max(0, n - 1) * (width - 1) * batch, dtype=np.int64)
     det = np.ones(batch, dtype=np.int64)
-    idx = np.arange(batch)
     for k in range(n):
-        if not a[:, k, k].all():
-            # Swap up the first nonzero entry below a zero pivot, if any.
-            nz = a[:, k:, k] != 0
-            pivot_offset = np.argmax(nz, axis=1)
-            has_pivot = nz[idx, pivot_offset]
-            det = np.where(has_pivot, det, 0)
-            pivot_row = k + pivot_offset
-            swap = has_pivot & (pivot_row != k)
-            if swap.any():
-                sw = idx[swap]
-                rows = pivot_row[swap]
-                tmp = a[sw, k, :].copy()
-                a[sw, k, :] = a[sw, rows, :]
-                a[sw, rows, :] = tmp
+        # a holds rows and columns k.. of the partly eliminated matrices.
+        pivot = a[0, 0]
+        if not pivot.all():
+            # Swap up the first nonzero entry below a zero pivot. A matrix with
+            # none (argmax 0) keeps its zero pivot, which zeroes its determinant.
+            pivot_offset = np.argmax(a[:, 0] != 0, axis=0)
+            sw = np.flatnonzero(pivot_offset)
+            if sw.size:
+                rows = pivot_offset[sw]
+                tmp = a[0, :, sw].copy()
+                a[0, :, sw] = a[rows, :, sw]
+                a[rows, :, sw] = tmp
                 det[sw] = (-det[sw]) % PRIME
-        pivot = a[:, k, k]
-        safe_pivot = np.where(pivot == 0, 1, pivot)
         det = (det * pivot) % PRIME
         if k + 1 < n or row is not None:
-            inv = _inverse_vec(safe_pivot)
+            # A zero pivot's column is zero, so its factors are too, whatever inv is.
+            inv = _inverse_vec(pivot)
         if row is not None:
-            inverses[:, k] = inv
+            inverses[k] = inv
+            upper[k, k:] = a[0]
         if k + 1 < n:
-            factors = (a[:, k + 1 :, k] * inv[:, None]) % PRIME
-            # Column k below the pivot is never read again, so it is left as is.
-            block = a[:, k + 1 :, k + 1 :]
-            block[...] = (block - factors[:, :, None] * a[:, k : k + 1, k + 1 :]) % PRIME
+            factors = (a[1:, 0] * inv) % PRIME
+            # Column k below the pivot is never read again, so it is dropped.
+            shape = (n - k - 1, width - k - 1, batch)
+            size = math.prod(shape)
+            t = spare[:size].reshape(shape)
+            np.multiply(factors[:, None], a[:1, 1:], out=t)
+            np.subtract(a[1:, 1:], t, out=t)
+            a = _mod_prime(t, a.reshape(-1)[:size].reshape(shape))
     if row is None:
         return det
-    # Back substitution: a is upper triangular with the transformed e_i in column n.
-    b = a[:, :, n]
-    solution = np.empty((batch, n), dtype=np.int64)
+    # Back substitution: upper is upper triangular with the transformed e_i in column n.
+    b = upper[:, n]
+    solution = np.empty((n, batch), dtype=np.int64)
     for k in range(n - 1, -1, -1):
-        solution[:, k] = (b[:, k] * inverses[:, k]) % PRIME
-        b[:, :k] = (b[:, :k] - a[:, :k, k] * solution[:, k : k + 1]) % PRIME
-    cof = (solution * det[:, None]) % PRIME
+        solution[k] = (b[k] * inverses[k]) % PRIME
+        b[:k] = (b[:k] - upper[:k, k] * solution[k]) % PRIME
+    cof = (solution.T * det[:, None]) % PRIME
     singular = np.flatnonzero(det == 0)
     if singular.size:
         cof[singular] = _minor_row(mats[singular] % PRIME, row)
@@ -208,7 +256,14 @@ def _grid(digits: np.ndarray, scalars: np.ndarray, dims: tuple[int, ...]):
     if ngrid > _MAX_GRID_POINTS:
         raise FieldConfigError(f"interpolation grid of {ngrid} points is too large")
     # Entries share few distinct digit vectors: evaluate each such monomial once per point.
-    monos, which = np.unique(digits.reshape(n * n, naxes), axis=0, return_inverse=True)
+    # Each vector is keyed by one mixed-radix integer, axis 0 most significant, so
+    # sorting the keys sorts the vectors, and a 1-D unique stands in for a row-wise one.
+    vectors = digits.reshape(n * n, naxes)
+    key = np.zeros(n * n, dtype=np.int64)
+    for axis in range(naxes):
+        key = key * (int(vectors[:, axis].max()) + 1) + vectors[:, axis]
+    _, first, which = np.unique(key, return_index=True, return_inverse=True)
+    monos = vectors[first]
     which = which.reshape(n, n)
     chunk = max(1, min(ngrid, 4096 * 49 // (n * n) + 1))
     for start in range(0, ngrid, chunk):
@@ -224,7 +279,9 @@ def _grid(digits: np.ndarray, scalars: np.ndarray, dims: tuple[int, ...]):
             for e in range(1, maxdig + 1):
                 pows[:, e] = (pows[:, e - 1] * pts[:, axis]) % PRIME
             values = (values * pows[:, monos[:, axis]]) % PRIME
-        yield pts, (scalars * values[:, which]) % PRIME
+        mats = values[:, which]
+        mats *= scalars
+        yield pts, _mod_prime(mats, np.empty_like(mats))
 
 
 class SignatureCube:

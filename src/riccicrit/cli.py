@@ -53,6 +53,10 @@ EXIT_INFEASIBLE = 3
 EXIT_USAGE = 4
 EXIT_VERIFY = 5
 
+# oracle-check enumerates all q! matchings of an edge with q <= --enum-bound:
+# 9! = 362,880 of them take about 1 s, and 10! would take about 11 s per edge.
+MAX_ENUM_BOUND = 9
+
 # Which exception means which exit code. Rows are matched in order, and the
 # last row holds the base classes of the errors above it.
 _EXIT_CODES = (
@@ -278,6 +282,8 @@ def _random_graph(n: int, rng) -> Graph:
 def _cmd_oracle_check(args) -> int:
     if args.random is not None and args.random < 1:
         raise RicciCritError(f"--random must be at least 1, got {args.random}")
+    if args.enum_bound > MAX_ENUM_BOUND:
+        raise RicciCritError(f"--enum-bound must be at most {MAX_ENUM_BOUND}, got {args.enum_bound}")
     graphs: list[Graph] = []
     if args.input:
         graphs.append(load_edge_list(args.input))
@@ -354,7 +360,12 @@ def build_parser() -> _Parser:
     p.add_argument("input", nargs="?")
     p.add_argument("--random", type=int, help="number of random graphs to draw")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--enum-bound", type=int, default=8)
+    p.add_argument(
+        "--enum-bound",
+        type=int,
+        default=8,
+        help=f"also enumerate all q! matchings of edges with q <= this; at most {MAX_ENUM_BOUND} (default %(default)s)",
+    )
     p.add_argument("--verbose", action="store_true")
     p.add_argument("--output")
     p.set_defaults(func=_cmd_oracle_check)

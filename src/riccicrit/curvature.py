@@ -9,8 +9,8 @@ the same exact rational:
   q x q matrix (q = lcm(r, s)) whose minimum-cost perfect matchings have cost
   exactly q * EMD; the matching solver groups the blow-up's runs of identical
   rows and columns back into the r x s transportation problem, solves that
-  by successive shortest paths and expands the lexicographically smallest
-  optimal matching a run of rows at a time, and
+  by the primal-dual method (one Dijkstra per phase) and expands the
+  lexicographically smallest optimal matching a run of rows at a time, and
 * the flow route solves the transportation LP directly as an integer
   min-cost-flow (networkx network simplex) after scaling both marginals by q.
 

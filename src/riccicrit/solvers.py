@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Set
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Iterable
@@ -47,6 +47,7 @@ from .curvature import (
     canonicalize_matching,
     fraction_json,
     ricci,
+    sign_of,
 )
 from .errors import (
     BudgetExceededError,
@@ -135,12 +136,15 @@ class ProblemVariant:
 
 @dataclass(frozen=True)
 class Instance:
-    """A graph, an edge of it, and the demanded sign flip."""
+    """A graph, an edge of it, and the demanded sign flip.
+
+    The starting sign is checked on construction: for unweighted variants
+    by the local evaluator, for weighted ones by the flow route.
+    """
 
     graph: Graph
     edge: tuple[int, int]
     variant: ProblemVariant
-    _base: CurvatureResult = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         u, v = self.edge
@@ -149,20 +153,27 @@ class Instance:
             raise ValueError(f"{self.edge} is not an edge of the graph")
         if self.variant.weighting == "uw" and self.graph.weighted:
             raise ValueError("uw variants require an unweighted graph")
-        base = ricci(self.graph, self.edge, route="flow")
-        object.__setattr__(self, "_base", base)
+        if self._local is not None:
+            total, q = self._local.total(())
+            sign = sign_of(Fraction(q - total, q))
+        else:
+            sign = self.base_curvature().sign
         if self.variant.direction == "ntp":
             # Sign zero is admitted as the degenerate boundary case where a
             # single suitable edit already decides the instance.
-            if base.sign == Sign.POSITIVE:
+            if sign == Sign.POSITIVE:
                 raise ValueError("ntp instances need non-positive starting curvature")
         else:
-            if base.sign != Sign.POSITIVE:
+            if sign != Sign.POSITIVE:
                 raise ValueError("ptn instances need strictly positive starting curvature")
 
     def base_curvature(self) -> CurvatureResult:
-        """The edge's curvature by the flow route, as computed to check the sign."""
+        """The edge's curvature by the flow route, computed on first call."""
         return self._base
+
+    @cached_property
+    def _base(self) -> CurvatureResult:
+        return ricci(self.graph, self.edge, route="flow")
 
     @cached_property
     def _local(self) -> "_LocalEvaluator | None":
@@ -644,8 +655,10 @@ def randomized_insert(inst: Instance, seed: int, *, trials: int = 4) -> Solution
     and keeps the overall minimizer (ties to smaller x). The witness matching
     is recovered through the exact-cost machinery and the final edit set is
     verified by recomputation; randomness can degrade optimality but never
-    validity.
+    validity. The seed must be a non-negative integer.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     _require_approx_variant(inst)
     if trials < 1:
         raise ValueError("trials must be positive")

@@ -198,6 +198,15 @@ def test_randomized_requires_seed(capsys, tmp_path):
     assert code == 4 and "--seed" in err
 
 
+def test_randomized_rejects_a_negative_seed(capsys, tmp_path):
+    star = tmp_path / "star.edges"
+    star.write_text(STAR6)
+    code, out, err = run(capsys, "solve", str(star), "--edge", "0", "1",
+                         "--variant", "uw-rt-ins-ntp", "--method", "randomized", "--seed", "-1")
+    assert (code, out) == (4, "")
+    assert err == "error: seed must be non-negative, got -1\n"
+
+
 def test_solve_brute_on_blocker(capsys, blocker_files):
     edges, sidecar = blocker_files
     code, out, _ = run(capsys, "solve", edges, "--edge", "0", "1",
@@ -266,6 +275,17 @@ def test_oracle_check_random(capsys):
     payload = json.loads(out)
     assert payload["mismatches"] == 0
     assert payload["edges_checked"] > 0
+
+
+def test_oracle_check_refuses_an_enumeration_bound_above_nine(capsys):
+    # Enumeration visits q! matchings: 9! takes about a second per edge, 10!
+    # ten times that, so a larger bound is refused before any graph is drawn.
+    assert cli.MAX_ENUM_BOUND == 9
+    for bound in ("10", "100"):
+        code, out, err = run(capsys, "oracle-check", "--random", "2", "--enum-bound", bound)
+        assert code == 4 and out == "" and err == f"error: --enum-bound must be at most 9, got {bound}\n"
+    code, out, _ = run(capsys, "oracle-check", "--random", "1", "--seed", "3", "--enum-bound", "9")
+    assert code == 0 and json.loads(out)["mismatches"] == 0
 
 
 def test_oracle_check_random_count_below_one(capsys):

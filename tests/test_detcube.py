@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -163,3 +164,117 @@ def test_targets_on_a_window_edge_are_read_off_one_grid_point(monkeypatch):
                 after = target - int(digits[0, j, 0])
                 minor = coefficient_at(digits[1:][:, keep], scalars[1:][:, keep], (after,)) if after >= 0 else 0
                 assert (shares[j] != 0) == (minor != 0)
+
+
+def modular_det(rows: list[list[int]]) -> int:
+    """Determinant mod PRIME by Gaussian elimination in Python ints."""
+    a = [[x % PRIME for x in r] for r in rows]
+    n, det = len(a), 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            det = -det
+        det = det * a[k][k] % PRIME
+        inv = pow(a[k][k], -1, PRIME)
+        for i in range(k + 1, n):
+            f = a[i][k] * inv % PRIME
+            a[i] = [(x - f * y) % PRIME for x, y in zip(a[i], a[k])]
+    return det % PRIME
+
+
+def modular_cofactors(rows: list[list[int]], i: int) -> list[int]:
+    minors = ([[x for c, x in enumerate(r) if c != j] for rr, r in enumerate(rows) if rr != i] for j in range(len(rows)))
+    return [(-1) ** (i + j) * modular_det(m) % PRIME for j, m in enumerate(minors)]
+
+
+def extreme_batch(seed: int, n: int) -> np.ndarray:
+    """Matrices of all PRIME - 1 entries, PRIME - 1 on a shifted permutation
+    (every pivot needs a swap), unreduced entries (negative, PRIME and
+    above), zero leading pivots and full-range residues."""
+    rng = random.Random(seed)
+    top = PRIME - 1
+    shift = [[top if c == (r + 1) % n else 0 for c in range(n)] for r in range(n)]
+    mats = [
+        [[top] * n for _ in range(n)],
+        shift,
+        [[top if c == (r + 1) % n or c == r else rng.choice([0, 1, top]) * (c > r) for c in range(n)] for r in range(n)],
+        [[rng.choice([-top, -1, 0, PRIME, PRIME + 1, 2 * PRIME - 1, top]) for _ in range(n)] for _ in range(n)],
+    ]
+    mats += seeded_batch(seed, n, 6).tolist()
+    return np.array(mats, dtype=np.int64)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 12])
+def test_det_batch_matches_a_python_int_elimination(n):
+    mats = extreme_batch(300 + n, n)
+    rows = mats.tolist()
+    want_det = [modular_det(m) for m in rows]
+    assert det_batch(mats).tolist() == want_det
+    for row in sorted({0, n // 2, n - 1}):
+        det, cof = det_batch(mats, row=row)
+        assert det.tolist() == want_det
+        assert cof.tolist() == [modular_cofactors(m, row) for m in rows], row
+    if n > 1:
+        assert want_det[0] == 0 and any(want_det)
+
+
+@pytest.mark.parametrize("n", [2, 5, 12])
+def test_det_batch_of_only_singular_matrices(n):
+    # Every matrix singular: a zero row, a repeated row or rank one, so every
+    # cofactor row comes from the minors.
+    rng = random.Random(400 + n)
+    mats = []
+    for b in range(6):
+        m = [[rng.randrange(PRIME) for _ in range(n)] for _ in range(n)]
+        if b % 3 == 0:
+            m[rng.randrange(n)] = [0] * n
+        elif b % 3 == 1:
+            m[-1] = list(m[0])
+        else:
+            m = [[(x * y) % PRIME for y in m[0]] for x in m[1]]
+        mats.append(m)
+    mats = np.array(mats, dtype=np.int64)
+    assert det_batch(mats).tolist() == [0] * 6
+    for row in (0, n - 1):
+        det, cof = det_batch(mats, row=row)
+        assert det.tolist() == [0] * 6
+        assert cof.tolist() == [modular_cofactors(m, row) for m in mats.tolist()]
+
+
+@pytest.mark.parametrize("size", [1, 2, _detcube._TREE_MIN - 1, _detcube._TREE_MIN, _detcube._TREE_MIN + 1, 1000])
+def test_inverse_vec_is_the_elementwise_inverse(size):
+    # Both sides of the crossover between the Python-int loop and the product
+    # tree. A 0 (a singular matrix's pivot) is taken as 1 and spoils no other entry.
+    rng = random.Random(size)
+    vals = [1, PRIME - 1, 2, (PRIME + 1) // 2] + [rng.randrange(1, PRIME) for _ in range(size)]
+    vals = vals[:size]
+    got = _detcube._inverse_vec(np.array(vals, dtype=np.int64))
+    assert got.dtype == np.int64
+    assert got.tolist() == [pow(v, -1, PRIME) for v in vals]
+    vals[size // 2] = 0
+    assert _detcube._inverse_vec(np.array(vals, dtype=np.int64)).tolist() == [pow(v or 1, -1, PRIME) for v in vals]
+
+
+def test_grid_evaluates_every_entry_at_every_point():
+    # Against direct evaluation in Python ints, point by point in C order.
+    rng = random.Random(17)
+    for _ in range(20):
+        n, naxes = rng.randint(1, 5), rng.randint(1, 3)
+        digits = np.array(
+            [[[rng.randint(0, 4) for _ in range(naxes)] for _ in range(n)] for _ in range(n)], dtype=np.int64
+        )
+        scalars = np.array([[rng.randrange(1, PRIME) for _ in range(n)] for _ in range(n)], dtype=np.int64)
+        dims = tuple(rng.randint(1, 4) for _ in range(naxes))
+        points, mats = zip(*_detcube._grid(digits, scalars, dims))
+        points, mats = np.concatenate(points).tolist(), np.concatenate(mats).tolist()
+        assert points == [list(p) for p in itertools.product(*(range(1, d + 1) for d in dims))]
+        for p, m in zip(points, mats):
+            want = [
+                [int(scalars[i, j]) * math.prod(pow(x, int(e), PRIME) for x, e in zip(p, digits[i, j])) % PRIME
+                 for j in range(n)]
+                for i in range(n)
+            ]
+            assert m == want

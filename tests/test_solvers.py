@@ -27,6 +27,7 @@ from riccicrit import (
     randomized_insert,
     ricci,
 )
+from riccicrit import solvers
 from riccicrit.curvature import _adjacency_costs
 from riccicrit.gadgets import cover_insertions_maxcov
 from riccicrit.matching import EdgeClassCounts, min_cost_perfect_matching
@@ -84,6 +85,46 @@ def test_instance_direction_validation():
         Instance(inst.graph, (0, 1), DEL_PTN)
     with pytest.raises(ValueError):
         Instance(Graph(3, [(0, 1, 2), (1, 2, 1)], weighted=True), (0, 1), NTP)
+
+
+def test_unweighted_instances_check_their_sign_without_a_flow(monkeypatch):
+    # The local evaluator decides an unweighted instance's starting sign, zero
+    # included; the flow route runs once, when base_curvature() is first asked.
+    rng = random.Random(31)
+    cases = [(Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (3, 5)]), (0, 1))]  # curvature 0
+    for _ in range(12):
+        g = random_connected_graph(rng, rng.randint(3, 8))
+        cases += [(g, (a, b)) for a, b, _ in g.edges()]
+    flow_calls = []
+    real_ricci = solvers.ricci
+    monkeypatch.setattr(solvers, "ricci", lambda *a, **kw: flow_calls.append(a[1]) or real_ricci(*a, **kw))
+    signs = set()
+    for g, e in cases:
+        want = real_ricci(g, e, route="flow")
+        signs.add(want.sign)
+        for variant, fits in ((NTP, want.sign != Sign.POSITIVE), (DEL_PTN, want.sign == Sign.POSITIVE)):
+            if not fits:
+                with pytest.raises(ValueError):
+                    Instance(g, e, variant)
+                continue
+            inst = Instance(g, e, variant)
+            assert flow_calls == []
+            assert inst.base_curvature() == want
+            assert inst.base_curvature() == want
+            assert flow_calls == [e]
+            flow_calls.clear()
+    assert signs == {Sign.POSITIVE, Sign.ZERO, Sign.NEGATIVE}
+
+
+def test_weighted_instances_check_their_sign_by_the_flow_route(monkeypatch):
+    g, e, _ = gen_maxcov(4, [[0, 1], [2, 3]], 1)
+    flow_calls = []
+    real_ricci = solvers.ricci
+    monkeypatch.setattr(solvers, "ricci", lambda *a, **kw: flow_calls.append(kw["route"]) or real_ricci(*a, **kw))
+    inst = Instance(g, e, ProblemVariant.parse("wt-rt-ins-ntp"))
+    assert flow_calls == ["flow"]
+    assert inst.base_curvature() == real_ricci(g, e, route="flow")
+    assert flow_calls == ["flow"]
 
 
 # -- permissible edits ------------------------------------------------------------
@@ -312,6 +353,12 @@ def test_randomized_rejects_a_trial_count_below_one(trials):
     # Zero trials certify nothing; that must not read as a randomized miss.
     with pytest.raises(ValueError, match="trials must be positive"):
         randomized_insert(neg_instance(), seed=1, trials=trials)
+
+
+def test_randomized_rejects_a_negative_seed_before_any_work(monkeypatch):
+    monkeypatch.setattr(solvers, "_approx_setup", lambda *a: pytest.fail("set-up ran"))
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        randomized_insert(neg_instance(), seed=-1)
 
 
 def test_randomized_general_bound(rng):
