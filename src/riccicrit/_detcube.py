@@ -22,21 +22,27 @@ one more than that bound, the determinant is evaluated on the grid of points
 the Vandermonde systems along each axis. Point 0 is left out: it zeroes
 every entry with a positive digit and would often make the matrix singular.
 
-Witness extraction needs one row's worth of coefficients at once. Expanding
-along row i, det = sum_j scalar[i,j] x^d_ij C_ij, where the cofactor C_ij
-collects the permutations that map i to j. ``det_batch`` with ``row=i``
-eliminates each matrix against the right-hand side e_i, and back
-substitution yields the whole cofactor row det(M) (M^-1)_ji from that one
-elimination. ``row_coefficients`` contracts each chunk of these terms with
-the target's Vandermonde-inverse weights as it goes, so it keeps n running
-sums and never a grid of matrices. At a grid point where M is singular there
-is no inverse, and the cofactors there are computed as minors through
-``det_batch``. That is rare: no point is 0, so when M has a perfect matching
-its determinant at a point is a nonzero polynomial of degree n in the
-scalars, which vanishes with probability at most n/p. A target on the edge of
-an axis's degree window (its lowest or highest coefficient, as the cheapest
-and dearest signatures often are) needs no points along that axis at all;
-``row_coefficients`` explains the substitution.
+Witness extraction fixes the rows in order, each to the first column that
+keeps the target reachable, and needs one row's worth of coefficients at a
+time. Expanding along row i, det = sum_j scalar[i,j] x^d_ij C_ij, where the
+cofactor C_ij collects the permutations that map i to j, and C_ij =
+det(M) (M^-1)_ji. ``LiveMinor`` sets up once per extraction: it factors the
+digits, trims the axes whose target sits on the edge of its window (the
+lowest or highest coefficient, as the cheapest and dearest signatures often
+are; ``_window`` explains the substitution), and inverts the matrix at
+every point of one grid with ``det_batch(..., inverse=True)``. Row i's
+shares contract its cofactors with the target's Vandermonde-inverse
+weights. Fixing row i to column j leaves the (i, j) minor, whose
+determinant and inverse follow from the parent's by a rank-one update
+(Rabin and Vazirani's matching by one inversion), so no row pays for a new
+elimination: the set-up's reduced digits bound every minor's degrees, so its
+grid serves every row, and its trims hold for every minor. At a point where
+the live minor is singular there is no inverse, and from then on its
+cofactors are computed from its explicit minor through ``det_batch`` (as
+minors when that is singular too). That is rare: no point is 0, so when
+a minor has a perfect matching its determinant at a point is a nonzero
+polynomial of degree at most n in the scalars, which vanishes with
+probability at most n/p.
 
 The prime is kept below 2^31 so products of two residues fit in int64 and
 everything vectorizes under numpy. Most batches are small, so an
@@ -111,7 +117,9 @@ def _mod_prime(t: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.subtract(t, out, out=out)
 
 
-def det_batch(mats: np.ndarray, row: int | None = None) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+def det_batch(
+    mats: np.ndarray, row: int | None = None, inverse: bool = False
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Determinants mod PRIME of a (B, n, n) int64 batch, via Gaussian elimination.
 
     With ``row=i`` the matrices are eliminated against the right-hand side
@@ -119,26 +127,45 @@ def det_batch(mats: np.ndarray, row: int | None = None) -> np.ndarray | tuple[np
     cofactor of ``mats[b]``, from back substitution as det * (M^-1)_ji. A
     singular matrix has no inverse; its cofactors are computed as minors.
 
+    With ``inverse=True`` the right-hand side is the identity, and the result
+    is ``(det, inv)`` with ``inv[:, :, b]`` the inverse of ``mats[b]``: batch
+    last, as the elimination keeps it. A singular matrix is flagged by its
+    zero determinant, and its ``inv`` slice is zero.
+
     The batch is the last axis of the working array ``a``, so every
     elementwise pass runs over whole rows of the batch at once. Step k
     computes the update ``block - f * row`` into a scratch buffer and
     reduces it back into the front of ``a``'s own buffer, so ``a`` shrinks
-    to rows and columns k+1.. and stays contiguous. With ``row=i`` each
-    pivot row is kept for the back substitution.
+    to rows and columns k+1.. and stays contiguous. Each pivot row is kept
+    for the back substitution. The identity is carried in pivot order,
+    which keeps the block n wide instead of up to 2n (large grids outgrow
+    the cache): before step k a row's right-hand side is its own unit
+    vector plus multiples of the first k pivot rows' ones, so k columns
+    hold it, and each step appends one (-f) as it drops an eliminated
+    column. The columns are put back in row order at the end.
     """
     batch, n, _ = mats.shape
-    width = n if row is None else n + 1
+    width = n + (row is not None)
+    solve = row is not None or inverse
     a = np.empty((n, width, batch), dtype=np.int64)
     _mod_prime(mats.transpose(1, 2, 0), a[:, :n])
     if row is not None:
         a[:, n] = 0
         a[row, n] = 1
-        upper = np.empty((n, n + 1, batch), dtype=np.int64)
+    if solve:
+        upper = np.empty((n, width, batch), dtype=np.int64)
         inverses = np.empty((n, batch), dtype=np.int64)
-    spare = np.empty(max(0, n - 1) * (width - 1) * batch, dtype=np.int64)
+    if inverse:
+        lower = np.zeros((n, n, batch), dtype=np.int64)
+        lower[np.arange(n), np.arange(n)] = 1
+        # order: the input row each row of a came from; perm[k]: step k's pivot row.
+        order = np.repeat(np.arange(n)[:, None], batch, axis=1)
+        perm = np.empty((n, batch), dtype=np.int64)
+    spare = np.empty(max(0, n - 1) * (width - 1 + inverse) * batch, dtype=np.int64)
     det = np.ones(batch, dtype=np.int64)
     for k in range(n):
-        # a holds rows and columns k.. of the partly eliminated matrices.
+        # a holds rows and columns k.. of the partly eliminated matrices, then
+        # the right-hand side: e_i, or the first k pivot-order columns.
         pivot = a[0, 0]
         if not pivot.all():
             # Swap up the first nonzero entry below a zero pivot. A matrix with
@@ -151,31 +178,53 @@ def det_batch(mats: np.ndarray, row: int | None = None) -> np.ndarray | tuple[np
                 a[0, :, sw] = a[rows, :, sw]
                 a[rows, :, sw] = tmp
                 det[sw] = (-det[sw]) % PRIME
+                if inverse:
+                    tmp = order[0, sw]
+                    order[0, sw] = order[rows, sw]
+                    order[rows, sw] = tmp
         det = (det * pivot) % PRIME
-        if k + 1 < n or row is not None:
+        if k + 1 < n or solve:
             # A zero pivot's column is zero, so its factors are too, whatever inv is.
             inv = _inverse_vec(pivot)
-        if row is not None:
+        if solve:
             inverses[k] = inv
-            upper[k, k:] = a[0]
+            upper[k, k:n] = a[0, : n - k]
+        if row is not None:
+            upper[k, n] = a[0, -1]
+        if inverse:
+            lower[k, :k] = a[0, n - k :]
+            perm[k] = order[0]
+            order = order[1:]
         if k + 1 < n:
             factors = (a[1:, 0] * inv) % PRIME
             # Column k below the pivot is never read again, so it is dropped.
-            shape = (n - k - 1, width - k - 1, batch)
+            kept = a.shape[1] - 1
+            shape = (n - k - 1, kept + inverse, batch)
             size = math.prod(shape)
             t = spare[:size].reshape(shape)
-            np.multiply(factors[:, None], a[:1, 1:], out=t)
-            np.subtract(a[1:, 1:], t, out=t)
+            np.multiply(factors[:, None], a[:1, 1:], out=t[:, :kept])
+            np.subtract(a[1:, 1:], t[:, :kept], out=t[:, :kept])
+            if inverse:
+                np.negative(factors, out=t[:, kept])
             a = _mod_prime(t, a.reshape(-1)[:size].reshape(shape))
-    if row is None:
+    if not solve:
         return det
-    # Back substitution: upper is upper triangular with the transformed e_i in column n.
-    b = upper[:, n]
-    solution = np.empty((n, batch), dtype=np.int64)
+    # Back substitution against the transformed right-hand sides.
+    b = lower if inverse else upper[:, n:]
+    solution = np.empty(b.shape, dtype=np.int64)
     for k in range(n - 1, -1, -1):
-        solution[k] = (b[k] * inverses[k]) % PRIME
-        b[:k] = (b[:k] - upper[:k, k] * solution[k]) % PRIME
-    cof = (solution.T * det[:, None]) % PRIME
+        _mod_prime(b[k] * inverses[k], solution[k])
+        if k:
+            _mod_prime(b[:k] - upper[:k, k, None] * solution[k], b[:k])
+    if inverse:
+        solution[:, :, det == 0] = 0
+        if (perm != np.arange(n)[:, None]).any():
+            # Column j belongs to the j-th pivot row.
+            out = np.empty_like(solution)
+            np.put_along_axis(out, np.broadcast_to(perm, solution.shape), solution, axis=1)
+            solution = out
+        return det, solution
+    cof = (solution[:, 0].T * det[:, None]) % PRIME
     singular = np.flatnonzero(det == 0)
     if singular.size:
         cof[singular] = _minor_row(mats[singular] % PRIME, row)
@@ -334,16 +383,12 @@ class SignatureCube:
         return out
 
 
-def row_coefficients(digits: np.ndarray, scalars: np.ndarray, target: tuple[int, ...]) -> np.ndarray:
-    """Coefficient at digit sums ``target`` of each term of the expansion along row 0.
+def _window(digits: np.ndarray, scalars: np.ndarray, target: tuple[int, ...]):
+    """Factor ``digits`` and trim every axis whose ``target`` is on its window's edge.
 
-    Entry j is the ``target`` coefficient of scalar[0,j] x^d_0j C_0j, the
-    part of the determinant made of the permutations that map row 0 to
-    column j. It is scalar[0,j] times, up to sign, the coefficient that
-    ``coefficient_at`` finds at ``target - digits[0, j]`` on the (0, j)
-    minor, so the two are zero together; the entries sum to the
-    determinant's own ``target`` coefficient. One cofactor pass over one
-    grid computes all n.
+    Returns ``(reduced, scalars, dims, shifted)``: a problem whose
+    coefficient at ``shifted`` on the grid ``dims`` equals the original's at
+    ``target``, or None when ``target`` lies outside the degree window.
 
     A target on the edge of an axis's degree window needs no points along
     that axis. Its lowest coefficient is the determinant at x = 0, where
@@ -351,14 +396,14 @@ def row_coefficients(digits: np.ndarray, scalars: np.ndarray, target: tuple[int,
     sum of the row maxima, is the lowest of x^bound det(M(1/x)), whose row r
     is row r of M(1/x) times x^rowmax_r, so at x = 0 only the entries at
     their row's maximum remain (column maxima alike). Either way the axis
-    drops out and the other entries are zeroed.
+    drops out and the other entries are zeroed. Every permutation that
+    reaches the target uses kept entries only, so a trim also holds for
+    every minor on the way to it.
     """
-    digits = np.asarray(digits, dtype=np.int64)
     reduced, offset, dims = _factor(digits)
-    out = np.zeros(digits.shape[0], dtype=np.int64)
     shifted = [t - o for t, o in zip(target, offset)]
     if any(t < 0 or t >= d for t, d in zip(shifted, dims)):
-        return out
+        return None
     kept = np.ones(digits.shape[:2], dtype=bool)
     dims = list(dims)
     for axis, (t, d) in enumerate(zip(shifted, dims)):
@@ -373,17 +418,107 @@ def row_coefficients(digits: np.ndarray, scalars: np.ndarray, target: tuple[int,
             kept &= axis_digits == axis_digits.max(axis=0, keepdims=True)
         axis_digits[...] = 0
         shifted[axis], dims[axis] = 0, 1
-    scalars = np.where(kept, np.asarray(scalars, dtype=np.int64) % PRIME, 0)
-    # Row t of the inverse Vandermonde matrix turns values at points 1..d into the x^t coefficient.
-    weights = [vandermonde_inverse(d)[t] for d, t in zip(dims, shifted)]
-    for pts, mats in _grid(reduced, scalars, tuple(dims)):
-        weight = np.ones(pts.shape[0], dtype=np.int64)
-        for axis, w in enumerate(weights):
-            weight = (weight * w[pts[:, axis] - 1]) % PRIME
-        _, cof = det_batch(mats, row=0)
-        terms = (mats[:, 0, :] * cof) % PRIME
-        out = (out + ((terms * weight[:, None]) % PRIME).sum(axis=0)) % PRIME
-    return out
+    return reduced, np.where(kept, scalars % PRIME, 0), tuple(dims), shifted
+
+
+class LiveMinor:
+    """The live minor of a witness extraction, inverted at every point of one grid.
+
+    Row 0 of the live minor is fixed to one column at a time (``take``). Its
+    ``shares`` are the ``target`` coefficients of the terms of the expansion
+    along row 0; row 0's cofactors at a grid point are det * (M^-1)[:, 0].
+    Taking column c leaves the (0, c) minor, whose determinant is
+    (-1)^c det (M^-1)[c, 0] and whose inverse is the rank-one update
+    B[-c, 1:] - B[-c, 0] B[c, 1:] / B[c, 0] of B = M^-1, and shifts the
+    target down by the taken entry's digits. The set-up's reduced digits
+    bound every minor's degrees too, so the set-up's grid serves them all,
+    and its trims hold for every minor on the way to the target.
+
+    A point whose live minor is singular, at the start (det 0) or after an
+    update (B[c, 0] = 0, so the new det is 0), has no inverse; its det stays
+    0, and its cofactors come from ``det_batch(..., row=0)`` on its explicit
+    minor from then on.
+
+    Memory: 24 n^2 G bytes for a grid of G points (the n x n matrices, their
+    inverses and a scratch buffer), plus the set-up's elimination, which
+    works on ``_grid``'s chunks.
+    """
+
+    def __init__(self, digits: np.ndarray, scalars: np.ndarray, target: tuple[int, ...]):
+        digits = np.asarray(digits, dtype=np.int64)
+        n = digits.shape[0]
+        self.row, self.cols = 0, np.arange(n)
+        window = _window(digits, np.asarray(scalars, dtype=np.int64), target)
+        self.points = None
+        if window is None:
+            return
+        self.digits, scalars, self.dims, self.target = window
+        ngrid = math.prod(self.dims)
+        self.mats = np.empty((n, n, ngrid), dtype=np.int64)
+        self.inv = np.empty((n, n, ngrid), dtype=np.int64)
+        self.det = np.empty(ngrid, dtype=np.int64)
+        points, start = [], 0
+        for pts, mats in _grid(self.digits, scalars, self.dims):
+            stop = start + len(pts)
+            self.mats[:, :, start:stop] = mats.transpose(1, 2, 0)
+            self.det[start:stop], self.inv[:, :, start:stop] = det_batch(mats, inverse=True)
+            points.append(pts)
+            start = stop
+        self.points = np.concatenate(points)
+        self.spare = np.empty(n * max(0, n - 1) * ngrid, dtype=np.int64)
+
+    def shares(self) -> np.ndarray:
+        """Entry c: the ``target`` coefficient of the live minor's term through (0, c)."""
+        if self.points is None:
+            return np.zeros(len(self.cols), dtype=np.int64)
+        # Row t of the inverse Vandermonde matrix turns values at points 1..d into the x^t coefficient.
+        weight = np.ones(len(self.points), dtype=np.int64)
+        for axis, (d, t) in enumerate(zip(self.dims, self.target)):
+            if d > 1:
+                weight = (weight * vandermonde_inverse(d)[t][self.points[:, axis] - 1]) % PRIME
+        cof = (self.inv[:, 0] * self.det) % PRIME
+        singular = np.flatnonzero(self.det == 0)
+        if singular.size:
+            live = self.mats[self.row :][:, self.cols][:, :, singular]
+            cof[:, singular] = det_batch(live.transpose(2, 0, 1), row=0)[1].T
+        terms = (self.mats[self.row, self.cols] * cof) % PRIME
+        return ((terms * weight) % PRIME).sum(axis=1) % PRIME
+
+    def take(self, c: int) -> None:
+        """Fix row 0 of the live minor to its column ``c``, counted among the live columns."""
+        m = len(self.cols)
+        entry = self.digits[self.row, self.cols[c]]
+        self.target = [int(t - d) for t, d in zip(self.target, entry)]
+        pivot = self.inv[c, 0]
+        det = (self.det * pivot) % PRIME
+        self.det = (-det) % PRIME if c % 2 else det
+        self.row += 1
+        self.cols = np.delete(self.cols, c)
+        if m == 1:
+            return
+        ngrid = len(self.det)
+        factors = (self.inv[c, 1:] * _inverse_vec(pivot)) % PRIME
+        t = self.spare[: m * (m - 1) * ngrid].reshape(m, m - 1, ngrid)
+        np.multiply(self.inv[:, :1], factors, out=t)
+        np.subtract(self.inv[:, 1:], t, out=t)
+        inv = self.inv.reshape(-1)[: (m - 1) ** 2 * ngrid].reshape(m - 1, m - 1, ngrid)
+        _mod_prime(t[:c], inv[:c])
+        _mod_prime(t[c + 1 :], inv[c:])
+        self.inv = inv
+
+
+def row_coefficients(digits: np.ndarray, scalars: np.ndarray, target: tuple[int, ...]) -> np.ndarray:
+    """Coefficient at digit sums ``target`` of each term of the expansion along row 0.
+
+    Entry j is the ``target`` coefficient of scalar[0,j] x^d_0j C_0j, the
+    part of the determinant made of the permutations that map row 0 to
+    column j. It is scalar[0,j] times, up to sign, the coefficient that
+    ``coefficient_at`` finds at ``target - digits[0, j]`` on the (0, j)
+    minor, so the two are zero together; the entries sum to the
+    determinant's own ``target`` coefficient. It is the first step of a
+    witness extraction (``LiveMinor``).
+    """
+    return LiveMinor(digits, scalars, target).shares()
 
 
 def coefficient_at(digits: np.ndarray, scalars: np.ndarray, target: tuple[int, ...]) -> int:

@@ -15,8 +15,9 @@ Three layers live here:
   search loop asks for a matching with prescribed digit sums. Search runs
   over a prime field via determinant interpolation (see ``_detcube``): a
   signature cube certifies the target, then the witness is fixed row by
-  row, one cofactor pass per row giving the target's share of every column
-  at once. Every witness is verified before it is returned, so randomness
+  row from one inversion per grid point, each fixed row a rank-one update
+  that gives the next row the target's share of every column at once.
+  Every witness is verified before it is returned, so randomness
   can only cause a miss, never a wrong answer.
 
 numpy and ``_detcube`` are imported when a randomized search first runs, so
@@ -395,6 +396,12 @@ def _signature_digits(
     return np.stack([4 - c, c == 3, touchable_2], axis=2).astype(np.int64)
 
 
+def _check_seed(seed: int) -> None:
+    """Reject a negative seed, which numpy's generator would refuse without naming it."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+
+
 def _trial_scalars(seed: int, trial: int, q: int) -> np.ndarray:
     import numpy as np
 
@@ -430,32 +437,34 @@ def _extract_assignment(
     scalars: np.ndarray,
     target: tuple[int, ...],
 ) -> list[int] | None:
-    """Self-reduction: fix the rows in order, one cofactor pass per row.
+    """Self-reduction: fix the rows in order, each to the first column that
+    keeps the target reachable, in one elimination.
 
-    Row i's pass (``row_coefficients`` on rows i.. and the columns not yet
-    taken) splits the remaining digit budget's coefficient by the column row
-    i takes, and row i keeps the first column whose share is nonzero: its
-    minor then still certifies the rest of the budget. That share is zero
-    exactly when ``coefficient_at`` is on the same minor with the same
+    ``LiveMinor`` inverts the matrix once at every point of one grid. Row
+    i's shares split the remaining digit budget's coefficient by the column
+    row i takes, and row i keeps the first column whose share is nonzero: its
+    minor then still certifies the rest of the budget. A rank-one update of
+    the inverses then gives that minor's, so no row pays for a new
+    elimination, except at the rare points where a live minor is singular,
+    which fall back to cofactors from their explicit minors. Each share is
+    zero exactly when ``coefficient_at`` is on the same minor with the same
     scalars. A false negative (random unluck) aborts the attempt; the caller
     retries with fresh scalars.
     """
     import numpy as np
 
-    from ._detcube import row_coefficients
+    from ._detcube import LiveMinor
 
-    n = digits.shape[0]
-    cols = list(range(n))
-    remaining = np.array(target, dtype=np.int64)
+    minor = LiveMinor(digits, scalars, target)
+    cols = list(range(digits.shape[0]))
     assignment = []
-    for i in range(n):
-        live = np.ix_(range(i, n), cols)
-        shares = np.flatnonzero(row_coefficients(digits[live], scalars[live], remaining))
+    while cols:
+        shares = np.flatnonzero(minor.shares())
         if not shares.size:
             return None
-        j = cols.pop(int(shares[0]))
-        assignment.append(j)
-        remaining = remaining - digits[i, j]
+        c = int(shares[0])
+        assignment.append(cols.pop(c))
+        minor.take(c)
     return assignment
 
 
@@ -490,8 +499,10 @@ def exact_cost_matching(
     trial's random scalars to kill the certifying coefficient, which happens
     with probability at most (q/PRIME) per trial; None is therefore wrong
     only with vanishing probability. A returned matching is always genuine:
-    its cost is verified before returning.
+    its cost is verified before returning. The seed must be a non-negative
+    integer.
     """
+    _check_seed(seed)
     _check_square(costs)
     if target < 0:
         return None
@@ -527,8 +538,9 @@ def matching_with_counts(
     Searches the signature digits for the sums (4q - target_cost, k, l), on
     the same cubes ``signature_support`` builds for the same matrix and
     seed. Returned witnesses are re-verified against the original matrix
-    unconditionally.
+    unconditionally. The seed must be a non-negative integer.
     """
+    _check_seed(seed)
     q = _check_square(costs)
     digits = _signature_digits(costs, touchable_mask)
     if k < 0 or l < 0 or k + l > q:
@@ -554,8 +566,10 @@ def signature_support(
 
     Every returned signature truly has a matching; signatures can only be
     missed, with per-cell probability at most q/PRIME per trial. Used by the
-    solver sweep, which wants the whole landscape at once.
+    solver sweep, which wants the whole landscape at once. The seed must be
+    a non-negative integer.
     """
+    _check_seed(seed)
     q = _check_square(costs)
     if trials < 1:
         raise ValueError("trials must be positive")

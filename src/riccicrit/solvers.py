@@ -59,6 +59,7 @@ from .graphs import Graph, ordered_pair
 from .matching import (
     EdgeClassCounts,
     Matching,
+    _check_seed,
     _transport,
     matching_cost,
     matching_with_counts,
@@ -657,8 +658,7 @@ def randomized_insert(inst: Instance, seed: int, *, trials: int = 4) -> Solution
     verified by recomputation; randomness can degrade optimality but never
     validity. The seed must be a non-negative integer.
     """
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    _check_seed(seed)
     _require_approx_variant(inst)
     if trials < 1:
         raise ValueError("trials must be positive")

@@ -7,7 +7,7 @@ import pytest
 
 from riccicrit import _detcube
 from riccicrit._detcube import PRIME, SignatureCube, coefficient_at, det_batch, row_coefficients
-from riccicrit.matching import _signature_digits
+from riccicrit.matching import _extract_assignment, _signature_digits
 
 
 def exact_det(rows: list[list[int]]) -> int:
@@ -148,7 +148,7 @@ def test_targets_on_a_window_edge_are_read_off_one_grid_point(monkeypatch):
     # matrix is singular), with the same shares.
     batches = []
     original = _detcube.det_batch
-    monkeypatch.setattr(_detcube, "det_batch", lambda mats, row=None: batches.append(len(mats)) or original(mats, row))
+    monkeypatch.setattr(_detcube, "det_batch", lambda mats, **kw: batches.append(len(mats)) or original(mats, **kw))
     rng = random.Random(23)
     for _ in range(10):
         n = rng.randint(2, 6)
@@ -164,6 +164,45 @@ def test_targets_on_a_window_edge_are_read_off_one_grid_point(monkeypatch):
                 after = target - int(digits[0, j, 0])
                 minor = coefficient_at(digits[1:][:, keep], scalars[1:][:, keep], (after,)) if after >= 0 else 0
                 assert (shares[j] != 0) == (minor != 0)
+
+
+def test_each_rows_shares_are_its_minors_row_coefficients():
+    # After the rank-one updates, each row's shares are the very field
+    # elements a fresh set-up on the explicit live minor gives, signs included.
+    for digits, scalars in seeded_signature_instances(61, 20, 6):
+        n = digits.shape[0]
+        for target in sorted(enumerated_signatures(digits))[::3]:
+            minor = _detcube.LiveMinor(digits, scalars, target)
+            cols, remaining = list(range(n)), np.array(target)
+            for i in range(n):
+                live = np.ix_(range(i, n), cols)
+                want = row_coefficients(digits[live], scalars[live], tuple(remaining))
+                assert minor.shares().tolist() == want.tolist(), (target, i)
+                c = int(np.flatnonzero(want)[0])
+                remaining = remaining - digits[i, cols.pop(c)]
+                minor.take(c)
+
+
+def test_an_extraction_at_a_window_edge_inverts_one_matrix(monkeypatch):
+    # The window-edge trims are made once, at the top: a target on the edge of
+    # every axis's window is read off one grid point for the whole extraction,
+    # whose single inversion every later row updates.
+    calls = []
+    original = _detcube.det_batch
+    monkeypatch.setattr(_detcube, "det_batch", lambda mats, **kw: calls.append((len(mats), kw)) or original(mats, **kw))
+    rng = random.Random(29)
+    for _ in range(10):
+        n = rng.randint(2, 6)
+        digits = np.array([[[rng.randint(0, 5)] for _ in range(n)] for _ in range(n)], dtype=np.int64)
+        scalars = np.array([[rng.randrange(1, PRIME) for _ in range(n)] for _ in range(n)], dtype=np.int64)
+        _, (offset,), (dims,) = _detcube._factor(digits)
+        for target in (offset, offset + dims - 1):
+            calls.clear()
+            got = _extract_assignment(digits, scalars, (target,))
+            reach = [list(p) for p in itertools.permutations(range(n)) if sum(digits[i, p[i], 0] for i in range(n)) == target]
+            assert got == (reach[0] if reach else None)
+            assert calls[0] == (1, {"inverse": True})
+            assert all(kw != {"inverse": True} for _, kw in calls[1:])
 
 
 def modular_det(rows: list[list[int]]) -> int:
@@ -219,6 +258,51 @@ def test_det_batch_matches_a_python_int_elimination(n):
         assert cof.tolist() == [modular_cofactors(m, row) for m in rows], row
     if n > 1:
         assert want_det[0] == 0 and any(want_det)
+
+
+def modular_inverse(rows: list[list[int]]) -> tuple[int, list[list[int]] | None]:
+    """Determinant and inverse mod PRIME by Gauss-Jordan elimination in Python
+    ints; the inverse is None for a singular matrix."""
+    n = len(rows)
+    aug = [[x % PRIME for x in r] + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    det = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if aug[i][k]), None)
+        if p is None:
+            return 0, None
+        if p != k:
+            aug[k], aug[p] = aug[p], aug[k]
+            det = -det
+        det = det * aug[k][k] % PRIME
+        inv = pow(aug[k][k], -1, PRIME)
+        aug[k] = [x * inv % PRIME for x in aug[k]]
+        for i in range(n):
+            if i != k and aug[i][k]:
+                f = aug[i][k]
+                aug[i] = [(x - f * y) % PRIME for x, y in zip(aug[i], aug[k])]
+    return det % PRIME, [r[n:] for r in aug]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 12])
+def test_inverse_mode_matches_a_python_int_gauss_jordan(n):
+    # Entries 0, 1 and PRIME - 1, pivots that need swaps, unreduced entries and
+    # singular members: a singular member's determinant is 0 and its inverse
+    # slice is zero, not the leftovers of an elimination.
+    mats = extreme_batch(500 + n, n)
+    det, inv = det_batch(mats, inverse=True)
+    assert inv.shape == (n, n, len(mats))
+    singular = 0
+    for b, m in enumerate(mats.tolist()):
+        want_det, want_inv = modular_inverse(m)
+        assert int(det[b]) == want_det, b
+        if want_inv is None:
+            singular += 1
+            assert not inv[:, :, b].any(), b
+        else:
+            assert inv[:, :, b].tolist() == want_inv, b
+    assert det.tolist() == det_batch(mats).tolist()
+    if n > 1:
+        assert 0 < singular < len(mats)
 
 
 @pytest.mark.parametrize("n", [2, 5, 12])

@@ -12,7 +12,7 @@ PACKAGE = Path(riccicrit.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
-def _imported_names(tree: ast.Module) -> dict[str, int]:
+def _imported_names(tree: ast.AST) -> dict[str, int]:
     """Each name an import statement binds, with its line."""
     names = {}
     for node in ast.walk(tree):
@@ -25,7 +25,7 @@ def _imported_names(tree: ast.Module) -> dict[str, int]:
     return names
 
 
-def _used_names(tree: ast.Module) -> set[str]:
+def _used_names(tree: ast.AST) -> set[str]:
     """Every name read in the module, string annotations included."""
     used = set()
     annotations = []
@@ -69,25 +69,25 @@ def test_unused_import_check_sees_annotations():
     assert sorted(name for name in imported if name not in used) == ["Mapping", "Unused"]
 
 
-def _referenced_names(tree: ast.Module) -> set[str]:
-    """Names a module reads, the attributes it reads and the names it imports."""
+def _referenced_names(tree: ast.AST) -> set[str]:
+    """Names a module or statement reads, the attributes it reads and the names it imports."""
     names = _used_names(tree) | set(_imported_names(tree))
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     return names
 
 
 def _orphans(sources: dict[str, str]) -> list[str]:
-    """Module-level private functions and classes that no module references."""
-    trees = {name: ast.parse(source) for name, source in sources.items()}
-    referenced = set().union(*map(_referenced_names, trees.values()))
+    """Module-level private functions and classes that nothing outside their
+    own definition references: a helper that only calls itself is dead too."""
+    statements = [(name, node) for name, source in sources.items() for node in ast.parse(source).body]
+    referenced = [_referenced_names(node) for _, node in statements]
     return sorted(
         f"{name}: {node.name} (line {node.lineno})"
-        for name, tree in trees.items()
-        for node in tree.body
+        for k, (name, node) in enumerate(statements)
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and node.name.startswith("_")
         and not node.name.startswith("__")
-        and node.name not in referenced
+        and not any(node.name in names for other, names in enumerate(referenced) if other != k)
     )
 
 
@@ -105,3 +105,15 @@ def test_orphan_check_counts_other_modules_and_attributes():
     assert _orphans(sources) == []
     sources["b.py"] = "from .a import _used\n"
     assert _orphans(sources) == ["a.py: _Kept (line 3)", "a.py: _orphan (line 2)"]
+
+
+def test_orphan_check_ignores_a_helpers_own_body():
+    sources = {
+        "a.py": (
+            "def _walk(n):\n    return _walk(n - 1) if n else 0\n"
+            "class _Node:\n    def copy(self):\n        return _Node()\n"
+            "def _used():\n    return 1\n"
+            "x = _used()\n"
+        ),
+    }
+    assert _orphans(sources) == ["a.py: _Node (line 3)", "a.py: _walk (line 1)"]

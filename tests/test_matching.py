@@ -345,6 +345,21 @@ def test_signature_support_rejects_a_trial_count_below_one(trials):
         signature_support([[0, 1], [1, 0]], [[True] * 2] * 2, trials=trials)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda seed: exact_cost_matching([[0, 1]], 1, seed=seed),
+        lambda seed: matching_with_counts([[0, 1]], [[True, True]], 1, 0, 0, seed=seed),
+        lambda seed: signature_support([[0, 1]], [[True, True]], seed=seed),
+    ],
+    ids=["exact_cost_matching", "matching_with_counts", "signature_support"],
+)
+def test_a_negative_seed_is_rejected_before_any_work(call):
+    # The matrix is not even square: the seed is checked first, and named.
+    with pytest.raises(ValueError, match=r"^seed must be non-negative, got -3$"):
+        call(-3)
+
+
 def test_signature_support_is_sound_and_witnessed():
     # Every certified signature is a real one, and the witness query on the
     # same seed (hence the same cubes) recovers a verified matching for it.
@@ -436,6 +451,82 @@ def test_extraction_at_singular_points_agrees_with_coefficient_at(monkeypatch):
             want = _minor_by_minor_extraction(digits, scalars, target)
             assert _extract_assignment(digits, scalars, target) == want
     assert fallbacks
+
+
+def _interior_targets(digits):
+    """The reachable single-axis targets strictly inside their degree window,
+    where no trim touches the matrix, so at the all-ones point it is the scalars."""
+    q = digits.shape[0]
+    _, (offset,), (dims,) = _detcube._factor(digits)
+    sums = {int(sum(digits[i, p[i], 0] for i in range(q))) for p in itertools.permutations(range(q))}
+    return sorted(t for t in sums if offset < t < offset + dims - 1)
+
+
+def _spy_explicit_cofactors(monkeypatch):
+    """Record the batch size of every det_batch(..., row=0) call: the explicit
+    cofactors of points whose live minor is singular."""
+    calls = []
+    original = _detcube.det_batch
+    monkeypatch.setattr(
+        _detcube, "det_batch", lambda mats, **kw: (kw.get("row") == 0 and calls.append(len(mats))) or original(mats, **kw)
+    )
+    return calls
+
+
+def test_extraction_when_a_minor_turns_singular_mid_update(monkeypatch):
+    # Rows 1 and 2 have equal scalars except in the column row 0 takes, so the
+    # matrix at the all-ones point is nonsingular but the minor row 0 leaves
+    # is not: the update's pivot B[j, 0] is 0 there. That point moves to
+    # explicit cofactors, and the witness is the one coefficient_at finds.
+    explicit = _spy_explicit_cofactors(monkeypatch)
+    rng = random.Random(41)
+    cases = 0
+    while cases < 8:
+        q = rng.randint(3, 6)
+        digits = np.array([[[rng.randint(0, 3)] for _ in range(q)] for _ in range(q)], dtype=np.int64)
+        for target in _interior_targets(digits)[:3]:
+            for j in range(q):
+                scalars = _trial_scalars(cases, 0, q)
+                scalars[2] = scalars[1]
+                scalars[2, j] = (scalars[1, j] + 1) % _detcube.PRIME
+                want = _minor_by_minor_extraction(digits, scalars, (target,))
+                if want is None or want[0] != j:
+                    continue
+                keep = [c for c in range(q) if c != j]
+                assert det_batch(scalars[None])[0] != 0
+                assert det_batch(scalars[1:, keep][None])[0] == 0
+                explicit.clear()
+                assert _extract_assignment(digits, scalars, (target,)) == want
+                # Only that point, on every row after the first.
+                assert explicit == [1] * (q - 1)
+                cases += 1
+                break
+
+
+def test_extraction_when_a_point_is_singular_only_at_the_start(monkeypatch):
+    # Rows 0 and q-1 have equal scalars, so the matrix at the all-ones point is
+    # singular from the start, while the minor row 0 leaves is not. That point
+    # takes explicit cofactors throughout, and the witness is unchanged.
+    explicit = _spy_explicit_cofactors(monkeypatch)
+    rng = random.Random(43)
+    cases = 0
+    while cases < 8:
+        q = rng.randint(3, 6)
+        digits = np.array([[[rng.randint(0, 3)] for _ in range(q)] for _ in range(q)], dtype=np.int64)
+        scalars = _trial_scalars(100 + cases, 0, q)
+        scalars[q - 1] = scalars[0]
+        for target in _interior_targets(digits)[:3]:
+            want = _minor_by_minor_extraction(digits, scalars, (target,))
+            if want is None:
+                continue
+            keep = [c for c in range(q) if c != want[0]]
+            assert det_batch(scalars[None])[0] == 0
+            if det_batch(scalars[1:, keep][None])[0] == 0:
+                continue
+            explicit.clear()
+            assert _extract_assignment(digits, scalars, (target,)) == want
+            assert explicit == [1] * q
+            cases += 1
 
 
 @pytest.mark.parametrize(
