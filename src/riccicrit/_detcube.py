@@ -37,12 +37,13 @@ determinant and inverse follow from the parent's by a rank-one update
 (Rabin and Vazirani's matching by one inversion), so no row pays for a new
 elimination: the set-up's reduced digits bound every minor's degrees, so its
 grid serves every row, and its trims hold for every minor. At a point where
-the live minor is singular there is no inverse, and from then on its
-cofactors are computed from its explicit minor through ``det_batch`` (as
-minors when that is singular too). That is rare: no point is 0, so when
-a minor has a perfect matching its determinant at a point is a nonzero
-polynomial of degree at most n in the scalars, which vanishes with
-probability at most n/p.
+the live minor is singular there is no inverse to update: the next row
+inverts that point's explicit live minor with ``det_batch``, and the point
+rejoins the updates as soon as its live minor is nonsingular again. Only
+while it is singular are its cofactors computed as minors (``_minor_row``).
+That is rare: no point is 0, so when a minor has a perfect matching its
+determinant at a point is a nonzero polynomial of degree at most n in the
+scalars, which vanishes with probability at most n/p.
 
 The prime is kept below 2^31 so products of two residues fit in int64 and
 everything vectorizes under numpy. Most batches are small, so an
@@ -117,15 +118,8 @@ def _mod_prime(t: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.subtract(t, out, out=out)
 
 
-def det_batch(
-    mats: np.ndarray, row: int | None = None, inverse: bool = False
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+def det_batch(mats: np.ndarray, inverse: bool = False) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Determinants mod PRIME of a (B, n, n) int64 batch, via Gaussian elimination.
-
-    With ``row=i`` the matrices are eliminated against the right-hand side
-    e_i, and the result is ``(det, cof)`` with ``cof[b, j]`` the (i, j)
-    cofactor of ``mats[b]``, from back substitution as det * (M^-1)_ji. A
-    singular matrix has no inverse; its cofactors are computed as minors.
 
     With ``inverse=True`` the right-hand side is the identity, and the result
     is ``(det, inv)`` with ``inv[:, :, b]`` the inverse of ``mats[b]``: batch
@@ -145,27 +139,21 @@ def det_batch(
     column. The columns are put back in row order at the end.
     """
     batch, n, _ = mats.shape
-    width = n + (row is not None)
-    solve = row is not None or inverse
-    a = np.empty((n, width, batch), dtype=np.int64)
-    _mod_prime(mats.transpose(1, 2, 0), a[:, :n])
-    if row is not None:
-        a[:, n] = 0
-        a[row, n] = 1
-    if solve:
-        upper = np.empty((n, width, batch), dtype=np.int64)
-        inverses = np.empty((n, batch), dtype=np.int64)
+    a = np.empty((n, n, batch), dtype=np.int64)
+    _mod_prime(mats.transpose(1, 2, 0), a)
     if inverse:
+        upper = np.empty((n, n, batch), dtype=np.int64)
+        inverses = np.empty((n, batch), dtype=np.int64)
         lower = np.zeros((n, n, batch), dtype=np.int64)
         lower[np.arange(n), np.arange(n)] = 1
         # order: the input row each row of a came from; perm[k]: step k's pivot row.
         order = np.repeat(np.arange(n)[:, None], batch, axis=1)
         perm = np.empty((n, batch), dtype=np.int64)
-    spare = np.empty(max(0, n - 1) * (width - 1 + inverse) * batch, dtype=np.int64)
+    spare = np.empty(max(0, n - 1) * (n - 1 + inverse) * batch, dtype=np.int64)
     det = np.ones(batch, dtype=np.int64)
     for k in range(n):
         # a holds rows and columns k.. of the partly eliminated matrices, then
-        # the right-hand side: e_i, or the first k pivot-order columns.
+        # the first k pivot-order columns of the right-hand side.
         pivot = a[0, 0]
         if not pivot.all():
             # Swap up the first nonzero entry below a zero pivot. A matrix with
@@ -183,15 +171,12 @@ def det_batch(
                     order[0, sw] = order[rows, sw]
                     order[rows, sw] = tmp
         det = (det * pivot) % PRIME
-        if k + 1 < n or solve:
+        if k + 1 < n or inverse:
             # A zero pivot's column is zero, so its factors are too, whatever inv is.
             inv = _inverse_vec(pivot)
-        if solve:
-            inverses[k] = inv
-            upper[k, k:n] = a[0, : n - k]
-        if row is not None:
-            upper[k, n] = a[0, -1]
         if inverse:
+            inverses[k] = inv
+            upper[k, k:] = a[0, : n - k]
             lower[k, :k] = a[0, n - k :]
             perm[k] = order[0]
             order = order[1:]
@@ -207,28 +192,21 @@ def det_batch(
             if inverse:
                 np.negative(factors, out=t[:, kept])
             a = _mod_prime(t, a.reshape(-1)[:size].reshape(shape))
-    if not solve:
+    if not inverse:
         return det
-    # Back substitution against the transformed right-hand sides.
-    b = lower if inverse else upper[:, n:]
-    solution = np.empty(b.shape, dtype=np.int64)
+    # Back substitution against the transformed identity.
+    solution = np.empty(lower.shape, dtype=np.int64)
     for k in range(n - 1, -1, -1):
-        _mod_prime(b[k] * inverses[k], solution[k])
+        _mod_prime(lower[k] * inverses[k], solution[k])
         if k:
-            _mod_prime(b[:k] - upper[:k, k, None] * solution[k], b[:k])
-    if inverse:
-        solution[:, :, det == 0] = 0
-        if (perm != np.arange(n)[:, None]).any():
-            # Column j belongs to the j-th pivot row.
-            out = np.empty_like(solution)
-            np.put_along_axis(out, np.broadcast_to(perm, solution.shape), solution, axis=1)
-            solution = out
-        return det, solution
-    cof = (solution[:, 0].T * det[:, None]) % PRIME
-    singular = np.flatnonzero(det == 0)
-    if singular.size:
-        cof[singular] = _minor_row(mats[singular] % PRIME, row)
-    return det, cof
+            _mod_prime(lower[:k] - upper[:k, k, None] * solution[k], lower[:k])
+    solution[:, :, det == 0] = 0
+    if (perm != np.arange(n)[:, None]).any():
+        # Column j belongs to the j-th pivot row.
+        out = np.empty_like(solution)
+        np.put_along_axis(out, np.broadcast_to(perm, solution.shape), solution, axis=1)
+        solution = out
+    return det, solution
 
 
 def _minor_row(mats: np.ndarray, row: int) -> np.ndarray:
@@ -248,24 +226,11 @@ def vandermonde_inverse(npoints: int) -> np.ndarray:
     if npoints >= PRIME:
         raise FieldConfigError("more interpolation points than field elements")
     pts = np.arange(1, npoints + 1, dtype=np.int64)
-    # V[p][e] = p^e
+    # V[p][e] = p^e: distinct points below PRIME, so V is invertible.
     v = np.ones((npoints, npoints), dtype=np.int64)
     for e in range(1, npoints):
         v[:, e] = (v[:, e - 1] * pts) % PRIME
-    # Gauss-Jordan inversion over F_p (small systems only).
-    aug = np.concatenate([v, np.eye(npoints, dtype=np.int64)], axis=1) % PRIME
-    for k in range(npoints):
-        piv = k + int(np.argmax(aug[k:, k] != 0))
-        if aug[piv, k] == 0:
-            raise FieldConfigError("singular Vandermonde system")
-        if piv != k:
-            aug[[k, piv]] = aug[[piv, k]]
-        inv = pow(int(aug[k, k]), PRIME - 2, PRIME)
-        aug[k] = (aug[k] * inv) % PRIME
-        for r in range(npoints):
-            if r != k and aug[r, k]:
-                aug[r] = (aug[r] - aug[r, k] * aug[k]) % PRIME
-    inv = aug[:, npoints:] % PRIME
+    inv = det_batch(v[None], inverse=True)[1][:, :, 0]
     inv.flags.writeable = False
     return inv
 
@@ -435,9 +400,12 @@ class LiveMinor:
     and its trims hold for every minor on the way to the target.
 
     A point whose live minor is singular, at the start (det 0) or after an
-    update (B[c, 0] = 0, so the new det is 0), has no inverse; its det stays
-    0, and its cofactors come from ``det_batch(..., row=0)`` on its explicit
-    minor from then on.
+    update (B[c, 0] = 0, so the new det is 0), has no inverse to update.
+    ``shares`` re-inverts the explicit live minor at each point an update
+    left at det 0, so a point whose live minor is nonsingular again rejoins
+    the updates; only a point whose live minor is singular takes its
+    cofactors as minors (``_minor_row``). After ``shares``, det 0 means
+    the live minor is singular.
 
     Memory: 24 n^2 G bytes for a grid of G points (the n x n matrices, their
     inverses and a scratch buffer), plus the set-up's elimination, which
@@ -476,13 +444,23 @@ class LiveMinor:
         for axis, (d, t) in enumerate(zip(self.dims, self.target)):
             if d > 1:
                 weight = (weight * vandermonde_inverse(d)[t][self.points[:, axis] - 1]) % PRIME
+        if self.row:
+            # An update's det 0 may hide a nonsingular minor (row 0's came from
+            # the set-up's own inversion): re-invert, and the nonsingular ones
+            # rejoin the updates.
+            updated = np.flatnonzero(self.det == 0)
+            if updated.size:
+                self.det[updated], self.inv[:, :, updated] = det_batch(self._live(updated), inverse=True)
         cof = (self.inv[:, 0] * self.det) % PRIME
         singular = np.flatnonzero(self.det == 0)
         if singular.size:
-            live = self.mats[self.row :][:, self.cols][:, :, singular]
-            cof[:, singular] = det_batch(live.transpose(2, 0, 1), row=0)[1].T
+            cof[:, singular] = _minor_row(self._live(singular), 0).T
         terms = (self.mats[self.row, self.cols] * cof) % PRIME
         return ((terms * weight) % PRIME).sum(axis=1) % PRIME
+
+    def _live(self, points: np.ndarray) -> np.ndarray:
+        """The explicit live minors at ``points``, as a (B, m, m) batch."""
+        return self.mats[self.row :][:, self.cols][:, :, points].transpose(2, 0, 1)
 
     def take(self, c: int) -> None:
         """Fix row 0 of the live minor to its column ``c``, counted among the live columns."""
@@ -505,20 +483,6 @@ class LiveMinor:
         _mod_prime(t[:c], inv[:c])
         _mod_prime(t[c + 1 :], inv[c:])
         self.inv = inv
-
-
-def row_coefficients(digits: np.ndarray, scalars: np.ndarray, target: tuple[int, ...]) -> np.ndarray:
-    """Coefficient at digit sums ``target`` of each term of the expansion along row 0.
-
-    Entry j is the ``target`` coefficient of scalar[0,j] x^d_0j C_0j, the
-    part of the determinant made of the permutations that map row 0 to
-    column j. It is scalar[0,j] times, up to sign, the coefficient that
-    ``coefficient_at`` finds at ``target - digits[0, j]`` on the (0, j)
-    minor, so the two are zero together; the entries sum to the
-    determinant's own ``target`` coefficient. It is the first step of a
-    witness extraction (``LiveMinor``).
-    """
-    return LiveMinor(digits, scalars, target).shares()
 
 
 def coefficient_at(digits: np.ndarray, scalars: np.ndarray, target: tuple[int, ...]) -> int:

@@ -312,15 +312,22 @@ def canonicalize_matching(bm: BlowUpMatrix, m: Matching) -> Matching:
     copies of the same node at zero cost. Each exchange swaps two matched
     edges for two others of no greater total weight (the metric triangle
     through the mirrored node), so the cost is preserved exactly for min-cost
-    input; non-optimal input is rejected.
+    input; non-optimal input is rejected. A mirrored node's a row copies can
+    feed its b column copies only if a >= b, that is r <= s, as
+    ``build_cost_matrix`` makes it; other input is rejected too.
     """
     optimal = min_cost_perfect_matching(bm.costs)
     if m.cost != optimal.cost or matching_cost(bm.costs, m.assignment) != m.cost:
         raise ValueError("canonicalization requires a minimum-cost perfect matching")
+    a, b = bm.a, bm.b
+    pairs = bm.source.mirror_pairs()
+    if pairs and a < b:
+        raise ValueError(
+            f"canonicalization needs no more row nodes than column nodes, got r={bm.source.r}, s={bm.source.s}"
+        )
     assignment = list(m.assignment)
     col_to_row = {c: r for r, c in enumerate(assignment)}
-    a, b = bm.a, bm.b
-    for i, j in bm.source.mirror_pairs():
+    for i, j in pairs:
         row_copies = set(range(i * a, (i + 1) * a))
         for col in range(j * b, (j + 1) * b):
             r0 = col_to_row[col]

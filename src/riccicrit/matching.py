@@ -445,11 +445,12 @@ def _extract_assignment(
     row i takes, and row i keeps the first column whose share is nonzero: its
     minor then still certifies the rest of the budget. A rank-one update of
     the inverses then gives that minor's, so no row pays for a new
-    elimination, except at the rare points where a live minor is singular,
-    which fall back to cofactors from their explicit minors. Each share is
-    zero exactly when ``coefficient_at`` is on the same minor with the same
-    scalars. A false negative (random unluck) aborts the attempt; the caller
-    retries with fresh scalars.
+    elimination, except at the rare points an update leaves singular: the
+    next row re-inverts their explicit live minors, the nonsingular ones
+    rejoin the updates, and the singular ones take their cofactors as
+    minors. Each share is zero exactly when ``coefficient_at`` is on the
+    same minor with the same scalars. A false negative (random unluck)
+    aborts the attempt; the caller retries with fresh scalars.
     """
     import numpy as np
 
@@ -474,8 +475,6 @@ def _search(digits: np.ndarray, target: tuple[int, ...], trials: int, seed: int)
     Each trial certifies the target on its (cached) cube before paying for
     the extraction; a failed extraction moves on to fresh scalars.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
     for trial in range(trials):
         cube = _trial_cube(digits, seed, trial)
         if cube.coefficient(target) == 0:
@@ -500,9 +499,11 @@ def exact_cost_matching(
     with probability at most (q/PRIME) per trial; None is therefore wrong
     only with vanishing probability. A returned matching is always genuine:
     its cost is verified before returning. The seed must be a non-negative
-    integer.
+    integer and ``trials`` positive.
     """
     _check_seed(seed)
+    if trials < 1:
+        raise ValueError("trials must be positive")
     _check_square(costs)
     if target < 0:
         return None
@@ -538,9 +539,12 @@ def matching_with_counts(
     Searches the signature digits for the sums (4q - target_cost, k, l), on
     the same cubes ``signature_support`` builds for the same matrix and
     seed. Returned witnesses are re-verified against the original matrix
-    unconditionally. The seed must be a non-negative integer.
+    unconditionally. The seed must be a non-negative integer and ``trials``
+    positive.
     """
     _check_seed(seed)
+    if trials < 1:
+        raise ValueError("trials must be positive")
     q = _check_square(costs)
     digits = _signature_digits(costs, touchable_mask)
     if k < 0 or l < 0 or k + l > q:

@@ -18,7 +18,7 @@ from riccicrit import (
     plan_from_matching,
     ricci,
 )
-from riccicrit.curvature import BLOWUP_CAP_ENV
+from riccicrit.curvature import BLOWUP_CAP_ENV, CostMatrix
 from riccicrit.matching import class_counts, min_cost_perfect_matching
 
 from conftest import double_star, graphs, random_connected_graph
@@ -167,6 +167,17 @@ def test_canonicalize_rejects_non_optimal():
     worst = max(enumerate_matchings(bm.costs), key=lambda m: m.cost)
     with pytest.raises(ValueError):
         canonicalize_matching(bm, worst)
+
+
+def test_canonicalize_rejects_more_row_nodes_than_column_nodes():
+    # r = 3 > s = 2, so a = 2 < b = 3: node 0's two row copies cannot feed
+    # its three column copies, which the check names before any swap.
+    cm = CostMatrix(0, 1, (0, 2, 3), (1, 0), ((1, 0), (2, 1), (2, 1)))
+    bm = blow_up(cm)
+    assert (bm.a, bm.b) == (2, 3) and cm.mirror_pairs()
+    m = min_cost_perfect_matching(bm.costs)
+    with pytest.raises(ValueError, match=r"r=3, s=2"):
+        canonicalize_matching(bm, m)
 
 
 def test_canonicalize_untouchable_structure(rng):

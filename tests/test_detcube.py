@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from riccicrit import _detcube
-from riccicrit._detcube import PRIME, SignatureCube, coefficient_at, det_batch, row_coefficients
+from riccicrit._detcube import PRIME, LiveMinor, SignatureCube, coefficient_at, det_batch
+from riccicrit.errors import FieldConfigError
 from riccicrit.matching import _extract_assignment, _signature_digits
 
 
@@ -74,16 +75,19 @@ def test_det_batch_matches_exact_determinants(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 6])
 def test_cofactor_mode_matches_exact_minors(n):
+    # The singular-matrix cofactor rule, on singular and nonsingular members alike.
     mats = seeded_batch(200 + n, n, 30)
     for row in sorted({0, n - 1, n // 2}):
-        det, cof = det_batch(mats, row=row)
-        assert det.tolist() == det_batch(mats).tolist()
+        cof = _detcube._minor_row(mats % PRIME, row)
         for b, m in enumerate(mats.tolist()):
             want = [(-1) ** (row + j) * exact_minor(m, row, j) % PRIME for j in range(n)]
             assert cof[b].tolist() == want, (b, row)
 
 
 def test_cofactor_mode_falls_back_to_minors_only_when_singular(monkeypatch):
+    # With every digit 0 the grid is one point, where the live minor is the
+    # scalar matrix itself: row 0's shares take its cofactors from the inverse,
+    # and as minors only when it is singular.
     calls = []
     original = _detcube._minor_row
 
@@ -93,11 +97,15 @@ def test_cofactor_mode_falls_back_to_minors_only_when_singular(monkeypatch):
 
     monkeypatch.setattr(_detcube, "_minor_row", spy)
     mats = seeded_batch(7, 4, 10)
-    det, _ = det_batch(mats, row=1)
-    assert calls == [int((det == 0).sum())] and calls[0] > 0
-    calls.clear()
-    det_batch(mats[det != 0], row=1)
-    assert calls == []
+    dets = det_batch(mats)
+    digits = np.zeros((4, 4, 1), dtype=np.int64)
+    for m, det in zip(mats, dets):
+        calls.clear()
+        shares = LiveMinor(digits, m, (0,)).shares()
+        assert calls == ([1] if det == 0 else [])
+        want = [x % PRIME * c % PRIME for x, c in zip(m[0].tolist(), modular_cofactors(m.tolist(), 0))]
+        assert shares.tolist() == want
+    assert 0 < int((dets == 0).sum()) < len(mats)
 
 
 def enumerated_signatures(digits: np.ndarray) -> set[tuple[int, ...]]:
@@ -132,7 +140,7 @@ def test_row_coefficients_split_the_cube_coefficient_by_column():
         n = digits.shape[0]
         cube = SignatureCube(digits, scalars)
         for target in sorted(cube.support()) + [(0, 0, 0), (4 * n + 1, 0, 0)]:
-            shares = row_coefficients(digits, scalars, target)
+            shares = LiveMinor(digits, scalars, target).shares()
             assert int(shares.sum() % PRIME) == cube.coefficient(target) % PRIME
             for j in range(n):
                 after = tuple(int(t - d) for t, d in zip(target, digits[0, j]))
@@ -144,8 +152,8 @@ def test_row_coefficients_split_the_cube_coefficient_by_column():
 def test_targets_on_a_window_edge_are_read_off_one_grid_point(monkeypatch):
     # The lowest and the highest coefficient of an axis need no
     # interpolation along it, so a target on the edge of every axis's
-    # window costs one cofactor elimination (plus the minors if that one
-    # matrix is singular), with the same shares.
+    # window costs one inversion (plus the minors if that one matrix is
+    # singular), with the same shares.
     batches = []
     original = _detcube.det_batch
     monkeypatch.setattr(_detcube, "det_batch", lambda mats, **kw: batches.append(len(mats)) or original(mats, **kw))
@@ -157,7 +165,7 @@ def test_targets_on_a_window_edge_are_read_off_one_grid_point(monkeypatch):
         _, (offset,), (dims,) = _detcube._factor(digits)
         for target in (offset, offset + dims - 1):
             batches.clear()
-            shares = row_coefficients(digits, scalars, (target,))
+            shares = LiveMinor(digits, scalars, (target,)).shares()
             assert batches[0] == 1
             for j in range(n):
                 keep = [c for c in range(n) if c != j]
@@ -176,7 +184,7 @@ def test_each_rows_shares_are_its_minors_row_coefficients():
             cols, remaining = list(range(n)), np.array(target)
             for i in range(n):
                 live = np.ix_(range(i, n), cols)
-                want = row_coefficients(digits[live], scalars[live], tuple(remaining))
+                want = LiveMinor(digits[live], scalars[live], tuple(remaining)).shares()
                 assert minor.shares().tolist() == want.tolist(), (target, i)
                 c = int(np.flatnonzero(want)[0])
                 remaining = remaining - digits[i, cols.pop(c)]
@@ -186,10 +194,15 @@ def test_each_rows_shares_are_its_minors_row_coefficients():
 def test_an_extraction_at_a_window_edge_inverts_one_matrix(monkeypatch):
     # The window-edge trims are made once, at the top: a target on the edge of
     # every axis's window is read off one grid point for the whole extraction,
-    # whose single inversion every later row updates.
-    calls = []
-    original = _detcube.det_batch
+    # whose single inversion every later row updates. Each minor on the way
+    # is nonsingular there (its share certified it), so none is re-inverted;
+    # an unreachable target's singular matrix takes its minors at that point.
+    calls, minors = [], []
+    original, original_minor_row = _detcube.det_batch, _detcube._minor_row
     monkeypatch.setattr(_detcube, "det_batch", lambda mats, **kw: calls.append((len(mats), kw)) or original(mats, **kw))
+    monkeypatch.setattr(
+        _detcube, "_minor_row", lambda mats, row: minors.append(len(mats)) or original_minor_row(mats, row)
+    )
     rng = random.Random(29)
     for _ in range(10):
         n = rng.randint(2, 6)
@@ -198,11 +211,14 @@ def test_an_extraction_at_a_window_edge_inverts_one_matrix(monkeypatch):
         _, (offset,), (dims,) = _detcube._factor(digits)
         for target in (offset, offset + dims - 1):
             calls.clear()
+            minors.clear()
             got = _extract_assignment(digits, scalars, (target,))
             reach = [list(p) for p in itertools.permutations(range(n)) if sum(digits[i, p[i], 0] for i in range(n)) == target]
             assert got == (reach[0] if reach else None)
             assert calls[0] == (1, {"inverse": True})
-            assert all(kw != {"inverse": True} for _, kw in calls[1:])
+            assert minors == ([] if reach else [1])
+            # The minors' own eliminations are the only other calls.
+            assert calls[1:] == [(n * size, {}) for size in minors]
 
 
 def modular_det(rows: list[list[int]]) -> int:
@@ -253,8 +269,7 @@ def test_det_batch_matches_a_python_int_elimination(n):
     want_det = [modular_det(m) for m in rows]
     assert det_batch(mats).tolist() == want_det
     for row in sorted({0, n // 2, n - 1}):
-        det, cof = det_batch(mats, row=row)
-        assert det.tolist() == want_det
+        cof = _detcube._minor_row(mats % PRIME, row)
         assert cof.tolist() == [modular_cofactors(m, row) for m in rows], row
     if n > 1:
         assert want_det[0] == 0 and any(want_det)
@@ -308,7 +323,7 @@ def test_inverse_mode_matches_a_python_int_gauss_jordan(n):
 @pytest.mark.parametrize("n", [2, 5, 12])
 def test_det_batch_of_only_singular_matrices(n):
     # Every matrix singular: a zero row, a repeated row or rank one, so every
-    # cofactor row comes from the minors.
+    # cofactor row comes from the minors, and the inverse is zero.
     rng = random.Random(400 + n)
     mats = []
     for b in range(6):
@@ -322,10 +337,28 @@ def test_det_batch_of_only_singular_matrices(n):
         mats.append(m)
     mats = np.array(mats, dtype=np.int64)
     assert det_batch(mats).tolist() == [0] * 6
+    det, inv = det_batch(mats, inverse=True)
+    assert det.tolist() == [0] * 6 and not inv.any()
     for row in (0, n - 1):
-        det, cof = det_batch(mats, row=row)
-        assert det.tolist() == [0] * 6
+        cof = _detcube._minor_row(mats % PRIME, row)
         assert cof.tolist() == [modular_cofactors(m, row) for m in mats.tolist()]
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 40, 160])
+def test_vandermonde_inverse_inverts_the_vandermonde_matrix(d):
+    v = np.array([[pow(x, e, PRIME) for e in range(d)] for x in range(1, d + 1)], dtype=np.int64)
+    inv = _detcube.vandermonde_inverse(d)
+    assert _detcube._mod_matmul(inv, v).tolist() == np.eye(d, dtype=np.int64).tolist()
+    # One array serves every caller, so none may write to it.
+    assert not inv.flags.writeable
+    with pytest.raises(ValueError):
+        inv[0, 0] = 1
+
+
+def test_vandermonde_inverse_rejects_more_points_than_field_elements():
+    # Before any allocation: PRIME points would need a PRIME x PRIME array.
+    with pytest.raises(FieldConfigError):
+        _detcube.vandermonde_inverse(PRIME)
 
 
 @pytest.mark.parametrize("size", [1, 2, _detcube._TREE_MIN - 1, _detcube._TREE_MIN, _detcube._TREE_MIN + 1, 1000])

@@ -8,6 +8,7 @@ import pytest
 import riccicrit
 
 PACKAGE = Path(riccicrit.__file__).parent
+TRACING = PACKAGE.parent.parent / "perfbench" / "tracing.py"
 # __init__.py imports only to re-export.
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
@@ -76,18 +77,45 @@ def _referenced_names(tree: ast.AST) -> set[str]:
     return names
 
 
-def _orphans(sources: dict[str, str]) -> list[str]:
-    """Module-level private functions and classes that nothing outside their
-    own definition references: a helper that only calls itself is dead too."""
+def _unreferenced(sources: dict[str, str], checked) -> list[str]:
+    """Module-level functions and classes, of those ``checked(module, name)``
+    selects, that nothing outside their own definition references: a
+    definition that only calls itself is dead too."""
     statements = [(name, node) for name, source in sources.items() for node in ast.parse(source).body]
     referenced = [_referenced_names(node) for _, node in statements]
     return sorted(
         f"{name}: {node.name} (line {node.lineno})"
         for k, (name, node) in enumerate(statements)
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
-        and not node.name.startswith("__")
+        and checked(name, node.name)
         and not any(node.name in names for other, names in enumerate(referenced) if other != k)
+    )
+
+
+def _orphans(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions and classes that nothing references."""
+    return _unreferenced(sources, lambda module, name: name.startswith("_") and not name.startswith("__"))
+
+
+def _wrapped(source: str) -> set[tuple[str, str]]:
+    """(module file, module-level name) of each function or class a ``WRAPPED``
+    table of (module, "name" or "Class.method", span) entries wraps."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "WRAPPED" for t in node.targets):
+            return {(f"{module}.py", attr.split(".")[0]) for module, attr, _ in ast.literal_eval(node.value)}
+    raise AssertionError("no WRAPPED table")
+
+
+def _unused_public(sources: dict[str, str], wrapped: set[tuple[str, str]]) -> list[str]:
+    """Public module-level functions and classes of the underscore modules
+    that nothing references and no tracer hook wraps: an underscore module
+    has no callers outside the package but the tracer."""
+    return _unreferenced(
+        sources,
+        lambda module, name: module.startswith("_")
+        and module != "__init__.py"
+        and not name.startswith("_")
+        and (module, name) not in wrapped,
     )
 
 
@@ -117,3 +145,23 @@ def test_orphan_check_ignores_a_helpers_own_body():
         ),
     }
     assert _orphans(sources) == ["a.py: _Node (line 3)", "a.py: _walk (line 1)"]
+
+
+def test_every_public_name_of_an_underscore_module_is_used():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    unused = _unused_public(sources, _wrapped(TRACING.read_text(encoding="utf-8")))
+    assert not unused, f"underscore-module names nothing uses or traces: {', '.join(unused)}"
+
+
+def test_unused_public_check_reads_the_tracer_table():
+    sources = {
+        "_a.py": "def used(): pass\ndef traced(): pass\nclass Traced: pass\ndef dead():\n    return dead()\n",
+        "b.py": "from ._a import used\ndef public(): pass\n",
+        "__init__.py": "",
+    }
+    wrapped = _wrapped(
+        'WRAPPED = (("_a", "traced", "a.traced"), ("_a", "Traced.__init__", "a.t"), ("b", "public", "b.p"))\n'
+    )
+    assert wrapped == {("_a.py", "traced"), ("_a.py", "Traced"), ("b.py", "public")}
+    assert _unused_public(sources, wrapped) == ["_a.py: dead (line 4)"]
+    assert _unused_public(sources, set()) == ["_a.py: Traced (line 3)", "_a.py: dead (line 4)", "_a.py: traced (line 2)"]

@@ -21,7 +21,7 @@ from riccicrit import (
     min_cost_perfect_matching,
 )
 from riccicrit import _detcube, matching
-from riccicrit._detcube import SignatureCube, coefficient_at, det_batch, row_coefficients
+from riccicrit._detcube import LiveMinor, SignatureCube, coefficient_at, det_batch
 from riccicrit.matching import (
     _cached_cube,
     _check_square,
@@ -340,6 +340,23 @@ def test_exact_cost_never_returns_wrong_cost():
 
 
 @pytest.mark.parametrize("trials", [0, -1])
+def test_exact_cost_matching_rejects_a_trial_count_below_one(trials):
+    # Checked before any work: target 0 is the min-cost matching's own cost
+    # and -1 no cost at all, both answered without a trial.
+    for target in (0, 2, -1):
+        with pytest.raises(ValueError, match="trials must be positive"):
+            exact_cost_matching([[0, 1], [1, 0]], target, trials=trials)
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_matching_with_counts_rejects_a_trial_count_below_one(trials):
+    # Checked before any work: k = -1 is answered None without a trial.
+    for k in (-1, 0):
+        with pytest.raises(ValueError, match="trials must be positive"):
+            matching_with_counts([[0, 1], [1, 0]], [[True] * 2] * 2, 0, k, 0, trials=trials)
+
+
+@pytest.mark.parametrize("trials", [0, -1])
 def test_signature_support_rejects_a_trial_count_below_one(trials):
     with pytest.raises(ValueError, match="trials must be positive"):
         signature_support([[0, 1], [1, 0]], [[True] * 2] * 2, trials=trials)
@@ -442,7 +459,7 @@ def test_extraction_at_singular_points_agrees_with_coefficient_at(monkeypatch):
             for p in itertools.permutations(range(q))
         }
         for target in sorted(signatures):
-            shares = row_coefficients(digits, scalars, target)
+            shares = LiveMinor(digits, scalars, target).shares()
             for j in range(q):
                 after = tuple(int(t - d) for t, d in zip(target, digits[0, j]))
                 keep = [c for c in range(q) if c != j]
@@ -462,23 +479,51 @@ def _interior_targets(digits):
     return sorted(t for t in sums if offset < t < offset + dims - 1)
 
 
-def _spy_explicit_cofactors(monkeypatch):
-    """Record the batch size of every det_batch(..., row=0) call: the explicit
-    cofactors of points whose live minor is singular."""
-    calls = []
-    original = _detcube.det_batch
+def _spy_explicit_work(monkeypatch):
+    """Record the batch size of every inversion (``det_batch(..., inverse=True)``)
+    and every fallback to minors (``_minor_row``)."""
+    inversions, minors = [], []
+    original, original_minor_row = _detcube.det_batch, _detcube._minor_row
     monkeypatch.setattr(
-        _detcube, "det_batch", lambda mats, **kw: (kw.get("row") == 0 and calls.append(len(mats))) or original(mats, **kw)
+        _detcube,
+        "det_batch",
+        lambda mats, **kw: (kw.get("inverse") and inversions.append(len(mats))) or original(mats, **kw),
     )
-    return calls
+    monkeypatch.setattr(
+        _detcube, "_minor_row", lambda mats, row: minors.append(len(mats)) or original_minor_row(mats, row)
+    )
+    return inversions, minors
+
+
+def _extract_with_spies(digits, scalars, target, inversions, minors):
+    """``_extract_assignment``, with the spies cleared once the Vandermonde
+    inverses its grid reads are built (and cached), so that they see the
+    set-up's inversion and the explicit work after it only."""
+    for d in _detcube._factor(digits)[2]:
+        _detcube.vandermonde_inverse(d)
+    inversions.clear()
+    minors.clear()
+    return _extract_assignment(digits, scalars, target)
+
+
+def _singular_minors(scalars, assignment):
+    """Whether each row's live minor on the way to ``assignment`` is singular
+    at the all-ones point, where the matrix is the scalars."""
+    cols, out = list(range(len(assignment))), []
+    for i, c in enumerate(assignment):
+        out.append(bool(det_batch(scalars[i:, cols][None])[0] == 0))
+        cols.remove(c)
+    return out
 
 
 def test_extraction_when_a_minor_turns_singular_mid_update(monkeypatch):
     # Rows 1 and 2 have equal scalars except in the column row 0 takes, so the
     # matrix at the all-ones point is nonsingular but the minor row 0 leaves
-    # is not: the update's pivot B[j, 0] is 0 there. That point moves to
-    # explicit cofactors, and the witness is the one coefficient_at finds.
-    explicit = _spy_explicit_cofactors(monkeypatch)
+    # is not: the update's pivot B[j, 0] is 0 there. That point is re-inverted
+    # on each row an update left it at det 0, takes minors only while its
+    # explicit live minor is singular, and the witness is the one
+    # coefficient_at finds.
+    inversions, minors = _spy_explicit_work(monkeypatch)
     rng = random.Random(41)
     cases = 0
     while cases < 8:
@@ -492,13 +537,12 @@ def test_extraction_when_a_minor_turns_singular_mid_update(monkeypatch):
                 want = _minor_by_minor_extraction(digits, scalars, (target,))
                 if want is None or want[0] != j:
                     continue
-                keep = [c for c in range(q) if c != j]
-                assert det_batch(scalars[None])[0] != 0
-                assert det_batch(scalars[1:, keep][None])[0] == 0
-                explicit.clear()
-                assert _extract_assignment(digits, scalars, (target,)) == want
-                # Only that point, on every row after the first.
-                assert explicit == [1] * (q - 1)
+                singular = _singular_minors(scalars, want)
+                assert singular[:2] == [False, True]
+                assert _extract_with_spies(digits, scalars, (target,), inversions, minors) == want
+                # Only that point.
+                assert inversions[1:] == [1 for i in range(1, q) if singular[i - 1] or singular[i]]
+                assert minors == [1] * sum(singular)
                 cases += 1
                 break
 
@@ -506,8 +550,9 @@ def test_extraction_when_a_minor_turns_singular_mid_update(monkeypatch):
 def test_extraction_when_a_point_is_singular_only_at_the_start(monkeypatch):
     # Rows 0 and q-1 have equal scalars, so the matrix at the all-ones point is
     # singular from the start, while the minor row 0 leaves is not. That point
-    # takes explicit cofactors throughout, and the witness is unchanged.
-    explicit = _spy_explicit_cofactors(monkeypatch)
+    # takes minors on row 0, is re-inverted once on row 1 and then follows the
+    # updates, and the witness is unchanged.
+    inversions, minors = _spy_explicit_work(monkeypatch)
     rng = random.Random(43)
     cases = 0
     while cases < 8:
@@ -519,13 +564,14 @@ def test_extraction_when_a_point_is_singular_only_at_the_start(monkeypatch):
             want = _minor_by_minor_extraction(digits, scalars, (target,))
             if want is None:
                 continue
-            keep = [c for c in range(q) if c != want[0]]
-            assert det_batch(scalars[None])[0] == 0
-            if det_batch(scalars[1:, keep][None])[0] == 0:
+            singular = _singular_minors(scalars, want)
+            assert singular[0]
+            if singular[1]:
                 continue
-            explicit.clear()
-            assert _extract_assignment(digits, scalars, (target,)) == want
-            assert explicit == [1] * q
+            assert _extract_with_spies(digits, scalars, (target,), inversions, minors) == want
+            assert not any(singular[2:])
+            assert inversions[1:] == [1]
+            assert minors == [1]
             cases += 1
 
 
