@@ -47,7 +47,6 @@ from .matching import (
 )
 from .solvers import (
     Instance,
-    KappaState,
     ProblemVariant,
     Solution,
     brute_force_opt,

@@ -215,9 +215,7 @@ def build_cost_matrix(g: Graph, e: tuple[int, int]) -> CostMatrix:
     return CostMatrix(u, v, vu, vv, costs)
 
 
-def blowup_cap(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return explicit
+def blowup_cap() -> int:
     env = os.environ.get(BLOWUP_CAP_ENV)
     if env:
         try:
@@ -227,7 +225,7 @@ def blowup_cap(explicit: int | None = None) -> int:
     return DEFAULT_BLOWUP_CAP
 
 
-def blow_up(cm: CostMatrix, *, cap: int | None = None) -> BlowUpMatrix:
+def blow_up(cm: CostMatrix) -> BlowUpMatrix:
     """Replicate the cost matrix to a q x q matrix, q = lcm(r, s).
 
     Each row node's expanded row (every entry repeated b times) is built
@@ -237,7 +235,7 @@ def blow_up(cm: CostMatrix, *, cap: int | None = None) -> BlowUpMatrix:
     """
     r, s = cm.r, cm.s
     q = math.lcm(r, s)
-    limit = blowup_cap(cap)
+    limit = blowup_cap()
     if q > limit:
         raise BlowUpTooLargeError(f"blow-up size q={q} exceeds cap {limit}")
     a, b = q // r, q // s
@@ -350,7 +348,6 @@ def ricci(
     e: tuple[int, int],
     *,
     route: str = "matching",
-    cap: int | None = None,
 ) -> CurvatureResult:
     """Exact Ollivier-Ricci curvature of an edge.
 
@@ -362,7 +359,7 @@ def ricci(
     cm = build_cost_matrix(g, e)
     dist_uv = cm.costs[cm.row_nodes.index(cm.u)][cm.col_nodes.index(cm.v)]
     if route == "matching":
-        bm = blow_up(cm, cap=cap)
+        bm = blow_up(cm)
         emd, m = emd_via_matching(bm)
         witness = plan_from_matching(bm, m)
     elif route == "flow":

@@ -57,7 +57,6 @@ from .errors import (
 )
 from .graphs import Graph, ordered_pair
 from .matching import (
-    EdgeClassCounts,
     Matching,
     _check_seed,
     _transport,
@@ -186,7 +185,12 @@ class Instance:
 
 @dataclass(frozen=True)
 class Solution:
-    """A verified edit set: applying it flips the sign as demanded."""
+    """A verified edit set: applying it flips the sign as demanded.
+
+    ``drops`` is None except for the approximations: greedy drops one block per
+    inserted edge, randomized drops kappa-hat matched edges of the blow-up, so
+    its count can exceed ``len(edits)``.
+    """
 
     edits: tuple
     resulting_ric: Fraction
@@ -207,25 +211,6 @@ class Solution:
             "method": self.method,
             "verified": True,
         }
-
-
-@dataclass(frozen=True)
-class KappaState:
-    """Drop budget of a cost-x matching: how many matched 3-edges and
-    touchable 2-edges must fall to 1 before the matched cost is below q."""
-
-    x: int
-    rho: int
-    kappa3: int | None
-    kappa2: int | None
-    unwanted: bool
-    selected_edges: tuple = ()
-
-    @property
-    def total(self) -> int | None:
-        if self.unwanted:
-            return None
-        return self.kappa3 + self.kappa2
 
 
 # -- edits ---------------------------------------------------------------------
@@ -454,48 +439,30 @@ def brute_force_opt(inst: Instance, max_k: int, *, budget: int = 2_000_000) -> S
 # -- the kappa machinery --------------------------------------------------------
 
 
-def kappa_hat(counts: EdgeClassCounts, x: int, mcpm: int, rho: int, q: int) -> KappaState:
-    """Minimum drops for a cost-x matching to fall strictly below q.
+def kappa_hat(n3: int, n2: int, tau: int) -> tuple[int, int] | None:
+    """Fewest drops (kappa3, kappa2) that take a cost q + tau matching below q.
 
     Matched 3-edges drop to 1 (saving 2 each) before touchable 2-edges
-    (saving 1); a matching without enough droppable weight is "unwanted".
+    (saving 1), so kappa3 = n3 whenever kappa2 > 0. None marks an unwanted
+    matching: its n3 3-edges and n2 touchable 2-edges save at most tau.
     """
-    tau = rho + (x - mcpm)  # equals x - q
-    n3 = counts.n3
-    n2 = counts.n2_touchable
     if 2 * n3 > tau:
-        kappa3 = tau // 2 + 1
-        return KappaState(x, rho, kappa3, 0, False)
+        return tau // 2 + 1, 0
     if 2 * n3 + n2 > tau:
-        kappa2 = tau - 2 * n3 + 1
-        return KappaState(x, rho, n3, kappa2, False)
-    return KappaState(x, rho, None, None, True)
+        return n3, tau - 2 * n3 + 1
+    return None
 
 
-def select_drop_edges(
-    bm: BlowUpMatrix,
-    m: Matching,
-    state: KappaState,
-) -> KappaState:
-    """Attach the concrete matched edges realizing a KappaState's budget."""
-    if state.unwanted:
-        raise ValueError("unwanted matchings have no drop set")
-    threes = []
-    twos = []
-    for row, col in enumerate(m.assignment):
-        i, j = bm.block(row, col)
-        c = bm.source.costs[i][j]
-        if c == 3:
-            threes.append((row, col))
-        elif c == 2 and bm.source.touchable[i][j]:
-            twos.append((row, col))
-    if state.kappa2 == 0:
-        chosen = threes[: state.kappa3]
-    else:
-        chosen = threes + twos[: state.kappa2]
-    if len(chosen) != state.total:
-        raise ValueError("matching cannot realize the requested drop budget")
-    return KappaState(state.x, state.rho, state.kappa3, state.kappa2, False, tuple(chosen))
+def select_drop_edges(bm: BlowUpMatrix, m: Matching, kappa3: int, kappa2: int) -> list[tuple[int, int]]:
+    """The first kappa3 matched 3-edges and kappa2 touchable 2-edges of ``m``, as (row, col)."""
+    costs, touchable = bm.source.costs, bm.source.touchable
+    matched = [((row, col), bm.block(row, col)) for row, col in enumerate(m.assignment)]
+    threes = [edge for edge, (i, j) in matched if costs[i][j] == 3]
+    twos = [edge for edge, (i, j) in matched if costs[i][j] == 2 and touchable[i][j]]
+    chosen = threes[:kappa3] + twos[:kappa2]
+    if len(chosen) != kappa3 + kappa2:
+        raise AssertionError("matching cannot realize the requested drop budget")
+    return chosen
 
 
 @dataclass(frozen=True)
@@ -588,7 +555,7 @@ def greedy_schedule(
     2-entry) to 1 until the matched cost is strictly below ``threshold``.
     ``after_drop(weights, (i, j))`` may rewrite ``weights`` in place after
     each drop; ``greedy_insert`` re-reads every entry from the adjacency sets
-    with the inserted edge. Returns the list of dropped cells.
+    with the inserted edge. Returns the dropped cells and the final weights.
     """
     weights = [list(row) for row in costs]
     drops: list[tuple[int, int]] = []
@@ -667,27 +634,17 @@ def randomized_insert(inst: Instance, seed: int, *, trials: int = 4) -> Solution
         return setup
     mask = setup.bm.touchable_mask()
     support = signature_support(setup.bm.costs, mask, trials=min(trials, 2), seed=seed)
-    by_cost: dict[int, list[tuple[int, int]]] = {}
-    for x, k, l in support:
-        by_cost.setdefault(x, []).append((k, l))
-    best: tuple[int, int, int, int, KappaState] | None = None  # (kappa, x, k, l, state)
-    for x in range(setup.delta, 3 * setup.q + 1):
-        if x not in by_cost:
-            continue
-        k, l = max(by_cost[x])  # most 3-edges, then most touchable 2-edges
-        state = kappa_hat(EdgeClassCounts(0, 0, l, 0, k), x, setup.delta, setup.rho, setup.q)
-        if state.unwanted:
-            continue
-        if best is None or state.total < best[0]:
-            best = (state.total, x, k, l, state)
-    if best is None:
+    # Sorted, so each cost x keeps its most 3-edges, then most touchable 2-edges.
+    most = {x: (k, l) for x, k, l in sorted(support)}
+    budget = {x: kappa_hat(k, l, x - setup.q) for x, (k, l) in most.items()}
+    wanted = [(sum(kappa), x) for x, kappa in budget.items() if kappa is not None]
+    if not wanted:
         raise RetryExhaustedError("no wanted matching signature was certified; nothing returned")
-    _, x, k, l, state = best
-    witness = matching_with_counts(
-        setup.bm.costs, mask, x, k, l, trials=max(trials, 4), seed=seed
-    )
+    _, x = min(wanted)
+    (k, l), (kappa3, kappa2) = most[x], budget[x]
+    witness = matching_with_counts(setup.bm.costs, mask, x, k, l, trials=max(trials, 4), seed=seed)
     if witness is None:
         raise RetryExhaustedError("witness extraction failed for the selected signature")
-    state = select_drop_edges(setup.bm, witness, state)
-    blocks = {setup.bm.block(row, col) for row, col in state.selected_edges}
-    return _finish_insert_solution(inst, setup.cm, blocks, "randomized", len(state.selected_edges))
+    edges = select_drop_edges(setup.bm, witness, kappa3, kappa2)
+    blocks = {setup.bm.block(row, col) for row, col in edges}
+    return _finish_insert_solution(inst, setup.cm, blocks, "randomized", len(edges))

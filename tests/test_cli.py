@@ -207,6 +207,52 @@ def test_randomized_rejects_a_negative_seed(capsys, tmp_path):
     assert err == "error: seed must be non-negative, got -1\n"
 
 
+def solve_star6_randomized(capsys, tmp_path):
+    star = tmp_path / "star.edges"
+    star.write_text(STAR6)
+    return run(capsys, "solve", str(star), "--edge", "0", "1",
+               "--variant", "uw-rt-ins-ntp", "--method", "randomized", "--seed", "1")
+
+
+def test_a_witness_short_of_its_drop_budget_is_a_verification_failure(capsys, tmp_path, monkeypatch):
+    # STAR6's selected signature is cost 6 with two 3-edges, both to drop.
+    # A cost-6 witness without 3-edges cannot realize that budget: an
+    # internal failure, reported as such and not as a usage error.
+    real = riccicrit.solvers.matching_with_counts
+    returned = []
+
+    def no_threes(costs, mask, target, k, l, **kw):
+        found = real(costs, mask, target, 0, 0, **kw)
+        returned.append((found.cost, target, k))
+        return found
+
+    monkeypatch.setattr(riccicrit.solvers, "matching_with_counts", no_threes)
+    code, out, err = solve_star6_randomized(capsys, tmp_path)
+    assert returned == [(6, 6, 2)]
+    assert (code, out) == (5, "")
+    assert err == "verification failure: matching cannot realize the requested drop budget\n"
+
+
+@pytest.mark.parametrize(
+    "name, fake, message",
+    [
+        # Cost q + 1 with nothing droppable: certified, but unwanted.
+        ("signature_support", lambda costs, mask, **kw: {(len(costs) + 1, 0, 0)},
+         "no wanted matching signature was certified"),
+        ("matching_with_counts", lambda *a, **kw: None, "witness extraction failed"),
+    ],
+)
+def test_randomized_retry_exhaustion_is_a_verification_failure(capsys, tmp_path, monkeypatch, name, fake, message):
+    monkeypatch.setattr(riccicrit.solvers, name, fake)
+    star = riccicrit.Instance(Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)]), (0, 1),
+                              riccicrit.ProblemVariant.parse("uw-rt-ins-ntp"))
+    with pytest.raises(riccicrit.RetryExhaustedError, match=message):
+        riccicrit.randomized_insert(star, seed=1)
+    code, out, err = solve_star6_randomized(capsys, tmp_path)
+    assert (code, out) == (5, "")
+    assert err.startswith("verification failure: " + message)
+
+
 def test_solve_brute_on_blocker(capsys, blocker_files):
     edges, sidecar = blocker_files
     code, out, _ = run(capsys, "solve", edges, "--edge", "0", "1",

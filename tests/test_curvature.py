@@ -64,8 +64,6 @@ def test_blow_up_shapes():
 
 def test_blow_up_cap(monkeypatch):
     cm = build_cost_matrix(P3, (0, 1))
-    with pytest.raises(BlowUpTooLargeError):
-        blow_up(cm, cap=5)
     monkeypatch.setenv(BLOWUP_CAP_ENV, "5")
     with pytest.raises(BlowUpTooLargeError):
         blow_up(cm)

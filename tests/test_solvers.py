@@ -30,7 +30,7 @@ from riccicrit import (
 from riccicrit import solvers
 from riccicrit.curvature import _adjacency_costs
 from riccicrit.gadgets import cover_insertions_maxcov
-from riccicrit.matching import EdgeClassCounts, min_cost_perfect_matching
+from riccicrit.matching import min_cost_perfect_matching
 from riccicrit.solvers import (
     _LocalEvaluator,
     _flips,
@@ -245,15 +245,13 @@ def test_unweighted_insertion_never_raises_emd(rng):
 
 
 def test_kappa_hat_cases():
+    # q = 9 and x = 12: the drops must save more than tau = 3.
     # plenty of 3-edges: only 3-drops are needed
-    st = kappa_hat(EdgeClassCounts(0, 0, 0, 0, 5), x=12, mcpm=12, rho=3, q=9)
-    assert not st.unwanted and (st.kappa3, st.kappa2) == (2, 0)
+    assert kappa_hat(5, 0, 3) == (2, 0)
     # 3-edges exhausted, touchable 2-edges finish the job
-    st = kappa_hat(EdgeClassCounts(0, 0, 4, 0, 1), x=12, mcpm=12, rho=3, q=9)
-    assert not st.unwanted and (st.kappa3, st.kappa2) == (1, 2)
+    assert kappa_hat(1, 4, 3) == (1, 2)
     # nothing droppable: unwanted
-    st = kappa_hat(EdgeClassCounts(0, 12, 0, 0, 0), x=12, mcpm=12, rho=3, q=9)
-    assert st.unwanted and st.total is None
+    assert kappa_hat(0, 0, 3) is None
 
 
 def test_kappa_hat_defining_inequalities(rng):
@@ -264,16 +262,19 @@ def test_kappa_hat_defining_inequalities(rng):
         x = mcpm + rng.randint(0, max(0, 3 * q - mcpm))
         n3 = rng.randint(0, q)
         n2 = rng.randint(0, q - n3)
-        st = kappa_hat(EdgeClassCounts(0, 0, n2, 0, n3), x, mcpm, rho, q)
+        kappa = kappa_hat(n3, n2, x - q)
         tau = rho + (x - mcpm)
         assert tau == x - q
-        if st.unwanted:
+        if kappa is None:
             assert 2 * n3 + n2 <= tau
             continue
-        saved = 2 * st.kappa3 + st.kappa2
+        kappa3, kappa2 = kappa
+        saved = 2 * kappa3 + kappa2
         assert saved > tau
-        assert saved - (2 if st.kappa2 == 0 else 1) <= tau
-        assert st.kappa3 <= n3 and st.kappa2 <= n2
+        assert saved - (2 if kappa2 == 0 else 1) <= tau
+        assert kappa3 <= n3 and kappa2 <= n2
+        # select_drop_edges relies on this: 2-drops only after every 3-edge.
+        assert kappa2 == 0 or kappa3 == n3
 
 
 def test_selected_drops_cross_the_threshold():
@@ -282,11 +283,11 @@ def test_selected_drops_cross_the_threshold():
     from riccicrit.matching import class_counts
 
     counts = class_counts(setup.bm.costs, setup.bm.touchable_mask(), setup.mcpm)
-    st = kappa_hat(counts, setup.delta, setup.delta, setup.rho, setup.q)
-    if st.unwanted:
+    kappa = kappa_hat(counts.n3, counts.n2_touchable, setup.delta - setup.q)
+    if kappa is None:
         pytest.skip("minimum matching is unwanted here")
-    st = select_drop_edges(setup.bm, setup.mcpm, st)
-    drop = set(st.selected_edges)
+    drop = set(select_drop_edges(setup.bm, setup.mcpm, *kappa))
+    assert len(drop) == sum(kappa)
     new_cost = sum(
         (1 if (row, col) in drop else setup.bm.costs[row][col])
         for row, col in enumerate(setup.mcpm.assignment)
@@ -369,6 +370,60 @@ def test_randomized_general_bound(rng):
         sol = randomized_insert(inst, seed=7 * i)
         opt = brute_force_opt(inst, 6)
         assert len(sol.edits) <= b * len(opt.edits)
+
+
+# greedy_insert and randomized_insert (seed 5) Solutions, each as its
+# inserted pairs, resulting_ric and drops: double stars (du, dv, cross
+# edges) at q = 5 to 40, two edges with side edges whose randomized drops
+# are touchable 2-edges only, and the m = 6 tightness gadget. Randomized
+# drops exceed the edit count wherever copies of a block fall together.
+PINNED_DOUBLE_STARS = [
+    ((3, 5, [(1, 2)]), (((2, 5), (2, 7)), "1/12", 2), (((2, 5), (2, 7)), "1/12", 3)),
+    ((3, 7, [(1, 2)]), (((2, 7), (2, 8), (3, 9)), "1/8", 3), (((2, 7), (2, 8), (3, 9)), "1/8", 3)),
+    ((4, 4, [(2, 2)]), (((2, 5), (3, 6)), "2/5", 2), (((2, 5), (3, 6)), "2/5", 2)),
+    ((4, 5, [(1, 3), (2, 1)]), (((2, 5), (2, 7)), "1/6", 2), (((2, 5), (2, 7)), "1/6", 4)),
+    ((4, 5, [(1, 1), (1, 2), (1, 3), (2, 0), (2, 1)]), (((2, 5),), "1/6", 1), (((2, 5),), "1/6", 2)),
+    (
+        (4, 7, [(0, 0), (0, 2), (1, 2), (1, 3), (2, 2), (2, 3)]),
+        (((3, 9), (4, 9), (4, 10)), "7/40", 3),
+        (((3, 9), (4, 9), (4, 10)), "7/40", 6),
+    ),
+]
+PINNED_SIDE_EDGES = [
+    (
+        (8, [(0, 2), (0, 5), (1, 3), (1, 4), (1, 7), (2, 3), (2, 4), (2, 7), (3, 4), (3, 7), (4, 7), (5, 7), (6, 7)], (5, 7)),
+        (((0, 3),), "1/21", 1),
+        (((0, 3),), "1/21", 3),
+    ),
+    (
+        (8, [(0, 1), (0, 3), (0, 6), (0, 7), (1, 4), (1, 5), (1, 7), (2, 5), (2, 6), (6, 7)], (1, 5)),
+        (((0, 2),), "2/15", 1),
+        (((0, 2),), "2/15", 2),
+    ),
+]
+PINNED_CASES = [(neg_instance(*star), greedy, rand) for star, greedy, rand in PINNED_DOUBLE_STARS] + [
+    (Instance(Graph(n, edges), edge, NTP), greedy, rand) for (n, edges, edge), greedy, rand in PINNED_SIDE_EDGES
+]
+
+
+def pinned(sol: Solution) -> tuple:
+    assert all(w == 1 for _pair, w in sol.edits)
+    return tuple(pair for pair, _w in sol.edits), str(sol.resulting_ric), sol.drops
+
+
+@pytest.mark.parametrize("inst, greedy, rand", PINNED_CASES)
+def test_pinned_approximation_solutions(inst, greedy, rand):
+    assert pinned(greedy_insert(inst)) == greedy
+    assert pinned(randomized_insert(inst, seed=5)) == rand
+
+
+def test_pinned_approximation_solutions_on_the_tightness_gadget():
+    g, e, start, _ = gen_tightness_graph(6)
+    inst = Instance(g, e, NTP)
+    adversarial = (((2, 12), (3, 13), (4, 14), (5, 9), (6, 10), (7, 11)), "1/9", 6)
+    assert pinned(greedy_insert(inst, start)) == adversarial
+    assert pinned(greedy_insert(inst)) == (((5, 12), (6, 13), (7, 14)), "1/9", 3)
+    assert pinned(randomized_insert(inst, seed=5)) == (((5, 12), (6, 13), (7, 14)), "1/9", 3)
 
 
 def test_greedy_non_spade_instance(rng):
