@@ -156,18 +156,16 @@ class CurvatureResult:
     sign: Sign
     witness: TransportPlan
 
-    def to_json_dict(self, *, include_plan: bool = True) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        return {
             "emd": fraction_json(self.emd),
             "emd_str": f"{self.emd.numerator}/{self.emd.denominator}",
             "dist_uv": self.dist_uv,
             "ric": fraction_json(self.ric),
             "ric_str": f"{self.ric.numerator}/{self.ric.denominator}",
             "sign": self.sign.value,
+            "plan": self.witness.to_json_list(),
         }
-        if include_plan:
-            out["plan"] = self.witness.to_json_list()
-        return out
 
 
 def _adjacency_costs(rows, cols, near) -> list[list[int]]:

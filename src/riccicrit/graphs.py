@@ -1,6 +1,8 @@
 """Immutable undirected graphs with positive integer edge weights.
 
-Node ids are dense integers ``0..node_count-1``. Mutation helpers return new
+Node ids are integers ``0..node_count-1``. Each edge is stored once in a
+sparse adjacency map that holds only nodes with edges, so a graph's memory
+follows its edges, not its largest node id. Mutation helpers return new
 graph values, so instances can be shared freely between threads and used as
 dictionary keys. Distances are exact integers computed on demand (BFS for
 unweighted graphs, Dijkstra otherwise) over a bounded ball: a search from x
@@ -42,7 +44,7 @@ class Graph:
     weights. Self-loops and parallel edges are rejected.
     """
 
-    __slots__ = ("node_count", "weighted", "_weights", "_adj", "_balls", "_edge_tuple", "_hash")
+    __slots__ = ("node_count", "weighted", "_adj", "_balls", "_edge_tuple", "_hash")
 
     def __init__(
         self,
@@ -52,7 +54,8 @@ class Graph:
     ):
         if not isinstance(node_count, int) or node_count < 0:
             raise ValueError(f"node_count must be a non-negative integer, got {node_count!r}")
-        weights: dict[Pair, int] = {}
+        adj: dict[int, dict[int, int]] = {}
+        triples: list[tuple[int, int, int]] = []
         for item in edges:
             if len(item) == 2:
                 u, v = item
@@ -71,23 +74,18 @@ class Graph:
                 raise ValueError(f"edge weight must be a positive integer, got {item!r}")
             if not weighted and w != 1:
                 raise ValueError(f"unweighted graph cannot carry weight {w} on edge ({u}, {v})")
-            key = ordered_pair(u, v)
-            if key in weights:
-                raise ValueError(f"duplicate edge {key}")
-            weights[key] = w
-
-        adj: list[dict[int, int]] = [dict() for _ in range(node_count)]
-        for (u, v), w in weights.items():
-            adj[u][v] = w
-            adj[v][u] = w
+            if v in adj.get(u, ()):
+                raise ValueError(f"duplicate edge {ordered_pair(u, v)}")
+            adj.setdefault(u, {})[v] = w
+            adj.setdefault(v, {})[u] = w
+            triples.append((u, v, w) if u < v else (v, u, w))
 
         object.__setattr__(self, "node_count", node_count)
         object.__setattr__(self, "weighted", bool(weighted))
-        object.__setattr__(self, "_weights", weights)
         object.__setattr__(self, "_adj", adj)
         object.__setattr__(self, "_balls", {})
-        object.__setattr__(self, "_edge_tuple", tuple(sorted((u, v, w) for (u, v), w in weights.items())))
-        object.__setattr__(self, "_hash", hash((node_count, weighted, self._edge_tuple)))
+        object.__setattr__(self, "_edge_tuple", tuple(sorted(triples)))
+        object.__setattr__(self, "_hash", hash((node_count, self.weighted, self._edge_tuple)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph values are immutable")
@@ -109,7 +107,7 @@ class Graph:
 
     def __repr__(self) -> str:
         kind = "weighted" if self.weighted else "unweighted"
-        return f"Graph(n={self.node_count}, m={len(self._weights)}, {kind})"
+        return f"Graph(n={self.node_count}, m={len(self._edge_tuple)}, {kind})"
 
     # -- accessors ---------------------------------------------------------
 
@@ -118,20 +116,20 @@ class Graph:
         return self._edge_tuple
 
     def edge_count(self) -> int:
-        return len(self._weights)
+        return len(self._edge_tuple)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return ordered_pair(u, v) in self._weights
+        return v in self._adj.get(u, ())
 
     def weight(self, u: int, v: int) -> int:
         try:
-            return self._weights[ordered_pair(u, v)]
+            return self._adj[u][v]
         except KeyError:
             raise ValueError(f"no edge between {u} and {v}") from None
 
     def max_weight(self) -> int:
         """Largest edge weight W (1 for edgeless or unweighted graphs)."""
-        return max(self._weights.values(), default=1)
+        return max((w for _, _, w in self._edge_tuple), default=1)
 
     def _check_node(self, x: int) -> None:
         if not isinstance(x, int) or not 0 <= x < self.node_count:
@@ -139,21 +137,21 @@ class Graph:
 
     def neighbors(self, x: int) -> tuple[int, ...]:
         self._check_node(x)
-        return tuple(sorted(self._adj[x]))
+        return tuple(sorted(self._adj.get(x, ())))
 
     def degree(self, x: int) -> int:
         self._check_node(x)
-        return len(self._adj[x])
+        return len(self._adj.get(x, ()))
 
     def closed_neighborhood(self, x: int) -> tuple[int, ...]:
         """``x`` plus its neighbors, in ascending node-id order."""
         self._check_node(x)
-        return tuple(sorted(set(self._adj[x]) | {x}))
+        return tuple(sorted({x, *self._adj.get(x, ())}))
 
     def common_neighbors(self, u: int, v: int) -> tuple[int, ...]:
         self._check_node(u)
         self._check_node(v)
-        return tuple(sorted(set(self._adj[u]) & set(self._adj[v])))
+        return tuple(sorted(set(self._adj.get(u, ())).intersection(self._adj.get(v, ()))))
 
     # -- distances ---------------------------------------------------------
 
@@ -185,7 +183,7 @@ class Graph:
             d += 1
             layer = []
             for x in frontier:
-                for y in adj[x]:
+                for y in adj.get(x, ()):
                     if y not in dist:
                         dist[y] = d
                         layer.append(y)
@@ -194,8 +192,7 @@ class Graph:
 
     def _dijkstra(self, src: int, radius: float) -> dict[int, int]:
         adj = self._adj
-        dist: list = [INFINITY] * self.node_count
-        dist[src] = 0
+        dist = {src: 0}
         ball: dict[int, int] = {}
         heap: list[tuple[int, int]] = [(0, src)]
         while heap:
@@ -203,9 +200,9 @@ class Graph:
             if d > dist[x]:
                 continue
             ball[x] = d
-            for y, w in adj[x].items():
+            for y, w in adj.get(x, {}).items():
                 nd = d + w
-                if nd < dist[y] and nd <= radius:
+                if nd < dist.get(y, INFINITY) and nd <= radius:
                     dist[y] = nd
                     heappush(heap, (nd, y))
         return ball
@@ -220,50 +217,33 @@ class Graph:
     def insert_edges(self, es: Iterable[tuple[Pair, int]]) -> "Graph":
         """New graph with the given ``((u, v), weight)`` edges added.
 
-        Inserting into an unweighted graph demands weight 1; weighted graphs
-        cap inserted weights at ``(node_count - 1) * W`` since heavier edges
-        can never shorten any path.
+        The new edges pass the constructor's checks, so inserting into an
+        unweighted graph demands weight 1; weighted graphs cap inserted
+        weights at ``(node_count - 1) * W`` since heavier edges can never
+        shorten any path.
         """
-        additions: dict[Pair, int] = {}
-        cap = max(1, (self.node_count - 1) * self.max_weight())
-        for pair, w in es:
-            u, v = pair
-            self._check_node(u)
-            self._check_node(v)
-            if u == v:
-                raise ValueError(f"self-loop at node {u} is not allowed")
-            key = ordered_pair(u, v)
-            if key in self._weights:
-                raise ValueError(f"edge {key} already present")
-            if key in additions:
-                raise ValueError(f"duplicate insertion of edge {key}")
-            if not isinstance(w, int) or w < 1:
-                raise ValueError(f"inserted weight must be a positive integer, got {w!r}")
-            if not self.weighted and w != 1:
-                raise ValueError("unweighted graph only accepts weight-1 insertions")
-            if self.weighted and w > cap:
-                raise ValueError(f"inserted weight {w} exceeds the (n-1)*W cap of {cap}")
-            additions[key] = w
+        additions = tuple((u, v, w) for (u, v), w in es)
         if not additions:
             return self
-        merged = [(u, v, w) for (u, v), w in self._weights.items()]
-        merged.extend((u, v, w) for (u, v), w in additions.items())
-        return Graph(self.node_count, merged, weighted=self.weighted)
+        g = Graph(self.node_count, self._edge_tuple + additions, weighted=self.weighted)
+        cap = (self.node_count - 1) * self.max_weight()
+        if g.max_weight() > cap:
+            raise ValueError(f"inserted weight {g.max_weight()} exceeds the (n-1)*W cap of {cap}")
+        return g
 
     def delete_edges(self, es: Iterable[Pair]) -> "Graph":
         """New graph with the given unordered node pairs removed."""
         removals: set[Pair] = set()
-        for pair in es:
-            u, v = pair
+        for u, v in es:
             key = ordered_pair(u, v)
-            if key not in self._weights:
+            if not self.has_edge(u, v):
                 raise ValueError(f"edge {key} not present")
             if key in removals:
                 raise ValueError(f"duplicate deletion of edge {key}")
             removals.add(key)
         if not removals:
             return self
-        kept = [(u, v, w) for (u, v), w in self._weights.items() if (u, v) not in removals]
+        kept = [t for t in self._edge_tuple if t[:2] not in removals]
         return Graph(self.node_count, kept, weighted=self.weighted)
 
 

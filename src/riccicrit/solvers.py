@@ -99,6 +99,11 @@ _SATURATION_VARIANTS = frozenset(
 
 _APPROX_VARIANT = ("uw", "rt", "ins", "ntp")
 
+# Random trials of ``randomized_insert``: the signature sweep, then the
+# witness search, whose first trials reuse the sweep's cubes.
+_SWEEP_TRIALS = 2
+_WITNESS_TRIALS = 4
+
 
 @dataclass(frozen=True)
 class ProblemVariant:
@@ -615,7 +620,7 @@ def greedy_insert(inst: Instance, start: Matching | None = None) -> Solution:
 # -- randomized ------------------------------------------------------------------
 
 
-def randomized_insert(inst: Instance, seed: int, *, trials: int = 4) -> Solution:
+def randomized_insert(inst: Instance, seed: int) -> Solution:
     """Randomized approximation for restricted insert-to-positive.
 
     Sweeps every reachable matching cost x, takes the cost-x matching with
@@ -627,13 +632,11 @@ def randomized_insert(inst: Instance, seed: int, *, trials: int = 4) -> Solution
     """
     _check_seed(seed)
     _require_approx_variant(inst)
-    if trials < 1:
-        raise ValueError("trials must be positive")
     setup = _approx_setup(inst, "randomized")
     if isinstance(setup, Solution):
         return setup
     mask = setup.bm.touchable_mask()
-    support = signature_support(setup.bm.costs, mask, trials=min(trials, 2), seed=seed)
+    support = signature_support(setup.bm.costs, mask, trials=_SWEEP_TRIALS, seed=seed)
     # Sorted, so each cost x keeps its most 3-edges, then most touchable 2-edges.
     most = {x: (k, l) for x, k, l in sorted(support)}
     budget = {x: kappa_hat(k, l, x - setup.q) for x, (k, l) in most.items()}
@@ -642,7 +645,7 @@ def randomized_insert(inst: Instance, seed: int, *, trials: int = 4) -> Solution
         raise RetryExhaustedError("no wanted matching signature was certified; nothing returned")
     _, x = min(wanted)
     (k, l), (kappa3, kappa2) = most[x], budget[x]
-    witness = matching_with_counts(setup.bm.costs, mask, x, k, l, trials=max(trials, 4), seed=seed)
+    witness = matching_with_counts(setup.bm.costs, mask, x, k, l, trials=_WITNESS_TRIALS, seed=seed)
     if witness is None:
         raise RetryExhaustedError("witness extraction failed for the selected signature")
     edges = select_drop_edges(setup.bm, witness, kappa3, kappa2)

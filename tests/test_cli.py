@@ -315,6 +315,31 @@ def test_solve_greedy_with_adversarial_start(capsys, tmp_path):
     assert len(json.loads(out)["edits"]) == 2
 
 
+@pytest.mark.parametrize(
+    "reshape, message",
+    [
+        (lambda a: list(range(len(a) + 1)), "start matching does not fit the blow-up"),
+        # Swapping the first two rows costs 12 against the minimum of 10.
+        (lambda a: [a[1], a[0], *a[2:]], "start matching must be minimum-cost"),
+    ],
+    ids=["wrong-length", "not-minimum-cost"],
+)
+def test_solve_greedy_rejects_a_start_that_does_not_fit(capsys, tmp_path, reshape, message):
+    base = str(tmp_path / "tight")
+    assert main(["gadget", "tightness", "--m", "4", "--graph-form", "--output", base]) == 0
+    with open(base + ".json") as fh:
+        sidecar = json.load(fh)
+    params = sidecar["descriptor"]["parameters"]
+    params["adversarial_assignment"] = reshape(params["adversarial_assignment"])
+    start = tmp_path / "start.json"
+    start.write_text(json.dumps(sidecar))
+    code, out, err = run(capsys, "solve", base + ".edges", "--edge", "0", "1",
+                         "--variant", "uw-rt-ins-ntp", "--method", "greedy", "--start", str(start))
+    assert code == 4
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_oracle_check_random(capsys):
     code, out, _ = run(capsys, "oracle-check", "--random", "3", "--seed", "5")
     assert code == 0

@@ -214,9 +214,7 @@ def test_canonicalize_untouchable_structure(rng):
 
 def test_curvature_result_json_plan_optional():
     res = ricci(P3, (0, 1))
-    with_plan = res.to_json_dict()
-    without = res.to_json_dict(include_plan=False)
-    assert "plan" in with_plan and "plan" not in without
+    assert res.to_json_dict()["plan"] == res.witness.to_json_list()
 
 
 def test_matching_cost_is_q_times_flow_emd_on_a_sparse_random_graph():

@@ -1,5 +1,6 @@
 import math
 import pickle
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -72,6 +73,16 @@ def test_insert_validation():
     with pytest.raises(ValueError):
         w.insert_edges([((0, 2), 100)])  # above the (n-1)*W cap of 8
     assert w.insert_edges([((0, 2), 8)]).weight(0, 2) == 8
+    for graph in (g, w):
+        for bad in (
+            [((1, 1), 1)],  # self-loop
+            [((0, 2), 1), ((2, 0), 1)],  # a pair repeated within one batch
+            [((0, 2), 0)],  # weight 0
+            [((0, 3), 1)],  # node out of range
+            [((-1, 2), 1)],
+        ):
+            with pytest.raises(ValueError):
+                graph.insert_edges(bad)
 
 
 def test_delete_validation():
@@ -80,7 +91,35 @@ def test_delete_validation():
         g.delete_edges([(0, 1), (0, 1)])
     with pytest.raises(ValueError):
         Graph(3, [(0, 1)]).delete_edges([(1, 2)])
+    for bad in (
+        [(0, 0)],  # self-loop
+        [(0, 1), (1, 0)],  # a pair repeated within one batch, either way round
+        [(0, 2)],  # node out of range
+        [(-1, 0)],
+    ):
+        with pytest.raises(ValueError):
+            g.delete_edges(bad)
     assert g.delete_edges([(0, 1)]).shortest_dist(0, 1) == INFINITY
+
+
+@pytest.mark.parametrize(
+    "text, node_count",
+    [("# nodes: 1000000\n0 1\n", 1000000), ("0 1000000\n", 1000001), ("0 1000000 2\n", 1000001)],
+    ids=["header", "large-id", "large-id-weighted"],
+)
+def test_memory_follows_the_edges_not_the_largest_node_id(text, node_count):
+    tracemalloc.start()
+    try:
+        g = parse_edge_list(text)
+        isolated = g.closed_neighborhood(999999)
+        dist = g.shortest_dist(0, 999999)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert g.node_count == node_count
+    assert isolated == (999999,)
+    assert dist == INFINITY
 
 
 def test_graphs_hashable_and_picklable():

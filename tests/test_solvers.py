@@ -349,13 +349,6 @@ def test_randomized_verified_and_opt_when_b1(rng):
         assert len(sol.edits) == len(opt.edits)
 
 
-@pytest.mark.parametrize("trials", [0, -1])
-def test_randomized_rejects_a_trial_count_below_one(trials):
-    # Zero trials certify nothing; that must not read as a randomized miss.
-    with pytest.raises(ValueError, match="trials must be positive"):
-        randomized_insert(neg_instance(), seed=1, trials=trials)
-
-
 def test_randomized_rejects_a_negative_seed_before_any_work(monkeypatch):
     monkeypatch.setattr(solvers, "_approx_setup", lambda *a: pytest.fail("set-up ran"))
     with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
