@@ -36,14 +36,14 @@ weights. Fixing row i to column j leaves the (i, j) minor, whose
 determinant and inverse follow from the parent's by a rank-one update
 (Rabin and Vazirani's matching by one inversion), so no row pays for a new
 elimination: the set-up's reduced digits bound every minor's degrees, so its
-grid serves every row, and its trims hold for every minor. At a point where
-the live minor is singular there is no inverse to update: the next row
-inverts that point's explicit live minor with ``det_batch``, and the point
-rejoins the updates as soon as its live minor is nonsingular again. Only
-while it is singular are its cofactors computed as minors (``_minor_row``).
-That is rare: no point is 0, so when a minor has a perfect matching its
-determinant at a point is a nonzero polynomial of degree at most n in the
-scalars, which vanishes with probability at most n/p.
+grid serves every row, and its trims hold for every minor. A point where
+the live minor is singular has no inverse to update, so the extraction gives
+up, as it does when every share is zero, and the caller retries with fresh
+scalars. No point is 0, so at each point the determinant of a live minor on
+the lexicographically first path to the target is a nonzero polynomial of
+degree at most its size in the scalars: over the q minors of that path at G
+points, and their shares, a give-up has probability at most
+(G + 1) q (q + 1) / (2p) (Schwartz-Zippel).
 
 The prime is kept below 2^31 so products of two residues fit in int64 and
 everything vectorizes under numpy. Most batches are small, so an
@@ -207,16 +207,6 @@ def det_batch(mats: np.ndarray, inverse: bool = False) -> np.ndarray | tuple[np.
         np.put_along_axis(out, np.broadcast_to(perm, solution.shape), solution, axis=1)
         solution = out
     return det, solution
-
-
-def _minor_row(mats: np.ndarray, row: int) -> np.ndarray:
-    """Cofactors (row, j) of a (B, n, n) batch, each as a signed (n-1) x (n-1) determinant."""
-    batch, n, _ = mats.shape
-    rest = np.delete(mats, row, axis=1)
-    minors = np.stack([np.delete(rest, j, axis=2) for j in range(n)], axis=1)
-    dets = det_batch(minors.reshape(batch * n, n - 1, n - 1)).reshape(batch, n)
-    odd = (row + np.arange(n)) % 2 == 1
-    return np.where(odd, (-dets) % PRIME, dets)
 
 
 @functools.cache
@@ -400,12 +390,8 @@ class LiveMinor:
     and its trims hold for every minor on the way to the target.
 
     A point whose live minor is singular, at the start (det 0) or after an
-    update (B[c, 0] = 0, so the new det is 0), has no inverse to update.
-    ``shares`` re-inverts the explicit live minor at each point an update
-    left at det 0, so a point whose live minor is nonsingular again rejoins
-    the updates; only a point whose live minor is singular takes its
-    cofactors as minors (``_minor_row``). After ``shares``, det 0 means
-    the live minor is singular.
+    update (B[c, 0] = 0, so the new det is 0), has no inverse to update:
+    ``shares`` is then all zero, and the extraction gives up.
 
     Memory: 24 n^2 G bytes for a grid of G points (the n x n matrices, their
     inverses and a scratch buffer), plus the set-up's elimination, which
@@ -436,31 +422,20 @@ class LiveMinor:
         self.spare = np.empty(n * max(0, n - 1) * ngrid, dtype=np.int64)
 
     def shares(self) -> np.ndarray:
-        """Entry c: the ``target`` coefficient of the live minor's term through (0, c)."""
-        if self.points is None:
+        """Entry c: the ``target`` coefficient of the live minor's term through (0, c).
+
+        All zero when the live minor is singular at some grid point.
+        """
+        if self.points is None or not self.det.all():
             return np.zeros(len(self.cols), dtype=np.int64)
         # Row t of the inverse Vandermonde matrix turns values at points 1..d into the x^t coefficient.
         weight = np.ones(len(self.points), dtype=np.int64)
         for axis, (d, t) in enumerate(zip(self.dims, self.target)):
             if d > 1:
                 weight = (weight * vandermonde_inverse(d)[t][self.points[:, axis] - 1]) % PRIME
-        if self.row:
-            # An update's det 0 may hide a nonsingular minor (row 0's came from
-            # the set-up's own inversion): re-invert, and the nonsingular ones
-            # rejoin the updates.
-            updated = np.flatnonzero(self.det == 0)
-            if updated.size:
-                self.det[updated], self.inv[:, :, updated] = det_batch(self._live(updated), inverse=True)
         cof = (self.inv[:, 0] * self.det) % PRIME
-        singular = np.flatnonzero(self.det == 0)
-        if singular.size:
-            cof[:, singular] = _minor_row(self._live(singular), 0).T
         terms = (self.mats[self.row, self.cols] * cof) % PRIME
         return ((terms * weight) % PRIME).sum(axis=1) % PRIME
-
-    def _live(self, points: np.ndarray) -> np.ndarray:
-        """The explicit live minors at ``points``, as a (B, m, m) batch."""
-        return self.mats[self.row :][:, self.cols][:, :, points].transpose(2, 0, 1)
 
     def take(self, c: int) -> None:
         """Fix row 0 of the live minor to its column ``c``, counted among the live columns."""

@@ -454,12 +454,11 @@ def _extract_assignment(
     row i takes, and row i keeps the first column whose share is nonzero: its
     minor then still certifies the rest of the budget. A rank-one update of
     the inverses then gives that minor's, so no row pays for a new
-    elimination, except at the rare points an update leaves singular: the
-    next row re-inverts their explicit live minors, the nonsingular ones
-    rejoin the updates, and the singular ones take their cofactors as
-    minors. Each share is zero exactly when ``coefficient_at`` is on the
-    same minor with the same scalars. A false negative (random unluck)
-    aborts the attempt; the caller retries with fresh scalars.
+    elimination. Each share is zero exactly when ``coefficient_at`` is on
+    the same minor with the same scalars, as long as no live minor is
+    singular at a grid point; where one is, every share is zero. Either
+    kind of random unluck, a false zero share or a singular point, aborts
+    the attempt, and the caller retries with fresh scalars.
     """
     import numpy as np
 
@@ -503,12 +502,14 @@ def exact_cost_matching(
 ) -> Matching | None:
     """Perfect matching of cost exactly ``target``, or None if none was found.
 
-    The costs themselves are the one digit axis. A miss requires every
-    trial's random scalars to kill the certifying coefficient, which happens
-    with probability at most (q/PRIME) per trial; None is therefore wrong
-    only with vanishing probability. A returned matching is always genuine:
-    its cost is verified before returning. The seed must be a non-negative
-    integer and ``trials`` positive.
+    The costs themselves are the one digit axis. A trial misses when its
+    random scalars kill the certifying coefficient (probability at most
+    q/PRIME), or make a live minor of the witness extraction singular at one
+    of its G grid points or zero a share (at most (G + 1)·q(q + 1)/(2·PRIME),
+    about 5e-4 at q = 40 and G = 1275). None is wrong only if every trial
+    misses. A returned matching is always genuine: its cost is verified
+    before returning. The seed must be a non-negative integer and ``trials``
+    positive.
     """
     _check_seed(seed)
     if trials < 1:
@@ -547,9 +548,10 @@ def matching_with_counts(
 
     Searches the signature digits for the sums (4q - target_cost, k, l), on
     the same cubes ``signature_support`` builds for the same matrix and
-    seed. Returned witnesses are re-verified against the original matrix
-    unconditionally. The seed must be a non-negative integer and ``trials``
-    positive.
+    seed. A trial misses as in ``exact_cost_matching``, also when a live
+    minor of the extraction is singular at a grid point. Returned witnesses
+    are re-verified against the original matrix unconditionally. The seed
+    must be a non-negative integer and ``trials`` positive.
     """
     _check_seed(seed)
     if trials < 1:

@@ -8,6 +8,7 @@ import pickle
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -253,6 +254,25 @@ def test_randomized_retry_exhaustion_is_a_verification_failure(capsys, tmp_path,
     assert err.startswith("verification failure: " + message)
 
 
+def test_an_approximation_never_returns_an_unverified_edit_set(capsys, tmp_path, monkeypatch):
+    # With the flow route reporting no flip, the set each approximation
+    # constructs fails its final check, and nothing is returned. STAR6 has
+    # rho > 0, so no single verified edit answers first.
+    star = riccicrit.Instance(Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)]), (0, 1),
+                              riccicrit.ProblemVariant.parse("uw-rt-ins-ntp"))
+    assert riccicrit.solvers._setup(star).rho > 0
+    monkeypatch.setattr(riccicrit.solvers, "_flips", lambda inst, edits: (False, Fraction(-1, 2)))
+    message = "constructed edit set failed verification; nothing returned"
+    for solve in (riccicrit.greedy_insert, lambda inst: riccicrit.randomized_insert(inst, seed=1)):
+        with pytest.raises(riccicrit.RetryExhaustedError, match=message):
+            solve(star)
+    (tmp_path / "star.edges").write_text(STAR6)
+    for method in (["greedy"], ["randomized", "--seed", "1"]):
+        code, out, err = run(capsys, "solve", str(tmp_path / "star.edges"), "--edge", "0", "1",
+                             "--variant", "uw-rt-ins-ntp", "--method", *method)
+        assert (code, out, err) == (5, "", f"verification failure: {message}\n")
+
+
 def test_solve_brute_on_blocker(capsys, blocker_files):
     edges, sidecar = blocker_files
     code, out, _ = run(capsys, "solve", edges, "--edge", "0", "1",
@@ -373,6 +393,23 @@ def test_oracle_check_file_and_output(capsys, p3_file, tmp_path):
     assert payload["mismatches"] == 0
 
 
+def test_oracle_check_lists_skipped_edges_and_does_not_count_them(capsys, tmp_path, monkeypatch):
+    # Paw graph: the triangle edges (0, 2) and (1, 2) blow up to q = 12, past
+    # a cap of 4, so only (0, 1) and (2, 3) are compared; the skipped ones are
+    # listed even without --verbose.
+    path = tmp_path / "paw.edges"
+    path.write_text("0 1\n1 2\n0 2\n2 3\n")
+    monkeypatch.setenv("RICCI_BLOWUP_CAP", "4")
+    code, out, err = run(capsys, "oracle-check", str(path))
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert (payload["edges_checked"], payload["mismatches"]) == (2, 0)
+    assert payload["results"] == [
+        {"edge": [0, 2], "skipped": "blow-up size q=12 exceeds cap 4"},
+        {"edge": [1, 2], "skipped": "blow-up size q=12 exceeds cap 4"},
+    ]
+
+
 @pytest.fixture()
 def serial_pool(monkeypatch):
     """Replace the process pool by one in-process worker; returns its log.
@@ -482,9 +519,12 @@ def test_curvature_jobs_ships_the_graph_once_per_worker(capsys, monkeypatch, ser
           "--method", "greedy", "--start", "{scalar_sidecar}"], 4),
         (["solve", "{star}", "--edge", "0", "1", "--variant", "uw-rt-ins-ntp",
           "--method", "greedy", "--start", "{list_sidecar}"], 4),
+        (["solve", "{star}", "--edge", "0", "1", "--variant", "uw-rt-ins-ntp",
+          "--method", "greedy", "--start", "{fractional_cost_sidecar}"], 4),
     ],
     ids=["self-loop-edge", "directory-input", "non-utf8-input", "output-dir-missing",
-         "gadget-output-dir-missing", "start-missing", "start-scalar-assignment", "start-list"],
+         "gadget-output-dir-missing", "start-missing", "start-scalar-assignment", "start-list",
+         "start-fractional-cost"],
 )
 def test_bad_input_exits_with_one_error_line(capsys, tmp_path, p3_file, argv, expected):
     paths = {"p3": p3_file, "dir": str(tmp_path)}
@@ -493,6 +533,7 @@ def test_bad_input_exits_with_one_error_line(capsys, tmp_path, p3_file, argv, ex
         ("star", STAR6.encode()),
         ("scalar_sidecar", b'{"parameters": {"adversarial_assignment": 5, "adversarial_cost": 1}}'),
         ("list_sidecar", b"[1, 2]"),
+        ("fractional_cost_sidecar", b'{"parameters": {"adversarial_assignment": [1, 0], "adversarial_cost": 1.5}}'),
     ]:
         (tmp_path / name).write_bytes(content)
         paths[name] = str(tmp_path / name)

@@ -30,10 +30,6 @@ def exact_det(rows: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1] if n else 1
 
 
-def exact_minor(rows: list[list[int]], i: int, j: int) -> int:
-    return exact_det([[x for c, x in enumerate(r) if c != j] for rr, r in enumerate(rows) if rr != i])
-
-
 def seeded_batch(seed: int, n: int, count: int) -> np.ndarray:
     """Random n x n matrices: full-range residues, small entries with zero
     leading pivots (forcing row swaps), and singular ones (a repeated row, a
@@ -73,39 +69,23 @@ def test_det_batch_matches_exact_determinants(n):
     assert any(w == 0 for w in want) and any(w != 0 for w in want)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 6])
-def test_cofactor_mode_matches_exact_minors(n):
-    # The singular-matrix cofactor rule, on singular and nonsingular members alike.
-    mats = seeded_batch(200 + n, n, 30)
-    for row in sorted({0, n - 1, n // 2}):
-        cof = _detcube._minor_row(mats % PRIME, row)
-        for b, m in enumerate(mats.tolist()):
-            want = [(-1) ** (row + j) * exact_minor(m, row, j) % PRIME for j in range(n)]
-            assert cof[b].tolist() == want, (b, row)
-
-
-def test_cofactor_mode_falls_back_to_minors_only_when_singular(monkeypatch):
+def test_one_point_shares_are_cofactors_or_zero_when_singular():
     # With every digit 0 the grid is one point, where the live minor is the
-    # scalar matrix itself: row 0's shares take its cofactors from the inverse,
-    # and as minors only when it is singular.
-    calls = []
-    original = _detcube._minor_row
-
-    def spy(mats, row):
-        calls.append(mats.shape[0])
-        return original(mats, row)
-
-    monkeypatch.setattr(_detcube, "_minor_row", spy)
+    # scalar matrix itself: row 0's shares are its entries times their
+    # cofactors, and all zero when it is singular, which gives up the extraction.
     mats = seeded_batch(7, 4, 10)
     dets = det_batch(mats)
     digits = np.zeros((4, 4, 1), dtype=np.int64)
     for m, det in zip(mats, dets):
-        calls.clear()
         shares = LiveMinor(digits, m, (0,)).shares()
-        assert calls == ([1] if det == 0 else [])
-        want = [x % PRIME * c % PRIME for x, c in zip(m[0].tolist(), modular_cofactors(m.tolist(), 0))]
-        assert shares.tolist() == want
+        if det == 0:
+            assert not shares.any()
+        else:
+            want = [x % PRIME * c % PRIME for x, c in zip(m[0].tolist(), modular_cofactors(m.tolist(), 0))]
+            assert shares.tolist() == want
     assert 0 < int((dets == 0).sum()) < len(mats)
+    # Singular members whose cofactors are not all zero: the zero shares are the rule, not the cofactors.
+    assert any(det == 0 and any(modular_cofactors(m.tolist(), 0)) for m, det in zip(mats, dets))
 
 
 def enumerated_signatures(digits: np.ndarray) -> set[tuple[int, ...]]:
@@ -152,8 +132,7 @@ def test_row_coefficients_split_the_cube_coefficient_by_column():
 def test_targets_on_a_window_edge_are_read_off_one_grid_point(monkeypatch):
     # The lowest and the highest coefficient of an axis need no
     # interpolation along it, so a target on the edge of every axis's
-    # window costs one inversion (plus the minors if that one matrix is
-    # singular), with the same shares.
+    # window costs one inversion, with the same shares.
     batches = []
     original = _detcube.det_batch
     monkeypatch.setattr(_detcube, "det_batch", lambda mats, **kw: batches.append(len(mats)) or original(mats, **kw))
@@ -194,15 +173,11 @@ def test_each_rows_shares_are_its_minors_row_coefficients():
 def test_an_extraction_at_a_window_edge_inverts_one_matrix(monkeypatch):
     # The window-edge trims are made once, at the top: a target on the edge of
     # every axis's window is read off one grid point for the whole extraction,
-    # whose single inversion every later row updates. Each minor on the way
-    # is nonsingular there (its share certified it), so none is re-inverted;
-    # an unreachable target's singular matrix takes its minors at that point.
-    calls, minors = [], []
-    original, original_minor_row = _detcube.det_batch, _detcube._minor_row
+    # whose single inversion every later row updates; an unreachable target
+    # gives None.
+    calls = []
+    original = _detcube.det_batch
     monkeypatch.setattr(_detcube, "det_batch", lambda mats, **kw: calls.append((len(mats), kw)) or original(mats, **kw))
-    monkeypatch.setattr(
-        _detcube, "_minor_row", lambda mats, row: minors.append(len(mats)) or original_minor_row(mats, row)
-    )
     rng = random.Random(29)
     for _ in range(10):
         n = rng.randint(2, 6)
@@ -211,14 +186,10 @@ def test_an_extraction_at_a_window_edge_inverts_one_matrix(monkeypatch):
         _, (offset,), (dims,) = _detcube._factor(digits)
         for target in (offset, offset + dims - 1):
             calls.clear()
-            minors.clear()
             got = _extract_assignment(digits, scalars, (target,))
             reach = [list(p) for p in itertools.permutations(range(n)) if sum(digits[i, p[i], 0] for i in range(n)) == target]
             assert got == (reach[0] if reach else None)
-            assert calls[0] == (1, {"inverse": True})
-            assert minors == ([] if reach else [1])
-            # The minors' own eliminations are the only other calls.
-            assert calls[1:] == [(n * size, {}) for size in minors]
+            assert calls == [(1, {"inverse": True})]
 
 
 def modular_det(rows: list[list[int]]) -> int:
@@ -268,9 +239,6 @@ def test_det_batch_matches_a_python_int_elimination(n):
     rows = mats.tolist()
     want_det = [modular_det(m) for m in rows]
     assert det_batch(mats).tolist() == want_det
-    for row in sorted({0, n // 2, n - 1}):
-        cof = _detcube._minor_row(mats % PRIME, row)
-        assert cof.tolist() == [modular_cofactors(m, row) for m in rows], row
     if n > 1:
         assert want_det[0] == 0 and any(want_det)
 
@@ -323,7 +291,7 @@ def test_inverse_mode_matches_a_python_int_gauss_jordan(n):
 @pytest.mark.parametrize("n", [2, 5, 12])
 def test_det_batch_of_only_singular_matrices(n):
     # Every matrix singular: a zero row, a repeated row or rank one, so every
-    # cofactor row comes from the minors, and the inverse is zero.
+    # determinant is 0 and the inverse is zero.
     rng = random.Random(400 + n)
     mats = []
     for b in range(6):
@@ -339,9 +307,6 @@ def test_det_batch_of_only_singular_matrices(n):
     assert det_batch(mats).tolist() == [0] * 6
     det, inv = det_batch(mats, inverse=True)
     assert det.tolist() == [0] * 6 and not inv.any()
-    for row in (0, n - 1):
-        cof = _detcube._minor_row(mats % PRIME, row)
-        assert cof.tolist() == [modular_cofactors(m, row) for m in mats.tolist()]
 
 
 @pytest.mark.parametrize("d", [1, 2, 5, 40, 160])

@@ -1,6 +1,9 @@
 """Source hygiene checks on the package modules."""
 
 import ast
+import builtins
+import json
+import re
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,7 @@ import riccicrit
 
 PACKAGE = Path(riccicrit.__file__).parent
 TRACING = PACKAGE.parent.parent / "perfbench" / "tracing.py"
+BENCHMARK = PACKAGE.parent.parent / "BENCHMARK.json"
 # __init__.py imports only to re-export.
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
@@ -165,3 +169,67 @@ def test_unused_public_check_reads_the_tracer_table():
     assert wrapped == {("_a.py", "traced"), ("_a.py", "Traced"), ("b.py", "public")}
     assert _unused_public(sources, wrapped) == ["_a.py: dead (line 4)"]
     assert _unused_public(sources, set()) == ["_a.py: Traced (line 3)", "_a.py: dead (line 4)", "_a.py: traced (line 2)"]
+
+
+# A double-backtick reference that is a name, alone or called, indexed or dotted.
+_DOC_REFERENCE = re.compile(r"``([A-Za-z_]\w*)(?=``|[.(\[])")
+
+
+def _bound_names(tree: ast.AST) -> set[str]:
+    """Names a module binds: definitions, arguments, assignment targets and
+    imports, plus the modules it imports and the attributes it reads off them."""
+    names, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.update((node.module or "").split("."))
+            names.update(alias.asname or alias.name for alias in node.names)
+    attributes = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules
+    }
+    return names | modules | attributes
+
+
+def _stale_references(sources: dict[str, str], extra: set[str]) -> list[str]:
+    """Double-backtick names in ``sources`` that no module binds and that are
+    neither builtins nor in ``extra``."""
+    known = set(dir(builtins)) | extra
+    for source in sources.values():
+        known |= _bound_names(ast.parse(source))
+    return sorted(
+        f"{name}: ``{ref}``" for name, source in sources.items() for ref in set(_DOC_REFERENCE.findall(source))
+        if ref not in known
+    )
+
+
+def test_doc_references_name_what_the_package_has():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    workloads = {w["name"] for w in json.loads(BENCHMARK.read_text(encoding="utf-8"))["workloads"]}
+    stale = _stale_references(sources, workloads)
+    assert not stale, f"docs name what the package does not have: {', '.join(stale)}"
+
+
+def test_stale_reference_check_flags_a_deleted_helper():
+    sources = {
+        "a.py": (
+            'import itertools\nfrom .b import _kept\n'
+            'def f(rows):\n    """``rows`` by ``itertools.groupby``; ``len(rows)`` from ``_kept`` in ``solve``,\n'
+            '    and the cofactors of a singular point as minors (``_minor_row(mats, 0)``)."""\n'
+            '    return itertools.groupby(rows)\n'
+        ),
+    }
+    assert _stale_references(sources, {"solve"}) == ["a.py: ``_minor_row``"]
+    assert _stale_references(sources, set()) == ["a.py: ``_minor_row``", "a.py: ``solve``"]

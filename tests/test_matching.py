@@ -21,12 +21,11 @@ from riccicrit import (
     min_cost_perfect_matching,
 )
 from riccicrit import _detcube, matching
-from riccicrit._detcube import LiveMinor, SignatureCube, coefficient_at, det_batch
+from riccicrit._detcube import SignatureCube
 from riccicrit.matching import (
     _cached_cube,
     _check_square,
     _extract_assignment,
-    _signature_digits,
     _transport,
     _trial_scalars,
     matching_cost,
@@ -419,57 +418,6 @@ def test_witness_is_the_first_enumerated_matching_with_its_signature():
     assert checked > 300
 
 
-def _minor_by_minor_extraction(digits, scalars, target):
-    """The self-reduction with ``coefficient_at`` as its test: for each row in
-    order, the first column whose minor certifies the remaining budget."""
-    n = digits.shape[0]
-    cols, remaining, out = list(range(n)), list(target), []
-    for i in range(n):
-        for j in cols:
-            after = [r - int(d) for r, d in zip(remaining, digits[i, j])]
-            live = np.ix_(range(i + 1, n), [c for c in cols if c != j])
-            if min(after) >= 0 and coefficient_at(digits[live], scalars[live], tuple(after)) != 0:
-                break
-        else:
-            return None
-        out.append(j)
-        cols.remove(j)
-        remaining = after
-    return out
-
-
-def test_extraction_at_singular_points_agrees_with_coefficient_at(monkeypatch):
-    # Two equal scalar rows make the matrix singular at the all-ones grid
-    # point, so each pass there needs the minor fallback; its shares must
-    # still be zero exactly where coefficient_at is on the candidate minor.
-    fallbacks = []
-    original = _detcube._minor_row
-    monkeypatch.setattr(_detcube, "_minor_row", lambda mats, row: fallbacks.append(row) or original(mats, row))
-    rng = random.Random(17)
-    for case in range(6):
-        q = rng.randint(3, 5)
-        costs = [[rng.randint(0, 3) for _ in range(q)] for _ in range(q)]
-        touch = [[rng.random() < 0.5 for _ in range(q)] for _ in range(q)]
-        digits = _signature_digits(costs, touch)
-        scalars = _trial_scalars(case, 0, q)
-        scalars[q - 1] = scalars[0]
-        assert det_batch(scalars[None])[0] == 0
-        signatures = {
-            tuple(int(x) for x in sum(digits[i, p[i]] for i in range(q)))
-            for p in itertools.permutations(range(q))
-        }
-        for target in sorted(signatures):
-            shares = LiveMinor(digits, scalars, target).shares()
-            for j in range(q):
-                after = tuple(int(t - d) for t, d in zip(target, digits[0, j]))
-                keep = [c for c in range(q) if c != j]
-                minor = coefficient_at(digits[1:][:, keep], scalars[1:][:, keep], after) if min(after) >= 0 else 0
-                assert (shares[j] != 0) == (minor != 0), (case, target, j)
-            want = _minor_by_minor_extraction(digits, scalars, target)
-            assert _extract_assignment(digits, scalars, target) == want
-    assert fallbacks
-
-
 def _interior_targets(digits):
     """The reachable single-axis targets strictly inside their degree window,
     where no trim touches the matrix, so at the all-ones point it is the scalars."""
@@ -479,100 +427,38 @@ def _interior_targets(digits):
     return sorted(t for t in sums if offset < t < offset + dims - 1)
 
 
-def _spy_explicit_work(monkeypatch):
-    """Record the batch size of every inversion (``det_batch(..., inverse=True)``)
-    and every fallback to minors (``_minor_row``)."""
-    inversions, minors = [], []
-    original, original_minor_row = _detcube.det_batch, _detcube._minor_row
-    monkeypatch.setattr(
-        _detcube,
-        "det_batch",
-        lambda mats, **kw: (kw.get("inverse") and inversions.append(len(mats))) or original(mats, **kw),
-    )
-    monkeypatch.setattr(
-        _detcube, "_minor_row", lambda mats, row: minors.append(len(mats)) or original_minor_row(mats, row)
-    )
-    return inversions, minors
-
-
-def _extract_with_spies(digits, scalars, target, inversions, minors):
-    """``_extract_assignment``, with the spies cleared once the Vandermonde
-    inverses its grid reads are built (and cached), so that they see the
-    set-up's inversion and the explicit work after it only."""
-    for d in _detcube._factor(digits)[2]:
-        _detcube.vandermonde_inverse(d)
-    inversions.clear()
-    minors.clear()
-    return _extract_assignment(digits, scalars, target)
-
-
-def _singular_minors(scalars, assignment):
-    """Whether each row's live minor on the way to ``assignment`` is singular
-    at the all-ones point, where the matrix is the scalars."""
-    cols, out = list(range(len(assignment))), []
-    for i, c in enumerate(assignment):
-        out.append(bool(det_batch(scalars[i:, cols][None])[0] == 0))
-        cols.remove(c)
-    return out
-
-
-def test_extraction_when_a_minor_turns_singular_mid_update(monkeypatch):
-    # Rows 1 and 2 have equal scalars except in the column row 0 takes, so the
-    # matrix at the all-ones point is nonsingular but the minor row 0 leaves
-    # is not: the update's pivot B[j, 0] is 0 there. That point is re-inverted
-    # on each row an update left it at det 0, takes minors only while its
-    # explicit live minor is singular, and the witness is the one
-    # coefficient_at finds.
-    inversions, minors = _spy_explicit_work(monkeypatch)
-    rng = random.Random(41)
-    cases = 0
-    while cases < 8:
-        q = rng.randint(3, 6)
-        digits = np.array([[[rng.randint(0, 3)] for _ in range(q)] for _ in range(q)], dtype=np.int64)
-        for target in _interior_targets(digits)[:3]:
-            for j in range(q):
-                scalars = _trial_scalars(cases, 0, q)
-                scalars[2] = scalars[1]
-                scalars[2, j] = (scalars[1, j] + 1) % _detcube.PRIME
-                want = _minor_by_minor_extraction(digits, scalars, (target,))
-                if want is None or want[0] != j:
-                    continue
-                singular = _singular_minors(scalars, want)
-                assert singular[:2] == [False, True]
-                assert _extract_with_spies(digits, scalars, (target,), inversions, minors) == want
-                # Only that point.
-                assert inversions[1:] == [1 for i in range(1, q) if singular[i - 1] or singular[i]]
-                assert minors == [1] * sum(singular)
-                cases += 1
-                break
-
-
-def test_extraction_when_a_point_is_singular_only_at_the_start(monkeypatch):
-    # Rows 0 and q-1 have equal scalars, so the matrix at the all-ones point is
-    # singular from the start, while the minor row 0 leaves is not. That point
-    # takes minors on row 0, is re-inverted once on row 1 and then follows the
-    # updates, and the witness is unchanged.
-    inversions, minors = _spy_explicit_work(monkeypatch)
+def test_a_singular_grid_point_aborts_the_extraction_and_the_next_trial_retries(monkeypatch):
+    # Rows 0 and q-1 of trial 0's scalars are equal, so the matrix at the
+    # all-ones grid point is singular: the extraction gives up although the
+    # cube certified the target, and _search takes its witness from trial 1's
+    # scalars, the lexicographically first matching with that digit sum.
+    extractions = []
+    extract = matching._extract_assignment
+    monkeypatch.setattr(matching, "_extract_assignment", lambda *a: extractions.append(extract(*a)) or extractions[-1])
     rng = random.Random(43)
     cases = 0
-    while cases < 8:
-        q = rng.randint(3, 6)
-        digits = np.array([[[rng.randint(0, 3)] for _ in range(q)] for _ in range(q)], dtype=np.int64)
-        scalars = _trial_scalars(100 + cases, 0, q)
-        scalars[q - 1] = scalars[0]
-        for target in _interior_targets(digits)[:3]:
-            want = _minor_by_minor_extraction(digits, scalars, (target,))
-            if want is None:
-                continue
-            singular = _singular_minors(scalars, want)
-            assert singular[0]
-            if singular[1]:
-                continue
-            assert _extract_with_spies(digits, scalars, (target,), inversions, minors) == want
-            assert not any(singular[2:])
-            assert inversions[1:] == [1]
-            assert minors == [1]
-            cases += 1
+    try:
+        while cases < 8:
+            q = rng.randint(3, 6)
+            digits = np.array([[[rng.randint(0, 3)] for _ in range(q)] for _ in range(q)], dtype=np.int64)
+            singular = _trial_scalars(100 + cases, 0, q)
+            singular[q - 1] = singular[0]
+            monkeypatch.setattr(
+                matching, "_trial_scalars", lambda seed, trial, q: singular if trial == 0 else _trial_scalars(seed, trial, q)
+            )
+            _cached_cube.cache_clear()
+            for target in _interior_targets(digits)[:3]:
+                if matching._trial_cube(digits, 7, 0).coefficient((target,)) == 0:
+                    continue
+                assert _extract_assignment(digits, singular, (target,)) is None
+                extractions.clear()
+                got = matching._search(digits, (target,), 2, 7)
+                assert extractions == [None, got]
+                reach = [list(p) for p in itertools.permutations(range(q)) if sum(digits[i, p[i], 0] for i in range(q)) == target]
+                assert got == reach[0]
+                cases += 1
+    finally:
+        _cached_cube.cache_clear()
 
 
 @pytest.mark.parametrize(
