@@ -21,11 +21,12 @@ from riccicrit import (
     min_cost_perfect_matching,
 )
 from riccicrit import _detcube, matching
-from riccicrit._detcube import SignatureCube
+from riccicrit._detcube import LiveMinor, SignatureCube, coefficient_at, det_batch
 from riccicrit.matching import (
     _cached_cube,
     _check_square,
     _extract_assignment,
+    _signature_digits,
     _transport,
     _trial_scalars,
     matching_cost,
@@ -418,6 +419,78 @@ def test_witness_is_the_first_enumerated_matching_with_its_signature():
     assert checked > 300
 
 
+def _minor_by_minor_extraction(digits, scalars, target):
+    """The self-reduction with ``coefficient_at`` as its test: for each row in
+    order, the first column whose minor certifies the remaining budget."""
+    n = digits.shape[0]
+    cols, remaining, out = list(range(n)), list(target), []
+    for i in range(n):
+        for j in cols:
+            after = [r - int(d) for r, d in zip(remaining, digits[i, j])]
+            live = np.ix_(range(i + 1, n), [c for c in cols if c != j])
+            if min(after) >= 0 and coefficient_at(digits[live], scalars[live], tuple(after)) != 0:
+                break
+        else:
+            return None
+        out.append(j)
+        cols.remove(j)
+        remaining = after
+    return out
+
+
+def _row0_shares_agree_with_coefficient_at(digits, scalars, target):
+    """Whether row 0's shares are nonzero exactly where ``coefficient_at`` is
+    on the minor each column leaves."""
+    q = digits.shape[0]
+    shares = LiveMinor(digits, scalars, target).shares()
+    for j in range(q):
+        after = tuple(int(t - d) for t, d in zip(target, digits[0, j]))
+        keep = [c for c in range(q) if c != j]
+        minor = coefficient_at(digits[1:][:, keep], scalars[1:][:, keep], after) if min(after) >= 0 else 0
+        if (shares[j] != 0) != (minor != 0):
+            return False
+    return True
+
+
+def test_extraction_at_singular_points_agrees_with_coefficient_at():
+    # Two equal scalar rows make the matrix singular at the all-ones grid
+    # point. Where a target's grid holds a singular point, every share is
+    # zero and the extraction gives up, also where coefficient_at finds a
+    # witness: a singular point is a miss, never a wrong answer. Elsewhere,
+    # and with the rows left distinct, the shares are nonzero exactly where
+    # coefficient_at is, and the witness is the one it gives.
+    rng = random.Random(17)
+    missed = 0
+    for case in range(6):
+        q = rng.randint(3, 5)
+        costs = [[rng.randint(0, 3) for _ in range(q)] for _ in range(q)]
+        touch = [[rng.random() < 0.5 for _ in range(q)] for _ in range(q)]
+        digits = _signature_digits(costs, touch)
+        scalars = _trial_scalars(case, 0, q)
+        singular = scalars.copy()
+        singular[q - 1] = singular[0]
+        assert det_batch(singular[None])[0] == 0
+        signatures = {
+            tuple(int(x) for x in sum(digits[i, p[i]] for i in range(q)))
+            for p in itertools.permutations(range(q))
+        }
+        for target in sorted(signatures):
+            minor = LiveMinor(digits, singular, target)
+            want = _minor_by_minor_extraction(digits, singular, target)
+            if minor.points is not None and not minor.det.all():
+                assert not minor.shares().any(), (case, target)
+                assert _extract_assignment(digits, singular, target) is None
+                missed += want is not None
+            else:
+                assert _row0_shares_agree_with_coefficient_at(digits, singular, target), (case, target)
+                assert _extract_assignment(digits, singular, target) == want
+            assert _row0_shares_agree_with_coefficient_at(digits, scalars, target), (case, target)
+            want = _minor_by_minor_extraction(digits, scalars, target)
+            assert want is not None
+            assert _extract_assignment(digits, scalars, target) == want
+    assert missed
+
+
 def _interior_targets(digits):
     """The reachable single-axis targets strictly inside their degree window,
     where no trim touches the matrix, so at the all-ones point it is the scalars."""
@@ -425,6 +498,99 @@ def _interior_targets(digits):
     _, (offset,), (dims,) = _detcube._factor(digits)
     sums = {int(sum(digits[i, p[i], 0] for i in range(q))) for p in itertools.permutations(range(q))}
     return sorted(t for t in sums if offset < t < offset + dims - 1)
+
+
+def _spy_extraction(monkeypatch):
+    """Record the batch size of every inversion (``det_batch(..., inverse=True)``)
+    and the column of every ``LiveMinor.take``."""
+    inversions, takes = [], []
+    original, original_take = _detcube.det_batch, LiveMinor.take
+    monkeypatch.setattr(
+        _detcube,
+        "det_batch",
+        lambda mats, **kw: (kw.get("inverse") and inversions.append(len(mats))) or original(mats, **kw),
+    )
+    monkeypatch.setattr(LiveMinor, "take", lambda self, c: takes.append(c) or original_take(self, c))
+    return inversions, takes
+
+
+def _grid_size(digits, scalars, target):
+    """The number of points of the extraction's grid, with the Vandermonde
+    inverses its shares read built (and cached), so that a spy set after it
+    sees the extraction's own inversions only."""
+    for d in _detcube._factor(digits)[2]:
+        _detcube.vandermonde_inverse(d)
+    return len(LiveMinor(digits, scalars, target).points)
+
+
+def _singular_minors(scalars, assignment):
+    """Whether each row's live minor on the way to ``assignment`` is singular
+    at the all-ones point, where the matrix is the scalars."""
+    cols, out = list(range(len(assignment))), []
+    for i, c in enumerate(assignment):
+        out.append(bool(det_batch(scalars[i:, cols][None])[0] == 0))
+        cols.remove(c)
+    return out
+
+
+def test_extraction_when_a_minor_turns_singular_mid_update(monkeypatch):
+    # Rows 1 and 2 have equal scalars except in the column row 0 takes, so the
+    # matrix at the all-ones point is nonsingular but the minor row 0 leaves
+    # is not: the update's pivot B[j, 0] is 0 there. Row 0 takes the column
+    # coefficient_at takes, then row 1's shares are all zero and the
+    # extraction gives up, with the set-up's inversion as its only one.
+    rng = random.Random(41)
+    cases = 0
+    while cases < 8:
+        q = rng.randint(3, 6)
+        digits = np.array([[[rng.randint(0, 3)] for _ in range(q)] for _ in range(q)], dtype=np.int64)
+        for target in _interior_targets(digits)[:3]:
+            for j in range(q):
+                scalars = _trial_scalars(cases, 0, q)
+                scalars[2] = scalars[1]
+                scalars[2, j] = (scalars[1, j] + 1) % _detcube.PRIME
+                want = _minor_by_minor_extraction(digits, scalars, (target,))
+                if want is None or want[0] != j:
+                    continue
+                assert _singular_minors(scalars, want)[:2] == [False, True]
+                ngrid = _grid_size(digits, scalars, (target,))
+                with monkeypatch.context() as m:
+                    inversions, takes = _spy_extraction(m)
+                    assert _extract_assignment(digits, scalars, (target,)) is None
+                assert takes == [j]
+                assert sum(inversions) == ngrid
+                cases += 1
+                break
+
+
+def test_extraction_when_a_point_is_singular_only_at_the_start(monkeypatch):
+    # Rows 0 and q-1 have equal scalars, so the matrix at the all-ones point is
+    # singular from the start, while the minor row 0 leaves is not. Row 0's
+    # shares are all zero, so the extraction gives up before it takes a
+    # column, with the set-up's inversion as its only one, although
+    # coefficient_at finds a witness.
+    rng = random.Random(43)
+    cases = 0
+    while cases < 8:
+        q = rng.randint(3, 6)
+        digits = np.array([[[rng.randint(0, 3)] for _ in range(q)] for _ in range(q)], dtype=np.int64)
+        scalars = _trial_scalars(100 + cases, 0, q)
+        scalars[q - 1] = scalars[0]
+        for target in _interior_targets(digits)[:3]:
+            want = _minor_by_minor_extraction(digits, scalars, (target,))
+            if want is None:
+                continue
+            singular = _singular_minors(scalars, want)
+            assert singular[0]
+            if singular[1]:
+                continue
+            ngrid = _grid_size(digits, scalars, (target,))
+            with monkeypatch.context() as m:
+                inversions, takes = _spy_extraction(m)
+                assert _extract_assignment(digits, scalars, (target,)) is None
+            assert takes == []
+            assert sum(inversions) == ngrid
+            cases += 1
 
 
 def test_a_singular_grid_point_aborts_the_extraction_and_the_next_trial_retries(monkeypatch):
