@@ -5,7 +5,8 @@ unreadable, not UTF-8 or malformed, or an output path cannot be written;
 3 infeasible instance; 4 usage error (bad flags, unsupported variant or
 method, malformed --start sidecar); 5 internal verification failure -- a
 solver produced something it could not verify, which the library is
-designed never to do; oracle-check exits 1 when the routes disagree.
+designed never to do; oracle-check exits 1 when the routes disagree, and
+when it compared no edge at all.
 Commands raise, and `main` maps the exception to its exit code through
 `_EXIT_CODES`. Randomized methods require an explicit --seed so runs stay
 reproducible; JSON output is byte-stable for a given input and seed.
@@ -297,15 +298,16 @@ def _cmd_oracle_check(args) -> int:
     mismatches = sum(rec.get("agree") is False for rec in records)
     # A skipped edge compared nothing, so it is listed, never counted as checked.
     skipped = [rec for rec in records if "skipped" in rec]
+    checked = len(records) - len(skipped)
     _emit(
         {
-            "edges_checked": len(records) - len(skipped),
+            "edges_checked": checked,
             "mismatches": mismatches,
             "results": records if (args.verbose or mismatches) else skipped,
         },
         args.output,
     )
-    return EXIT_OK if mismatches == 0 else 1
+    return EXIT_OK if mismatches == 0 and checked else 1
 
 
 def build_parser() -> _Parser:

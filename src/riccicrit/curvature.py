@@ -92,6 +92,11 @@ class CostMatrix:
         )
 
     @property
+    def dist_uv(self) -> int:
+        """dist(u, v): the entry at u's row and v's column."""
+        return self.costs[self.row_nodes.index(self.u)][self.col_nodes.index(self.v)]
+
+    @property
     def r(self) -> int:
         return len(self.row_nodes)
 
@@ -355,7 +360,7 @@ def ricci(
     enum; callers that need a strict inequality must demand it themselves.
     """
     cm = build_cost_matrix(g, e)
-    dist_uv = cm.costs[cm.row_nodes.index(cm.u)][cm.col_nodes.index(cm.v)]
+    dist_uv = cm.dist_uv
     if route == "matching":
         bm = blow_up(cm)
         emd, m = emd_via_matching(bm)

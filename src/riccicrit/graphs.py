@@ -36,6 +36,11 @@ def ordered_pair(a: int, b: int) -> Pair:
     return (a, b) if a <= b else (b, a)
 
 
+def _is_int(x) -> bool:
+    """An int that is not a bool: ``format_edge_list`` would write True as ``True``."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class Graph:
     """Undirected graph value: weighted or unweighted, never both at once.
 
@@ -64,13 +69,13 @@ class Graph:
                 u, v, w = item
             else:
                 raise ValueError(f"edge must be (u, v) or (u, v, w), got {item!r}")
-            if not (isinstance(u, int) and isinstance(v, int)):
+            if not (_is_int(u) and _is_int(v)):
                 raise ValueError(f"node ids must be integers, got {item!r}")
             if not (0 <= u < node_count and 0 <= v < node_count):
                 raise ValueError(f"node id out of range in edge {item!r}")
             if u == v:
                 raise ValueError(f"self-loop at node {u} is not allowed")
-            if not isinstance(w, int) or w < 1:
+            if not _is_int(w) or w < 1:
                 raise ValueError(f"edge weight must be a positive integer, got {item!r}")
             if not weighted and w != 1:
                 raise ValueError(f"unweighted graph cannot carry weight {w} on edge ({u}, {v})")

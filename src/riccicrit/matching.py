@@ -411,6 +411,13 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed must be non-negative, got {seed}")
 
 
+def _check_integers(**values) -> None:
+    """Reject a non-integer target or count, on which numpy indexing would fail without naming it."""
+    for name, value in values.items():
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _trial_scalars(seed: int, trial: int, q: int) -> np.ndarray:
     import numpy as np
 
@@ -508,12 +515,13 @@ def exact_cost_matching(
     of its G grid points or zero a share (at most (G + 1)·q(q + 1)/(2·PRIME),
     about 5e-4 at q = 40 and G = 1275). None is wrong only if every trial
     misses. A returned matching is always genuine: its cost is verified
-    before returning. The seed must be a non-negative integer and ``trials``
-    positive.
+    before returning. The seed must be a non-negative integer, ``trials``
+    positive and ``target`` an integer.
     """
     _check_seed(seed)
     if trials < 1:
         raise ValueError("trials must be positive")
+    _check_integers(target=target)
     _check_square(costs)
     if target < 0:
         return None
@@ -551,11 +559,13 @@ def matching_with_counts(
     seed. A trial misses as in ``exact_cost_matching``, also when a live
     minor of the extraction is singular at a grid point. Returned witnesses
     are re-verified against the original matrix unconditionally. The seed
-    must be a non-negative integer and ``trials`` positive.
+    must be a non-negative integer, ``trials`` positive and ``target_cost``,
+    ``k`` and ``l`` integers.
     """
     _check_seed(seed)
     if trials < 1:
         raise ValueError("trials must be positive")
+    _check_integers(target_cost=target_cost, k=k, l=l)
     q = _check_square(costs)
     digits = _signature_digits(costs, touchable_mask)
     if k < 0 or l < 0 or k + l > q:

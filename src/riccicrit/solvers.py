@@ -15,15 +15,16 @@ algorithms exist only where the underlying theory provides them:
   exact-cost matching machinery;
 * plain brute force over edit subsets as the acceptance oracle.
 
-On unweighted graphs (``uw-rt-ins-ntp``, ``uw-ut-ins-ntp``,
-``uw-rt-del-ptn`` and ``uw-ut-del-ptn``) the searches -- brute force, the
-single-edit shortcut and the feasibility check inside greedy and randomized
--- run on the local cost matrix: an edit set is judged from the adjacency
-sets of the nodes of N[u] and N[v] and a small r x s transportation
-problem, without building a graph. Greedy re-reads its weights from the
-same edited adjacency sets after each insertion. Weighted variants search
-on edited graphs. Either way, each edit set a solver returns is verified
-by the flow route on the edited graph; an unverified set is never returned.
+Every variant runs one screened search. Each ``Instance`` has a local
+evaluator that judges an edit set by the small r x s transportation problem
+of the edited cost matrix: brute force, the single-edit shortcut, the
+feasibility check inside greedy and randomized, and the starting-sign check
+all go through it. On unweighted graphs the evaluator reads the cost matrix
+from the adjacency sets of the nodes of N[u] and N[v], without building a
+graph, and greedy re-reads its weights from the same edited sets after each
+insertion; on weighted graphs it reads the cost matrix of the edited graph.
+Each edit set a solver returns is verified by the flow route on the edited
+graph; an unverified set is never returned.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from typing import Iterable
 from .curvature import (
     BlowUpMatrix,
     CostMatrix,
-    CurvatureResult,
     Sign,
     _adjacency_costs,
     blow_up,
@@ -143,8 +143,8 @@ class ProblemVariant:
 class Instance:
     """A graph, an edge of it, and the demanded sign flip.
 
-    The starting sign is checked on construction: for unweighted variants
-    by the local evaluator, for weighted ones by the flow route.
+    The starting sign is checked on construction by the local evaluator,
+    which every variant has; no flow is solved.
     """
 
     graph: Graph
@@ -158,11 +158,8 @@ class Instance:
             raise ValueError(f"{self.edge} is not an edge of the graph")
         if self.variant.weighting == "uw" and self.graph.weighted:
             raise ValueError("uw variants require an unweighted graph")
-        if self._local is not None:
-            total, q = self._local.total(())
-            sign = sign_of(Fraction(q - total, q))
-        else:
-            sign = self.base_curvature().sign
+        total, threshold = self._local.total(())
+        sign = sign_of(Fraction(threshold - total, threshold))
         if self.variant.direction == "ntp":
             # Sign zero is admitted as the degenerate boundary case where a
             # single suitable edit already decides the instance.
@@ -172,19 +169,9 @@ class Instance:
             if sign != Sign.POSITIVE:
                 raise ValueError("ptn instances need strictly positive starting curvature")
 
-    def base_curvature(self) -> CurvatureResult:
-        """The edge's curvature by the flow route, computed on first call."""
-        return self._base
-
     @cached_property
-    def _base(self) -> CurvatureResult:
-        return ricci(self.graph, self.edge, route="flow")
-
-    @cached_property
-    def _local(self) -> "_LocalEvaluator | None":
-        """Edit-set evaluator on the local cost matrix; None for weighted variants."""
-        if self.variant.weighting != "uw":
-            return None
+    def _local(self) -> "_LocalEvaluator":
+        """Edit-set evaluator on the local cost matrix."""
         return _LocalEvaluator(self.graph, self.edge, self.variant)
 
 
@@ -276,23 +263,23 @@ def apply_edits(inst: Instance, edits: Iterable) -> Graph:
     return inst.graph.delete_edges(edits)
 
 
-def _demanded_sign(inst: Instance) -> Sign:
-    return Sign.POSITIVE if inst.variant.direction == "ntp" else Sign.NEGATIVE
-
-
 def _flips(inst: Instance, edits: Iterable) -> tuple[bool, Fraction]:
     res = ricci(apply_edits(inst, edits), inst.edge, route="flow")
-    return res.sign == _demanded_sign(inst), res.ric
+    demanded = Sign.POSITIVE if inst.variant.direction == "ntp" else Sign.NEGATIVE
+    return res.sign == demanded, res.ric
 
 
 class _LocalEvaluator:
-    """Exact curvature of an unweighted edge after an edit set, from adjacency sets.
+    """Exact curvature of the edge after an edit set, for every variant.
 
-    The cost entries follow ``_adjacency_costs``. An edit changes only its
-    two endpoints' adjacency sets, which are copied before they change; N[u]
-    and N[v] are read from the edited sets, so edits at u or v (unrestricted
-    variants) are covered too. The EMD times q is the optimum of the r x s
-    transportation problem with supplies q/r and demands q/s.
+    q * EMD is the optimum of the r x s transportation problem on the edited
+    cost matrix with supplies q/r and demands q/s; the sign flips where it
+    crosses q * dist(u, v). On weighted graphs the matrix, dist(u, v)
+    included (an insertion can shorten it), is ``build_cost_matrix`` of the
+    edited graph. On unweighted graphs dist(u, v) is 1 and the entries follow
+    ``_adjacency_costs`` on adjacency sets: an edit changes only its two
+    endpoints' sets, copied before they change, and N[u] and N[v] are read
+    from the edited sets, so edits at u or v are covered too.
     """
 
     def __init__(self, g: Graph, edge: tuple[int, int], variant: ProblemVariant):
@@ -301,15 +288,15 @@ class _LocalEvaluator:
         self._insert = variant.operation == "ins"
         self._to_positive = variant.direction == "ntp"
         self._restricted = variant.restriction == "rt"
-        self._base: dict[int, frozenset[int]] = {}
+        self._adjacency: dict[int, frozenset[int]] = {}
 
     def neighbors(self, x: int, edited: dict[int, set[int]]) -> Set[int]:
         """Adjacency set of ``x`` under ``edited``, the sets the edits so far changed."""
         near = edited.get(x)
         if near is None:
-            near = self._base.get(x)
+            near = self._adjacency.get(x)
             if near is None:
-                near = self._base[x] = frozenset(self._graph.neighbors(x))
+                near = self._adjacency[x] = frozenset(self._graph.neighbors(x))
         return near
 
     def apply(self, edited: dict[int, set[int]], edit) -> None:
@@ -325,34 +312,40 @@ class _LocalEvaluator:
                 near.discard(y)
 
     def total(self, edits: Iterable) -> tuple[int, int]:
-        """(q * EMD, q) of the edge after ``edits``."""
-        edited: dict[int, set[int]] = {}
-        for edit in edits:
-            self.apply(edited, edit)
-        rows = [self._u, *self.neighbors(self._u, edited)]
-        cols = [self._v, *self.neighbors(self._v, edited)]
-        costs = _adjacency_costs(rows, cols, lambda x: self.neighbors(x, edited))
-        r, s = len(rows), len(cols)
+        """(q * EMD, q * dist(u, v)) of the edge after ``edits``."""
+        if self._graph.weighted:
+            edited_graph = self._graph.insert_edges(edits) if self._insert else self._graph.delete_edges(edits)
+            cm = build_cost_matrix(edited_graph, (self._u, self._v))
+            costs, dist_uv = cm.costs, cm.dist_uv
+        else:
+            edited: dict[int, set[int]] = {}
+            for edit in edits:
+                self.apply(edited, edit)
+            rows = [self._u, *self.neighbors(self._u, edited)]
+            cols = [self._v, *self.neighbors(self._v, edited)]
+            costs, dist_uv = _adjacency_costs(rows, cols, lambda x: self.neighbors(x, edited)), 1
+        r, s = len(costs), len(costs[0])
         q = math.lcm(r, s)
         flow, _ = _transport(costs, [q // r] * r, [q // s] * s)
-        return sum(c * f for crow, frow in zip(costs, flow) for c, f in zip(crow, frow)), q
+        return sum(c * f for crow, frow in zip(costs, flow) for c, f in zip(crow, frow)), q * dist_uv
 
     def flips(self, edits: Iterable) -> bool:
         """Whether ``edits`` give the edge the variant's demanded sign."""
-        total, q = self.total(edits)
-        return total < q if self._to_positive else total > q
+        total, threshold = self.total(edits)
+        return total < threshold if self._to_positive else total > threshold
 
     def out_of_reach(self, cands: Iterable, k: int) -> bool:
         """True when no k of the edits ``cands`` can flip the sign.
 
         A restricted edit leaves N[u] and N[v] alone and changes only entries
-        in the rows and columns of its endpoints: the edited pair's own
-        entries by at most 2, every other entry by at most 1. A plan ships
-        a = q/r from each row and b = q/s into each column, so the edits
-        move its cost, and hence q * EMD, by at most a per endpoint row and
-        b per endpoint column. The k largest such sums bound every k-subset.
+        in the rows and columns of its endpoints: on unit weights, the edited
+        pair's own entries by at most 2, every other entry by at most 1. A
+        plan ships a = q/r from each row and b = q/s into each column, so the
+        edits move its cost, and hence q * EMD, by at most a per endpoint row
+        and b per endpoint column. The k largest such sums bound every
+        k-subset. Weighted graphs get no bound: nothing is out of reach.
         """
-        if not self._restricted:
+        if not self._restricted or self._graph.weighted:
             return False
         total, q = self.total(())
         gap = total - q if self._to_positive else q - total
@@ -369,13 +362,12 @@ class _LocalEvaluator:
 def _first_flip(inst: Instance, subsets: Iterable[tuple]) -> tuple[tuple, Fraction] | None:
     """The first subset whose edits flip the sign, with the resulting curvature.
 
-    Subsets are screened on the local cost matrix where the variant has an
-    evaluator; a subset is taken only once the flow route on the edited
-    graph confirms it.
+    Every subset is screened by the instance's local evaluator; a subset is
+    taken only once the flow route on the edited graph confirms it.
     """
     local = inst._local
     for edits in subsets:
-        if local is not None and not local.flips(edits):
+        if not local.flips(edits):
             continue
         flipped, ric_after = _flips(inst, edits)
         if flipped:
@@ -417,23 +409,23 @@ def brute_force_opt(inst: Instance, max_k: int, *, budget: int = 2_000_000) -> S
 
     Cardinality-lexicographic: levels are searched in increasing size and
     candidate subsets in lexicographic order, so the result is deterministic.
-    On unweighted graphs subsets are screened on the local cost matrix, and
-    a restricted level that provably cannot flip is skipped; the subset
-    returned is the first one the edited graph confirms.
+    Subsets are screened by the instance's local evaluator, and on
+    unweighted graphs a restricted level that provably cannot flip is
+    skipped; the subset returned is the first one the edited graph confirms.
+    Levels past the candidate count hold no subsets and are not searched.
     Returns None when nothing within ``max_k`` edits flips. Exponential by
     design; refuses search spaces beyond ``budget`` subsets.
     """
     cands = permissible_edits(inst)
-    local = inst._local
     spent = 0
-    for k in range(1, max_k + 1):
+    for k in range(1, min(max_k, len(cands)) + 1):
         level = math.comb(len(cands), k)
         if spent + level > budget:
             raise BudgetExceededError(
                 f"level {k} needs {level} subsets ({spent} already searched), over budget {budget}"
             )
         spent += level
-        if local is not None and local.out_of_reach(cands, k):
+        if inst._local.out_of_reach(cands, k):
             continue
         hit = _first_flip(inst, itertools.combinations(cands, k))
         if hit is not None:
@@ -501,36 +493,27 @@ def _setup(inst: Instance) -> _Setup:
     return _Setup(bm, min_cost_perfect_matching(bm.costs))
 
 
-def _require_approx_variant(inst: Instance) -> None:
+def _approx_setup(inst: Instance, method: str) -> _Setup | Solution:
+    """The set-up of an approximation solver, or its answer if that is one edit.
+
+    Raises unless the variant is restricted unweighted insert-to-positive
+    and inserting every permissible edge flips the sign (saturation). When
+    the minimum matched cost sits at the threshold (rho = 0), the first
+    single edit that flips, confirmed by the flow route, is the answer.
+    """
     if inst.variant.key_tuple != _APPROX_VARIANT:
         raise UnsupportedVariantError(
             f"this solver only handles {'-'.join(_APPROX_VARIANT)}, not {inst.variant.key}"
         )
-
-
-def _approx_setup(inst: Instance, method: str) -> _Setup | Solution:
-    """The set-up of an approximation solver, or its answer if that is one edit.
-
-    Raises unless inserting every permissible edge flips the sign
-    (saturation). When the minimum matched cost sits at the threshold
-    (rho = 0), a single verified edit, if any flips, is the answer.
-    """
     edits = permissible_edits(inst)
     if not edits or not inst._local.flips(edits):
         raise InfeasibleInstanceError("no permissible insertion set flips this edge")
     setup = _setup(inst)
     if setup.rho == 0:
-        single = _single_edit_solution(inst, method)
-        if single is not None:
-            return single
+        hit = _first_flip(inst, ((edit,) for edit in edits))
+        if hit is not None:
+            return Solution(hit[0], hit[1], method, drops=1)
     return setup
-
-
-def _single_edit_solution(inst: Instance, method: str) -> Solution | None:
-    hit = _first_flip(inst, ((edit,) for edit in permissible_edits(inst)))
-    if hit is None:
-        return None
-    return Solution(hit[0], hit[1], method, drops=1)
 
 
 def _finish_insert_solution(
@@ -593,7 +576,6 @@ def greedy_insert(inst: Instance, start: Matching | None = None) -> Solution:
     edited neighborhoods, until the matched cost falls below q. One drop per
     inserted edge: all copies of a block fall together.
     """
-    _require_approx_variant(inst)
     setup = _approx_setup(inst, "greedy")
     if isinstance(setup, Solution):
         return setup
@@ -631,7 +613,6 @@ def randomized_insert(inst: Instance, seed: int) -> Solution:
     validity. The seed must be a non-negative integer.
     """
     _check_seed(seed)
-    _require_approx_variant(inst)
     setup = _approx_setup(inst, "randomized")
     if isinstance(setup, Solution):
         return setup

@@ -410,6 +410,21 @@ def test_oracle_check_lists_skipped_edges_and_does_not_count_them(capsys, tmp_pa
     ]
 
 
+def test_oracle_check_fails_when_it_compared_no_edge(capsys, tmp_path, monkeypatch):
+    # Every edge skipped, or no edge at all: nothing was cross-checked, so
+    # the check does not pass; the report stays as it is.
+    monkeypatch.setenv("RICCI_BLOWUP_CAP", "1")
+    code, out, err = run(capsys, "oracle-check", "--random", "3", "--seed", "5")
+    payload = json.loads(out)
+    assert (code, err, payload["edges_checked"], payload["mismatches"]) == (1, "", 0, 0)
+    assert payload["results"] and all("skipped" in rec for rec in payload["results"])
+    monkeypatch.delenv("RICCI_BLOWUP_CAP")
+    path = tmp_path / "empty.edges"
+    path.write_text("# nodes: 3\n")
+    code, out, err = run(capsys, "oracle-check", str(path))
+    assert (code, err, json.loads(out)) == (1, "", {"edges_checked": 0, "mismatches": 0, "results": []})
+
+
 @pytest.fixture()
 def serial_pool(monkeypatch):
     """Replace the process pool by one in-process worker; returns its log.

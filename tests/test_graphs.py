@@ -24,6 +24,15 @@ def test_construction_rejects_bad_edges():
         Graph(3, [(0, 1, 0)], weighted=True)
 
 
+def test_construction_rejects_bool_node_ids_and_weights():
+    # format_edge_list would write True as "True", which parse_edge_list refuses.
+    for edges in ([(True, 2)], [(0, 2, True)], [(0, False, 1)]):
+        with pytest.raises(ValueError):
+            Graph(3, edges, weighted=True)
+    g = Graph(3, [(1, 2), (0, 2, 1)], weighted=True)
+    assert parse_edge_list(format_edge_list(g)).edges() == g.edges()
+
+
 def test_basic_accessors():
     g = Graph(4, [(0, 1), (1, 2)])
     assert g.neighbors(1) == (0, 2)

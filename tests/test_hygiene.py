@@ -13,6 +13,7 @@ import riccicrit
 PACKAGE = Path(riccicrit.__file__).parent
 TRACING = PACKAGE.parent.parent / "perfbench" / "tracing.py"
 BENCHMARK = PACKAGE.parent.parent / "BENCHMARK.json"
+PYPROJECT = PACKAGE.parent.parent / "pyproject.toml"
 # __init__.py imports only to re-export.
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
@@ -233,3 +234,30 @@ def test_stale_reference_check_flags_a_deleted_helper():
     }
     assert _stale_references(sources, {"solve"}) == ["a.py: ``_minor_row``"]
     assert _stale_references(sources, set()) == ["a.py: ``_minor_row``", "a.py: ``solve``"]
+
+
+def _python_floor() -> tuple[int, int]:
+    """The (major, minor) of pyproject's ``requires-python = ">=X.Y"``."""
+    found = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', PYPROJECT.read_text(encoding="utf-8"), re.M)
+    assert found, "pyproject.toml declares no requires-python floor"
+    return int(found[1]), int(found[2])
+
+
+def _parses_at(source: str, version: tuple[int, int]) -> bool:
+    try:
+        ast.parse(source, feature_version=version)
+    except SyntaxError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_modules_parse_at_the_declared_python_floor(path):
+    floor = _python_floor()
+    assert _parses_at(path.read_text(encoding="utf-8"), floor), f"{path.name} needs a Python newer than {floor}"
+
+
+def test_python_floor_check_rejects_newer_syntax():
+    source = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    assert not _parses_at(source, (3, 10))
+    assert _parses_at(source, (3, 11))

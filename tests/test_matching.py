@@ -377,6 +377,24 @@ def test_a_negative_seed_is_rejected_before_any_work(call):
         call(-3)
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda x: exact_cost_matching([[0, 1], [1, 0]], x), "target"),
+        (lambda x: matching_with_counts([[0, 1], [1, 0]], [[True] * 2] * 2, x, 0, 0), "target_cost"),
+        (lambda x: matching_with_counts([[0, 1], [1, 0]], [[True] * 2] * 2, 2, x, 0), "k"),
+        (lambda x: matching_with_counts([[0, 1], [1, 0]], [[True] * 2] * 2, 2, 0, x), "l"),
+    ],
+    ids=["exact_cost_matching", "target_cost", "k", "l"],
+)
+def test_a_non_integer_target_or_count_is_rejected_before_any_work(call, name):
+    # numpy would fail on these with a bare IndexError; numpy integers stay accepted.
+    for bad in (0.5, 2.0, "2"):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {re.escape(repr(bad))}$"):
+            call(bad)
+    call(np.int64(2))
+
+
 def test_signature_support_is_sound_and_witnessed():
     # Every certified signature is a real one, and the witness query on the
     # same seed (hence the same cubes) recovers a verified matching for it.

@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import networkx
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -33,9 +34,9 @@ from riccicrit.gadgets import cover_insertions_maxcov
 from riccicrit.matching import min_cost_perfect_matching
 from riccicrit.solvers import (
     _LocalEvaluator,
+    _first_flip,
     _flips,
     _setup,
-    _single_edit_solution,
     apply_edits,
     candidate_edits,
     has_spade_property,
@@ -46,6 +47,8 @@ from conftest import double_star, random_connected_graph, sample_spade_instances
 
 NTP = ProblemVariant.parse("uw-rt-ins-ntp")
 DEL_PTN = ProblemVariant.parse("uw-rt-del-ptn")
+WT_NTP = ProblemVariant.parse("wt-rt-ins-ntp")
+WT_PTN = ProblemVariant.parse("wt-rt-del-ptn")
 
 
 def neg_instance(du=3, dv=5, cross=((0, 0), (1, 1))):
@@ -80,51 +83,46 @@ def test_instance_direction_validation():
         Instance(p3, (0, 1), NTP)  # curvature 1/2 is positive
     Instance(p3, (0, 1), DEL_PTN)
     inst = neg_instance()
-    assert inst.base_curvature().sign == Sign.NEGATIVE
+    assert ricci(inst.graph, inst.edge, route="flow").sign == Sign.NEGATIVE
     with pytest.raises(ValueError):
         Instance(inst.graph, (0, 1), DEL_PTN)
     with pytest.raises(ValueError):
         Instance(Graph(3, [(0, 1, 2), (1, 2, 1)], weighted=True), (0, 1), NTP)
 
 
-def test_unweighted_instances_check_their_sign_without_a_flow(monkeypatch):
-    # The local evaluator decides an unweighted instance's starting sign, zero
-    # included; the flow route runs once, when base_curvature() is first asked.
+def test_instances_check_their_sign_without_a_flow(monkeypatch):
+    # The local evaluator decides every instance's starting sign, zero
+    # included, on weighted graphs too: neither the flow route nor networkx
+    # runs while an instance is built.
     rng = random.Random(31)
     cases = [(Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (3, 5)]), (0, 1))]  # curvature 0
     for _ in range(12):
         g = random_connected_graph(rng, rng.randint(3, 8))
         cases += [(g, (a, b)) for a, b, _ in g.edges()]
-    flow_calls = []
+    g, e, _ = gen_maxcov(4, [[0, 1], [2, 3]], 1)
+    weighted = [(g, e)]
+    for _ in range(8):
+        g = random_connected_graph(rng, rng.randint(3, 7), weighted=True, max_w=3)
+        weighted += [(g, (a, b)) for a, b, _ in g.edges()]
+    flows = []
     real_ricci = solvers.ricci
-    monkeypatch.setattr(solvers, "ricci", lambda *a, **kw: flow_calls.append(a[1]) or real_ricci(*a, **kw))
-    signs = set()
-    for g, e in cases:
-        want = real_ricci(g, e, route="flow")
-        signs.add(want.sign)
-        for variant, fits in ((NTP, want.sign != Sign.POSITIVE), (DEL_PTN, want.sign == Sign.POSITIVE)):
+    monkeypatch.setattr(solvers, "ricci", lambda *a, **kw: flows.append(a[1]) or real_ricci(*a, **kw))
+    real_flow = networkx.min_cost_flow
+    monkeypatch.setattr(networkx, "min_cost_flow", lambda *a, **kw: flows.append("networkx") or real_flow(*a, **kw))
+    signs = {"uw": set(), "wt": set()}
+    for (g, e), ntp, ptn in [(case, NTP, DEL_PTN) for case in cases] + [(case, WT_NTP, WT_PTN) for case in weighted]:
+        want = ricci(g, e, route="flow").sign
+        assert flows == ["networkx"]  # the spy sees the flow route
+        flows.clear()
+        signs[ntp.weighting].add(want)
+        for variant, fits in ((ntp, want != Sign.POSITIVE), (ptn, want == Sign.POSITIVE)):
             if not fits:
                 with pytest.raises(ValueError):
                     Instance(g, e, variant)
-                continue
-            inst = Instance(g, e, variant)
-            assert flow_calls == []
-            assert inst.base_curvature() == want
-            assert inst.base_curvature() == want
-            assert flow_calls == [e]
-            flow_calls.clear()
-    assert signs == {Sign.POSITIVE, Sign.ZERO, Sign.NEGATIVE}
-
-
-def test_weighted_instances_check_their_sign_by_the_flow_route(monkeypatch):
-    g, e, _ = gen_maxcov(4, [[0, 1], [2, 3]], 1)
-    flow_calls = []
-    real_ricci = solvers.ricci
-    monkeypatch.setattr(solvers, "ricci", lambda *a, **kw: flow_calls.append(kw["route"]) or real_ricci(*a, **kw))
-    inst = Instance(g, e, ProblemVariant.parse("wt-rt-ins-ntp"))
-    assert flow_calls == ["flow"]
-    assert inst.base_curvature() == real_ricci(g, e, route="flow")
-    assert flow_calls == ["flow"]
+            else:
+                Instance(g, e, variant)
+            assert flows == []
+    assert signs == {"uw": set(Sign), "wt": set(Sign)}
 
 
 # -- permissible edits ------------------------------------------------------------
@@ -522,6 +520,43 @@ def test_local_evaluator_matches_flow_route(graph, key, picks):
     ]
 
 
+WT_VARIANTS = [f"wt-{r}-{o}-{d}" for r in ("rt", "ut") for o in ("ins", "del") for d in ("ntp", "ptn")]
+
+
+@st.composite
+def _weighted_graphs_with_edge_01(draw):
+    n, edges = draw(_graphs_with_edge_01())
+    weights = draw(st.lists(st.integers(1, 3), min_size=len(edges), max_size=len(edges)))
+    return Graph(n, [(a, b, w) for (a, b), w in zip(edges, weights)], weighted=True)
+
+
+# dist(0, 1) is 2 by way of node 2, not the edge's own weight 3.
+_DETOUR = Graph(3, [(0, 1, 3), (0, 2, 1), (1, 2, 1)], weighted=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _weighted_graphs_with_edge_01(),
+    st.sampled_from(WT_VARIANTS),
+    st.lists(st.booleans(), min_size=MAX_PAIRS, max_size=MAX_PAIRS),
+)
+@example(Graph(3, [(0, 1, 3), (1, 2, 1)], weighted=True), "wt-ut-ins-ntp", [True] + _NONE[1:])  # (0, 2) shortens dist(0, 1)
+@example(_DETOUR, "wt-ut-del-ptn", [True] + _NONE[1:])  # deletes (0, 2): dist(0, 1) goes 2 -> 3
+@example(_DETOUR, "wt-rt-ins-ntp", _NONE)
+def test_weighted_local_evaluator_matches_flow_route(g, key, picks):
+    variant = ProblemVariant.parse(key)
+    cands = candidate_edits(g, (0, 1), variant)
+    edits = [c for c, keep in zip(cands, picks) if keep]
+    edited = g.insert_edges(edits) if variant.operation == "ins" else g.delete_edges(edits)
+    after = ricci(edited, (0, 1), route="flow")
+    local = _LocalEvaluator(g, (0, 1), variant)
+    total, threshold = local.total(edits)
+    assert 1 - Fraction(total, threshold) == after.ric
+    demanded = Sign.POSITIVE if variant.direction == "ntp" else Sign.NEGATIVE
+    assert local.flips(edits) == (after.sign == demanded)
+    assert not local.out_of_reach(cands, 1)
+
+
 def _reference_brute_force(inst, max_k):
     """Graph-level brute force: every subset checked on the edited graph, in order."""
     cands = permissible_edits(inst)
@@ -531,6 +566,21 @@ def _reference_brute_force(inst, max_k):
             if flipped:
                 return Solution(combo, ric_after, "brute")
     return None
+
+
+def weighted_double_stars(rng, count):
+    """wt-rt-ins-ntp instances on double stars with edge weights 1..3 and non-positive curvature."""
+    out = []
+    while len(out) < count:
+        du, dv = rng.randint(3, 4), rng.randint(3, 5)
+        cross = [(i, j) for i in range(du - 1) for j in range(dv - 1) if rng.random() < 0.2]
+        star = double_star(du, dv, cross)
+        g = Graph(star.node_count, [(a, b, rng.randint(1, 3)) for a, b, _ in star.edges()], weighted=True)
+        try:
+            out.append(Instance(g, (0, 1), WT_NTP))
+        except ValueError:
+            continue
+    return out
 
 
 def _brute_force_cases():
@@ -548,6 +598,14 @@ def _brute_force_cases():
     for m, max_k in ((4, 1), (4, 2), (6, 2)):
         g, e, _, _ = gen_tightness_graph(m)
         cases.append((Instance(g, e, NTP), max_k))
+    for universe, sets, kappa in ((4, [[0, 1], [2, 3]], 1), (5, [[0, 1, 2], [2, 3], [4]], 2)):
+        g, e, _ = gen_maxcov(universe, sets, kappa)
+        cases.append((Instance(g, e, WT_NTP), 2))
+    cases += [(inst, 3) for inst in weighted_double_stars(rng, 4)]
+    for _ in range(3):
+        g = random_connected_graph(rng, rng.randint(5, 7), weighted=True, max_w=3, p=0.6)
+        positive = [(a, b) for a, b, _ in g.edges() if ricci(g, (a, b), route="flow").sign == Sign.POSITIVE]
+        cases += [(Instance(g, e, WT_PTN), 3) for e in positive[:2]]
     return cases
 
 
@@ -564,13 +622,31 @@ def test_unconfirmed_local_flip_is_never_returned(monkeypatch):
     insts = [neg_instance(3, 5, []), Instance(double_star(3, 3, [(1, 1)]), (0, 1), NTP)]
     g, e, _ = gen_blocker(3, [(0, 0), (1, 1), (2, 2)])
     insts.append(Instance(g, e, DEL_PTN))
-    expected = [(brute_force_opt(inst, 2), _single_edit_solution(inst, "greedy")) for inst in insts]
+    g, e, _ = gen_maxcov(4, [[0, 1], [2, 3]], 1)
+    insts.append(Instance(g, e, WT_NTP))
+
+    def single(inst):
+        return _first_flip(inst, ((edit,) for edit in permissible_edits(inst)))
+
+    expected = [(brute_force_opt(inst, 2), single(inst)) for inst in insts]
     monkeypatch.setattr(_LocalEvaluator, "flips", lambda self, edits: True)
-    for inst, (opt, single) in zip(insts, expected):
+    for inst, (opt, one) in zip(insts, expected):
         assert brute_force_opt(inst, 2) == opt == _reference_brute_force(inst, 2)
-        assert _single_edit_solution(inst, "greedy") == single
+        assert single(inst) == one
     assert expected[0][1] is None  # no single insertion flips it, whatever the local verdict
     assert expected[1][1] is not None
+
+
+def test_brute_force_stops_at_the_candidate_count(monkeypatch):
+    # Two candidate deletions: levels past 2 hold no subsets, so no reach
+    # bound is asked for them, however large max_k is.
+    inst = Instance(Graph(5, [(0, 1), (0, 4), (1, 2), (2, 3), (2, 4)]), (0, 1), DEL_PTN)
+    assert len(permissible_edits(inst)) == 2
+    calls = []
+    real = _LocalEvaluator.out_of_reach
+    monkeypatch.setattr(_LocalEvaluator, "out_of_reach", lambda self, c, k: calls.append(k) or real(self, c, k))
+    assert brute_force_opt(inst, 1000) is None
+    assert len(calls) <= 2
 
 
 def test_setup_holds_one_cost_matrix_and_its_matching():
@@ -581,6 +657,5 @@ def test_setup_holds_one_cost_matrix_and_its_matching():
         assert setup.cm is setup.bm.source
         assert setup.cm == build_cost_matrix(inst.graph, inst.edge)
         assert setup.mcpm == min_cost_perfect_matching(setup.bm.costs)
-        assert setup.delta == setup.mcpm.cost == setup.q * inst.base_curvature().emd
+        assert setup.delta == setup.mcpm.cost == setup.q * ricci(inst.graph, inst.edge, route="flow").emd
         assert setup.rho == setup.delta - setup.q
-        assert inst.base_curvature() == ricci(inst.graph, inst.edge, route="flow")
