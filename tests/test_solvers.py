@@ -90,31 +90,22 @@ def test_instance_direction_validation():
         Instance(Graph(3, [(0, 1, 2), (1, 2, 1)], weighted=True), (0, 1), NTP)
 
 
-def test_instances_check_their_sign_without_a_flow(monkeypatch):
+def _assert_signs_checked_without_a_flow(monkeypatch, cases, ntp, ptn):
     # The local evaluator decides every instance's starting sign, zero
-    # included, on weighted graphs too: neither the flow route nor networkx
-    # runs while an instance is built.
-    rng = random.Random(31)
-    cases = [(Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (3, 5)]), (0, 1))]  # curvature 0
-    for _ in range(12):
-        g = random_connected_graph(rng, rng.randint(3, 8))
-        cases += [(g, (a, b)) for a, b, _ in g.edges()]
-    g, e, _ = gen_maxcov(4, [[0, 1], [2, 3]], 1)
-    weighted = [(g, e)]
-    for _ in range(8):
-        g = random_connected_graph(rng, rng.randint(3, 7), weighted=True, max_w=3)
-        weighted += [(g, (a, b)) for a, b, _ in g.edges()]
+    # included: neither the flow route nor networkx runs while an instance is
+    # built, and the instance accepts exactly the starts whose flow-route sign
+    # fits its direction.
     flows = []
     real_ricci = solvers.ricci
     monkeypatch.setattr(solvers, "ricci", lambda *a, **kw: flows.append(a[1]) or real_ricci(*a, **kw))
     real_flow = networkx.min_cost_flow
     monkeypatch.setattr(networkx, "min_cost_flow", lambda *a, **kw: flows.append("networkx") or real_flow(*a, **kw))
-    signs = {"uw": set(), "wt": set()}
-    for (g, e), ntp, ptn in [(case, NTP, DEL_PTN) for case in cases] + [(case, WT_NTP, WT_PTN) for case in weighted]:
+    signs = set()
+    for g, e in cases:
         want = ricci(g, e, route="flow").sign
         assert flows == ["networkx"]  # the spy sees the flow route
         flows.clear()
-        signs[ntp.weighting].add(want)
+        signs.add(want)
         for variant, fits in ((ntp, want != Sign.POSITIVE), (ptn, want == Sign.POSITIVE)):
             if not fits:
                 with pytest.raises(ValueError):
@@ -122,7 +113,28 @@ def test_instances_check_their_sign_without_a_flow(monkeypatch):
             else:
                 Instance(g, e, variant)
             assert flows == []
-    assert signs == {"uw": set(Sign), "wt": set(Sign)}
+    assert signs == set(Sign)
+
+
+def test_unweighted_instances_check_their_sign_without_a_flow(monkeypatch):
+    rng = random.Random(31)
+    cases = [(Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (3, 5)]), (0, 1))]  # curvature 0
+    for _ in range(12):
+        g = random_connected_graph(rng, rng.randint(3, 8))
+        cases += [(g, (a, b)) for a, b, _ in g.edges()]
+    _assert_signs_checked_without_a_flow(monkeypatch, cases, NTP, DEL_PTN)
+
+
+def test_weighted_instances_check_their_sign_by_the_flow_route(monkeypatch):
+    # Weighted starts are held to the flow route's sign too, though building
+    # the instance runs the local evaluator, not the flow.
+    rng = random.Random(31)
+    g, e, _ = gen_maxcov(4, [[0, 1], [2, 3]], 1)
+    cases = [(g, e)]
+    for _ in range(8):
+        g = random_connected_graph(rng, rng.randint(3, 7), weighted=True, max_w=3)
+        cases += [(g, (a, b)) for a, b, _ in g.edges()]
+    _assert_signs_checked_without_a_flow(monkeypatch, cases, WT_NTP, WT_PTN)
 
 
 # -- permissible edits ------------------------------------------------------------
