@@ -47,12 +47,16 @@ points, and their shares, a give-up has probability at most
 
 The prime is kept below 2^31 so products of two residues fit in int64 and
 everything vectorizes under numpy. Most batches are small, so an
-elimination step's fixed cost matters as much as its arithmetic: each step
-inverts its pivots with one modular exponentiation (Montgomery's batch
-trick, in Python ints below ``_TREE_MIN`` pivots), and reduces the block
-update by floor division, which numpy does by a multiply and a shift
-(Granlund and Montgomery's division by invariant integers), instead of its
-much slower ``%``.
+elimination step's fixed cost matters as much as its arithmetic, and no
+step inverts anything: the elimination is fraction-free (Bareiss's update,
+without his exact division), and one ``_inverse_vec`` call at the end
+inverts the determinant's denominator and, for an inverse, the pivots
+(Montgomery's batch trick: one modular exponentiation, in Python ints below
+``_TREE_MIN`` values). ``LiveMinor.take`` inverts its pivot at every grid
+point the same way, once per take. Each block update is reduced by floor
+division, which numpy does by a multiply and a shift (Granlund and
+Montgomery's division by invariant integers), instead of its much slower
+``%``.
 """
 
 from __future__ import annotations
@@ -69,6 +73,11 @@ PRIME = (1 << 31) - 1
 _MAX_GRID_POINTS = 2_000_000
 
 # Batch size from which _inverse_vec's product tree beats its Python-int loop.
+# It gets B values from det_batch in determinant mode, (n + 1) B in inverse
+# mode and B per LiveMinor.take. Best of 7 x 300 calls on a 2-vCPU VM: the
+# loop takes 4.5 us at 8 values, 24 at 64, 33-37 at 88-100 and 47 at 128;
+# the tree 20 us at 8 and 33-37 from 64 to 128. They cross between 92 and
+# 100, where they differ by less than the noise.
 _TREE_MIN = 100
 
 
@@ -119,7 +128,7 @@ def _mod_prime(t: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def det_batch(mats: np.ndarray, inverse: bool = False) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """Determinants mod PRIME of a (B, n, n) int64 batch, via Gaussian elimination.
+    """Determinants mod PRIME of a (B, n, n) int64 batch, by fraction-free elimination.
 
     With ``inverse=True`` the right-hand side is the identity, and the result
     is ``(det, inv)`` with ``inv[:, :, b]`` the inverse of ``mats[b]``: batch
@@ -128,32 +137,45 @@ def det_batch(mats: np.ndarray, inverse: bool = False) -> np.ndarray | tuple[np.
 
     The batch is the last axis of the working array ``a``, so every
     elementwise pass runs over whole rows of the batch at once. Step k
-    computes the update ``block - f * row`` into a scratch buffer and
-    reduces it back into the front of ``a``'s own buffer, so ``a`` shrinks
-    to rows and columns k+1.. and stays contiguous. Each pivot row is kept
-    for the back substitution. The identity is carried in pivot order,
-    which keeps the block n wide instead of up to 2n (large grids outgrow
-    the cache): before step k a row's right-hand side is its own unit
-    vector plus multiples of the first k pivot rows' ones, so k columns
-    hold it, and each step appends one (-f) as it drops an eliminated
-    column. The columns are put back in row order at the end.
+    inverts nothing. With pivot p_k it updates each later row i as
+    p_k * row_i - a_ik * row_k: Bareiss's update, without his exact
+    division. Both products stay below 2^62, so int64 holds them. The block
+    is scaled in place, and the update is reduced into the front of ``a``'s
+    own buffer, so ``a`` shrinks to rows and columns k+1.. and stays
+    contiguous.
+
+    Before step k every remaining row is P_k = p_0 ... p_{k-1} times the row
+    Gaussian elimination would hold. So the true pivots are p_k / P_k, and
+    the determinant is sign * prod p_k / prod_{k>=1} P_k.
+
+    For the inverse each pivot row is kept for the back substitution, which
+    divides row k by p_k and so cancels its scale. The identity is carried
+    in pivot order, which keeps the block n wide instead of up to 2n (large
+    grids outgrow the cache). Before step k a row's right-hand side is P_k
+    times its own unit vector plus multiples of the first k pivot rows'
+    ones, so k columns hold it. Each step appends one column, -a_ik * P_k,
+    as it drops an eliminated column. The columns are put back in row order
+    at the end.
+
+    One ``_inverse_vec`` call inverts the determinant's denominator and, for
+    the inverse, the n pivots.
     """
     batch, n, _ = mats.shape
     a = np.empty((n, n, batch), dtype=np.int64)
     _mod_prime(mats.transpose(1, 2, 0), a)
     if inverse:
         upper = np.empty((n, n, batch), dtype=np.int64)
-        inverses = np.empty((n, batch), dtype=np.int64)
         lower = np.zeros((n, n, batch), dtype=np.int64)
-        lower[np.arange(n), np.arange(n)] = 1
         # order: the input row each row of a came from; perm[k]: step k's pivot row.
         order = np.repeat(np.arange(n)[:, None], batch, axis=1)
         perm = np.empty((n, batch), dtype=np.int64)
     spare = np.empty(max(0, n - 1) * (n - 1 + inverse) * batch, dtype=np.int64)
-    det = np.ones(batch, dtype=np.int64)
+    # scale: P_k, then prod p_k after the last step; denominator: sign * prod_{k>=1} P_k.
+    scale = np.ones(batch, dtype=np.int64)
+    denominator = np.ones(batch, dtype=np.int64)
     for k in range(n):
         # a holds rows and columns k.. of the partly eliminated matrices, then
-        # the first k pivot-order columns of the right-hand side.
+        # the first k pivot-order columns of the right-hand side, all times P_k.
         pivot = a[0, 0]
         if not pivot.all():
             # Swap up the first nonzero entry below a zero pivot. A matrix with
@@ -165,39 +187,43 @@ def det_batch(mats: np.ndarray, inverse: bool = False) -> np.ndarray | tuple[np.
                 tmp = a[0, :, sw].copy()
                 a[0, :, sw] = a[rows, :, sw]
                 a[rows, :, sw] = tmp
-                det[sw] = (-det[sw]) % PRIME
+                denominator[sw] = (-denominator[sw]) % PRIME
                 if inverse:
                     tmp = order[0, sw]
                     order[0, sw] = order[rows, sw]
                     order[rows, sw] = tmp
-        det = (det * pivot) % PRIME
-        if k + 1 < n or inverse:
-            # A zero pivot's column is zero, so its factors are too, whatever inv is.
-            inv = _inverse_vec(pivot)
+        # P_k for this step's rows, P_{k+1} for the next step's.
+        previous, scale = scale, (scale * pivot) % PRIME
         if inverse:
-            inverses[k] = inv
             upper[k, k:] = a[0, : n - k]
             lower[k, :k] = a[0, n - k :]
+            lower[k, k] = previous
             perm[k] = order[0]
             order = order[1:]
         if k + 1 < n:
-            factors = (a[1:, 0] * inv) % PRIME
+            denominator = (denominator * scale) % PRIME
             # Column k below the pivot is never read again, so it is dropped.
             kept = a.shape[1] - 1
             shape = (n - k - 1, kept + inverse, batch)
             size = math.prod(shape)
             t = spare[:size].reshape(shape)
-            np.multiply(factors[:, None], a[:1, 1:], out=t[:, :kept])
-            np.subtract(a[1:, 1:], t[:, :kept], out=t[:, :kept])
+            block = a[1:, 1:]
+            block *= pivot
+            np.multiply(a[1:, :1], a[:1, 1:], out=t[:, :kept])
+            np.subtract(block, t[:, :kept], out=t[:, :kept])
             if inverse:
-                np.negative(factors, out=t[:, kept])
+                np.multiply(a[1:, 0], -previous, out=t[:, kept])
             a = _mod_prime(t, a.reshape(-1)[:size].reshape(shape))
     if not inverse:
-        return det
+        return (scale * _inverse_vec(denominator)) % PRIME
+    # Rows 0..n-1: the pivots' inverses; row n: the denominator's.
+    pivots = upper[np.arange(n), np.arange(n)].reshape(-1)
+    inverted = _inverse_vec(np.concatenate([pivots, denominator])).reshape(n + 1, batch)
+    det = (scale * inverted[n]) % PRIME
     # Back substitution against the transformed identity.
     solution = np.empty(lower.shape, dtype=np.int64)
     for k in range(n - 1, -1, -1):
-        _mod_prime(lower[k] * inverses[k], solution[k])
+        _mod_prime(lower[k] * inverted[k], solution[k])
         if k:
             _mod_prime(lower[:k] - upper[:k, k, None] * solution[k], lower[:k])
     solution[:, :, det == 0] = 0

@@ -49,8 +49,17 @@ def _validate_cover(universe_size: int, sets: list) -> list[frozenset]:
 
 def gen_maxcov(universe_size: int, sets: list, kappa: int) -> tuple[Graph, tuple[int, int], GadgetDescriptor]:
     """Coverage gadget: a weighted graph whose edge {u, v} starts negatively
-    curved and crosses to positive exactly when the solution node is wired to
-    the set nodes of a good cover.
+    curved and turns positive once the solution node is wired to enough set
+    nodes, counted together with the elements they cover.
+
+    With u_T wired by weight-1 edges to the set nodes of a nonempty family T
+    whose union is C, ric(u, v) = 1 - (7n + 6m - 4 - |T| - |C|) / (6(n + m)),
+    positive exactly when |T| + |C| >= n - 3 (zero at n - 4). An optimal
+    plan ships u_T's n + m units to the set and element nodes (at distance 1
+    from T's sets, 2 from the other sets and C's elements, 3 from the rest),
+    v's to v and sinks at 1, and u's to u and sinks at 3. So at n <= 4 one
+    edge to any set node flips the sign, and the sign follows |T| + |C|, not
+    the best coverage by kappa sets: kappa is only recorded in the descriptor.
 
     Layout: u=0, v=1, solution node u_T=2, set nodes 3..m+2, element nodes
     m+3..m+n+2, then 2n+2m-2 sink nodes. Weights: w(u,v)=2, w(u,u_T)=3, set

@@ -24,7 +24,9 @@ from the adjacency sets of the nodes of N[u] and N[v], without building a
 graph, and greedy re-reads its weights from the same edited sets after each
 insertion; on weighted graphs it reads the cost matrix of the edited graph.
 Each edit set a solver returns is verified by the flow route on the edited
-graph; an unverified set is never returned.
+graph; an unverified set is never returned. An ``Instance`` keeps the flow
+route's verdict on each edit set it has verified, and the approximations'
+blow-up and lex-min matching, so solvers run on one instance share them.
 """
 
 from __future__ import annotations
@@ -174,6 +176,17 @@ class Instance:
         """Edit-set evaluator on the local cost matrix."""
         return _LocalEvaluator(self.graph, self.edge, self.variant)
 
+    @cached_property
+    def _setup(self) -> "_Setup":
+        """The approximation solvers' blow-up and its lex-min matching, built once."""
+        bm = blow_up(build_cost_matrix(self.graph, self.edge))
+        return _Setup(bm, min_cost_perfect_matching(bm.costs))
+
+    @cached_property
+    def _verdicts(self) -> dict[frozenset, tuple[bool, Fraction]]:
+        """The flow route's verdict on each edit set ``_flips`` has verified."""
+        return {}
+
 
 @dataclass(frozen=True)
 class Solution:
@@ -264,9 +277,16 @@ def apply_edits(inst: Instance, edits: Iterable) -> Graph:
 
 
 def _flips(inst: Instance, edits: Iterable) -> tuple[bool, Fraction]:
-    res = ricci(apply_edits(inst, edits), inst.edge, route="flow")
-    demanded = Sign.POSITIVE if inst.variant.direction == "ntp" else Sign.NEGATIVE
-    return res.sign == demanded, res.ric
+    """Whether the flow route on the edited graph gives the demanded sign, and
+    the resulting curvature; each distinct edit set is verified once per instance."""
+    edits = tuple(edits)
+    key = frozenset(edits)
+    verdict = inst._verdicts.get(key)
+    if verdict is None:
+        res = ricci(apply_edits(inst, edits), inst.edge, route="flow")
+        demanded = Sign.POSITIVE if inst.variant.direction == "ntp" else Sign.NEGATIVE
+        verdict = inst._verdicts[key] = (res.sign == demanded, res.ric)
+    return verdict
 
 
 class _LocalEvaluator:
@@ -488,11 +508,6 @@ class _Setup:
         return self.delta - self.q
 
 
-def _setup(inst: Instance) -> _Setup:
-    bm = blow_up(build_cost_matrix(inst.graph, inst.edge))
-    return _Setup(bm, min_cost_perfect_matching(bm.costs))
-
-
 def _approx_setup(inst: Instance, method: str) -> _Setup | Solution:
     """The set-up of an approximation solver, or its answer if that is one edit.
 
@@ -508,7 +523,7 @@ def _approx_setup(inst: Instance, method: str) -> _Setup | Solution:
     edits = permissible_edits(inst)
     if not edits or not inst._local.flips(edits):
         raise InfeasibleInstanceError("no permissible insertion set flips this edge")
-    setup = _setup(inst)
+    setup = inst._setup
     if setup.rho == 0:
         hit = _first_flip(inst, ((edit,) for edit in edits))
         if hit is not None:

@@ -39,7 +39,7 @@ from riccicrit.matching import (
     matching_with_counts,
     min_cost_perfect_matching,
 )
-from riccicrit.solvers import _setup, greedy_schedule, has_spade_property
+from riccicrit.solvers import greedy_schedule, has_spade_property
 
 from conftest import double_star, random_connected_graph, sample_spade_instances
 
@@ -86,7 +86,7 @@ def spade_pool():
             inst = Instance(g, (0, 1), NTP)
             if not feasible_by_saturation(inst)[0]:
                 continue
-            setup = _setup(inst)
+            setup = inst._setup
             if setup.rho != 1:
                 continue
             pool.append(inst)
@@ -219,7 +219,7 @@ def test_criterion_5_setcover_gadget():
 def test_criterion_6_greedy_ratio(spade_pool):
     assert len(spade_pool) >= 50
     for inst in spade_pool:
-        setup = _setup(inst)
+        setup = inst._setup
         b = setup.q // setup.bm.source.s
         assert has_spade_property(inst.graph, inst.edge)
         sol = greedy_insert(inst)
@@ -272,7 +272,7 @@ def test_criterion_8_randomized_solver(spade_pool):
     t0 = time.time()
     b1 = []
     for inst in spade_pool:
-        setup = _setup(inst)
+        setup = inst._setup
         if setup.q == setup.bm.source.s:  # b == 1
             assert setup.q <= 24
             b1.append((inst, setup))

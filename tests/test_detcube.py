@@ -288,6 +288,76 @@ def test_inverse_mode_matches_a_python_int_gauss_jordan(n):
         assert 0 < singular < len(mats)
 
 
+def kernel_batch(seed: int, n: int, count: int) -> np.ndarray:
+    """Members cycling through full-range residues; PRIME - 1 off a diagonal
+    of 1, so every product sits at the int64 edge; rows 0 and 1 proportional
+    on columns 0 and 1, so the pivot of step 1 is zero only after step 0's
+    scaled update and needs a swap; a zero column; and entries 0, 1 and
+    PRIME - 1."""
+    rng = random.Random(seed)
+    top = PRIME - 1
+    mats = []
+    for b in range(count):
+        kind = b % 5
+        if kind == 1:
+            m = [[1 if r == c else top for c in range(n)] for r in range(n)]
+        elif kind == 4:
+            m = [[rng.choice([0, 1, top]) for _ in range(n)] for _ in range(n)]
+        else:
+            m = [[rng.randrange(PRIME) for _ in range(n)] for _ in range(n)]
+        if kind == 2 and n > 1:
+            c = rng.randrange(1, PRIME)
+            m[1][:2] = [c * x % PRIME for x in m[0][:2]]
+        if kind == 3 and n:
+            for r in m:
+                r[rng.randrange(n) if b % 2 else n - 1] = 0
+        mats.append(m)
+    return np.array(mats, dtype=np.int64).reshape(count, n, n)
+
+
+def _straddling_sizes(n: int) -> list[int]:
+    """Batch sizes B with B, and (n + 1) B, on both sides of ``_TREE_MIN``."""
+    tree = _detcube._TREE_MIN
+    return sorted({1, max(1, (tree - 1) // (n + 1)), tree // (n + 1) + 1, tree - 1, tree})
+
+
+@pytest.mark.parametrize("n, count", [(n, count) for n in (0, 1, 2, 3, 5) for count in _straddling_sizes(n)])
+def test_both_modes_match_a_python_int_reference_across_the_tree_crossover(n, count):
+    # The pivots and the determinant's denominator are inverted together, so
+    # the batch crosses from _inverse_vec's Python-int loop to its product
+    # tree at a size set by n + 1 and B; a singular member's inverse is zero.
+    mats = kernel_batch(700 + 10 * n + count, n, count)
+    dets = det_batch(mats)
+    det, inv = det_batch(mats, inverse=True)
+    assert inv.shape == (n, n, count)
+    assert det.tolist() == dets.tolist()
+    for b, m in enumerate(mats.tolist()):
+        want_det, want_inv = modular_inverse(m)
+        assert int(det[b]) == want_det, b
+        if want_inv is None:
+            assert not inv[:, :, b].any(), b
+        else:
+            assert inv[:, :, b].tolist() == want_inv, b
+    if n > 1 and count >= 5:
+        # The batch holds singular and invertible members.
+        assert any(dets) and not all(dets)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 12])
+def test_det_batch_inverts_once_per_call(monkeypatch, n):
+    # No elimination step inverts anything: one _inverse_vec call takes the
+    # determinant's denominator, and in inverse mode the n pivots with it.
+    sizes = []
+    real = _detcube._inverse_vec
+    monkeypatch.setattr(_detcube, "_inverse_vec", lambda x: sizes.append(x.size) or real(x))
+    for count in (1, 7, _detcube._TREE_MIN + 3):
+        mats = kernel_batch(900 + n, n, count)
+        for inverse, size in ((False, count), (True, (n + 1) * count)):
+            sizes.clear()
+            det_batch(mats, inverse=inverse)
+            assert sizes == [size], (count, inverse)
+
+
 @pytest.mark.parametrize("n", [2, 5, 12])
 def test_det_batch_of_only_singular_matrices(n):
     # Every matrix singular: a zero row, a repeated row or rank one, so every

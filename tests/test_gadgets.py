@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -123,6 +124,35 @@ def test_maxcov_cover_insertion_flips():
     # distance from the solution node to uncovered set/element nodes is 2 now
     assert g2.shortest_dist(desc.named_nodes["u_T"], desc.named_nodes["set_2"]) == 2
     assert g2.shortest_dist(desc.named_nodes["u_T"], desc.named_nodes["elem_0"]) == 2
+
+
+def test_maxcov_sign_follows_wired_sets_plus_covered_elements():
+    # Wiring u_T to the set nodes of T, whose union is C, gives
+    # ric = 1 - (7n + 6m - 4 - |T| - |C|) / (6(n + m)), positive exactly when
+    # |T| + |C| >= n - 3, whether or not T is a good cover.
+    rng = random.Random(31)
+    systems = [(4, [[0], [1], [2, 3]]), (4, [[0, 1], [2, 3]]), (4, [[0, 1, 2], [3]])]
+    while len(systems) < 14:
+        n = rng.randint(1, 9)
+        sets = [sorted(rng.sample(range(n), rng.randint(1, n))) for _ in range(rng.randint(1, 3))]
+        systems.append((n, sets + [sorted(set(range(n)) - set().union(*sets)) or [0]]))
+    signs = set()
+    for n, sets in systems:
+        m = len(sets)
+        g, e, desc = gen_maxcov(n, sets, 1)
+        for t in range(1, m + 1):
+            for family in itertools.combinations(range(m), t):
+                covered = set().union(*(sets[k] for k in family))
+                after = ricci(g.insert_edges(cover_insertions_maxcov(desc, list(family))), e, route="flow")
+                assert after.ric == 1 - Fraction(7 * n + 6 * m - 4 - t - len(covered), 6 * (n + m))
+                assert (after.sign == Sign.POSITIVE) == (t + len(covered) >= n - 3)
+                signs.add(after.sign)
+    assert signs == {Sign.POSITIVE, Sign.ZERO, Sign.NEGATIVE}
+    # At n = 4 one edge from u_T to set_0 is the optimum, whatever set_0 covers.
+    for sets in ([[0], [1], [2, 3]], [[0, 1], [2, 3]], [[0, 1, 2], [3]]):
+        g, e, desc = gen_maxcov(4, sets, 2)
+        sol = brute_force_opt(Instance(g, e, ProblemVariant.parse("wt-rt-ins-ntp")), 2)
+        assert sol.edits == (((2, 3), 1),)
 
 
 def test_maxcov_brute_force_at_most_cover_size():

@@ -36,7 +36,6 @@ from riccicrit.solvers import (
     _LocalEvaluator,
     _first_flip,
     _flips,
-    _setup,
     apply_edits,
     candidate_edits,
     has_spade_property,
@@ -289,7 +288,7 @@ def test_kappa_hat_defining_inequalities(rng):
 
 def test_selected_drops_cross_the_threshold():
     inst = neg_instance(3, 7, [(0, 0), (1, 2)])
-    setup = _setup(inst)
+    setup = inst._setup
     from riccicrit.matching import class_counts
 
     counts = class_counts(setup.bm.costs, setup.bm.touchable_mask(), setup.mcpm)
@@ -313,7 +312,7 @@ def test_greedy_verified_and_bounded(rng):
         rng, 12, degree_pool=[(3, 5, 0.3), (3, 7, 0.25), (4, 7, 0.3), (2, 5, 0.3)]
     )
     for inst in instances:
-        setup = _setup(inst)
+        setup = inst._setup
         b = setup.q // setup.bm.source.s
         sol = greedy_insert(inst)
         assert sol.resulting_ric > 0
@@ -326,7 +325,7 @@ def test_greedy_verified_and_bounded(rng):
 
 def test_greedy_rejects_bad_start():
     inst = neg_instance(2, 5, [(0, 0)])
-    setup = _setup(inst)
+    setup = inst._setup
     from riccicrit.matching import enumerate_matchings
 
     worst = max(enumerate_matchings(setup.bm.costs, bound=setup.q), key=lambda m: m.cost)
@@ -350,7 +349,7 @@ def test_randomized_verified_and_opt_when_b1(rng):
         rng, 10, degree_pool=[(2, 5, 0.3), (3, 7, 0.25), (4, 9, 0.3)]
     )
     for i, inst in enumerate(instances):
-        setup = _setup(inst)
+        setup = inst._setup
         if setup.q != setup.bm.source.s:
             continue  # keep only b = 1 here
         sol = randomized_insert(inst, seed=100 + i)
@@ -368,7 +367,7 @@ def test_randomized_rejects_a_negative_seed_before_any_work(monkeypatch):
 def test_randomized_general_bound(rng):
     instances = sample_spade_instances(rng, 8, degree_pool=[(3, 5, 0.3), (4, 7, 0.3)])
     for i, inst in enumerate(instances):
-        setup = _setup(inst)
+        setup = inst._setup
         b = setup.q // setup.bm.source.s
         sol = randomized_insert(inst, seed=7 * i)
         opt = brute_force_opt(inst, 6)
@@ -446,7 +445,7 @@ def test_greedy_non_spade_instance(rng):
             feasible, _ = feasible_by_saturation(inst)
             if not feasible:
                 continue
-            setup = _setup(inst)
+            setup = inst._setup
             a, b = setup.bm.a, setup.bm.b
             sol = greedy_insert(inst)
             assert sol.resulting_ric > 0
@@ -631,18 +630,20 @@ def test_brute_force_matches_graph_level_reference():
 
 def test_unconfirmed_local_flip_is_never_returned(monkeypatch):
     # A local verdict the edited graph does not confirm must not leak out.
-    insts = [neg_instance(3, 5, []), Instance(double_star(3, 3, [(1, 1)]), (0, 1), NTP)]
-    g, e, _ = gen_blocker(3, [(0, 0), (1, 1), (2, 2)])
-    insts.append(Instance(g, e, DEL_PTN))
-    g, e, _ = gen_maxcov(4, [[0, 1], [2, 3]], 1)
-    insts.append(Instance(g, e, WT_NTP))
+    # Fresh instances, so that no verdict of the first search is reused.
+    def instances():
+        insts = [neg_instance(3, 5, []), Instance(double_star(3, 3, [(1, 1)]), (0, 1), NTP)]
+        g, e, _ = gen_blocker(3, [(0, 0), (1, 1), (2, 2)])
+        insts.append(Instance(g, e, DEL_PTN))
+        g, e, _ = gen_maxcov(4, [[0, 1], [2, 3]], 1)
+        return insts + [Instance(g, e, WT_NTP)]
 
     def single(inst):
         return _first_flip(inst, ((edit,) for edit in permissible_edits(inst)))
 
-    expected = [(brute_force_opt(inst, 2), single(inst)) for inst in insts]
+    expected = [(brute_force_opt(inst, 2), single(inst)) for inst in instances()]
     monkeypatch.setattr(_LocalEvaluator, "flips", lambda self, edits: True)
-    for inst, (opt, one) in zip(insts, expected):
+    for inst, (opt, one) in zip(instances(), expected):
         assert brute_force_opt(inst, 2) == opt == _reference_brute_force(inst, 2)
         assert single(inst) == one
     assert expected[0][1] is None  # no single insertion flips it, whatever the local verdict
@@ -665,9 +666,30 @@ def test_setup_holds_one_cost_matrix_and_its_matching():
     rng = random.Random(880)
     pool = [(3, 4, 0.3), (3, 5, 0.25), (4, 6, 0.3), (2, 5, 0.2)]
     for inst in sample_spade_instances(rng, 6, degree_pool=pool):
-        setup = _setup(inst)
+        setup = inst._setup
         assert setup.cm is setup.bm.source
         assert setup.cm == build_cost_matrix(inst.graph, inst.edge)
         assert setup.mcpm == min_cost_perfect_matching(setup.bm.costs)
         assert setup.delta == setup.mcpm.cost == setup.q * ricci(inst.graph, inst.edge, route="flow").emd
         assert setup.rho == setup.delta - setup.q
+
+
+def test_an_instance_builds_one_blow_up_and_verifies_each_edit_set_once(monkeypatch):
+    # Greedy and randomized share the instance's blow-up and lex-min matching,
+    # and the flow route sees each edited graph once, however many solvers
+    # return its edit set; every returned set is among those it verified.
+    built, verified = [], []
+    real_blow_up, real_ricci = solvers.blow_up, solvers.ricci
+    monkeypatch.setattr(solvers, "blow_up", lambda cm: built.append(cm) or real_blow_up(cm))
+    monkeypatch.setattr(solvers, "ricci", lambda g, e, **kw: verified.append(g) or real_ricci(g, e, **kw))
+    rng = random.Random(881)
+    shared = 0
+    for inst in sample_spade_instances(rng, 8, degree_pool=[(3, 4, 0.3), (3, 5, 0.25), (4, 6, 0.3)]):
+        built.clear()
+        verified.clear()
+        sols = [greedy_insert(inst), randomized_insert(inst, seed=4), greedy_insert(inst)]
+        assert len(built) == 1
+        assert len(set(verified)) == len(verified)
+        assert all(apply_edits(inst, sol.edits) in verified for sol in sols)
+        shared += sols[0].edits == sols[1].edits
+    assert shared
