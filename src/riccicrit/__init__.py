@@ -17,7 +17,6 @@ from .curvature import (
 from .errors import (
     BlowUpTooLargeError,
     BudgetExceededError,
-    DisconnectedNeighborhoodError,
     EdgeListParseError,
     FieldConfigError,
     InfeasibleInstanceError,

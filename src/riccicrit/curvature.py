@@ -14,10 +14,13 @@ the same exact rational:
 * the flow route solves the transportation LP directly as an integer
   min-cost-flow (networkx network simplex) after scaling both marginals by q.
 
-The matching route is the default because downstream solvers consume the
-matching witness; the flow route stays as the independent oracle and also
-avoids building the blown-up matrix when q is huge. networkx is imported on
-the first flow-route call, so the matching route never loads it. Building
+The matching route is the default because it needs only the standard
+library, and its plan is deterministic: the lexicographically smallest
+optimal matching, folded into blocks. networkx is imported on the first
+flow-route call, so the matching route never loads it. The solvers read
+neither route's plan; they verify edit sets by the flow route's sign. The
+flow route stays as the independent oracle and also avoids building the
+blown-up matrix when q is huge. Building
 the blow-up (r distinct rows of q cells, each row object repeated a times)
 and folding the q matched pairs back into a plan run at C speed
 (``itertools``, ``collections.Counter``).

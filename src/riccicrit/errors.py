@@ -19,15 +19,6 @@ class InputFileError(RicciCritError):
     """A named input file is not UTF-8 text; the message names the file."""
 
 
-class DisconnectedNeighborhoodError(RicciCritError):
-    """Some node of one closed neighborhood cannot reach the other side.
-
-    An existing edge never raises it: the edge itself joins every node of
-    one closed neighborhood to every node of the other. The class stays
-    exported so that code catching it keeps working.
-    """
-
-
 class BlowUpTooLargeError(RicciCritError):
     """LCM of the two neighborhood sizes exceeds the configured cap."""
 

@@ -25,14 +25,16 @@ graph, and greedy re-reads its weights from the same edited sets after each
 insertion; on weighted graphs it reads the cost matrix of the edited graph.
 Each edit set a solver returns is verified by the flow route on the edited
 graph; an unverified set is never returned. An ``Instance`` keeps the flow
-route's verdict on each edit set it has verified, and the approximations'
-blow-up and lex-min matching, so solvers run on one instance share them.
+route's verdict on each edit set it has verified, its blow-up, and greedy's
+canonical start (the blow-up's lex-min minimum-cost matching, canonicalized
+once), so solvers run on one instance share them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from collections.abc import Set
 from dataclasses import dataclass
 from functools import cached_property
@@ -177,10 +179,18 @@ class Instance:
         return _LocalEvaluator(self.graph, self.edge, self.variant)
 
     @cached_property
-    def _setup(self) -> "_Setup":
-        """The approximation solvers' blow-up and its lex-min matching, built once."""
-        bm = blow_up(build_cost_matrix(self.graph, self.edge))
-        return _Setup(bm, min_cost_perfect_matching(bm.costs))
+    def _blow_up(self) -> BlowUpMatrix:
+        """The blow-up of the edge's cost matrix, on which the approximations work."""
+        return blow_up(build_cost_matrix(self.graph, self.edge))
+
+    @cached_property
+    def _start(self) -> Matching:
+        """Greedy's default start: the blow-up's lex-min minimum-cost matching, canonicalized.
+
+        Its cost is q * EMD, so it also gives rho = q * EMD - q.
+        """
+        bm = self._blow_up
+        return canonicalize_matching(bm, min_cost_perfect_matching(bm.costs))
 
     @cached_property
     def _verdicts(self) -> dict[frozenset, tuple[bool, Fraction]]:
@@ -434,17 +444,26 @@ def brute_force_opt(inst: Instance, max_k: int, *, budget: int = 2_000_000) -> S
     skipped; the subset returned is the first one the edited graph confirms.
     Levels past the candidate count hold no subsets and are not searched.
     Returns None when nothing within ``max_k`` edits flips. Exponential by
-    design; refuses search spaces beyond ``budget`` subsets.
+    design; refuses search spaces beyond ``budget`` subsets. Unrestricted
+    insertion takes every non-edge as a candidate: those are counted, not
+    listed, until a level fits the budget.
     """
-    cands = permissible_edits(inst)
+    g, variant = inst.graph, inst.variant
+    if variant.operation == "ins" and variant.restriction == "ut":
+        cands, count = None, g.node_count * (g.node_count - 1) // 2 - g.edge_count()
+    else:
+        cands = permissible_edits(inst)
+        count = len(cands)
     spent = 0
-    for k in range(1, min(max_k, len(cands)) + 1):
-        level = math.comb(len(cands), k)
+    for k in range(1, min(max_k, count) + 1):
+        level = math.comb(count, k)
         if spent + level > budget:
             raise BudgetExceededError(
                 f"level {k} needs {level} subsets ({spent} already searched), over budget {budget}"
             )
         spent += level
+        if cands is None:
+            cands = permissible_edits(inst)
         if inst._local.out_of_reach(cands, k):
             continue
         hit = _first_flip(inst, itertools.combinations(cands, k))
@@ -482,34 +501,8 @@ def select_drop_edges(bm: BlowUpMatrix, m: Matching, kappa3: int, kappa2: int) -
     return chosen
 
 
-@dataclass(frozen=True)
-class _Setup:
-    """The blow-up of an instance's cost matrix and its lex-min minimum-cost matching."""
-
-    bm: BlowUpMatrix
-    mcpm: Matching
-
-    @property
-    def cm(self) -> CostMatrix:
-        return self.bm.source
-
-    @property
-    def q(self) -> int:
-        return self.bm.q
-
-    @property
-    def delta(self) -> int:
-        """The minimum matched cost, q * EMD."""
-        return self.mcpm.cost
-
-    @property
-    def rho(self) -> int:
-        """How far the minimum matched cost lies above the flip threshold q."""
-        return self.delta - self.q
-
-
-def _approx_setup(inst: Instance, method: str) -> _Setup | Solution:
-    """The set-up of an approximation solver, or its answer if that is one edit.
+def _approx_setup(inst: Instance, method: str) -> BlowUpMatrix | Solution:
+    """The blow-up an approximation solver works on, or its answer if that is one edit.
 
     Raises unless the variant is restricted unweighted insert-to-positive
     and inserting every permissible edge flips the sign (saturation). When
@@ -523,12 +516,12 @@ def _approx_setup(inst: Instance, method: str) -> _Setup | Solution:
     edits = permissible_edits(inst)
     if not edits or not inst._local.flips(edits):
         raise InfeasibleInstanceError("no permissible insertion set flips this edge")
-    setup = inst._setup
-    if setup.rho == 0:
+    bm = inst._blow_up
+    if inst._start.cost == bm.q:
         hit = _first_flip(inst, ((edit,) for edit in edits))
         if hit is not None:
             return Solution(hit[0], hit[1], method, drops=1)
-    return setup
+    return bm
 
 
 def _finish_insert_solution(
@@ -548,69 +541,66 @@ def _finish_insert_solution(
 def greedy_schedule(
     costs,
     touchable,
-    matched_blocks: list[tuple[int, int]],
+    matched_blocks: Iterable[tuple[int, int]],
     threshold: int,
     after_drop=None,
 ):
     """Shared greedy loop over a mutable weight matrix.
 
-    Drops the lexicographically first matched touchable 3-entry (then
-    2-entry) to 1 until the matched cost is strictly below ``threshold``.
+    ``matched_blocks`` names the block of each matched pair, repeats
+    included; the loop tracks how many pairs each distinct block holds, so
+    the matched cost is the sum of count times weight. It drops the
+    lexicographically first matched touchable 3-entry (then 2-entry) to 1
+    until the matched cost is strictly below ``threshold``.
     ``after_drop(weights, (i, j))`` may rewrite ``weights`` in place after
     each drop; ``greedy_insert`` re-reads every entry from the adjacency sets
     with the inserted edge. Returns the dropped cells and the final weights.
     """
     weights = [list(row) for row in costs]
+    counts = sorted(Counter(matched_blocks).items())
     drops: list[tuple[int, int]] = []
-    while True:
-        tracked = sum(weights[i][j] for i, j in matched_blocks)
-        if tracked < threshold:
-            return drops, weights
-        pick = None
-        for want in (3, 2):
-            cells = sorted(
-                {(i, j) for i, j in matched_blocks if weights[i][j] == want and touchable[i][j]}
-            )
-            if cells:
-                pick = cells[0]
-                break
-        if pick is None:
+    while sum(n * weights[i][j] for (i, j), n in counts) >= threshold:
+        # The first 3-block in block order, else the first 2-block.
+        droppable = [(w == 2, (i, j)) for (i, j), _ in counts if (w := weights[i][j]) in (2, 3) and touchable[i][j]]
+        if not droppable:
             raise InfeasibleInstanceError("greedy ran out of droppable matched edges")
+        pick = min(droppable)[1]
         weights[pick[0]][pick[1]] = 1
         drops.append(pick)
         if after_drop is not None:
             after_drop(weights, pick)
+    return drops, weights
 
 
 def greedy_insert(inst: Instance, start: Matching | None = None) -> Solution:
     """Deterministic approximation for restricted insert-to-positive.
 
-    Starting from a canonicalized minimum-cost perfect matching of the
-    blow-up, repeatedly pick a matched touchable 3-entry (then 2-entry),
-    insert the corresponding graph edge, and re-read the weights of the
-    edited neighborhoods, until the matched cost falls below q. One drop per
-    inserted edge: all copies of a block fall together.
+    Starting from the instance's canonicalized minimum-cost perfect matching
+    of the blow-up, or from ``start``, repeatedly pick a matched touchable
+    3-entry (then 2-entry), insert the corresponding graph edge, and re-read
+    the weights of the edited neighborhoods, until the matched cost falls
+    below q. One drop per inserted edge: all copies of a block fall together.
     """
-    setup = _approx_setup(inst, "greedy")
-    if isinstance(setup, Solution):
-        return setup
+    bm = _approx_setup(inst, "greedy")
+    if isinstance(bm, Solution):
+        return bm
     if start is None:
-        start = canonicalize_matching(setup.bm, setup.mcpm)
+        start = inst._start
     else:
-        if len(start.assignment) != setup.q:
+        if len(start.assignment) != bm.q:
             raise ValueError("start matching does not fit the blow-up")
-        if matching_cost(setup.bm.costs, start.assignment) != setup.delta:
+        if matching_cost(bm.costs, start.assignment) != inst._start.cost:
             raise ValueError("start matching must be minimum-cost")
-    matched_blocks = [setup.bm.block(row, col) for row, col in enumerate(start.assignment)]
 
-    cm, local = setup.cm, inst._local
+    cm, local = bm.source, inst._local
     inserted: dict[int, set[int]] = {}
 
     def after_drop(weights, cell):
         local.apply(inserted, (ordered_pair(cm.row_nodes[cell[0]], cm.col_nodes[cell[1]]), 1))
         weights[:] = _adjacency_costs(cm.row_nodes, cm.col_nodes, lambda x: local.neighbors(x, inserted))
 
-    drops, _ = greedy_schedule(cm.costs, cm.touchable, matched_blocks, setup.q, after_drop=after_drop)
+    matched_blocks = map(bm.block, range(bm.q), start.assignment)
+    drops, _ = greedy_schedule(cm.costs, cm.touchable, matched_blocks, bm.q, after_drop=after_drop)
     return _finish_insert_solution(inst, cm, drops, "greedy", len(drops))
 
 
@@ -628,22 +618,22 @@ def randomized_insert(inst: Instance, seed: int) -> Solution:
     validity. The seed must be a non-negative integer.
     """
     _check_seed(seed)
-    setup = _approx_setup(inst, "randomized")
-    if isinstance(setup, Solution):
-        return setup
-    mask = setup.bm.touchable_mask()
-    support = signature_support(setup.bm.costs, mask, trials=_SWEEP_TRIALS, seed=seed)
+    bm = _approx_setup(inst, "randomized")
+    if isinstance(bm, Solution):
+        return bm
+    mask = bm.touchable_mask()
+    support = signature_support(bm.costs, mask, trials=_SWEEP_TRIALS, seed=seed)
     # Sorted, so each cost x keeps its most 3-edges, then most touchable 2-edges.
     most = {x: (k, l) for x, k, l in sorted(support)}
-    budget = {x: kappa_hat(k, l, x - setup.q) for x, (k, l) in most.items()}
+    budget = {x: kappa_hat(k, l, x - bm.q) for x, (k, l) in most.items()}
     wanted = [(sum(kappa), x) for x, kappa in budget.items() if kappa is not None]
     if not wanted:
         raise RetryExhaustedError("no wanted matching signature was certified; nothing returned")
     _, x = min(wanted)
     (k, l), (kappa3, kappa2) = most[x], budget[x]
-    witness = matching_with_counts(setup.bm.costs, mask, x, k, l, trials=_WITNESS_TRIALS, seed=seed)
+    witness = matching_with_counts(bm.costs, mask, x, k, l, trials=_WITNESS_TRIALS, seed=seed)
     if witness is None:
         raise RetryExhaustedError("witness extraction failed for the selected signature")
-    edges = select_drop_edges(setup.bm, witness, kappa3, kappa2)
-    blocks = {setup.bm.block(row, col) for row, col in edges}
-    return _finish_insert_solution(inst, setup.cm, blocks, "randomized", len(edges))
+    edges = select_drop_edges(bm, witness, kappa3, kappa2)
+    blocks = {bm.block(row, col) for row, col in edges}
+    return _finish_insert_solution(inst, bm.source, blocks, "randomized", len(edges))

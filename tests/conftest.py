@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
+from typing import NamedTuple
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -13,6 +17,7 @@ from riccicrit import (
     Instance,
     ProblemVariant,
     Sign,
+    build_cost_matrix,
     feasible_by_saturation,
     ricci,
 )
@@ -57,6 +62,33 @@ def double_star(du: int, dv: int, cross: list[tuple[int, int]]) -> Graph:
     edges = [(0, 1)] + [(0, x) for x in left] + [(1, y) for y in right]
     edges += [(left[i], right[j]) for (i, j) in cross]
     return Graph(2 + du - 1 + dv - 1, edges)
+
+
+def enumerated_signatures(digits: np.ndarray) -> set[tuple[int, ...]]:
+    """The digit sums of every perfect matching of an (n, n, naxes) digit array."""
+    n = digits.shape[0]
+    return {
+        tuple(int(x) for x in sum(digits[i, p[i]] for i in range(n)))
+        for p in itertools.permutations(range(n))
+    }
+
+
+class BlowUpShape(NamedTuple):
+    q: int
+    a: int
+    b: int
+    rho: int
+
+
+def blow_up_shape(inst: Instance) -> BlowUpShape:
+    """The blow-up size q = lcm(r, s) of an unweighted instance's edge, the
+    copies a = q/r and b = q/s of each row and column node, and rho, how
+    far q * EMD lies above the flip threshold q; EMD by the flow route."""
+    cm = build_cost_matrix(inst.graph, inst.edge)
+    q = math.lcm(cm.r, cm.s)
+    rho = q * ricci(inst.graph, inst.edge, route="flow").emd - q
+    assert rho.denominator == 1
+    return BlowUpShape(q, q // cm.r, q // cm.s, int(rho))
 
 
 def sample_spade_instances(

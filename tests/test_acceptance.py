@@ -41,7 +41,7 @@ from riccicrit.matching import (
 )
 from riccicrit.solvers import greedy_schedule, has_spade_property
 
-from conftest import double_star, random_connected_graph, sample_spade_instances
+from conftest import blow_up_shape, double_star, random_connected_graph, sample_spade_instances
 
 NTP = ProblemVariant.parse("uw-rt-ins-ntp")
 DEL_PTN = ProblemVariant.parse("uw-rt-del-ptn")
@@ -86,8 +86,7 @@ def spade_pool():
             inst = Instance(g, (0, 1), NTP)
             if not feasible_by_saturation(inst)[0]:
                 continue
-            setup = inst._setup
-            if setup.rho != 1:
+            if blow_up_shape(inst).rho != 1:
                 continue
             pool.append(inst)
             found += 1
@@ -219,16 +218,15 @@ def test_criterion_5_setcover_gadget():
 def test_criterion_6_greedy_ratio(spade_pool):
     assert len(spade_pool) >= 50
     for inst in spade_pool:
-        setup = inst._setup
-        b = setup.q // setup.bm.source.s
+        shape = blow_up_shape(inst)
         assert has_spade_property(inst.graph, inst.edge)
         sol = greedy_insert(inst)
         assert sol.resulting_ric > 0
         opt = brute_force_opt(inst, 6)
         assert opt is not None, "brute-force oracle must complete on the pool"
-        assert len(sol.edits) <= 2 * b * len(opt.edits)
-        assert sol.drops <= setup.rho + 1
-        assert len(opt.edits) >= Fraction(setup.rho + 1, 2 * b)
+        assert len(sol.edits) <= 2 * shape.b * len(opt.edits)
+        assert sol.drops <= shape.rho + 1
+        assert len(opt.edits) >= Fraction(shape.rho + 1, 2 * shape.b)
     _report(
         6,
         f"{len(spade_pool)} feasible no-side-edges instances: greedy <= 2b*opt, "
@@ -272,14 +270,14 @@ def test_criterion_8_randomized_solver(spade_pool):
     t0 = time.time()
     b1 = []
     for inst in spade_pool:
-        setup = inst._setup
-        if setup.q == setup.bm.source.s:  # b == 1
-            assert setup.q <= 24
-            b1.append((inst, setup))
+        shape = blow_up_shape(inst)
+        if shape.b == 1:
+            assert shape.q <= 24
+            b1.append(inst)
     assert len(b1) >= 20
     opt_hits = 0
     runs = 0
-    for i, (inst, setup) in enumerate(b1):
+    for i, inst in enumerate(b1):
         opt = brute_force_opt(inst, 6)
         sol = randomized_insert(inst, seed=2026 + i)
         runs += 1

@@ -19,7 +19,7 @@ import riccicrit
 from riccicrit import Graph, cli, format_edge_list
 from riccicrit.cli import main
 
-from conftest import random_connected_graph
+from conftest import blow_up_shape, random_connected_graph
 
 # Double star: (0, 1) has curvature -1/2 and is a feasible uw-rt-ins-ntp instance.
 STAR6 = "0 1\n0 2\n0 3\n1 4\n1 5\n"
@@ -260,7 +260,7 @@ def test_an_approximation_never_returns_an_unverified_edit_set(capsys, tmp_path,
     # rho > 0, so no single verified edit answers first.
     star = riccicrit.Instance(Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)]), (0, 1),
                               riccicrit.ProblemVariant.parse("uw-rt-ins-ntp"))
-    assert star._setup.rho > 0
+    assert blow_up_shape(star).rho > 0
     monkeypatch.setattr(riccicrit.solvers, "_flips", lambda inst, edits: (False, Fraction(-1, 2)))
     message = "constructed edit set failed verification; nothing returned"
     for solve in (riccicrit.greedy_insert, lambda inst: riccicrit.randomized_insert(inst, seed=1)):

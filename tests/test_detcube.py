@@ -10,6 +10,8 @@ from riccicrit._detcube import PRIME, LiveMinor, SignatureCube, coefficient_at, 
 from riccicrit.errors import FieldConfigError
 from riccicrit.matching import _extract_assignment, _signature_digits
 
+from conftest import enumerated_signatures
+
 
 def exact_det(rows: list[list[int]]) -> int:
     """Integer determinant by fraction-free (Bareiss) elimination, Python ints throughout."""
@@ -86,14 +88,6 @@ def test_one_point_shares_are_cofactors_or_zero_when_singular():
     assert 0 < int((dets == 0).sum()) < len(mats)
     # Singular members whose cofactors are not all zero: the zero shares are the rule, not the cofactors.
     assert any(det == 0 and any(modular_cofactors(m.tolist(), 0)) for m, det in zip(mats, dets))
-
-
-def enumerated_signatures(digits: np.ndarray) -> set[tuple[int, ...]]:
-    n = digits.shape[0]
-    return {
-        tuple(int(x) for x in sum(digits[i, p[i]] for i in range(n)))
-        for p in itertools.permutations(range(n))
-    }
 
 
 def seeded_signature_instances(seed: int, count: int, max_q: int):

@@ -261,3 +261,83 @@ def test_python_floor_check_rejects_newer_syntax():
     source = "try:\n    pass\nexcept* ValueError:\n    pass\n"
     assert not _parses_at(source, (3, 10))
     assert _parses_at(source, (3, 11))
+
+
+def _raised_names(sources: dict[str, str]) -> set[str]:
+    """Names of the exceptions the ``raise`` statements of ``sources`` raise,
+    bare or called, plain or dotted."""
+    names = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    names.add(exc.id)
+                elif isinstance(exc, ast.Attribute):
+                    names.add(exc.attr)
+    return names
+
+
+def test_every_exported_exception_is_raised():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    exported = {
+        name for name, obj in vars(riccicrit).items() if isinstance(obj, type) and issubclass(obj, BaseException)
+    }
+    assert exported
+    unraised = sorted(exported - _raised_names(sources))
+    assert not unraised, f"riccicrit exports exceptions nothing raises: {', '.join(unraised)}"
+
+
+def test_raised_name_check_reads_raise_statements_only():
+    sources = {
+        "a.py": (
+            "class AError(Exception): pass\n"
+            "def f():\n    raise AError('x')\n"
+            "def g():\n    try:\n        raise errors.BError\n    except CError:\n        raise\n"
+        ),
+    }
+    assert _raised_names(sources) == {"AError", "BError"}
+
+
+ACCEPTANCE = Path(__file__).parent / "test_acceptance.py"
+
+
+def _private_reads(source: str) -> list[str]:
+    """Names with one leading underscore that a module imports, or reads as attributes."""
+
+    def private(name: str) -> bool:
+        return any(part.startswith("_") and not part.startswith("__") for part in name.split("."))
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            module = getattr(node, "module", None) or ""
+            found += [
+                f"import {alias.name} (line {node.lineno})"
+                for alias in node.names
+                if private(module) or private(alias.name)
+            ]
+        elif isinstance(node, ast.Attribute) and private(node.attr):
+            found.append(f".{node.attr} (line {node.lineno})")
+    return sorted(found)
+
+
+def test_acceptance_criteria_read_only_public_names():
+    private = _private_reads(ACCEPTANCE.read_text(encoding="utf-8"))
+    assert not private, f"the acceptance criteria reach past the public API: {', '.join(private)}"
+
+
+def test_private_read_check_flags_imports_and_attributes():
+    source = (
+        "import riccicrit._detcube\n"
+        "from riccicrit.solvers import _flips, greedy_schedule\n"
+        "from riccicrit import _detcube\n"
+        "def _local_helper(inst):\n"
+        "    return inst._setup.rho, inst.__class__, _local_helper\n"
+    )
+    assert _private_reads(source) == [
+        "._setup (line 5)",
+        "import _detcube (line 3)",
+        "import _flips (line 2)",
+        "import riccicrit._detcube (line 1)",
+    ]

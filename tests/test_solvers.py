@@ -16,14 +16,17 @@ from riccicrit import (
     Sign,
     Solution,
     UnsupportedVariantError,
+    blow_up,
     brute_force_opt,
     build_cost_matrix,
+    canonicalize_matching,
     feasible_by_saturation,
     gen_blocker,
     gen_maxcov,
     gen_tightness_graph,
     greedy_insert,
     kappa_hat,
+    parse_edge_list,
     permissible_edits,
     randomized_insert,
     ricci,
@@ -42,9 +45,10 @@ from riccicrit.solvers import (
     select_drop_edges,
 )
 
-from conftest import double_star, random_connected_graph, sample_spade_instances
+from conftest import blow_up_shape, double_star, random_connected_graph, sample_spade_instances
 
 NTP = ProblemVariant.parse("uw-rt-ins-ntp")
+UT_NTP = ProblemVariant.parse("uw-ut-ins-ntp")
 DEL_PTN = ProblemVariant.parse("uw-rt-del-ptn")
 WT_NTP = ProblemVariant.parse("wt-rt-ins-ntp")
 WT_PTN = ProblemVariant.parse("wt-rt-del-ptn")
@@ -288,20 +292,21 @@ def test_kappa_hat_defining_inequalities(rng):
 
 def test_selected_drops_cross_the_threshold():
     inst = neg_instance(3, 7, [(0, 0), (1, 2)])
-    setup = inst._setup
+    bm = blow_up(build_cost_matrix(inst.graph, inst.edge))
+    mcpm = min_cost_perfect_matching(bm.costs)
     from riccicrit.matching import class_counts
 
-    counts = class_counts(setup.bm.costs, setup.bm.touchable_mask(), setup.mcpm)
-    kappa = kappa_hat(counts.n3, counts.n2_touchable, setup.delta - setup.q)
+    counts = class_counts(bm.costs, bm.touchable_mask(), mcpm)
+    kappa = kappa_hat(counts.n3, counts.n2_touchable, mcpm.cost - bm.q)
     if kappa is None:
         pytest.skip("minimum matching is unwanted here")
-    drop = set(select_drop_edges(setup.bm, setup.mcpm, *kappa))
+    drop = set(select_drop_edges(bm, mcpm, *kappa))
     assert len(drop) == sum(kappa)
     new_cost = sum(
-        (1 if (row, col) in drop else setup.bm.costs[row][col])
-        for row, col in enumerate(setup.mcpm.assignment)
+        (1 if (row, col) in drop else bm.costs[row][col])
+        for row, col in enumerate(mcpm.assignment)
     )
-    assert new_cost < setup.q
+    assert new_cost < bm.q
 
 
 # -- greedy / randomized / brute ----------------------------------------------------
@@ -312,24 +317,24 @@ def test_greedy_verified_and_bounded(rng):
         rng, 12, degree_pool=[(3, 5, 0.3), (3, 7, 0.25), (4, 7, 0.3), (2, 5, 0.3)]
     )
     for inst in instances:
-        setup = inst._setup
-        b = setup.q // setup.bm.source.s
+        shape = blow_up_shape(inst)
         sol = greedy_insert(inst)
         assert sol.resulting_ric > 0
-        assert sol.drops <= setup.rho + 1
+        assert sol.drops <= shape.rho + 1
         opt = brute_force_opt(inst, 6)
         assert opt is not None
-        assert len(sol.edits) <= 2 * b * len(opt.edits)
-        assert Fraction(setup.rho + 1, 2 * b) <= len(opt.edits)
+        assert len(sol.edits) <= 2 * shape.b * len(opt.edits)
+        assert Fraction(shape.rho + 1, 2 * shape.b) <= len(opt.edits)
 
 
 def test_greedy_rejects_bad_start():
     inst = neg_instance(2, 5, [(0, 0)])
-    setup = inst._setup
+    shape = blow_up_shape(inst)
     from riccicrit.matching import enumerate_matchings
 
-    worst = max(enumerate_matchings(setup.bm.costs, bound=setup.q), key=lambda m: m.cost)
-    assert worst.cost > setup.delta
+    costs = blow_up(build_cost_matrix(inst.graph, inst.edge)).costs
+    worst = max(enumerate_matchings(costs, bound=shape.q), key=lambda m: m.cost)
+    assert worst.cost > shape.q + shape.rho
     with pytest.raises(ValueError):
         greedy_insert(inst, worst)
 
@@ -349,8 +354,7 @@ def test_randomized_verified_and_opt_when_b1(rng):
         rng, 10, degree_pool=[(2, 5, 0.3), (3, 7, 0.25), (4, 9, 0.3)]
     )
     for i, inst in enumerate(instances):
-        setup = inst._setup
-        if setup.q != setup.bm.source.s:
+        if blow_up_shape(inst).b != 1:
             continue  # keep only b = 1 here
         sol = randomized_insert(inst, seed=100 + i)
         assert sol.resulting_ric > 0
@@ -367,8 +371,7 @@ def test_randomized_rejects_a_negative_seed_before_any_work(monkeypatch):
 def test_randomized_general_bound(rng):
     instances = sample_spade_instances(rng, 8, degree_pool=[(3, 5, 0.3), (4, 7, 0.3)])
     for i, inst in enumerate(instances):
-        setup = inst._setup
-        b = setup.q // setup.bm.source.s
+        b = blow_up_shape(inst).b
         sol = randomized_insert(inst, seed=7 * i)
         opt = brute_force_opt(inst, 6)
         assert len(sol.edits) <= b * len(opt.edits)
@@ -445,12 +448,11 @@ def test_greedy_non_spade_instance(rng):
             feasible, _ = feasible_by_saturation(inst)
             if not feasible:
                 continue
-            setup = inst._setup
-            a, b = setup.bm.a, setup.bm.b
+            shape = blow_up_shape(inst)
             sol = greedy_insert(inst)
             assert sol.resulting_ric > 0
             opt = brute_force_opt(inst, 6)
-            assert len(sol.edits) <= 2 * (a + b) * len(opt.edits)
+            assert len(sol.edits) <= 2 * (shape.a + shape.b) * len(opt.edits)
             found += 1
             break
     assert found >= 1
@@ -662,16 +664,42 @@ def test_brute_force_stops_at_the_candidate_count(monkeypatch):
     assert len(calls) <= 2
 
 
+def test_brute_force_refuses_unrestricted_insertion_before_listing_it(monkeypatch):
+    # Every non-edge is a candidate: 1000 * 999 / 2 - 10 of them here. Level
+    # 1 alone is over the budget, so the search refuses without listing one.
+    star = double_star(5, 6, [])
+    text = "# nodes: 1000\n" + "".join(f"{a} {b}\n" for a, b, _ in star.edges())
+    inst = Instance(parse_edge_list(text), (0, 1), UT_NTP)
+    monkeypatch.setattr(solvers, "candidate_edits", lambda *a: pytest.fail("candidates were listed"))
+    with pytest.raises(BudgetExceededError, match="level 1 needs 499490 subsets"):
+        brute_force_opt(inst, 2, budget=1000)
+
+
+def test_unrestricted_insertion_count_matches_the_listed_candidates():
+    # The counted candidates are the listed ones, and a search within its
+    # budget finds what the graph-level reference finds.
+    for nodes, (du, dv, cross) in ((6, (3, 3, [])), (8, (3, 4, [(0, 0)])), (7, (2, 5, []))):
+        star = double_star(du, dv, cross)
+        inst = Instance(Graph(nodes, star.edges()), (0, 1), UT_NTP)
+        n, m = inst.graph.node_count, inst.graph.edge_count()
+        assert len(permissible_edits(inst)) == n * (n - 1) // 2 - m
+        assert brute_force_opt(inst, 2) == _reference_brute_force(inst, 2)
+
+
 def test_setup_holds_one_cost_matrix_and_its_matching():
     rng = random.Random(880)
     pool = [(3, 4, 0.3), (3, 5, 0.25), (4, 6, 0.3), (2, 5, 0.2)]
     for inst in sample_spade_instances(rng, 6, degree_pool=pool):
-        setup = inst._setup
-        assert setup.cm is setup.bm.source
-        assert setup.cm == build_cost_matrix(inst.graph, inst.edge)
-        assert setup.mcpm == min_cost_perfect_matching(setup.bm.costs)
-        assert setup.delta == setup.mcpm.cost == setup.q * ricci(inst.graph, inst.edge, route="flow").emd
-        assert setup.rho == setup.delta - setup.q
+        # The instance keeps its blow-up and greedy's canonical start, and
+        # hands out the same objects on every read.
+        bm = blow_up(build_cost_matrix(inst.graph, inst.edge))
+        assert inst._blow_up is inst._blow_up
+        assert inst._blow_up == bm
+        assert inst._start is inst._start
+        assert inst._start == canonicalize_matching(bm, min_cost_perfect_matching(bm.costs))
+        shape = blow_up_shape(inst)
+        assert (bm.q, bm.a, bm.b) == shape[:3]
+        assert inst._start.cost - bm.q == shape.rho
 
 
 def test_an_instance_builds_one_blow_up_and_verifies_each_edit_set_once(monkeypatch):
