@@ -12,8 +12,11 @@ Commands raise, and `main` maps the exception to its exit code through
 reproducible; JSON output is byte-stable for a given input and seed.
 `curvature --jobs` is capped at the CPU count and at the number of edges.
 The graph goes to each worker once, when the worker starts, so the worker's
-distance memo serves every edge it is given; edges go out in chunks, and the
-records come back in edge order.
+distance memo serves every edge it is given; edges go out in chunks. Each
+record is encoded to JSON text where it is computed, in the worker or, at
+--jobs 1, in the one process; the texts come back in edge order, and the
+parent only joins them into the payload, so stdout is byte-identical at
+every --jobs.
 """
 
 from __future__ import annotations
@@ -73,13 +76,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _emit(payload: dict, output: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _write(text: str, output: str | None) -> None:
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(payload: dict, output: str | None) -> None:
+    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", output)
 
 
 def _curvature_one(g: Graph, route: str, edge) -> dict:
@@ -89,6 +95,16 @@ def _curvature_one(g: Graph, route: str, edge) -> dict:
     except BlowUpTooLargeError as exc:
         record["error"] = str(exc)
     return record
+
+
+def _record_text(record: dict) -> str:
+    """``record`` as ``_emit`` prints it as an item of the payload's "results" list.
+
+    That is its own indented, key-sorted encoding with every line shifted 4
+    spaces in; JSON escapes newlines inside strings, so every line break is
+    the encoder's own.
+    """
+    return "    " + json.dumps(record, indent=2, sort_keys=True).replace("\n", "\n    ")
 
 
 # The (graph, route) a pool worker was started with; set once per worker
@@ -102,8 +118,8 @@ def _start_worker(g: Graph, route: str) -> None:
     _worker_job = (g, route)
 
 
-def _curvature_in_worker(edge) -> dict:
-    return _curvature_one(*_worker_job, edge)
+def _curvature_in_worker(edge) -> str:
+    return _record_text(_curvature_one(*_worker_job, edge))
 
 
 def _cmd_curvature(args) -> int:
@@ -126,10 +142,13 @@ def _cmd_curvature(args) -> int:
             max_workers=workers, initializer=_start_worker, initargs=(g, args.route)
         ) as pool:
             chunk = math.ceil(len(edges) / (4 * workers))
-            records = list(pool.map(_curvature_in_worker, edges, chunksize=chunk))
+            texts = list(pool.map(_curvature_in_worker, edges, chunksize=chunk))
     else:
-        records = [_curvature_one(g, args.route, e) for e in edges]
-    _emit({"input": args.input, "results": records}, args.output)
+        texts = [_record_text(_curvature_one(g, args.route, e)) for e in edges]
+    # The text json.dumps({"input": ..., "results": records}, indent=2,
+    # sort_keys=True) prints, written only once every record is back.
+    results = "[\n" + ",\n".join(texts) + "\n  ]" if texts else "[]"
+    _write(f'{{\n  "input": {json.dumps(args.input)},\n  "results": {results}\n}}\n', args.output)
     return EXIT_OK
 
 

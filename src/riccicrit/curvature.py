@@ -137,9 +137,8 @@ class BlowUpMatrix:
         return self.source.touchable[i][j]
 
     def touchable_mask(self) -> tuple[tuple[bool, ...], ...]:
-        return tuple(
-            tuple(self.touchable(row, col) for col in range(self.q)) for row in range(self.q)
-        )
+        """The q x q mask of touchable cells, expanded as ``blow_up`` expands costs."""
+        return _expand(self.source.touchable, self.a, self.b)
 
 
 @dataclass(frozen=True)
@@ -245,9 +244,16 @@ def blow_up(cm: CostMatrix) -> BlowUpMatrix:
     if q > limit:
         raise BlowUpTooLargeError(f"blow-up size q={q} exceeds cap {limit}")
     a, b = q // r, q // s
-    rows = (tuple(chain.from_iterable(map(repeat, row, repeat(b, s)))) for row in cm.costs)
-    costs = tuple(chain.from_iterable(map(repeat, rows, repeat(a, r))))
-    return BlowUpMatrix(cm, q, a, b, costs)
+    return BlowUpMatrix(cm, q, a, b, _expand(cm.costs, a, b))
+
+
+def _expand(matrix, a: int, b: int) -> tuple[tuple, ...]:
+    """Each cell repeated b times along its row, each expanded row a times.
+
+    A row is expanded once, and its a copies are that same tuple.
+    """
+    rows = (tuple(chain.from_iterable(map(repeat, row, repeat(b)))) for row in matrix)
+    return tuple(chain.from_iterable(map(repeat, rows, repeat(a))))
 
 
 def emd_via_matching(bm: BlowUpMatrix) -> tuple[Fraction, Matching]:
@@ -269,10 +275,10 @@ def emd_via_flow(cm: CostMatrix) -> tuple[Fraction, TransportPlan]:
     import networkx as nx  # here, so that importing riccicrit does not load networkx
 
     g = nx.DiGraph()
-    g.add_nodes_from((("r", i), {"demand": -a}) for i in range(r))
-    g.add_nodes_from((("c", j), {"demand": b}) for j in range(s))
-    g.add_edges_from(
-        (("r", i), ("c", j), {"weight": c, "capacity": b}) for i, row in enumerate(cm.costs) for j, c in enumerate(row)
+    g.add_nodes_from((("r", i) for i in range(r)), demand=-a)
+    g.add_nodes_from((("c", j) for j in range(s)), demand=b)
+    g.add_weighted_edges_from(
+        ((("r", i), ("c", j), c) for i, row in enumerate(cm.costs) for j, c in enumerate(row)), capacity=b
     )
     flow = nx.min_cost_flow(g)
     entries = []
@@ -320,8 +326,18 @@ def canonicalize_matching(bm: BlowUpMatrix, m: Matching) -> Matching:
     feed its b column copies only if a >= b, that is r <= s, as
     ``build_cost_matrix`` makes it; other input is rejected too.
     """
-    optimal = min_cost_perfect_matching(bm.costs)
-    if m.cost != optimal.cost or matching_cost(bm.costs, m.assignment) != m.cost:
+    if m.cost != min_cost_perfect_matching(bm.costs).cost:
+        raise ValueError("canonicalization requires a minimum-cost perfect matching")
+    return _mirror_swaps(bm, m)
+
+
+def _mirror_swaps(bm: BlowUpMatrix, m: Matching) -> Matching:
+    """``canonicalize_matching``'s swaps, for a matching the caller knows is min-cost.
+
+    The solver's own optimum needs no re-solve to prove it; ``m.cost`` is
+    still checked against the assignment's cost on the blow-up.
+    """
+    if matching_cost(bm.costs, m.assignment) != m.cost:
         raise ValueError("canonicalization requires a minimum-cost perfect matching")
     a, b = bm.a, bm.b
     pairs = bm.source.mirror_pairs()

@@ -46,9 +46,9 @@ from .curvature import (
     CostMatrix,
     Sign,
     _adjacency_costs,
+    _mirror_swaps,
     blow_up,
     build_cost_matrix,
-    canonicalize_matching,
     fraction_json,
     ricci,
     sign_of,
@@ -190,7 +190,7 @@ class Instance:
         Its cost is q * EMD, so it also gives rho = q * EMD - q.
         """
         bm = self._blow_up
-        return canonicalize_matching(bm, min_cost_perfect_matching(bm.costs))
+        return _mirror_swaps(bm, min_cost_perfect_matching(bm.costs))
 
     @cached_property
     def _verdicts(self) -> dict[frozenset, tuple[bool, Fraction]]:

@@ -122,6 +122,38 @@ def test_curvature_all_default_route_output_is_pinned(capsys, tmp_path, monkeypa
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_curvature_all_flow_route_output_is_pinned(capsys, tmp_path, monkeypatch):
+    # The exact stdout of the flow route, plans included: network simplex's
+    # flows on the graph ``emd_via_flow`` builds, in its insertion order.
+    monkeypatch.chdir(tmp_path)
+    Path("w40.edges").write_text(_weighted_pin_graph())
+    code, out, _ = run(capsys, "curvature", "w40.edges", "--all", "--route", "flow")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == "837cff3928c7b3afad78725dce8d3814668052b20011a010f3b30e5d4414b22e"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_curvature_batch_output_is_what_json_dumps_prints_for_the_payload(capsys, tmp_path, monkeypatch, jobs):
+    # Records are encoded one at a time and joined into the payload's text;
+    # that text must be the one json.dumps prints for the whole payload, on
+    # stdout and in --output, for an edgeless graph, a path that JSON
+    # escapes, and a batch holding an oversized-edge error record.
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("RICCI_BLOWUP_CAP", "6")  # refuses only the paw's q = 12 edges
+    out_file = tmp_path / "out.json"
+    graphs = {"edgeless.edges": "# nodes: 3\n", 'q"uote\\é.edges': "0 1\n1 2\n", "paw.edges": "0 1\n1 2\n0 2\n2 3\n"}
+    for name, text in graphs.items():
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        g = riccicrit.load_edge_list(str(path))
+        records = [cli._curvature_one(g, "matching", (u, v)) for u, v, _ in g.edges()]
+        assert any("error" in r for r in records) == (name == "paw.edges")
+        expected = json.dumps({"input": str(path), "results": records}, indent=2, sort_keys=True) + "\n"
+        assert run(capsys, "curvature", str(path), "--all", "--jobs", jobs) == (0, expected, ""), name
+        assert run(capsys, "curvature", str(path), "--all", "--jobs", jobs, "--output", str(out_file)) == (0, "", "")
+        assert out_file.read_text(encoding="utf-8") == expected, name
+
+
 def test_curvature_flow_route_agrees(capsys, p3_file):
     _, out_m, _ = run(capsys, "curvature", p3_file, "--all", "--route", "matching")
     _, out_f, _ = run(capsys, "curvature", p3_file, "--all", "--route", "flow")

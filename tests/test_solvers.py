@@ -31,7 +31,7 @@ from riccicrit import (
     randomized_insert,
     ricci,
 )
-from riccicrit import solvers
+from riccicrit import curvature, solvers
 from riccicrit.curvature import _adjacency_costs
 from riccicrit.gadgets import cover_insertions_maxcov
 from riccicrit.matching import min_cost_perfect_matching
@@ -700,6 +700,24 @@ def test_setup_holds_one_cost_matrix_and_its_matching():
         shape = blow_up_shape(inst)
         assert (bm.q, bm.a, bm.b) == shape[:3]
         assert inst._start.cost - bm.q == shape.rho
+
+
+def test_an_instances_canonical_start_solves_its_blow_up_once(monkeypatch):
+    # The start is the kernel's own lex-min optimum, canonicalized without
+    # re-solving the blow-up to prove it optimal.
+    solved = []
+    real = min_cost_perfect_matching
+
+    def spy(costs):
+        solved.append(len(costs))
+        return real(costs)
+
+    monkeypatch.setattr(solvers, "min_cost_perfect_matching", spy)
+    monkeypatch.setattr(curvature, "min_cost_perfect_matching", spy)
+    for inst in sample_spade_instances(random.Random(882), 4, degree_pool=[(3, 4, 0.3), (4, 6, 0.3)]):
+        solved.clear()
+        greedy_insert(inst)
+        assert solved == [inst._blow_up.q]
 
 
 def test_an_instance_builds_one_blow_up_and_verifies_each_edit_set_once(monkeypatch):
