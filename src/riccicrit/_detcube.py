@@ -15,12 +15,20 @@ nonzero value certifies existence, and a zero value is wrong with
 probability at most n/p per trial (Schwartz-Zippel).
 
 The largest monomial is factored out of every row and then every column,
-which shifts the targets by a constant offset and bounds each axis's degree
-by both the sum of the row maxima and the sum of the column maxima. With d
-one more than that bound, the determinant is evaluated on the grid of points
-1..d per axis, in chunks, and the coefficients are recovered by inverting
-the Vandermonde systems along each axis. Point 0 is left out: it zeroes
-every entry with a positive digit and would often make the matrix singular.
+which shifts the targets by a constant offset. Each axis's remaining digits
+are then divided by their gcd g, the axis's stride: every permutation's
+digit sum on the axis is a multiple of g, so the determinant is a polynomial
+in x^g, and the grid needs 1/g of the points along that axis (the
+no-side-edges double stars of the ``solve`` benchmark have even cost digits,
+so their cost axis keeps about half its points). A target off the residue
+class has no permutation.
+Each axis's degree, in x^g, is bounded by both the sum of the row maxima and
+the sum of the column maxima of the divided digits. With d one more than
+that bound, the determinant is evaluated on the grid of points 1..d per
+axis, in chunks, and the coefficients are recovered by inverting the
+Vandermonde systems along each axis. They are the same field elements a
+grid in x would give. Point 0 is left out: it zeroes every entry with a
+positive digit and would often make the matrix singular.
 
 Witness extraction fixes the rows in order, each to the first column that
 keeps the target reachable, and needs one row's worth of coefficients at a
@@ -235,17 +243,24 @@ def det_batch(mats: np.ndarray, inverse: bool = False) -> np.ndarray | tuple[np.
     return det, solution
 
 
-@functools.cache
 def vandermonde_inverse(npoints: int) -> np.ndarray:
     """Inverse mod PRIME of the Vandermonde matrix on points 1..npoints, read-only
-    because one array is shared by every caller."""
-    if npoints >= PRIME:
+    because one array is shared by every caller.
+
+    Cached per field: the key is the ``PRIME`` in force at the call.
+    """
+    return _vandermonde_inverse(npoints, PRIME)
+
+
+@functools.cache
+def _vandermonde_inverse(npoints: int, prime: int) -> np.ndarray:
+    if npoints >= prime:
         raise FieldConfigError("more interpolation points than field elements")
     pts = np.arange(1, npoints + 1, dtype=np.int64)
-    # V[p][e] = p^e: distinct points below PRIME, so V is invertible.
+    # V[p][e] = p^e: distinct points below the prime, so V is invertible.
     v = np.ones((npoints, npoints), dtype=np.int64)
     for e in range(1, npoints):
-        v[:, e] = (v[:, e - 1] * pts) % PRIME
+        v[:, e] = (v[:, e - 1] * pts) % prime
     inv = det_batch(v[None], inverse=True)[1][:, :, 0]
     inv.flags.writeable = False
     return inv
@@ -259,21 +274,29 @@ def _mod_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _factor(digits: np.ndarray) -> tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]:
-    """Factor the row minima, then the column minima, out of an (n, n, naxes) digit array.
+def _factor(digits: np.ndarray) -> tuple[np.ndarray, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Factor the row minima, then the column minima, out of an (n, n, naxes)
+    digit array, then divide each axis by its common factor.
 
-    Returns the reduced digits, the factored-out digit sums (every
-    permutation's sums exceed the reduced ones by exactly this offset) and
-    the grid size per axis: one more than the smaller of the row-maxima and
-    column-maxima sums, which bound every permutation's reduced sum.
+    Returns ``(reduced, offset, dims, stride)``: the reduced digits; the
+    factored-out digit sums; the grid size per axis; and the stride per axis,
+    the gcd of that axis's digits after the minima are out (1 where they are
+    all 0), by which ``reduced`` is divided. Every permutation's digit sums
+    are exactly ``offset + stride * s``, where s is its sum of ``reduced``:
+    the determinant is a polynomial in x^stride, so the grid needs only
+    ``dims`` points along the axis, one more than the smaller of the
+    row-maxima and column-maxima sums of ``reduced``, which bound s. A
+    target off its axis's residue class has no permutation.
     """
     rowmin = digits.min(axis=1, keepdims=True)
     digits = digits - rowmin
     colmin = digits.min(axis=0, keepdims=True)
     digits = digits - colmin
     offset = tuple(int(x) for x in rowmin.sum(axis=(0, 1)) + colmin.sum(axis=(0, 1)))
+    stride = np.maximum(np.gcd.reduce(digits.reshape(-1, digits.shape[2]), axis=0), 1)
+    digits //= stride
     bound = np.minimum(digits.max(axis=1).sum(axis=0), digits.max(axis=0).sum(axis=0))
-    return digits, offset, tuple(int(b) + 1 for b in bound)
+    return digits, offset, tuple(int(b) + 1 for b in bound), tuple(int(g) for g in stride)
 
 
 def _grid(digits: np.ndarray, scalars: np.ndarray, dims: tuple[int, ...]):
@@ -329,7 +352,7 @@ class SignatureCube:
             raise ValueError("digits must be (n, n, naxes)")
         self.n = n
         self.naxes = digits.shape[2]
-        self.digits, self.offset, self.dims = _factor(digits)
+        self.digits, self.offset, self.dims, self.stride = _factor(digits)
         self.scalars = np.asarray(scalars, dtype=np.int64) % PRIME
         self.cube = self._interpolate()
 
@@ -347,11 +370,12 @@ class SignatureCube:
         return val
 
     def coefficient(self, target: tuple[int, ...]) -> int:
-        """Coefficient at absolute digit sums ``target`` (0 if out of range)."""
+        """Coefficient at absolute digit sums ``target`` (0 if out of range or
+        off an axis's residue class)."""
         idx = []
         for axis in range(self.naxes):
-            t = target[axis] - self.offset[axis]
-            if t < 0 or t >= self.dims[axis]:
+            t, off = divmod(target[axis] - self.offset[axis], self.stride[axis])
+            if off or t < 0 or t >= self.dims[axis]:
                 return 0
             idx.append(t)
         return int(self.cube[tuple(idx)])
@@ -360,7 +384,7 @@ class SignatureCube:
         """All absolute digit-sum signatures with nonzero coefficient."""
         out = set()
         for idx in np.argwhere(self.cube != 0):
-            out.add(tuple(int(i) + o for i, o in zip(idx, self.offset)))
+            out.add(tuple(o + int(i) * g for i, o, g in zip(idx, self.offset, self.stride)))
         return out
 
 
@@ -369,7 +393,8 @@ def _window(digits: np.ndarray, scalars: np.ndarray, target: tuple[int, ...]):
 
     Returns ``(reduced, scalars, dims, shifted)``: a problem whose
     coefficient at ``shifted`` on the grid ``dims`` equals the original's at
-    ``target``, or None when ``target`` lies outside the degree window.
+    ``target``, or None when ``target`` lies outside the degree window or
+    off an axis's residue class (see ``_factor``).
 
     A target on the edge of an axis's degree window needs no points along
     that axis. Its lowest coefficient is the determinant at x = 0, where
@@ -381,10 +406,13 @@ def _window(digits: np.ndarray, scalars: np.ndarray, target: tuple[int, ...]):
     reaches the target uses kept entries only, so a trim also holds for
     every minor on the way to it.
     """
-    reduced, offset, dims = _factor(digits)
-    shifted = [t - o for t, o in zip(target, offset)]
-    if any(t < 0 or t >= d for t, d in zip(shifted, dims)):
-        return None
+    reduced, offset, dims, stride = _factor(digits)
+    shifted = []
+    for t, o, g, d in zip(target, offset, stride, dims):
+        s, off = divmod(t - o, g)
+        if off or s < 0 or s >= d:
+            return None
+        shifted.append(s)
     kept = np.ones(digits.shape[:2], dtype=bool)
     dims = list(dims)
     for axis, (t, d) in enumerate(zip(shifted, dims)):

@@ -390,11 +390,12 @@ def _signature_digits(
     The cost digit is 4 - c, not c. Both find the same matchings, but the
     grids differ: after ``_factor`` takes out the row and column minima,
     the blow-ups of the ``solve`` benchmark keep a shorter cost axis under
-    4 - c. With c, the cubes of one ``solve`` pass at seed 1 grow from
-    7,127 to 9,497 grid points. Over the ``uw-rt-ins-ntp`` slots at seeds
-    1-3 and solver seeds 0 and 11, cube points grow from 73,552 to 94,764
-    and ``LiveMinor`` points from 16,414 to 54,320, for identical Solutions
-    in 10.6 s against 6.3 s.
+    4 - c, and one whose digits are all even, which the axis's stride
+    halves; under c they are not. With c, the cubes of one ``solve`` pass
+    at seed 1 grow from 8,438 to 18,994 grid points (two trials per sweep).
+    Over the ``uw-rt-ins-ntp`` slots at seeds 1-3 and solver seeds 0 and
+    11, cube points grow from 44,004 to 94,764 and ``LiveMinor`` points
+    from 12,030 to 54,320, for identical Solutions in 4.9 s against 1.6 s.
     """
     import numpy as np
 
@@ -429,16 +430,20 @@ def _trial_scalars(seed: int, trial: int, q: int) -> np.ndarray:
 
 def _trial_cube(digits: np.ndarray, seed: int, trial: int) -> SignatureCube:
     """The signature cube of ``digits`` at the scalars of (seed, trial)."""
-    return _cached_cube(digits.tobytes(), digits.shape, seed, trial)
+    from . import _detcube
+
+    return _cached_cube(digits.tobytes(), digits.shape, seed, trial, _detcube.PRIME)
 
 
 @functools.lru_cache(maxsize=64)
-def _cached_cube(data: bytes, shape: tuple[int, ...], seed: int, trial: int) -> SignatureCube:
+def _cached_cube(data: bytes, shape: tuple[int, ...], seed: int, trial: int, prime: int) -> SignatureCube:
     """Signature cubes shared across targets and calls.
 
     Queries against the same digits and seed re-use the same random scalars,
     so sweeping many targets costs one interpolation per trial, and a witness
     query after a ``signature_support`` sweep starts on the sweep's cubes.
+    ``prime`` is the field's, ``_detcube.PRIME`` at the call: a cube is
+    never reused over another field.
     """
     import numpy as np
 
@@ -513,7 +518,7 @@ def exact_cost_matching(
     random scalars kill the certifying coefficient (probability at most
     q/PRIME), or make a live minor of the witness extraction singular at one
     of its G grid points or zero a share (at most (G + 1)·q(q + 1)/(2·PRIME),
-    about 5e-4 at q = 40 and G = 1275). None is wrong only if every trial
+    about 2.5e-4 at q = 40 and G = 650). None is wrong only if every trial
     misses. A returned matching is always genuine: its cost is verified
     before returning. The seed must be a non-negative integer, ``trials``
     positive and ``target`` an integer.

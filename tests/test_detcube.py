@@ -135,8 +135,8 @@ def test_targets_on_a_window_edge_are_read_off_one_grid_point(monkeypatch):
         n = rng.randint(2, 6)
         digits = np.array([[[rng.randint(0, 5)] for _ in range(n)] for _ in range(n)], dtype=np.int64)
         scalars = np.array([[rng.randrange(1, PRIME) for _ in range(n)] for _ in range(n)], dtype=np.int64)
-        _, (offset,), (dims,) = _detcube._factor(digits)
-        for target in (offset, offset + dims - 1):
+        _, (offset,), (dims,), (stride,) = _detcube._factor(digits)
+        for target in (offset, offset + (dims - 1) * stride):
             batches.clear()
             shares = LiveMinor(digits, scalars, (target,)).shares()
             assert batches[0] == 1
@@ -177,13 +177,78 @@ def test_an_extraction_at_a_window_edge_inverts_one_matrix(monkeypatch):
         n = rng.randint(2, 6)
         digits = np.array([[[rng.randint(0, 5)] for _ in range(n)] for _ in range(n)], dtype=np.int64)
         scalars = np.array([[rng.randrange(1, PRIME) for _ in range(n)] for _ in range(n)], dtype=np.int64)
-        _, (offset,), (dims,) = _detcube._factor(digits)
-        for target in (offset, offset + dims - 1):
+        _, (offset,), (dims,), (stride,) = _detcube._factor(digits)
+        for target in (offset, offset + (dims - 1) * stride):
             calls.clear()
             got = _extract_assignment(digits, scalars, (target,))
             reach = [list(p) for p in itertools.permutations(range(n)) if sum(digits[i, p[i], 0] for i in range(n)) == target]
             assert got == (reach[0] if reach else None)
             assert calls == [(1, {"inverse": True})]
+
+
+def planted_stride_instances(seed: int, count: int):
+    """Two-axis digits g·D + a_i + b_j with a planted factor g in {2, 3} per
+    axis, q from 2 to 6, and seeded scalars, with the g of each axis.
+
+    D is 0 on row 0 and on a column of the smallest b_j, and holds a 1, so
+    the row and column minima take out exactly a_i + b_j (up to a constant)
+    and leave g·D, whose gcd is g.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        q = rng.randint(2, 6)
+        strides = tuple(rng.choice((2, 3)) for _ in range(2))
+        digits = np.empty((q, q, 2), dtype=np.int64)
+        for axis, g in enumerate(strides):
+            a = [rng.randint(0, 4) for _ in range(q)]
+            b = [rng.randint(0, 4) for _ in range(q)]
+            low = b.index(min(b))
+            d = [[0 if i == 0 or j == low else rng.randint(0, 3) for j in range(q)] for i in range(q)]
+            d[1][(low + 1) % q] = 1
+            digits[:, :, axis] = [[g * d[i][j] + a[i] + b[j] for j in range(q)] for i in range(q)]
+        scalars = np.array([[rng.randrange(1, PRIME) for _ in range(q)] for _ in range(q)], dtype=np.int64)
+        yield digits, scalars, strides
+
+
+def enumerated_coefficients(digits: np.ndarray, scalars: np.ndarray):
+    """By enumeration, each digit-sum signature's determinant coefficient mod
+    PRIME (the signed sum of its permutations' scalar products), and its
+    lexicographically first permutation."""
+    n = digits.shape[0]
+    coefficients: dict[tuple[int, ...], int] = {}
+    first: dict[tuple[int, ...], list[int]] = {}
+    for p in itertools.permutations(range(n)):
+        term = (-1) ** sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+        for i in range(n):
+            term = term * int(scalars[i, p[i]]) % PRIME
+        key = tuple(int(x) for x in digits[range(n), p].sum(axis=0))
+        coefficients[key] = (coefficients.get(key, 0) + term) % PRIME
+        first.setdefault(key, list(p))
+    return coefficients, first
+
+
+def test_strided_axes_agree_with_enumeration():
+    # Each axis's common factor is taken out of the grid, yet every
+    # coefficient is the enumerated field element, the support is the
+    # enumerated signature set, a target off an axis's residue class has
+    # coefficient 0 and no window, and the witness is the lexicographically
+    # first enumerated matching with its signature.
+    for digits, scalars, strides in planted_stride_instances(31, 25):
+        cube = SignatureCube(digits, scalars)
+        assert cube.stride == strides
+        want, first = enumerated_coefficients(digits, scalars)
+        for idx in itertools.product(*(range(-1, d * g + 1) for d, g in zip(cube.dims, cube.stride))):
+            target = tuple(o + i for o, i in zip(cube.offset, idx))
+            assert cube.coefficient(target) == want.get(target, 0), target
+        assert cube.support() == enumerated_signatures(digits)
+        for target in sorted(first):
+            for axis, g in enumerate(strides):
+                for step in range(1, g):
+                    off = tuple(t + step * (a == axis) for a, t in enumerate(target))
+                    assert cube.coefficient(off) == 0
+                    assert _detcube._window(digits, scalars, off) is None
+        for target in sorted(first)[::3]:
+            assert _extract_assignment(digits, scalars, target) == first[target], target
 
 
 def modular_det(rows: list[list[int]]) -> int:

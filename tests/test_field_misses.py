@@ -25,24 +25,26 @@ from riccicrit.solvers import apply_edits
 from conftest import enumerated_signatures, sample_spade_instances
 
 
-def _clear_field_caches():
-    _detcube.vandermonde_inverse.cache_clear()
-    matching._cached_cube.cache_clear()
-
-
 @pytest.fixture
 def field(monkeypatch):
-    """``field(p)`` runs the engine over F_p until the test ends; no cube or
-    Vandermonde inverse of that field outlives the test."""
+    """``field(p)`` runs the engine over F_p until the test ends. The cube
+    and Vandermonde caches are keyed by the prime in force, so nothing
+    built over one field is reused over another."""
+    return lambda prime: monkeypatch.setattr(_detcube, "PRIME", prime)
 
-    def use(prime):
-        monkeypatch.setattr(_detcube, "PRIME", prime)
-        _clear_field_caches()
 
-    _clear_field_caches()
-    yield use
-    monkeypatch.undo()
-    _clear_field_caches()
+def test_cubes_and_vandermonde_inverses_are_cached_per_field(field):
+    digits = _signature_digits([[0, 1, 2], [3, 1, 0], [2, 2, 1]], [[True] * 3] * 3)
+    cube = matching._trial_cube(digits, 0, 0)
+    assert matching._trial_cube(digits, 0, 0) is cube
+    assert _detcube.vandermonde_inverse(5).max() >= 101
+    field(101)
+    small = matching._trial_cube(digits, 0, 0)
+    assert small is not cube and 0 < small.scalars.min() and small.scalars.max() < 101
+    inv = _detcube.vandermonde_inverse(5)
+    assert inv.max() < 101
+    points = np.arange(1, 6)[:, None] ** np.arange(5)
+    assert ((points @ inv) % 101 == np.eye(5, dtype=np.int64)).all()
 
 
 def _cases(count: int, seed: int):

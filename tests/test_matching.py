@@ -513,9 +513,9 @@ def _interior_targets(digits):
     """The reachable single-axis targets strictly inside their degree window,
     where no trim touches the matrix, so at the all-ones point it is the scalars."""
     q = digits.shape[0]
-    _, (offset,), (dims,) = _detcube._factor(digits)
+    _, (offset,), (dims,), (stride,) = _detcube._factor(digits)
     sums = {int(sum(digits[i, p[i], 0] for i in range(q))) for p in itertools.permutations(range(q))}
-    return sorted(t for t in sums if offset < t < offset + dims - 1)
+    return sorted(t for t in sums if offset < t < offset + (dims - 1) * stride)
 
 
 def _spy_extraction(monkeypatch):

@@ -1,8 +1,10 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import networkx
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -31,10 +33,10 @@ from riccicrit import (
     randomized_insert,
     ricci,
 )
-from riccicrit import curvature, solvers
+from riccicrit import curvature, matching, solvers
 from riccicrit.curvature import _adjacency_costs
 from riccicrit.gadgets import cover_insertions_maxcov
-from riccicrit.matching import min_cost_perfect_matching
+from riccicrit.matching import _signature_digits, min_cost_perfect_matching
 from riccicrit.solvers import (
     _LocalEvaluator,
     _first_flip,
@@ -429,6 +431,37 @@ def test_pinned_approximation_solutions_on_the_tightness_gadget():
     assert pinned(greedy_insert(inst, start)) == adversarial
     assert pinned(greedy_insert(inst)) == (((5, 12), (6, 13), (7, 14)), "1/9", 3)
     assert pinned(randomized_insert(inst, seed=5)) == (((5, 12), (6, 13), (7, 14)), "1/9", 3)
+
+
+def _unstrided_dims(digits) -> tuple[int, ...]:
+    """Grid points per axis with no stride: the row and column minima out,
+    one more than the smaller of the row-maxima and column-maxima sums."""
+    d = digits - digits.min(axis=1, keepdims=True)
+    d = d - d.min(axis=0, keepdims=True)
+    return tuple(int(b) + 1 for b in np.minimum(d.max(axis=1).sum(axis=0), d.max(axis=0).sum(axis=0)))
+
+
+def test_q40_cube_takes_the_even_cost_axis_at_half_the_points():
+    # A no-side-edges double star with r = 5 and s = 8 (q = 40), the class of
+    # the solve benchmark's costliest slot, drawn by
+    # sample_spade_instances(random.Random(4), 1, degree_pool=[(4, 7, 0.3)]).
+    # Its reduced cost digits are all even, so the cube's cost axis has
+    # stride 2 and keeps (d + 1) / 2 of its d points: the grid is at most
+    # half the unstrided box, plus the layer at cost-axis exponent 0. The
+    # Solutions are pinned at their values from before the stride.
+    inst = neg_instance(4, 7, [(0, 0), (1, 0), (1, 4), (2, 0)])
+    bm = inst._blow_up
+    assert bm.q == 40
+    digits = _signature_digits(bm.costs, bm.touchable_mask())
+    cube = matching._trial_cube(digits, 1, 0)
+    box = _unstrided_dims(digits)
+    assert cube.stride == (2, 1, 1)
+    assert cube.dims == ((box[0] + 1) // 2,) + box[1:]
+    assert 2 * math.prod(cube.dims) <= math.prod(box) + math.prod(box[1:])
+    edits = ((2, 7), (3, 7), (3, 8), (4, 8), (4, 10))
+    assert pinned(greedy_insert(inst)) == (edits, "7/40", 5)
+    for seed in (1, 2):
+        assert pinned(randomized_insert(inst, seed=seed)) == (edits, "7/40", 11)
 
 
 def test_greedy_non_spade_instance(rng):
