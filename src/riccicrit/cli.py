@@ -27,7 +27,6 @@ import math
 import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import gadgets
@@ -138,6 +137,9 @@ def _cmd_curvature(args) -> int:
     # No more workers than CPUs or edges: a fork-started pool forks them all at its first submit.
     workers = min(args.jobs, len(edges), os.cpu_count() or 1)
     if workers > 1:
+        # Imported here: concurrent.futures costs every other command's start-up.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_start_worker, initargs=(g, args.route)
         ) as pool:
@@ -217,7 +219,13 @@ def _parse_sets(text: str) -> list[list[int]]:
         part = part.strip()
         if not part:
             continue
-        out.append([int(x) for x in part.split(",")])
+        members = []
+        for x in part.split(","):
+            try:
+                members.append(int(x))
+            except ValueError:
+                raise ValueError(f"--sets: {x.strip()!r} in {part!r} is not an integer") from None
+        out.append(members)
     return out
 
 
@@ -227,8 +235,11 @@ def _parse_h0(text: str) -> list[tuple[int, int]]:
         part = part.strip()
         if not part:
             continue
-        i, j = part.split(":")
-        out.append((int(i), int(j)))
+        try:
+            i, j = map(int, part.split(":"))
+        except ValueError:
+            raise ValueError(f"--h0-edges: {part!r} is not I:J with integers I and J") from None
+        out.append((i, j))
     return out
 
 

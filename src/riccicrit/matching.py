@@ -392,10 +392,12 @@ def _signature_digits(
     the blow-ups of the ``solve`` benchmark keep a shorter cost axis under
     4 - c, and one whose digits are all even, which the axis's stride
     halves; under c they are not. With c, the cubes of one ``solve`` pass
-    at seed 1 grow from 8,438 to 18,994 grid points (two trials per sweep).
-    Over the ``uw-rt-ins-ntp`` slots at seeds 1-3 and solver seeds 0 and
-    11, cube points grow from 44,004 to 94,764 and ``LiveMinor`` points
-    from 12,030 to 54,320, for identical Solutions in 4.9 s against 1.6 s.
+    at seed 1 grow from 7,688 to 16,994 grid points (two trials per sweep;
+    the boxes, before the large cubes' sheared windows, from 8,438 to
+    18,994). Over the ``uw-rt-ins-ntp`` slots at seeds 1-3 and solver seeds
+    0 and 11, cube points grow from 39,504 to 82,764 and ``LiveMinor``
+    points from 12,030 to 54,320, for identical Solutions in 4.5 s against
+    1.6 s.
     """
     import numpy as np
 

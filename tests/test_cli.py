@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import hashlib
 import io
@@ -343,6 +344,22 @@ def test_gadget_sidecar_content(blocker_files):
         assert "0 1" in fh.read()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("blocker", "--h0-edges", "0:0,1-1"), "--h0-edges: '1-1' is not I:J"),
+        (("blocker", "--h0-edges", "0:0:1"), "--h0-edges: '0:0:1' is not I:J"),
+        (("blocker", "--h0-edges", "0:x"), "--h0-edges: '0:x' is not I:J"),
+        (("maxcov", "--sets", "a,b"), "--sets: 'a' in 'a,b' is not an integer"),
+        (("maxcov", "--sets", "0,1;2,x"), "--sets: 'x' in '2,x' is not an integer"),
+    ],
+)
+def test_gadget_list_flags_name_the_flag_and_the_bad_token(capsys, argv, message):
+    code, out, err = run(capsys, "gadget", *argv)
+    assert (code, out) == (4, "")
+    assert err.startswith(f"error: {message}"), err
+
+
 def test_gadget_tightness_matrix_json(capsys):
     code, out, _ = run(capsys, "gadget", "tightness", "--m", "4")
     assert code == 0
@@ -482,7 +499,8 @@ def serial_pool(monkeypatch):
             log["chunksize"].append(chunksize)
             return [fn(pickle.loads(pickle.dumps(item))) for item in items]
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    # The CLI imports the pool class when it starts a pool, from concurrent.futures.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(cli, "_worker_job", ())
     return log
 
@@ -642,6 +660,15 @@ def test_networkx_is_imported_only_by_the_flow_route(capsys, tmp_path):
     checked = fresh("-m", "riccicrit.cli", "oracle-check", "--random", "2", "--seed", "3")
     assert json.loads(checked)["mismatches"] == 0
     assert run(capsys, "oracle-check", "--random", "2", "--seed", "3") == (0, checked, "")
+
+
+def test_importing_the_cli_leaves_concurrent_futures_unloaded():
+    # Only a --jobs batch with more than one worker needs the process pool.
+    src = str(Path(riccicrit.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, riccicrit.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 def test_numpy_is_imported_only_by_the_randomized_solvers(tmp_path):

@@ -251,6 +251,97 @@ def test_strided_axes_agree_with_enumeration():
             assert _extract_assignment(digits, scalars, target) == first[target], target
 
 
+def layout_instances(seed: int, count: int):
+    """Seeded digits and scalars, n from 1 to 6 and 1 to 3 axes. Every other
+    instance is blow-up-shaped: the signature digits of a 0..3 cost matrix
+    whose rows and columns come in runs of equal copies, as a blow-up's do;
+    the rest have entries 0..4 on every axis."""
+    rng = random.Random(seed)
+    for b in range(count):
+        n = rng.randint(1, 6)
+        if b % 2:
+            rows = sorted(rng.randrange(3) for _ in range(n))
+            cols = sorted(rng.randrange(3) for _ in range(n))
+            costs = [[rng.randint(0, 3) for _ in range(3)] for _ in range(3)]
+            touch = [[rng.random() < 0.5 for _ in range(3)] for _ in range(3)]
+            digits = _signature_digits(
+                [[costs[r][c] for c in cols] for r in rows], [[touch[r][c] for c in cols] for r in rows]
+            )
+        else:
+            naxes = rng.randint(1, 3)
+            digits = np.array(
+                [[[rng.randint(0, 4) for _ in range(naxes)] for _ in range(n)] for _ in range(n)], dtype=np.int64
+            )
+        scalars = np.array([[rng.randrange(1, PRIME) for _ in range(n)] for _ in range(n)], dtype=np.int64)
+        yield digits, scalars
+
+
+def test_sheared_windowed_cube_agrees_with_enumeration(monkeypatch):
+    # With every cube laid out, each coefficient is still the enumerated
+    # signed sum of scalar products, at every signature and at every target
+    # one step off one along an axis, and the support is the enumerated
+    # signature set. Some layouts shear, and some windows start above 0, so
+    # the shear's inverse and the division by x^low are both exercised.
+    monkeypatch.setattr(_detcube, "_LAYOUT_MIN", 0)
+    sheared = lifted = 0
+    for digits, scalars in layout_instances(41, 120):
+        cube = SignatureCube(digits, scalars)
+        want, _ = enumerated_coefficients(digits, scalars)
+        targets = set(want)
+        for target in want:
+            for axis in range(len(target)):
+                for step in (-1, 1):
+                    targets.add(tuple(t + step * (a == axis) for a, t in enumerate(target)))
+        for target in sorted(targets):
+            assert cube.coefficient(target) == want.get(target, 0), target
+        assert cube.support() == {t for t, c in want.items() if c}
+        sheared += cube.shear != tuple(map(tuple, np.eye(cube.naxes, dtype=int).tolist()))
+        lifted += any(cube.low)
+    assert sheared >= 10 and lifted >= 10, (sheared, lifted)
+
+
+def test_each_window_end_is_reached_by_some_permutation():
+    # The layout's windows are exact: along every sheared axis, the least and
+    # the greatest sheared digit sum over the permutations are the window's
+    # ends, and the shear's inverse is an integer inverse.
+    for digits, _ in layout_instances(43, 120):
+        n = digits.shape[0]
+        reduced = _detcube._factor(digits)[0]
+        layout = _detcube._layout(reduced)
+        assert (np.array(layout.shear) @ layout.unshear).tolist() == np.eye(digits.shape[2], dtype=int).tolist()
+        sums = np.array([reduced[range(n), p].sum(axis=0) for p in itertools.permutations(range(n))])
+        sheared = sums @ np.array(layout.shear).T
+        assert sheared.min(axis=0).tolist() == list(layout.low)
+        assert (sheared.max(axis=0) - sheared.min(axis=0) + 1).tolist() == list(layout.dims)
+
+
+def test_layout_is_computed_once_per_digit_array_and_only_above_the_threshold(monkeypatch):
+    # Both trials of a sweep share one layout, and a cube whose box work
+    # (grid points times n^3) is under the threshold solves no transport.
+    calls = []
+    original = _detcube._transport
+    monkeypatch.setattr(_detcube, "_transport", lambda *a: calls.append(1) or original(*a))
+    paid = unpaid = 0
+    for digits, scalars in seeded_signature_instances(47, 40, 12):
+        n = digits.shape[0]
+        box = _detcube._factor(digits)[2]
+        _detcube._sheared.cache_clear()
+        calls.clear()
+        first = SignatureCube(digits, scalars)
+        laid_out = math.prod(box) * n**3 >= _detcube._LAYOUT_MIN
+        assert bool(calls) == laid_out
+        calls.clear()
+        second = SignatureCube(digits, (scalars * 3) % PRIME)
+        assert not calls and second.dims == first.dims
+        if laid_out:
+            paid += 1
+            assert math.prod(first.dims) <= math.prod(box)
+        else:
+            unpaid += 1
+            assert first.dims == box and not any(first.low)
+    assert paid and unpaid
+
+
 def modular_det(rows: list[list[int]]) -> int:
     """Determinant mod PRIME by Gaussian elimination in Python ints."""
     a = [[x % PRIME for x in r] for r in rows]

@@ -33,7 +33,7 @@ from riccicrit import (
     randomized_insert,
     ricci,
 )
-from riccicrit import curvature, matching, solvers
+from riccicrit import _detcube, curvature, matching, solvers
 from riccicrit.curvature import _adjacency_costs
 from riccicrit.gadgets import cover_insertions_maxcov
 from riccicrit.matching import _signature_digits, min_cost_perfect_matching
@@ -445,19 +445,25 @@ def test_q40_cube_takes_the_even_cost_axis_at_half_the_points():
     # A no-side-edges double star with r = 5 and s = 8 (q = 40), the class of
     # the solve benchmark's costliest slot, drawn by
     # sample_spade_instances(random.Random(4), 1, degree_pool=[(4, 7, 0.3)]).
-    # Its reduced cost digits are all even, so the cube's cost axis has
-    # stride 2 and keeps (d + 1) / 2 of its d points: the grid is at most
-    # half the unstrided box, plus the layer at cost-axis exponent 0. The
-    # Solutions are pinned at their values from before the stride.
+    # Its reduced cost digits are all even, so the digits' cost axis has
+    # stride 2 and keeps (d + 1) / 2 of its d points: the strided box is at
+    # most half the unstrided one, plus the layer at cost-axis exponent 0.
+    # The cube is then laid out on exact windows: the 3-edge axis becomes
+    # cost + n3, whose sums span 11 values, so the grid is 16 x 11 = 176
+    # points instead of the box's 16 x 25 = 400. The Solutions are pinned at
+    # their values from before the stride.
     inst = neg_instance(4, 7, [(0, 0), (1, 0), (1, 4), (2, 0)])
     bm = inst._blow_up
     assert bm.q == 40
     digits = _signature_digits(bm.costs, bm.touchable_mask())
     cube = matching._trial_cube(digits, 1, 0)
     box = _unstrided_dims(digits)
+    strided = _detcube._factor(digits)[2]
     assert cube.stride == (2, 1, 1)
-    assert cube.dims == ((box[0] + 1) // 2,) + box[1:]
-    assert 2 * math.prod(cube.dims) <= math.prod(box) + math.prod(box[1:])
+    assert strided == ((box[0] + 1) // 2,) + box[1:] == (16, 25, 1)
+    assert 2 * math.prod(strided) <= math.prod(box) + math.prod(box[1:])
+    assert cube.shear == ((1, 0, 0), (1, 1, 0), (0, 0, 1))
+    assert cube.dims == (16, 11, 1) and math.prod(cube.dims) == 176
     edits = ((2, 7), (3, 7), (3, 8), (4, 8), (4, 10))
     assert pinned(greedy_insert(inst)) == (edits, "7/40", 5)
     for seed in (1, 2):

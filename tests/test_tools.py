@@ -15,3 +15,13 @@ def test_solve_digest_is_one_stable_sha256_and_writes_nothing_under_perfbench():
         assert re.fullmatch(r"[0-9a-f]{64}\n", proc.stdout)
     assert runs[0].stdout == runs[1].stdout
     assert sorted((ROOT / "perfbench").rglob("*")) == before
+
+
+def test_one_full_size_solve_pass_returns_the_pinned_solutions():
+    # The Solutions of one full-size pass at seed 1, as hashed before the
+    # signature cubes were laid out on sheared windows: the layout changes
+    # which points are evaluated, never a coefficient, so no Solution moves.
+    argv = [sys.executable, str(ROOT / "tools" / "solve_digest.py"), "--seeds", "1", "--passes", "1"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "5d281dc02327d0c35891f563fe142a6f1fac2a6e846c4d1ce9f1d1529232264c\n"
