@@ -30,6 +30,17 @@ Vandermonde systems along each axis. They are the same field elements a
 grid in x would give. Point 0 is left out: it zeroes every entry with a
 positive digit and would often make the matrix singular.
 
+A sweep over several trials' scalars is one evaluation (``_sweep``): the
+trials share their digits, so one ``_factor``, one layout and one walk of
+the grid serve them all. Each chunk's table of monomials is built once and
+multiplied by each trial's scalars, and the chunk's matrices for every
+trial go to one ``det_batch`` call, whose fixed cost outweighs its
+arithmetic on small matrices; the Vandermonde systems are then solved with
+the trial as a leading axis. The chunk bound counts matrices over all the
+trials, so no call holds more matrices than one trial's chunk would. A lone
+``SignatureCube`` is a sweep of one trial, and each trial's cube is the
+one it would be alone.
+
 A large cube is evaluated on a smaller grid than that box. Every monomial of
 the determinant is one permutation, so along any integer direction w its
 degree w.s lies between the least and the greatest w-weight of a perfect
@@ -51,7 +62,8 @@ varies over 11 values), so T replaces the cost axis with cost + n3 and the
 grid drops from 26 x 25 points to 11 x 25. The search costs a few
 transportation problems, so only a cube whose box work (points times n^3)
 reaches ``_LAYOUT_MIN`` is laid out, and the layout is cached per digit
-array, which the trials of a sweep share.
+array: a sweep computes it once for all its trials, and a search's later
+trials, evaluated alone, reuse it.
 
 Witness extraction fixes the rows in order, each to the first column that
 keeps the target reachable, and needs one row's worth of coefficients at a
@@ -84,7 +96,10 @@ without his exact division), and one ``_inverse_vec`` call at the end
 inverts the determinant's denominator and, for an inverse, the pivots
 (Montgomery's batch trick: one modular exponentiation, in Python ints below
 ``_TREE_MIN`` values). ``LiveMinor.take`` inverts its pivot at every grid
-point the same way, once per take. Each block update is reduced by floor
+point the same way, once per take. A scale carried through the takes
+instead would not save that inversion: a row's shares sum over the grid
+points, so each point's scale would have to be divided out before the sum,
+one inversion per row all the same. Each block update is reduced by floor
 division, which numpy does by a multiply and a shift (Granlund and
 Montgomery's division by invariant integers), instead of its much slower
 ``%``.
@@ -92,14 +107,16 @@ Montgomery's division by invariant integers), instead of its much slower
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
 import operator
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from . import matching
 from .errors import FieldConfigError
 from .matching import _runs, _transport
 
@@ -440,6 +457,9 @@ def _grid(digits: np.ndarray, scalars: np.ndarray, dims: tuple[int, ...]):
     """Yield ``(points, mats)`` over the grid 1..d per axis, in C order, chunk by chunk.
 
     ``mats[b]`` is the matrix ``scalars * x^digits`` evaluated at ``points[b]``.
+    With a (T, n, n) stack of scalars, ``mats[t, b]`` is trial t's: every
+    trial shares the chunk's monomial table, and a chunk holds no more
+    matrices, over all trials, than one trial's chunk would.
     """
     n, _, naxes = digits.shape
     ngrid = math.prod(dims)
@@ -455,7 +475,11 @@ def _grid(digits: np.ndarray, scalars: np.ndarray, dims: tuple[int, ...]):
     _, first, which = np.unique(key, return_index=True, return_inverse=True)
     monos = vectors[first]
     which = which.reshape(n, n)
-    chunk = max(1, min(ngrid, 4096 * 49 // (n * n) + 1))
+    trials = 1
+    if scalars.ndim == 3:
+        # Broadcast against a chunk's (c, n, n) matrices: each trial's along a new axis 0.
+        trials, scalars = len(scalars), scalars[:, None]
+    chunk = max(1, min(ngrid, (4096 * 49 // (n * n) + 1) // trials))
     for start in range(0, ngrid, chunk):
         flat = np.arange(start, min(start + chunk, ngrid))
         pts = np.stack(np.unravel_index(flat, dims), axis=1).astype(np.int64) + 1  # (c, naxes)
@@ -469,9 +493,56 @@ def _grid(digits: np.ndarray, scalars: np.ndarray, dims: tuple[int, ...]):
             for e in range(1, maxdig + 1):
                 pows[:, e] = (pows[:, e - 1] * pts[:, axis]) % PRIME
             values = (values * pows[:, monos[:, axis]]) % PRIME
-        mats = values[:, which]
-        mats *= scalars
+        # An explicit C-order output: a broadcast product may lay the trial axis out innermost.
+        mats = np.empty(scalars.shape[:-3] + (len(pts), n, n), dtype=np.int64)
+        np.multiply(values[:, which], scalars, out=mats)
         yield pts, _mod_prime(mats, np.empty_like(mats))
+
+
+class _Sweep(NamedTuple):
+    """The signature cubes of one digit array at T trials' scalars, from one evaluation.
+
+    ``cubes[t]`` is trial t's coefficient array on the grid of ``layout``;
+    ``offset`` and ``stride`` are ``_factor``'s.
+    """
+
+    offset: tuple[int, ...]
+    stride: tuple[int, ...]
+    layout: _Layout
+    cubes: np.ndarray
+
+
+def _sweep(digits: np.ndarray, scalars: np.ndarray) -> _Sweep:
+    """Evaluate the signature cubes of ``digits`` at a (T, n, n) stack of scalars in one pass.
+
+    One ``_factor`` and one layout serve every trial. The grid is walked
+    once: each chunk's monomial table is shared, its matrices for all
+    trials go to one ``det_batch`` call, and the chunk bound counts those
+    matrices, so no call holds more than one trial's chunk would. The
+    Vandermonde systems are solved with the trial as a leading axis.
+    """
+    n = digits.shape[0]
+    reduced, offset, box, stride = _factor(digits)
+    layout = _layout(reduced) if math.prod(box) * n**3 >= _LAYOUT_MIN else _box_layout(box)
+    # The grid's digits are the sheared ones with their row and column
+    # minima out, so each permutation's sum along sheared axis a is its
+    # T s minus shift[a], at least low[a] - shift[a].
+    grid_digits, shift = _minima(reduced @ np.array(layout.shear).T)
+    trials, dims = len(scalars), layout.dims
+    values = [det_batch(mats.reshape(-1, n, n)).reshape(trials, -1) for _, mats in _grid(grid_digits, scalars, dims)]
+    val = np.concatenate(values, axis=1).reshape((trials,) + dims)
+    for axis, (d, lo) in enumerate(zip(dims, np.subtract(layout.low, shift).tolist())):
+        if lo:
+            # Divide by x^lo, which no point zeroes.
+            scale = np.array([pow(x, -lo, PRIME) for x in range(1, d + 1)], dtype=np.int64)
+            val = (val * scale.reshape((d,) + (1,) * (len(dims) - axis - 1))) % PRIME
+    # Invert the Vandermonde system along each axis in turn; axis 0 is the trial.
+    for axis, d in enumerate(dims, start=1):
+        if d == 1:
+            continue
+        moved = _mod_matmul(vandermonde_inverse(d), np.moveaxis(val, axis, 0).reshape(d, -1))
+        val = np.moveaxis(moved.reshape((d,) + val.shape[:axis] + val.shape[axis + 1 :]), 0, axis)
+    return _Sweep(offset, stride, layout, val)
 
 
 class SignatureCube:
@@ -485,40 +556,21 @@ class SignatureCube:
     probability. ``coefficient`` and ``support`` speak digit sums.
     """
 
-    def __init__(self, digits: np.ndarray, scalars: np.ndarray):
+    def __init__(self, digits: np.ndarray, scalars: np.ndarray, sweep: _Sweep | None = None, trial: int = 0):
+        """The cube of ``digits`` at ``scalars``: evaluated alone, as a sweep of
+        one trial, or read off ``sweep``, whose trial ``trial`` has these scalars."""
         digits = np.asarray(digits, dtype=np.int64)
         n = digits.shape[0]
         if digits.shape[:2] != (n, n):
             raise ValueError("digits must be (n, n, naxes)")
         self.n = n
         self.naxes = digits.shape[2]
-        reduced, self.offset, box, self.stride = _factor(digits)
-        layout = _layout(reduced) if math.prod(box) * n**3 >= _LAYOUT_MIN else _box_layout(box)
-        self.shear, self.unshear, self.low, self.dims = layout
         self.scalars = np.asarray(scalars, dtype=np.int64) % PRIME
-        self.cube = self._interpolate(reduced)
-
-    def _interpolate(self, reduced: np.ndarray) -> np.ndarray:
-        # The grid's digits are the sheared ones with their row and column
-        # minima out, so each permutation's sum along sheared axis a is its
-        # T s minus shift[a], at least low[a] - shift[a].
-        grid_digits, shift = _minima(reduced @ np.array(self.shear).T)
-        values = [det_batch(mats) for _, mats in _grid(grid_digits, self.scalars, self.dims)]
-        val = np.concatenate(values).reshape(self.dims)
-        for axis, (d, lo) in enumerate(zip(self.dims, np.subtract(self.low, shift).tolist())):
-            if lo:
-                # Divide by x^lo, which no point zeroes.
-                scale = np.array([pow(x, -lo, PRIME) for x in range(1, d + 1)], dtype=np.int64)
-                val = (val * scale.reshape((d,) + (1,) * (self.naxes - axis - 1))) % PRIME
-        # Invert the Vandermonde system along each axis in turn.
-        for axis, d in enumerate(self.dims):
-            if d == 1:
-                continue
-            vinv = vandermonde_inverse(d)
-            moved = np.moveaxis(val, axis, 0).reshape(d, -1)
-            moved = _mod_matmul(vinv, moved)
-            val = np.moveaxis(moved.reshape((d,) + val.shape[:axis] + val.shape[axis + 1 :]), 0, axis)
-        return val
+        if sweep is None:
+            sweep = _sweep(digits, self.scalars[None])
+        self.offset, self.stride = sweep.offset, sweep.stride
+        self.shear, self.unshear, self.low, self.dims = sweep.layout
+        self.cube = sweep.cubes[trial]
 
     def coefficient(self, target: tuple[int, ...]) -> int:
         """Coefficient at absolute digit sums ``target`` (0 if out of range or
@@ -538,6 +590,39 @@ class SignatureCube:
         """All absolute digit-sum signatures with nonzero coefficient."""
         sums = (np.argwhere(self.cube != 0) + self.low) @ np.array(self.unshear).T
         return set(map(tuple, (sums * self.stride + self.offset).tolist()))
+
+
+# Signature cubes by (digits, shape, seed, prime, trial), least recently used first.
+_CUBES: collections.OrderedDict[tuple, SignatureCube] = collections.OrderedDict()
+_CUBE_CACHE_SIZE = 64
+
+
+def _trial_cubes(digits: np.ndarray, seed: int, trials: Iterable[int]) -> list[SignatureCube]:
+    """The signature cube of ``digits`` at the scalars of (seed, t), for each trial t.
+
+    Cubes are shared across targets and calls: queries against the same
+    digits and seed re-use the same random scalars, so sweeping many
+    targets costs one interpolation per trial, and a witness query after a
+    ``signature_support`` sweep starts on the sweep's cubes. The trials not
+    cached yet are evaluated together, by one ``_sweep``. The key holds the
+    ``PRIME`` in force at the call, so a cube is never reused over another
+    field.
+    """
+    base = (digits.tobytes(), digits.shape, seed, PRIME)
+    trials = list(trials)
+    missing = [t for t in trials if base + (t,) not in _CUBES]
+    if missing:
+        scalars = np.stack([matching._trial_scalars(seed, t, digits.shape[0]) for t in missing])
+        sweep = _sweep(digits, scalars)
+        for i, t in enumerate(missing):
+            _CUBES[base + (t,)] = SignatureCube(digits, scalars[i], sweep, i)
+    cubes = []
+    for t in trials:
+        _CUBES.move_to_end(base + (t,))
+        cubes.append(_CUBES[base + (t,)])
+    while len(_CUBES) > _CUBE_CACHE_SIZE:
+        _CUBES.popitem(last=False)
+    return cubes
 
 
 def _window(digits: np.ndarray, scalars: np.ndarray, target: tuple[int, ...]):
@@ -607,7 +692,7 @@ class LiveMinor:
     def __init__(self, digits: np.ndarray, scalars: np.ndarray, target: tuple[int, ...]):
         digits = np.asarray(digits, dtype=np.int64)
         n = digits.shape[0]
-        self.row, self.cols = 0, np.arange(n)
+        self.row, self.cols = 0, list(range(n))
         window = _window(digits, np.asarray(scalars, dtype=np.int64), target)
         self.points = None
         if window is None:
@@ -625,6 +710,15 @@ class LiveMinor:
             points.append(pts)
             start = stop
         self.points = np.concatenate(points)
+        # The grid is 1..d along each axis, in C order, so row t of the inverse
+        # Vandermonde matrix, shaped to broadcast along its axis of the grid,
+        # weighs the values at the grid's points into the x^t coefficient.
+        tail = len(self.dims) - 1
+        self.weights = [
+            (axis, vandermonde_inverse(d).reshape((d, d) + (1,) * (tail - axis)))
+            for axis, d in enumerate(self.dims)
+            if d > 1
+        ]
         self.spare = np.empty(n * max(0, n - 1) * ngrid, dtype=np.int64)
 
     def shares(self) -> np.ndarray:
@@ -634,35 +728,34 @@ class LiveMinor:
         """
         if self.points is None or not self.det.all():
             return np.zeros(len(self.cols), dtype=np.int64)
-        # Row t of the inverse Vandermonde matrix turns values at points 1..d into the x^t coefficient.
-        weight = np.ones(len(self.points), dtype=np.int64)
-        for axis, (d, t) in enumerate(zip(self.dims, self.target)):
-            if d > 1:
-                weight = (weight * vandermonde_inverse(d)[t][self.points[:, axis] - 1]) % PRIME
-        cof = (self.inv[:, 0] * self.det) % PRIME
-        terms = (self.mats[self.row, self.cols] * cof) % PRIME
-        return ((terms * weight) % PRIME).sum(axis=1) % PRIME
+        # Each point's det times its weight; a cofactor is det * (M^-1)[c, 0].
+        weight = self.det.reshape(self.dims)
+        for axis, table in self.weights:
+            weight = weight * table[self.target[axis]] % PRIME
+        terms = self.mats[self.row, self.cols] * self.inv[:, 0] % PRIME
+        return (terms * weight.reshape(-1) % PRIME).sum(axis=1) % PRIME
 
     def take(self, c: int) -> None:
         """Fix row 0 of the live minor to its column ``c``, counted among the live columns."""
         m = len(self.cols)
-        entry = self.digits[self.row, self.cols[c]]
-        self.target = [int(t - d) for t, d in zip(self.target, entry)]
+        entry = self.digits[self.row, self.cols.pop(c)].tolist()
+        self.target = [t - d for t, d in zip(self.target, entry)]
         pivot = self.inv[c, 0]
-        det = (self.det * pivot) % PRIME
-        self.det = (-det) % PRIME if c % 2 else det
+        self.det = self.det * (PRIME - pivot if c % 2 else pivot) % PRIME
         self.row += 1
-        self.cols = np.delete(self.cols, c)
         if m == 1:
             return
         ngrid = len(self.det)
-        factors = (self.inv[c, 1:] * _inverse_vec(pivot)) % PRIME
+        factors = self.inv[c, 1:] * _inverse_vec(pivot) % PRIME
         t = self.spare[: m * (m - 1) * ngrid].reshape(m, m - 1, ngrid)
         np.multiply(self.inv[:, :1], factors, out=t)
         np.subtract(self.inv[:, 1:], t, out=t)
         inv = self.inv.reshape(-1)[: (m - 1) ** 2 * ngrid].reshape(m - 1, m - 1, ngrid)
-        _mod_prime(t[:c], inv[:c])
-        _mod_prime(t[c + 1 :], inv[c:])
+        # Row c is the taken column's, and drops out.
+        if c:
+            _mod_prime(t[:c], inv[:c])
+        if c + 1 < m:
+            _mod_prime(t[c + 1 :], inv[c:])
         self.inv = inv
 
 

@@ -27,7 +27,6 @@ the matching kernel (and with it every curvature route) never loads numpy.
 from __future__ import annotations
 
 import bisect
-import functools
 import heapq
 import itertools
 import math
@@ -415,7 +414,8 @@ def _check_seed(seed: int) -> None:
 
 
 def _check_integers(**values) -> None:
-    """Reject a non-integer target or count, on which numpy indexing would fail without naming it."""
+    """Reject a non-integer target, count, trial count or seed, on which numpy
+    indexing, ``range`` or numpy's generator would fail without naming it."""
     for name, value in values.items():
         if not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -431,28 +431,10 @@ def _trial_scalars(seed: int, trial: int, q: int) -> np.ndarray:
 
 
 def _trial_cube(digits: np.ndarray, seed: int, trial: int) -> SignatureCube:
-    """The signature cube of ``digits`` at the scalars of (seed, trial)."""
-    from . import _detcube
+    """The signature cube of ``digits`` at the scalars of (seed, trial), from ``_detcube``'s cache."""
+    from ._detcube import _trial_cubes
 
-    return _cached_cube(digits.tobytes(), digits.shape, seed, trial, _detcube.PRIME)
-
-
-@functools.lru_cache(maxsize=64)
-def _cached_cube(data: bytes, shape: tuple[int, ...], seed: int, trial: int, prime: int) -> SignatureCube:
-    """Signature cubes shared across targets and calls.
-
-    Queries against the same digits and seed re-use the same random scalars,
-    so sweeping many targets costs one interpolation per trial, and a witness
-    query after a ``signature_support`` sweep starts on the sweep's cubes.
-    ``prime`` is the field's, ``_detcube.PRIME`` at the call: a cube is
-    never reused over another field.
-    """
-    import numpy as np
-
-    from ._detcube import SignatureCube
-
-    digits = np.frombuffer(data, dtype=np.int64).reshape(shape)
-    return SignatureCube(digits, _trial_scalars(seed, trial, shape[0]))
+    return _trial_cubes(digits, seed, [trial])[0]
 
 
 def _extract_assignment(
@@ -525,10 +507,10 @@ def exact_cost_matching(
     before returning. The seed must be a non-negative integer, ``trials``
     positive and ``target`` an integer.
     """
+    _check_integers(trials=trials, seed=seed, target=target)
     _check_seed(seed)
     if trials < 1:
         raise ValueError("trials must be positive")
-    _check_integers(target=target)
     _check_square(costs)
     if target < 0:
         return None
@@ -569,10 +551,10 @@ def matching_with_counts(
     must be a non-negative integer, ``trials`` positive and ``target_cost``,
     ``k`` and ``l`` integers.
     """
+    _check_integers(trials=trials, seed=seed, target_cost=target_cost, k=k, l=l)
     _check_seed(seed)
     if trials < 1:
         raise ValueError("trials must be positive")
-    _check_integers(target_cost=target_cost, k=k, l=l)
     q = _check_square(costs)
     digits = _signature_digits(costs, touchable_mask)
     if k < 0 or l < 0 or k + l > q:
@@ -598,16 +580,22 @@ def signature_support(
 
     Every returned signature truly has a matching; signatures can only be
     missed, with per-cell probability at most q/PRIME per trial. Used by the
-    solver sweep, which wants the whole landscape at once. The seed must be
-    a non-negative integer.
+    solver sweep, which wants the whole landscape at once. The trials are
+    one evaluation: they share one grid walk, and each chunk of it is one
+    determinant batch over every trial's matrices, no larger than one
+    trial's chunk would be. Each trial's cube is cached as if built alone,
+    so a witness query on the same seed starts on them. The seed must be a
+    non-negative integer and ``trials`` a positive integer.
     """
+    _check_integers(trials=trials, seed=seed)
     _check_seed(seed)
     q = _check_square(costs)
     if trials < 1:
         raise ValueError("trials must be positive")
+    from ._detcube import _trial_cubes
+
     digits = _signature_digits(costs, touchable_mask)
     merged: set[tuple[int, int, int]] = set()
-    for trial in range(trials):
-        cube = _trial_cube(digits, seed, trial)
+    for cube in _trial_cubes(digits, seed, range(trials)):
         merged.update((4 * q - alpha, n3, n2t) for alpha, n3, n2t in cube.support())
     return merged

@@ -162,7 +162,7 @@ class Instance:
             raise ValueError(f"{self.edge} is not an edge of the graph")
         if self.variant.weighting == "uw" and self.graph.weighted:
             raise ValueError("uw variants require an unweighted graph")
-        total, threshold = self._local.total(())
+        total, threshold = self._local.unedited
         sign = sign_of(Fraction(threshold - total, threshold))
         if self.variant.direction == "ntp":
             # Sign zero is admitted as the degenerate boundary case where a
@@ -177,6 +177,12 @@ class Instance:
     def _local(self) -> "_LocalEvaluator":
         """Edit-set evaluator on the local cost matrix."""
         return _LocalEvaluator(self.graph, self.edge, self.variant)
+
+    @cached_property
+    def _saturation(self) -> tuple[tuple, bool]:
+        """The permissible edits, and whether the local evaluator sees them all together flip the sign."""
+        edits = permissible_edits(self)
+        return edits, bool(edits) and self._local.flips(edits)
 
     @cached_property
     def _blow_up(self) -> BlowUpMatrix:
@@ -320,6 +326,11 @@ class _LocalEvaluator:
         self._restricted = variant.restriction == "rt"
         self._adjacency: dict[int, frozenset[int]] = {}
 
+    @cached_property
+    def unedited(self) -> tuple[int, int]:
+        """``total(())``, solved once: the starting sign and every reach bound read it."""
+        return self.total(())
+
     def neighbors(self, x: int, edited: dict[int, set[int]]) -> Set[int]:
         """Adjacency set of ``x`` under ``edited``, the sets the edits so far changed."""
         near = edited.get(x)
@@ -377,7 +388,7 @@ class _LocalEvaluator:
         """
         if not self._restricted or self._graph.weighted:
             return False
-        total, q = self.total(())
+        total, q = self.unedited
         gap = total - q if self._to_positive else q - total
         rows = self.neighbors(self._u, {}) | {self._u}
         cols = self.neighbors(self._v, {}) | {self._v}
@@ -513,8 +524,8 @@ def _approx_setup(inst: Instance, method: str) -> BlowUpMatrix | Solution:
         raise UnsupportedVariantError(
             f"this solver only handles {'-'.join(_APPROX_VARIANT)}, not {inst.variant.key}"
         )
-    edits = permissible_edits(inst)
-    if not edits or not inst._local.flips(edits):
+    edits, flips = inst._saturation
+    if not flips:
         raise InfeasibleInstanceError("no permissible insertion set flips this edge")
     bm = inst._blow_up
     if inst._start.cost == bm.q:

@@ -21,6 +21,7 @@ from riccicrit import (
     feasible_by_saturation,
     ricci,
 )
+from riccicrit import _detcube
 
 
 def random_connected_graph(rng: random.Random, n: int, *, weighted: bool = False, p: float = 0.45, max_w: int = 5) -> Graph:
@@ -124,3 +125,11 @@ def sample_spade_instances(
 @pytest.fixture(scope="session")
 def rng() -> random.Random:
     return random.Random(20260810)
+
+
+@pytest.fixture
+def field(monkeypatch):
+    """``field(p)`` runs the engine over F_p until the test ends. The cube
+    and Vandermonde caches are keyed by the prime in force, so nothing
+    built over one field is reused over another."""
+    return lambda prime: monkeypatch.setattr(_detcube, "PRIME", prime)

@@ -5,12 +5,12 @@ import random
 import numpy as np
 import pytest
 
-from riccicrit import _detcube
+from riccicrit import _detcube, matching
 from riccicrit._detcube import PRIME, LiveMinor, SignatureCube, coefficient_at, det_batch
 from riccicrit.errors import FieldConfigError
-from riccicrit.matching import _extract_assignment, _signature_digits
+from riccicrit.matching import _extract_assignment, _signature_digits, _trial_scalars, signature_support
 
-from conftest import enumerated_signatures
+from conftest import enumerated_signatures, sample_spade_instances
 
 
 def exact_det(rows: list[list[int]]) -> int:
@@ -147,21 +147,71 @@ def test_targets_on_a_window_edge_are_read_off_one_grid_point(monkeypatch):
                 assert (shares[j] != 0) == (minor != 0)
 
 
+def rows_until_done(digits: np.ndarray, scalars: np.ndarray, target: tuple[int, ...]) -> int:
+    """Run an extraction row by row, checking that each row's shares are the
+    very field elements a fresh set-up on the explicit live minor gives,
+    signs included. Returns the number of rows fixed: all of them, or the
+    row where a singular grid point zeroes every share and the extraction
+    gives up."""
+    n = digits.shape[0]
+    minor = LiveMinor(digits, scalars, target)
+    cols, remaining = list(range(n)), np.array(target)
+    for i in range(n):
+        got = minor.shares()
+        if not minor.det.all():
+            assert not got.any(), (target, i)
+            return i
+        live = np.ix_(range(i, n), cols)
+        want = LiveMinor(digits[live], scalars[live], tuple(remaining)).shares()
+        assert got.tolist() == want.tolist(), (target, i)
+        c = int(np.flatnonzero(want)[0])
+        remaining = remaining - digits[i, cols.pop(c)]
+        minor.take(c)
+    return n
+
+
 def test_each_rows_shares_are_its_minors_row_coefficients():
     # After the rank-one updates, each row's shares are the very field
     # elements a fresh set-up on the explicit live minor gives, signs included.
     for digits, scalars in seeded_signature_instances(61, 20, 6):
-        n = digits.shape[0]
         for target in sorted(enumerated_signatures(digits))[::3]:
-            minor = _detcube.LiveMinor(digits, scalars, target)
-            cols, remaining = list(range(n)), np.array(target)
-            for i in range(n):
-                live = np.ix_(range(i, n), cols)
-                want = LiveMinor(digits[live], scalars[live], tuple(remaining)).shares()
-                assert minor.shares().tolist() == want.tolist(), (target, i)
-                c = int(np.flatnonzero(want)[0])
-                remaining = remaining - digits[i, cols.pop(c)]
-                minor.take(c)
+            assert rows_until_done(digits, scalars, target) == digits.shape[0]
+
+
+def test_rows_match_fresh_minors_on_strided_and_trimmed_grids_and_up_to_a_give_up():
+    # The same check where the set-up's grid is strided along both axes,
+    # where it is trimmed at a window edge (each axis's Vandermonde weights
+    # then come from a shorter grid), and where the minor left by row 0 is
+    # singular at the all-ones point: there row 1's shares are all zero.
+    for digits, scalars, _ in planted_stride_instances(67, 12):
+        for target in sorted(enumerated_signatures(digits))[::2]:
+            assert rows_until_done(digits, scalars, target) == digits.shape[0]
+    trimmed = 0
+    for digits, scalars in seeded_signature_instances(71, 20, 6):
+        box = _detcube._factor(digits)[2]
+        for target in sorted(enumerated_signatures(digits)):
+            if _detcube._window(digits, scalars, target)[2] != box:
+                trimmed += 1
+                assert rows_until_done(digits, scalars, target) == digits.shape[0]
+    assert trimmed > 20
+    rng = random.Random(73)
+    gave_up = 0
+    while gave_up < 8:
+        q = rng.randint(3, 6)
+        digits = np.array([[[rng.randint(0, 3)] for _ in range(q)] for _ in range(q)], dtype=np.int64)
+        _, (offset,), (dims,), (stride,) = _detcube._factor(digits)
+        first: dict[int, tuple[int, ...]] = {}
+        for p in itertools.permutations(range(q)):
+            first.setdefault(int(sum(digits[i, p[i], 0] for i in range(q))), p)
+        for target, p in sorted(first.items()):
+            if not offset < target < offset + (dims - 1) * stride:
+                continue
+            # Rows 1 and 2 are equal but in the column row 0 takes.
+            scalars = np.array([[rng.randrange(1, PRIME) for _ in range(q)] for _ in range(q)], dtype=np.int64)
+            scalars[2] = scalars[1]
+            scalars[2, p[0]] = (scalars[1, p[0]] + 1) % PRIME
+            assert rows_until_done(digits, scalars, (target,)) == 1
+            gave_up += 1
 
 
 def test_an_extraction_at_a_window_edge_inverts_one_matrix(monkeypatch):
@@ -340,6 +390,93 @@ def test_layout_is_computed_once_per_digit_array_and_only_above_the_threshold(mo
             unpaid += 1
             assert first.dims == box and not any(first.low)
     assert paid and unpaid
+
+
+def sweep_instances(seed: int):
+    """Box, sheared-window and strided digit arrays: ``layout_instances``
+    (1 to 3 axes, half blow-up-shaped) and ``planted_stride_instances``."""
+    for digits, _ in layout_instances(seed, 24):
+        yield digits
+    for digits, _, _ in planted_stride_instances(seed, 8):
+        yield digits
+
+
+@pytest.mark.parametrize("prime", [PRIME, 101])
+@pytest.mark.parametrize("laid_out", [False, True], ids=["box", "sheared"])
+def test_a_sweeps_cubes_are_the_cubes_built_alone(monkeypatch, field, prime, laid_out):
+    # One evaluation for every trial of a sweep gives each trial the very
+    # coefficient array, grid and support of its cube built alone, at 1, 2
+    # and 4 trials, over the full field and over F_101.
+    field(prime)
+    if laid_out:
+        monkeypatch.setattr(_detcube, "_LAYOUT_MIN", 0)
+    sheared = 0
+    for case, digits in enumerate(sweep_instances(53)):
+        for trials in (1, 2, 4):
+            _detcube._CUBES.clear()
+            swept = _detcube._trial_cubes(digits, case, range(trials))
+            assert len(swept) == trials
+            for t, cube in enumerate(swept):
+                alone = SignatureCube(digits, _trial_scalars(case, t, digits.shape[0]))
+                assert cube.scalars.tolist() == alone.scalars.tolist()
+                assert cube.cube.dtype == alone.cube.dtype and cube.cube.tolist() == alone.cube.tolist(), (case, t)
+                assert cube.support() == alone.support()
+                for name in ("offset", "stride", "shear", "unshear", "low", "dims"):
+                    assert getattr(cube, name) == getattr(alone, name)
+                sheared += any(cube.low)
+    assert bool(sheared) == laid_out
+
+
+def test_a_search_after_a_sweep_reads_the_sweeps_cubes():
+    # signature_support evaluates its trials together and caches each cube
+    # by its trial, so the witness search's _trial_cube hands back the very
+    # objects; a trial past the sweep is built alone.
+    rng = random.Random(59)
+    costs = [[rng.randint(0, 3) for _ in range(6)] for _ in range(6)]
+    touch = [[rng.random() < 0.5 for _ in range(6)] for _ in range(6)]
+    digits = _signature_digits(costs, touch)
+    _detcube._CUBES.clear()
+    signature_support(costs, touch, trials=2, seed=5)
+    swept = list(_detcube._CUBES.values())
+    assert len(swept) == 2
+    assert all(matching._trial_cube(digits, 5, t) is cube for t, cube in enumerate(swept))
+    third = matching._trial_cube(digits, 5, 2)
+    assert third not in swept and len(_detcube._CUBES) == 3
+    assert third.cube.tolist() == SignatureCube(digits, _trial_scalars(5, 2, 6)).cube.tolist()
+
+
+def test_a_sweep_makes_one_det_batch_call_per_chunk_for_all_trials(monkeypatch):
+    # The chunk bound counts matrices over every trial: a q = 12 double
+    # star's two-trial sweep evaluates both trials' grids in one call, and
+    # larger grids are cut into chunks of at most one trial's bound.
+    calls = []
+    original = _detcube.det_batch
+
+    def spy(mats, inverse=False):
+        if not inverse:
+            calls.append(len(mats))
+        return original(mats, inverse)
+
+    monkeypatch.setattr(_detcube, "det_batch", spy)
+    (inst,) = sample_spade_instances(random.Random(7), 1, degree_pool=[(3, 5, 0.3)])
+    bm = inst._blow_up
+    _detcube._CUBES.clear()
+    calls.clear()
+    signature_support(bm.costs, bm.touchable_mask(), trials=2, seed=1)
+    cubes = list(_detcube._CUBES.values())
+    assert bm.q == 12 and len(cubes) == 2
+    assert calls == [2 * math.prod(cubes[0].dims)]
+    rng = random.Random(61)
+    for n, trials in ((16, 4), (20, 2), (30, 3)):
+        digits = np.array([[[rng.randint(0, 1) for _ in range(2)] for _ in range(n)] for _ in range(n)], dtype=np.int64)
+        _detcube._CUBES.clear()
+        calls.clear()
+        cubes = _detcube._trial_cubes(digits, 3, range(trials))
+        ngrid = math.prod(cubes[0].dims)
+        bound = 4096 * 49 // (n * n) + 1
+        per_chunk = bound // trials
+        assert calls == [trials * min(per_chunk, ngrid - start) for start in range(0, ngrid, per_chunk)], (n, trials)
+        assert len(calls) > 1 and max(calls) <= bound
 
 
 def modular_det(rows: list[list[int]]) -> int:

@@ -16,21 +16,12 @@ import math
 import random
 
 import numpy as np
-import pytest
 
 from riccicrit import RetryExhaustedError, Sign, _detcube, matching, randomized_insert, ricci
 from riccicrit.matching import _search, _signature_digits, signature_support
 from riccicrit.solvers import apply_edits
 
 from conftest import enumerated_signatures, sample_spade_instances
-
-
-@pytest.fixture
-def field(monkeypatch):
-    """``field(p)`` runs the engine over F_p until the test ends. The cube
-    and Vandermonde caches are keyed by the prime in force, so nothing
-    built over one field is reused over another."""
-    return lambda prime: monkeypatch.setattr(_detcube, "PRIME", prime)
 
 
 def test_cubes_and_vandermonde_inverses_are_cached_per_field(field):

@@ -23,7 +23,6 @@ from riccicrit import (
 from riccicrit import _detcube, matching
 from riccicrit._detcube import LiveMinor, SignatureCube, coefficient_at, det_batch
 from riccicrit.matching import (
-    _cached_cube,
     _check_square,
     _extract_assignment,
     _signature_digits,
@@ -395,6 +394,40 @@ def test_a_non_integer_target_or_count_is_rejected_before_any_work(call, name):
     call(np.int64(2))
 
 
+NON_INTEGERS = (1.5, 2.0, "2")
+
+
+def _no_cubes(monkeypatch):
+    """Make building any signature cube fail the test."""
+    monkeypatch.setattr(_detcube, "_trial_cubes", lambda *a: pytest.fail("a cube was built"))
+
+
+@pytest.mark.parametrize("name", ["trials", "seed"])
+def test_signature_support_names_a_non_integer_trials_or_seed(monkeypatch, name):
+    # range() would fail on trials=1.5 with a bare TypeError, numpy on
+    # seed=1.5 with its own message; both are rejected before any cube.
+    _no_cubes(monkeypatch)
+    for bad in NON_INTEGERS:
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {re.escape(repr(bad))}$"):
+            signature_support([[0, 1], [1, 0]], [[True] * 2] * 2, **{name: bad})
+
+
+@pytest.mark.parametrize("name", ["trials", "seed"])
+def test_exact_cost_matching_names_a_non_integer_trials_or_seed(monkeypatch, name):
+    _no_cubes(monkeypatch)
+    for bad in NON_INTEGERS:
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {re.escape(repr(bad))}$"):
+            exact_cost_matching([[0, 1], [1, 0]], 2, **{name: bad})
+
+
+@pytest.mark.parametrize("name", ["trials", "seed"])
+def test_matching_with_counts_names_a_non_integer_trials_or_seed(monkeypatch, name):
+    _no_cubes(monkeypatch)
+    for bad in NON_INTEGERS:
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {re.escape(repr(bad))}$"):
+            matching_with_counts([[0, 1], [1, 0]], [[True] * 2] * 2, 2, 0, 0, **{name: bad})
+
+
 def test_signature_support_is_sound_and_witnessed():
     # Every certified signature is a real one, and the witness query on the
     # same seed (hence the same cubes) recovers a verified matching for it.
@@ -630,7 +663,7 @@ def test_a_singular_grid_point_aborts_the_extraction_and_the_next_trial_retries(
             monkeypatch.setattr(
                 matching, "_trial_scalars", lambda seed, trial, q: singular if trial == 0 else _trial_scalars(seed, trial, q)
             )
-            _cached_cube.cache_clear()
+            _detcube._CUBES.clear()
             for target in _interior_targets(digits)[:3]:
                 if matching._trial_cube(digits, 7, 0).coefficient((target,)) == 0:
                     continue
@@ -642,7 +675,7 @@ def test_a_singular_grid_point_aborts_the_extraction_and_the_next_trial_retries(
                 assert got == reach[0]
                 cases += 1
     finally:
-        _cached_cube.cache_clear()
+        _detcube._CUBES.clear()
 
 
 @pytest.mark.parametrize(
@@ -679,7 +712,7 @@ def test_signature_cubes_are_reused_across_calls(monkeypatch):
     built = []
     init = SignatureCube.__init__
     monkeypatch.setattr(SignatureCube, "__init__", lambda self, *a: built.append(1) or init(self, *a))
-    _cached_cube.cache_clear()
+    _detcube._CUBES.clear()
     rng = random.Random(4242)
     costs = [[rng.randint(0, 3) for _ in range(5)] for _ in range(5)]
     touch = [[rng.random() < 0.5 for _ in range(5)] for _ in range(5)]

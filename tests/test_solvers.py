@@ -778,3 +778,32 @@ def test_an_instance_builds_one_blow_up_and_verifies_each_edit_set_once(monkeypa
         assert all(apply_edits(inst, sol.edits) in verified for sol in sols)
         shared += sols[0].edits == sols[1].edits
     assert shared
+
+
+def test_an_instance_screens_its_unedited_and_saturated_sets_once(monkeypatch):
+    # The starting sign and every brute-force level's reach bound read one
+    # solve of the unedited matrix, and greedy and randomized share one
+    # screen of the saturated set, the one saturation itself verifies.
+    screened = []
+    real_total = _LocalEvaluator.total
+
+    def spy(self, edits):
+        edits = tuple(edits)
+        screened.append(edits)
+        return real_total(self, edits)
+
+    monkeypatch.setattr(_LocalEvaluator, "total", spy)
+    levels = 0
+    for inst in sample_spade_instances(random.Random(883), 6, degree_pool=[(3, 4, 0.3), (3, 5, 0.25)]):
+        screened.clear()
+        inst = Instance(inst.graph, inst.edge, inst.variant)
+        saturated = permissible_edits(inst)
+        assert feasible_by_saturation(inst)[0]
+        greedy_insert(inst)
+        randomized_insert(inst, seed=3)
+        max_k = min(2, len(saturated) - 1)
+        brute_force_opt(inst, max_k)
+        levels += max_k
+        assert screened.count(()) == 1
+        assert screened.count(saturated) == 1
+    assert levels
