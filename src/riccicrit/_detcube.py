@@ -385,7 +385,7 @@ def _least_sum(cost: np.ndarray, supply: list[int], demand: list[int]) -> int:
     equal rows (``supply``) and columns (``demand``), by ``_transport``."""
     base = int(cost.min())
     shifted = (cost - base).tolist()
-    flow, _ = _transport(shifted, supply, demand)
+    flow = _transport(shifted, supply, demand)[0]
     return sum(f * c for fr, cr in zip(flow, shifted) for f, c in zip(fr, cr)) + base * sum(supply)
 
 

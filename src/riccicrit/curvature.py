@@ -178,15 +178,31 @@ class CurvatureResult:
 def _adjacency_costs(rows, cols, near) -> list[list[int]]:
     """Unweighted distances from each of ``rows`` to each of ``cols``, in order.
 
-    ``near(x)`` is x's open or closed neighborhood. The nodes lie in N[u] and
-    N[v] of an edge u-v, joined along x-u-v-y, so an entry is 0 if x = y, 1 if
-    y is near x, 2 if their neighborhoods meet, else 3.
+    ``near(x)`` is x's open or closed neighborhood, and ``cols`` are distinct
+    nodes. The nodes lie in N[u] and N[v] of an edge u-v, joined along
+    x-u-v-y, so an entry is 0 if x = y, 1 if y is near x, 2 if their
+    neighborhoods meet, else 3. The columns whose neighborhoods hold a node
+    are listed once, so a row finds its 2s from the nodes near it, not by
+    testing every column's neighborhood against its own.
     """
-    col_sets = [(y, near(y)) for y in cols]
+    holding: dict = {}  # node -> the columns whose neighborhoods hold it
+    for j, y in enumerate(cols):
+        for z in near(y):
+            holding.setdefault(z, []).append(j)
+    col_of = {y: j for j, y in enumerate(cols)}
     costs = []
     for x in rows:
         near_x = near(x)
-        costs.append([0 if x == y else 1 if y in near_x else 3 if near_x.isdisjoint(ny) else 2 for y, ny in col_sets])
+        row = [3] * len(cols)
+        for z in near_x:
+            for j in holding.get(z, ()):
+                row[j] = 2
+        for z in near_x:
+            if z in col_of:
+                row[col_of[z]] = 1
+        if x in col_of:
+            row[col_of[x]] = 0
+        costs.append(row)
     return costs
 
 
@@ -199,9 +215,10 @@ def build_cost_matrix(g: Graph, e: tuple[int, int]) -> CostMatrix:
     max w(x, u) + w(u, v) + max w(v, y), which holds every column node.
     """
     a, b = e
+    deg_a, deg_b = g.degree(a), g.degree(b)  # both ids checked before the edge is looked up
     if not g.has_edge(a, b):
         raise ValueError(f"({a}, {b}) is not an edge")
-    if (g.degree(a), a) <= (g.degree(b), b):
+    if (deg_a, a) <= (deg_b, b):
         u, v = a, b
     else:
         u, v = b, a

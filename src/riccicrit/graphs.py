@@ -10,9 +10,10 @@ with radius r stops at distance r and returns the distance to every node
 within r of x. Balls are memoized per source node; the memo keeps the largest
 radius computed so far and serves every request up to it, so the curvature of
 an edge, which needs only radius-1 balls on unweighted graphs, never searches
-the whole graph. A ball that holds every node is the whole row and serves
-every radius, so a source whose first search reaches the whole graph is
-never searched again.
+the whole graph. A radius-1 ball is a node and its neighbors, so ``_bfs``
+builds it from the adjacency map at C speed, with no search loop. A ball
+that holds every node is the whole row and serves every radius, so a source
+whose first search reaches the whole graph is never searched again.
 """
 
 from __future__ import annotations
@@ -137,7 +138,7 @@ class Graph:
         return max((w for _, _, w in self._edge_tuple), default=1)
 
     def _check_node(self, x: int) -> None:
-        if not isinstance(x, int) or not 0 <= x < self.node_count:
+        if not _is_int(x) or not 0 <= x < self.node_count:
             raise ValueError(f"invalid node id {x!r} for graph with {self.node_count} nodes")
 
     def neighbors(self, x: int) -> tuple[int, ...]:
@@ -181,6 +182,8 @@ class Graph:
 
     def _bfs(self, src: int, radius: float) -> dict[int, int]:
         adj = self._adj
+        if 1 <= radius < 2:  # a node and its neighbors
+            return {src: 0, **dict.fromkeys(adj.get(src, ()), 1)}
         dist = {src: 0}
         frontier = [src]
         d = 0

@@ -4,9 +4,11 @@ Three layers live here:
 
 * an exact minimum-cost perfect matching solver: runs of identical rows and
   columns are grouped into a transportation problem, which the primal-dual
-  method solves, one Dijkstra per phase; the lexicographically smallest
-  optimal assignment is expanded from its tight groups, a run of rows
-  taking a run of one group's free columns per step;
+  method solves. Each phase is a greedy pass along the tight cells, then
+  blocking-flow searches, each one forest that serves every column it
+  reaches, then one Dijkstra. The lexicographically smallest optimal
+  assignment is expanded from its tight groups, a run of rows taking a run
+  of one group's free columns per step;
 * an exhaustive enumerator used as the desk-scale oracle;
 * randomized search for perfect matchings of a prescribed exact cost, and the
   refinement that also prescribes how many 3-cost and touchable 2-cost edges
@@ -32,6 +34,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
+from operator import eq, sub
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import OracleBoundError
@@ -183,42 +186,74 @@ def _reprice(cost, users, supply, demand, pot_r, pot_c) -> None:
 
 def _transport(
     cost: list[list[int]], supply: list[int], demand: list[int]
-) -> tuple[list[list[int]], list[list[bool]]]:
-    """Min-cost integral transportation plan and its tight cells.
+) -> tuple[list[list[int]], list[list[int]], list[int], list[int]]:
+    """Min-cost integral transportation plan, its tight cells and its duals.
 
     The primal-dual method (Kuhn 1955; Ford and Fulkerson 1957): every
     reduced cost cost + pot_r - pot_c stays non-negative and the plan ships
     only on tight (zero reduced cost) cells, so it is optimal for what it has
-    shipped. The warm start prices each column at its cheapest cell. A phase
-    pushes bottlenecks along admissible paths -- forward on tight cells, back
-    on used ones, one search per path -- until none is left; ``_reprice`` then
-    runs one Dijkstra. The final potentials are optimal duals.
+    shipped. The warm start prices each column at its cheapest cell, then
+    each row so that its cheapest reduced cost is 0. A phase first ships
+    greedily along the tight cells, row groups and then column groups in
+    order, as the lex-min expansion will ask for them. Then each search
+    builds one forest of admissible paths -- forward on tight cells, back on
+    used ones -- from every row with supply left, and every column with
+    demand left that it reached is served along its own tree path, as far as
+    the path's bottleneck allows by then (a blocking flow, as in Dinic 1970).
+    A search that reaches no such column ends the phase, and ``_reprice``
+    runs one Dijkstra. Returns the plan, the tight cells and the final
+    potentials (pot_r, pot_c), which are optimal duals: the plan's cost is
+    sum(demand * pot_c) - sum(supply * pot_r).
     """
     supply, demand = list(supply), list(demand)
     flow = [[0] * len(demand) for _ in supply]
     users: list[set[int]] = [set() for _ in demand]
-    pot_r, pot_c = [0] * len(supply), [min(col) for col in zip(*cost)]
+    pot_c = [min(col) for col in zip(*cost)]
+    pot_r = [-min(map(sub, row, pot_c)) for row in cost]
     while True:
-        tight = [[c + p == pc for c, pc in zip(row, pot_c)] for row, p in zip(cost, pot_r)]
-        tight_of = [list(itertools.compress(itertools.count(), row)) for row in tight]
-        while True:
+        # Each row's tight columns: those where c - pc == -p, compared at C speed.
+        tight_of = [
+            list(itertools.compress(itertools.count(), map(eq, map(sub, row, pot_c), itertools.repeat(-p))))
+            for row, p in zip(cost, pot_r)
+        ]
+        for g, cols in enumerate(tight_of):
+            left, out = supply[g], flow[g]
+            for h in cols:
+                if not left:
+                    break
+                n = demand[h]
+                if n:
+                    if n > left:
+                        n = left
+                    out[h] += n
+                    users[h].add(g)
+                    demand[h] -= n
+                    left -= n
+            supply[g] = left
+        while any(supply):
             starts = [g for g, n in enumerate(supply) if n]
-            via_c, via_r, target = _residual_search(starts, tight_of.__getitem__, users.__getitem__, demand.__getitem__)
-            if target is None:
+            via_c, via_r, _ = _residual_search(starts, tight_of.__getitem__, users.__getitem__)
+            shipped = False
+            for target in via_c:  # in the order the search reached them
+                if not demand[target]:
+                    continue
+                gain, lose, source = _tree_path(via_c, via_r, target)
+                n = min(supply[source], demand[target], *(flow[g][h] for g, h in lose))
+                if n:
+                    for g, h in gain:
+                        flow[g][h] += n
+                        users[h].add(g)
+                    for g, h in lose:
+                        flow[g][h] -= n
+                        if not flow[g][h]:
+                            users[h].discard(g)
+                    supply[source] -= n
+                    demand[target] -= n
+                    shipped = True
+            if not shipped:
                 break
-            gain, lose, source = _tree_path(via_c, via_r, target)
-            push = min(supply[source], demand[target], *(flow[g][h] for g, h in lose))
-            for g, h in gain:
-                flow[g][h] += push
-                users[h].add(g)
-            for g, h in lose:
-                flow[g][h] -= push
-                if not flow[g][h]:
-                    users[h].discard(g)
-            supply[source] -= push
-            demand[target] -= push
         if not any(supply):
-            return flow, tight
+            return flow, tight_of, pot_r, pot_c
         _reprice(cost, users, supply, demand, pot_r, pot_c)
 
 
@@ -266,21 +301,30 @@ def _take_units(
     g: int,
     want: int,
     free: _FreeColumns,
+    first: tuple[int, int],
 ) -> tuple[int, int]:
     """Remove up to ``want`` units of row ``g`` from the plan, all shipped to
     the column group whose next free column is smallest among those allowed.
 
     The columns of ``tight_of[g]`` that reach ``g`` back along used cells and
     forward along tight ones (``tight_rows[h]``) are those to which some
-    optimal plan for the remaining rows ships a unit of ``g``. One search
-    finds them all; the plan is rerouted along the path so that k units leave
-    at the chosen group, k at most the path's bottleneck and the group's free
-    columns below every other allowed group's next one, as k single-unit
-    calls would have chosen. Returns (group, k).
+    optimal plan for the remaining rows ships a unit of ``g``. ``first`` is
+    ``free.first_run(tight_of[g])``, a group the plan does not ship ``g`` to,
+    and its run. One search looks for it, and stops there if it is allowed;
+    otherwise the search finds every allowed group. The plan is rerouted
+    along the path so that k units leave at the chosen group, k at most the
+    path's bottleneck and the group's free columns below every other
+    allowed group's next one (every other tight group's, if the search
+    stopped early), as k single-unit calls would have chosen. Returns
+    (group, k).
     """
+    chosen, room = first
     cols = range(len(flow[g]))
-    via_c, via_r, _ = _residual_search([g], lambda x: itertools.compress(cols, flow[x]), tight_rows.__getitem__)
-    chosen, room = free.first_run([c for c in tight_of[g] if c in via_c])
+    via_c, via_r, found = _residual_search(
+        [g], lambda x: itertools.compress(cols, flow[x]), tight_rows.__getitem__, chosen.__eq__
+    )
+    if found is None:
+        chosen, room = free.first_run([c for c in tight_of[g] if c in via_c])
     back, ahead, _ = _tree_path(via_c, via_r, chosen)  # the path's cells that lose and gain flow
     k = min(want, room, *(flow[x][h] for x, h in back))
     for x, h in back:
@@ -313,21 +357,23 @@ def min_cost_perfect_matching(costs: Sequence[Sequence[int]]) -> Matching:
     supply = [0] * len(row_keys)
     for g, n in row_runs:
         supply[g] += n
-    flow, tight = _transport(cost, supply, list(map(len, free.members)))
-    tight_of = [list(itertools.compress(range(len(row)), row)) for row in tight]
-    tight_rows = [list(itertools.compress(range(len(tight)), col)) for col in zip(*tight)]
+    flow, tight_of, _, _ = _transport(cost, supply, list(map(len, free.members)))
+    tight_rows: list[list[int]] = [[] for _ in free.members]
+    for g, cols in enumerate(tight_of):
+        for h in cols:
+            tight_rows[h].append(g)
     assignment: list[int] = []
     total = 0
     for g, left in row_runs:
         while left:
             # The plan's own shipment to the first free tight group is
             # feasible outright; otherwise a search finds the best group.
-            h, room = free.first_run(tight_of[g])
+            first = h, room = free.first_run(tight_of[g])
             if flow[g][h]:
                 k = min(left, room, flow[g][h])
                 flow[g][h] -= k
             else:
-                h, k = _take_units(flow, tight_of, tight_rows, g, left, free)
+                h, k = _take_units(flow, tight_of, tight_rows, g, left, free, first)
             assignment += free.take(h, k)
             total += k * cost[g][h]
             left -= k

@@ -367,7 +367,7 @@ class _LocalEvaluator:
             costs, dist_uv = _adjacency_costs(rows, cols, lambda x: self.neighbors(x, edited)), 1
         r, s = len(costs), len(costs[0])
         q = math.lcm(r, s)
-        flow, _ = _transport(costs, [q // r] * r, [q // s] * s)
+        flow = _transport(costs, [q // r] * r, [q // s] * s)[0]
         return sum(c * f for crow, frow in zip(costs, flow) for c, f in zip(crow, frow)), q * dist_uv
 
     def flips(self, edits: Iterable) -> bool:

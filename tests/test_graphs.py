@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riccicrit import EdgeListParseError, Graph, INFINITY, format_edge_list, parse_edge_list
+from riccicrit import EdgeListParseError, Graph, INFINITY, format_edge_list, parse_edge_list, ricci
 
 from conftest import graphs
 
@@ -31,6 +31,23 @@ def test_construction_rejects_bool_node_ids_and_weights():
             Graph(3, edges, weighted=True)
     g = Graph(3, [(1, 2), (0, 2, 1)], weighted=True)
     assert parse_edge_list(format_edge_list(g)).edges() == g.edges()
+
+
+def test_queries_reject_bool_node_ids_and_name_them():
+    # True and False hash as 1 and 0, so without the check they would read
+    # nodes 1 and 0, and a plan would print "to": true.
+    g = Graph(3, [(0, 1), (1, 2)])
+    queries = [
+        lambda x: g.degree(x),
+        lambda x: g.neighbors(x),
+        lambda x: g.distances_from(x, 1),
+        lambda x: ricci(g, (x, 2)),
+        lambda x: ricci(g, (0, x)),
+    ]
+    for x in (True, False):
+        for query in queries:
+            with pytest.raises(ValueError, match=f"invalid node id {x}"):
+                query(x)
 
 
 def test_basic_accessors():

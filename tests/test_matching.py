@@ -108,7 +108,8 @@ def _row_by_row(costs):
     members = [[] for _ in index]
     for j, h in enumerate(col_of):
         members[h].append(j)
-    flow, tight = _transport(cost, [row_of.count(g) for g in range(len(row_keys))], list(map(len, members)))
+    flow, tight_of, _, _ = _transport(cost, [row_of.count(g) for g in range(len(row_keys))], list(map(len, members)))
+    tight = [[h in cols for h in range(len(members))] for cols in tight_of]
     taken = [0] * len(members)
 
     def first_free(groups):
@@ -184,7 +185,7 @@ def test_take_units_moves_a_run_in_one_reroute():
     flow = [[0, 2], [2, 0]]
     tight_of = [[0, 1], [0, 1]]
     free = matching._FreeColumns([(0, 2), (1, 2)], 2)
-    assert matching._take_units(flow, tight_of, tight_of, 0, 2, free) == (0, 2)
+    assert matching._take_units(flow, tight_of, tight_of, 0, 2, free, free.first_run(tight_of[0])) == (0, 2)
     assert flow == [[0, 0], [0, 2]]
     costs = [(2, 2, 2, 3), (2, 2, 2, 3), (0, 2, 2, 0), (0, 2, 2, 0)]
     assert min_cost_perfect_matching(costs) == _row_by_row(costs) == Matching((1, 2, 0, 3), 4)
@@ -217,10 +218,10 @@ def test_transport_plan_is_optimal_and_ships_only_on_tight_cells(instance):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(matching, "_reprice", counted)
-        flow, tight = _transport(cost, supply, demand)
+        flow, tight_of, _, _ = _transport(cost, supply, demand)
     assert [sum(row) for row in flow] == supply
     assert [sum(col) for col in zip(*flow)] == demand
-    assert all(f == 0 or t for frow, trow in zip(flow, tight) for f, t in zip(frow, trow))
+    assert all(f == 0 or h in cols for frow, cols in zip(flow, tight_of) for h, f in enumerate(frow))
     g = nx.DiGraph()
     g.add_nodes_from((("r", i), {"demand": -n}) for i, n in enumerate(supply))
     g.add_nodes_from((("c", j), {"demand": n}) for j, n in enumerate(demand))
@@ -236,6 +237,32 @@ def test_numpy_costs_give_an_exact_int_cost():
     assert json.loads(json.dumps(m.to_json_dict())) == {"assignment": [0, 1], "cost": 2}
 
 
+@settings(max_examples=300, deadline=None)
+@given(_transport_instances())
+def test_transport_potentials_certify_the_plan(instance):
+    # The returned potentials are optimal duals: no cell has a negative
+    # reduced cost, every used cell is tight, the tight cells are exactly
+    # those of zero reduced cost, and the duals' value is the plan's cost.
+    cost, supply, demand = instance
+    flow, tight_of, pot_r, pot_c = _transport(cost, supply, demand)
+    for g, (crow, frow) in enumerate(zip(cost, flow)):
+        reduced = [c + pot_r[g] - pc for c, pc in zip(crow, pot_c)]
+        assert min(reduced) >= 0
+        assert all(r == 0 for r, f in zip(reduced, frow) if f)
+        assert tight_of[g] == [h for h, r in enumerate(reduced) if r == 0]
+    total = sum(c * f for crow, frow in zip(cost, flow) for c, f in zip(crow, frow))
+    assert total == sum(n * p for n, p in zip(demand, pot_c)) - sum(n * p for n, p in zip(supply, pot_r))
+
+
+def _seeded_blow_up(r, s, seed):
+    """The blow-up of a seeded r x s matrix of costs 0..3."""
+    rng = random.Random(seed)
+    base = [[rng.randint(0, 3) for _ in range(s)] for _ in range(r)]
+    q = math.lcm(r, s)
+    rows = [tuple(c for c in row for _ in range(q // s)) for row in base]
+    return [row for row in rows for _ in range(q // r)]
+
+
 @pytest.mark.parametrize("r, s, seed", [(71, 73, 0), (64, 81, 2)])
 def test_expansion_work_does_not_grow_with_q(monkeypatch, r, s, seed):
     # q = 5183 and 5184: a row-by-row expansion reroutes 742 and 1503 times
@@ -246,15 +273,27 @@ def test_expansion_work_does_not_grow_with_q(monkeypatch, r, s, seed):
     original, reprice = matching._take_units, matching._reprice
     monkeypatch.setattr(matching, "_take_units", lambda *a: calls.append(1) or original(*a))
     monkeypatch.setattr(matching, "_reprice", lambda *a: searches.append(1) or reprice(*a))
-    rng = random.Random(seed)
-    base = [[rng.randint(0, 3) for _ in range(s)] for _ in range(r)]
-    q = math.lcm(r, s)
-    rows = [tuple(c for c in row for _ in range(q // s)) for row in base]
-    costs = [row for row in rows for _ in range(q // r)]
+    costs = _seeded_blow_up(r, s, seed)
     got = min_cost_perfect_matching(costs)
     assert matching_cost(costs, got.assignment) == got.cost
     assert len(calls) <= r * s // 10
     assert len(searches) <= 10
+
+
+@pytest.mark.parametrize("r, s, seed", [(71, 73, 0), (64, 81, 2)])
+def test_transport_searches_share_one_forest(monkeypatch, r, s, seed):
+    # A transport that searched again from every start after each push made
+    # 157 and 149 residual searches here. A greedy pass along the tight
+    # cells, then one forest that serves every column it reaches, makes 17
+    # and 10. Every ``_take_units`` call makes one search of its own.
+    calls, searches = [], []
+    original, search = matching._take_units, matching._residual_search
+    monkeypatch.setattr(matching, "_take_units", lambda *a: calls.append(1) or original(*a))
+    monkeypatch.setattr(matching, "_residual_search", lambda *a: searches.append(1) or search(*a))
+    costs = _seeded_blow_up(r, s, seed)
+    got = min_cost_perfect_matching(costs)
+    assert matching_cost(costs, got.assignment) == got.cost
+    assert len(searches) - len(calls) <= 40
 
 
 def test_enumeration_counts_and_bound():

@@ -25,3 +25,16 @@ def test_one_full_size_solve_pass_returns_the_pinned_solutions():
     proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "5d281dc02327d0c35891f563fe142a6f1fac2a6e846c4d1ce9f1d1529232264c\n"
+
+
+def test_ricci_digest_returns_the_pinned_results_and_writes_nothing_under_perfbench():
+    # ric, EMD and plan of the ricci-sparse slots, a seeded G(200, 800) and a
+    # seeded weighted G(40, 150) on both routes, as hashed before the
+    # transport kernel took its greedy pass and blocking-flow phases: the
+    # lex-min matching is unique, so no plan moves.
+    argv = [sys.executable, str(ROOT / "tools" / "ricci_digest.py")]
+    before = sorted((ROOT / "perfbench").rglob("*"))
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "3a7f653edb7124fa4608d4db082551a280ba8631d908f9742acd92af3a95288d\n"
+    assert sorted((ROOT / "perfbench").rglob("*")) == before
