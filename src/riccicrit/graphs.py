@@ -125,9 +125,11 @@ class Graph:
         return len(self._edge_tuple)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj.get(u, ())
+        """Whether u and v are joined; a bool is never a node, though True and False hash as 1 and 0."""
+        return v in self._adj.get(u, ()) and not (isinstance(u, bool) or isinstance(v, bool))
 
     def weight(self, u: int, v: int) -> int:
+        self._reject_bool(u, v)
         try:
             return self._adj[u][v]
         except KeyError:
@@ -140,6 +142,12 @@ class Graph:
     def _check_node(self, x: int) -> None:
         if not _is_int(x) or not 0 <= x < self.node_count:
             raise ValueError(f"invalid node id {x!r} for graph with {self.node_count} nodes")
+
+    def _reject_bool(self, *xs) -> None:
+        """``_check_node``'s error for a bool id; other ids are left to the caller's own check."""
+        for x in xs:
+            if isinstance(x, bool):
+                self._check_node(x)
 
     def neighbors(self, x: int) -> tuple[int, ...]:
         self._check_node(x)
@@ -243,6 +251,7 @@ class Graph:
         """New graph with the given unordered node pairs removed."""
         removals: set[Pair] = set()
         for u, v in es:
+            self._reject_bool(u, v)
             key = ordered_pair(u, v)
             if not self.has_edge(u, v):
                 raise ValueError(f"edge {key} not present")

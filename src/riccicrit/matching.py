@@ -20,10 +20,14 @@ Three layers live here:
   row from one inversion per grid point, each fixed row a rank-one update
   that gives the next row the target's share of every column at once.
   Every witness is verified before it is returned, so randomness
-  can only cause a miss, never a wrong answer.
+  can only cause a miss, never a wrong answer. The least signature needs
+  no search: one exact minimum-cost matching on weights that order every
+  matching by its signature finds it and its lexicographically first
+  matching (``_least_signature``).
 
 numpy and ``_detcube`` are imported when a randomized search first runs, so
-the matching kernel (and with it every curvature route) never loads numpy.
+the matching kernel (and with it every curvature route, and every query the
+least signature answers) never loads numpy.
 """
 
 from __future__ import annotations
@@ -453,6 +457,38 @@ def _signature_digits(
     return np.stack([4 - c, c == 3, touchable_2], axis=2).astype(np.int64)
 
 
+def _least_signature(
+    costs: Sequence[Sequence[int]],
+    touchable_mask: Sequence[Sequence[bool]],
+) -> tuple[Matching, tuple[int, int, int]]:
+    """The lexicographically smallest perfect matching among those whose
+    signature (cost, -n3, -touchable n2) is least, and that signature as
+    (x0, k0, l0).
+
+    One exact ``min_cost_perfect_matching`` on the weights
+    c·W² - [c = 3]·W - [c = 2 and touchable], W = q + 1, answers it: they
+    are non-negative, and a matching's total x·W² - k·W - l orders it as its
+    signature does, since k·W + l <= q·W < W². A row that is the same object
+    as the row before it, with the same mask row, shares its weight row, so
+    a blow-up keeps its runs. Costs must lie in 0..3.
+    """
+    q = _check_square(costs)
+    w = q + 1
+    weights: list[tuple[int, ...]] = []
+    prev = None
+    for row, mask_row in zip(costs, touchable_mask):
+        if prev is None or row is not prev[0] or mask_row is not prev[1]:
+            if max(row) > 3:
+                raise ValueError("signature queries expect costs in 0..3")
+            line = tuple(c * w * w - (c == 3) * w - (c == 2 and bool(t)) for c, t in zip(row, mask_row))
+            prev = row, mask_row
+        weights.append(line)
+    least = min_cost_perfect_matching(weights)
+    x = -(-least.cost // (w * w))
+    k, l = divmod(x * w * w - least.cost, w)
+    return Matching(least.assignment, x), (x, k, l)
+
+
 def _check_seed(seed: int) -> None:
     """Reject a negative seed, which numpy's generator would refuse without naming it."""
     if seed < 0:
@@ -589,12 +625,18 @@ def matching_with_counts(
     """Perfect matching of cost ``target_cost`` with exactly ``k`` 3-edges and
     ``l`` touchable 2-edges, or None.
 
-    Searches the signature digits for the sums (4q - target_cost, k, l), on
-    the same cubes ``signature_support`` builds for the same matrix and
-    seed. A trial misses as in ``exact_cost_matching``, also when a live
-    minor of the extraction is singular at a grid point. Returned witnesses
-    are re-verified against the original matrix unconditionally. The seed
-    must be a non-negative integer, ``trials`` positive and ``target_cost``,
+    The least signature is a free certificate, as the minimum cost is in
+    ``exact_cost_matching``: ``_least_signature`` finds the matchings whose
+    (cost, -n3, -touchable n2) is lexicographically least, exactly. A target
+    equal to that signature gets its lexicographically first matching,
+    which is the witness the search below would extract, and a target
+    ordered below it has no matching, so None. Any other target searches
+    the signature digits for the sums (4q - target_cost, k, l), on the same
+    cubes ``signature_support`` builds for the same matrix and seed. A trial
+    misses as in ``exact_cost_matching``, also when a live minor of the
+    extraction is singular at a grid point. Returned witnesses are
+    re-verified against the original matrix unconditionally. The seed must
+    be a non-negative integer, ``trials`` positive and ``target_cost``,
     ``k`` and ``l`` integers.
     """
     _check_integers(trials=trials, seed=seed, target_cost=target_cost, k=k, l=l)
@@ -602,9 +644,12 @@ def matching_with_counts(
     if trials < 1:
         raise ValueError("trials must be positive")
     q = _check_square(costs)
-    digits = _signature_digits(costs, touchable_mask)
+    least, (x0, k0, l0) = _least_signature(costs, touchable_mask)
     if k < 0 or l < 0 or k + l > q:
         return None
+    if (target_cost, -k, -l) <= (x0, -k0, -l0):
+        return least if (target_cost, k, l) == (x0, k0, l0) else None
+    digits = _signature_digits(costs, touchable_mask)
     assignment = _search(digits, (4 * q - target_cost, k, l), trials, seed)
     if assignment is None:
         return None

@@ -12,7 +12,10 @@ algorithms exist only where the underlying theory provides them:
   property, 2(a+b) in general);
 * a randomized sweep over matching signatures that picks the matching whose
   minimum drop count is smallest (factor b, respectively a+b), built on the
-  exact-cost matching machinery;
+  exact-cost matching machinery; when the least signature, found exactly by
+  one min-cost matching, already has more 3-edges than half its excess over
+  q, it is the sweep's pick, and its lex-min matching the witness, so no
+  sweep runs;
 * plain brute force over edit subsets as the acceptance oracle.
 
 Every variant runs one screened search. Each ``Instance`` has a local
@@ -62,7 +65,9 @@ from .errors import (
 from .graphs import Graph, ordered_pair
 from .matching import (
     Matching,
+    _check_integers,
     _check_seed,
+    _least_signature,
     _transport,
     matching_cost,
     matching_with_counts,
@@ -627,24 +632,38 @@ def randomized_insert(inst: Instance, seed: int) -> Solution:
     is recovered through the exact-cost machinery and the final edit set is
     verified by recomputation; randomness can degrade optimality but never
     validity. The seed must be a non-negative integer.
+
+    The sweep is skipped when the least signature (x0, k0, l0), found
+    exactly by one min-cost matching, already has 2·k0 > tau0 = x0 - q.
+    Its budget is then (tau0 // 2 + 1, 0), and no signature does better: a
+    wanted one at any tau needs at least tau // 2 + 1 drops in both branches
+    of ``kappa_hat``, a bound that never falls as tau grows, and ties go to
+    the smaller cost. The sweep would pick (x0, k0, l0) too, and its witness
+    is the lexicographically first matching with that signature, which
+    ``_least_signature`` returns. So the Solution is the same, without numpy.
     """
+    _check_integers(seed=seed)
     _check_seed(seed)
     bm = _approx_setup(inst, "randomized")
     if isinstance(bm, Solution):
         return bm
     mask = bm.touchable_mask()
-    support = signature_support(bm.costs, mask, trials=_SWEEP_TRIALS, seed=seed)
-    # Sorted, so each cost x keeps its most 3-edges, then most touchable 2-edges.
-    most = {x: (k, l) for x, k, l in sorted(support)}
-    budget = {x: kappa_hat(k, l, x - bm.q) for x, (k, l) in most.items()}
-    wanted = [(sum(kappa), x) for x, kappa in budget.items() if kappa is not None]
-    if not wanted:
-        raise RetryExhaustedError("no wanted matching signature was certified; nothing returned")
-    _, x = min(wanted)
-    (k, l), (kappa3, kappa2) = most[x], budget[x]
-    witness = matching_with_counts(bm.costs, mask, x, k, l, trials=_WITNESS_TRIALS, seed=seed)
-    if witness is None:
-        raise RetryExhaustedError("witness extraction failed for the selected signature")
+    least, (x, k, l) = _least_signature(bm.costs, mask)
+    if 2 * k > x - bm.q:
+        witness, (kappa3, kappa2) = least, kappa_hat(k, l, x - bm.q)
+    else:
+        support = signature_support(bm.costs, mask, trials=_SWEEP_TRIALS, seed=seed)
+        # Sorted, so each cost x keeps its most 3-edges, then most touchable 2-edges.
+        most = {x: (k, l) for x, k, l in sorted(support)}
+        budget = {x: kappa_hat(k, l, x - bm.q) for x, (k, l) in most.items()}
+        wanted = [(sum(kappa), x) for x, kappa in budget.items() if kappa is not None]
+        if not wanted:
+            raise RetryExhaustedError("no wanted matching signature was certified; nothing returned")
+        _, x = min(wanted)
+        (k, l), (kappa3, kappa2) = most[x], budget[x]
+        witness = matching_with_counts(bm.costs, mask, x, k, l, trials=_WITNESS_TRIALS, seed=seed)
+        if witness is None:
+            raise RetryExhaustedError("witness extraction failed for the selected signature")
     edges = select_drop_edges(bm, witness, kappa3, kappa2)
     blocks = {bm.block(row, col) for row, col in edges}
     return _finish_insert_solution(inst, bm.source, blocks, "randomized", len(edges))

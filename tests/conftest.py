@@ -22,6 +22,7 @@ from riccicrit import (
     ricci,
 )
 from riccicrit import _detcube
+from riccicrit.matching import _least_signature
 
 
 def random_connected_graph(rng: random.Random, n: int, *, weighted: bool = False, p: float = 0.45, max_w: int = 5) -> Graph:
@@ -117,6 +118,34 @@ def sample_spade_instances(
         if not feasible:
             continue
         out.append(inst)
+    if len(out) < count:
+        raise RuntimeError(f"sampler only found {len(out)} of {count} instances")
+    return out
+
+
+def sample_sweep_instances(rng: random.Random, count: int, *, max_q: int = 40) -> list[Instance]:
+    """Feasible uw-rt-ins-ntp instances on seeded random graphs of 6 to 9
+    nodes, with rho > 0 and q <= ``max_q``, whose least signature (x0, k0,
+    l0) has 2·k0 <= x0 - q: ``randomized_insert`` sweeps their signatures."""
+    variant = ProblemVariant.parse("uw-rt-ins-ntp")
+    out: list[Instance] = []
+    attempts = 0
+    while len(out) < count and attempts < count * 400:
+        attempts += 1
+        g = random_connected_graph(rng, rng.randint(6, 9), p=0.4)
+        for u, v, _w in g.edges():
+            cm = build_cost_matrix(g, (u, v))
+            q = math.lcm(cm.r, cm.s)
+            if q > max_q or ricci(g, (u, v)).sign == Sign.POSITIVE:
+                continue
+            inst = Instance(g, (u, v), variant)
+            if not feasible_by_saturation(inst)[0]:
+                continue
+            bm = inst._blow_up
+            _, (x0, k0, _l0) = _least_signature(bm.costs, bm.touchable_mask())
+            if x0 > q and 2 * k0 <= x0 - q:
+                out.append(inst)
+                break
     if len(out) < count:
         raise RuntimeError(f"sampler only found {len(out)} of {count} instances")
     return out

@@ -24,6 +24,10 @@ from conftest import blow_up_shape, random_connected_graph
 
 # Double star: (0, 1) has curvature -1/2 and is a feasible uw-rt-ins-ntp instance.
 STAR6 = "0 1\n0 2\n0 3\n1 4\n1 5\n"
+# (1, 6) has curvature -1/3 and is a feasible uw-rt-ins-ntp instance at q = 6
+# whose least signature, (8, 1, 1), has too few 3-edges for randomized_insert's
+# exact shortcut: it sweeps the signatures. STAR6 takes the shortcut.
+SWEEP9 = "0 3\n0 5\n0 6\n0 7\n1 2\n1 6\n2 7\n3 6\n4 6\n5 8\n6 8\n"
 
 
 def run(capsys, *argv):
@@ -241,28 +245,34 @@ def test_randomized_rejects_a_negative_seed(capsys, tmp_path):
     assert err == "error: seed must be non-negative, got -1\n"
 
 
-def solve_star6_randomized(capsys, tmp_path):
-    star = tmp_path / "star.edges"
-    star.write_text(STAR6)
-    return run(capsys, "solve", str(star), "--edge", "0", "1",
+def solve_sweep9_randomized(capsys, tmp_path):
+    graph = tmp_path / "sweep9.edges"
+    graph.write_text(SWEEP9)
+    return run(capsys, "solve", str(graph), "--edge", "1", "6",
                "--variant", "uw-rt-ins-ntp", "--method", "randomized", "--seed", "1")
 
 
+def sweep9_instance():
+    variant = riccicrit.ProblemVariant.parse("uw-rt-ins-ntp")
+    return riccicrit.Instance(riccicrit.parse_edge_list(SWEEP9), (1, 6), variant)
+
+
 def test_a_witness_short_of_its_drop_budget_is_a_verification_failure(capsys, tmp_path, monkeypatch):
-    # STAR6's selected signature is cost 6 with two 3-edges, both to drop.
-    # A cost-6 witness without 3-edges cannot realize that budget: an
-    # internal failure, reported as such and not as a usage error.
+    # SWEEP9's selected signature is cost 8 with one 3-edge and one
+    # touchable 2-edge, both to drop. A cost-8 witness without 3-edges
+    # cannot realize that budget: an internal failure, reported as such and
+    # not as a usage error.
     real = riccicrit.solvers.matching_with_counts
     returned = []
 
     def no_threes(costs, mask, target, k, l, **kw):
-        found = real(costs, mask, target, 0, 0, **kw)
+        found = real(costs, mask, target, 0, l, **kw)
         returned.append((found.cost, target, k))
         return found
 
     monkeypatch.setattr(riccicrit.solvers, "matching_with_counts", no_threes)
-    code, out, err = solve_star6_randomized(capsys, tmp_path)
-    assert returned == [(6, 6, 2)]
+    code, out, err = solve_sweep9_randomized(capsys, tmp_path)
+    assert returned == [(8, 8, 1)]
     assert (code, out) == (5, "")
     assert err == "verification failure: matching cannot realize the requested drop budget\n"
 
@@ -278,11 +288,9 @@ def test_a_witness_short_of_its_drop_budget_is_a_verification_failure(capsys, tm
 )
 def test_randomized_retry_exhaustion_is_a_verification_failure(capsys, tmp_path, monkeypatch, name, fake, message):
     monkeypatch.setattr(riccicrit.solvers, name, fake)
-    star = riccicrit.Instance(Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)]), (0, 1),
-                              riccicrit.ProblemVariant.parse("uw-rt-ins-ntp"))
     with pytest.raises(riccicrit.RetryExhaustedError, match=message):
-        riccicrit.randomized_insert(star, seed=1)
-    code, out, err = solve_star6_randomized(capsys, tmp_path)
+        riccicrit.randomized_insert(sweep9_instance(), seed=1)
+    code, out, err = solve_sweep9_randomized(capsys, tmp_path)
     assert (code, out) == (5, "")
     assert err.startswith("verification failure: " + message)
 
@@ -697,9 +705,13 @@ def test_numpy_is_imported_only_by_the_randomized_solvers(tmp_path):
     for route in ("matching", "flow"):
         assert not numpy_loaded_by(["curvature", str(star), "--all", "--route", route, "--output", str(out)])
         assert len(json.loads(out.read_text())["results"]) == 5
-    solve = ["solve", str(star), "--edge", "0", "1", "--variant", "uw-rt-ins-ntp", "--method", "randomized"]
-    assert numpy_loaded_by([*solve, "--seed", "1", "--output", str(out)])
-    assert json.loads(out.read_text())["verified"] is True
+    # STAR6's least signature answers randomized_insert exactly; SWEEP9 runs the F_p sweep.
+    sweep = tmp_path / "sweep9.edges"
+    sweep.write_text(SWEEP9)
+    for graph, edge, loaded in ((star, ["0", "1"], False), (sweep, ["1", "6"], True)):
+        solve = ["solve", str(graph), "--edge", *edge, "--variant", "uw-rt-ins-ntp", "--method", "randomized"]
+        assert numpy_loaded_by([*solve, "--seed", "1", "--output", str(out)]) is loaded
+        assert json.loads(out.read_text())["verified"] is True
 
 
 @pytest.fixture(scope="module")

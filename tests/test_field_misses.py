@@ -17,11 +17,21 @@ import random
 
 import numpy as np
 
-from riccicrit import RetryExhaustedError, Sign, _detcube, matching, randomized_insert, ricci
-from riccicrit.matching import _search, _signature_digits, signature_support
+from riccicrit import (
+    Graph,
+    Instance,
+    ProblemVariant,
+    RetryExhaustedError,
+    Sign,
+    _detcube,
+    matching,
+    randomized_insert,
+    ricci,
+)
+from riccicrit.matching import _least_signature, _search, _signature_digits, signature_support
 from riccicrit.solvers import apply_edits
 
-from conftest import enumerated_signatures, sample_spade_instances
+from conftest import enumerated_signatures
 
 
 def test_cubes_and_vandermonde_inverses_are_cached_per_field(field):
@@ -114,11 +124,36 @@ def test_misses_stay_one_sided_where_they_are_common(field):
     assert misses and give_ups
 
 
+# Two q = 15 edges, drawn from seeded random graphs, whose least signature
+# has too few 3-edges for the exact shortcut, so randomized_insert sweeps
+# them. At seed 0 over F_101 both sweep trials miss the least signature, and
+# the extraction for the signature picked instead gives up.
+SWEPT_AT_SMALL_FIELD = [
+    (
+        12,
+        [(0, 2), (0, 4), (0, 8), (0, 9), (1, 2), (1, 10), (2, 5), (2, 6), (3, 5), (3, 10), (4, 5), (4, 7), (4, 9),
+         (5, 9), (5, 10), (6, 9), (6, 10), (6, 11), (7, 11), (9, 10), (10, 11)],
+        (4, 7),
+    ),
+    (
+        11,
+        [(0, 2), (0, 3), (0, 9), (1, 2), (1, 3), (1, 5), (1, 6), (2, 10), (3, 8), (3, 9), (3, 10), (4, 7), (4, 8),
+         (5, 7), (6, 9), (7, 8), (7, 9), (8, 9), (8, 10), (9, 10)],
+        (1, 5),
+    ),
+]
+
+
 def test_randomized_insert_returns_only_verified_sets_at_a_small_field(field):
+    variant = ProblemVariant.parse("uw-rt-ins-ntp")
+    pool = [Instance(Graph(n, edges), edge, variant) for n, edges, edge in SWEPT_AT_SMALL_FIELD]
+    for inst in pool:
+        bm = inst._blow_up
+        _, (x0, k0, _l0) = _least_signature(bm.costs, bm.touchable_mask())
+        assert 2 * k0 <= x0 - bm.q  # the sweep runs
     field(101)
-    pool = [(3, 4, 0.3), (3, 5, 0.3), (2, 5, 0.3), (4, 4, 0.3)]
     solved = exhausted = 0
-    for inst in sample_spade_instances(random.Random(5), 6, degree_pool=pool):
+    for inst in pool:
         for seed in range(6):
             try:
                 sol = randomized_insert(inst, seed=seed)

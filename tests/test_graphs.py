@@ -50,6 +50,25 @@ def test_queries_reject_bool_node_ids_and_name_them():
                 query(x)
 
 
+def test_edge_queries_and_deletion_never_take_a_bool_for_a_node():
+    # has_edge(0, True) would read edge (0, 1), and delete_edges([(True, 2)])
+    # would delete edge (1, 2).
+    g = Graph(3, [(0, 1), (1, 2)])
+    for x in (True, False):
+        assert not g.has_edge(0, x) and not g.has_edge(x, 2) and not g.has_edge(x, 1 - x)
+        for call in (lambda: g.weight(x, 2), lambda: g.weight(1, x), lambda: g.delete_edges([(x, 2)])):
+            with pytest.raises(ValueError, match=f"^invalid node id {x} for graph with 3 nodes$"):
+                call()
+    # Int ids keep their answers and messages.
+    assert g.has_edge(1, 0) and not g.has_edge(0, 2) and not g.has_edge(0, 99)
+    assert g.weight(1, 2) == 1
+    with pytest.raises(ValueError, match=r"^no edge between 0 and 99$"):
+        g.weight(0, 99)
+    with pytest.raises(ValueError, match=r"^edge \(0, 2\) not present$"):
+        g.delete_edges([(0, 2)])
+    assert g.delete_edges([(2, 1)]).edges() == ((0, 1, 1),)
+
+
 def test_basic_accessors():
     g = Graph(4, [(0, 1), (1, 2)])
     assert g.neighbors(1) == (0, 2)

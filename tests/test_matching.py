@@ -25,6 +25,7 @@ from riccicrit._detcube import LiveMinor, SignatureCube, coefficient_at, det_bat
 from riccicrit.matching import (
     _check_square,
     _extract_assignment,
+    _least_signature,
     _signature_digits,
     _transport,
     _trial_scalars,
@@ -507,6 +508,69 @@ def test_witness_is_the_first_enumerated_matching_with_its_signature():
             assert matching_with_counts(costs, touch, x, k, l, trials=20, seed=case) == m
             checked += 1
     assert checked > 300
+
+
+def _first_least(costs, touch) -> tuple[Matching, tuple[int, int, int]]:
+    """The first enumerated matching whose (cost, -n3, -touchable n2) is least, and its (cost, n3, touchable n2)."""
+    best = None
+    for m in enumerate_matchings(costs):
+        cc = class_counts(costs, touch, m)
+        key = (m.cost, -cc.n3, -cc.n2_touchable)
+        if best is None or key < best[0]:
+            best = key, m
+    (x, k, l), m = best
+    return m, (x, -k, -l)
+
+
+def _blown(matrix, a: int, b: int) -> list[tuple]:
+    """Each cell repeated b times along its row, and each expanded row a times as one object, as blow-ups are."""
+    rows = [tuple(c for c in row for _ in range(b)) for row in matrix]
+    return [row for row in rows for _ in range(a)]
+
+
+def _least_signature_cases():
+    """Seeded 0..3 matrices with q from 1 to 7 under random, all-true and
+    all-false masks, and blow-ups whose mask rows repeat with their cost rows."""
+    rng = random.Random(2718)
+    for q in range(1, 8):
+        for _ in range(3 if q < 7 else 1):
+            costs = [[rng.randint(0, 3) for _ in range(q)] for _ in range(q)]
+            yield costs, [[rng.random() < 0.5 for _ in range(q)] for _ in range(q)]
+            yield costs, [[True] * q for _ in range(q)]
+            yield costs, [[False] * q for _ in range(q)]
+    for r, s in ((2, 3), (3, 2), (2, 4), (3, 6), (1, 5)):
+        q = math.lcm(r, s)
+        costs = [[rng.randint(0, 3) for _ in range(s)] for _ in range(r)]
+        touch = [[rng.random() < 0.5 for _ in range(s)] for _ in range(r)]
+        yield _blown(costs, q // r, q // s), _blown(touch, q // r, q // s)
+
+
+def test_least_signature_is_the_first_enumerated_matching_with_the_least_signature():
+    for costs, touch in _least_signature_cases():
+        expected, signature = _first_least(costs, touch)
+        least, found = _least_signature(costs, touch)
+        assert (least, found) == (expected, signature)
+        assert least.cost == matching_cost(costs, least.assignment)
+
+
+def test_matching_with_counts_answers_the_least_signature_and_below_without_a_search(monkeypatch):
+    # The least signature's own target gets its first matching, the one the
+    # F_p extraction would return; every target ordered below it has no
+    # matching. Neither builds a cube or loads the search.
+    _no_cubes(monkeypatch)
+    monkeypatch.setattr(matching, "_search", lambda *a: pytest.fail("a search ran"))
+    below = 0
+    for case, (costs, touch) in enumerate(_least_signature_cases()):
+        q = len(costs)
+        expected, (x0, k0, l0) = _first_least(costs, touch)
+        assert matching_with_counts(costs, touch, x0, k0, l0, seed=case) == expected
+        for x in range(x0 + 1):
+            for k in range(q + 1):
+                for l in range(q + 1 - k):
+                    if (x, -k, -l) < (x0, -k0, -l0):
+                        assert matching_with_counts(costs, touch, x, k, l, seed=case) is None
+                        below += 1
+    assert below > 500
 
 
 def _minor_by_minor_extraction(digits, scalars, target):

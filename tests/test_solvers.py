@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import networkx
@@ -36,9 +37,11 @@ from riccicrit import (
 from riccicrit import _detcube, curvature, matching, solvers
 from riccicrit.curvature import _adjacency_costs
 from riccicrit.gadgets import cover_insertions_maxcov
-from riccicrit.matching import _signature_digits, min_cost_perfect_matching
+from riccicrit.graphs import ordered_pair
+from riccicrit.matching import _signature_digits, min_cost_perfect_matching, signature_support
 from riccicrit.solvers import (
     _LocalEvaluator,
+    _approx_setup,
     _first_flip,
     _flips,
     apply_edits,
@@ -47,7 +50,13 @@ from riccicrit.solvers import (
     select_drop_edges,
 )
 
-from conftest import blow_up_shape, double_star, random_connected_graph, sample_spade_instances
+from conftest import (
+    blow_up_shape,
+    double_star,
+    random_connected_graph,
+    sample_spade_instances,
+    sample_sweep_instances,
+)
 
 NTP = ProblemVariant.parse("uw-rt-ins-ntp")
 UT_NTP = ProblemVariant.parse("uw-ut-ins-ntp")
@@ -370,6 +379,19 @@ def test_randomized_rejects_a_negative_seed_before_any_work(monkeypatch):
         randomized_insert(neg_instance(), seed=-1)
 
 
+@pytest.mark.parametrize("seed", [1.5, "3"])
+def test_randomized_names_a_non_integer_seed_before_any_work(monkeypatch, seed):
+    # The double star STAR6 takes the exact shortcut, which reads no seed,
+    # and the side-edge instance sweeps; both refuse the seed first.
+    message = rf"^seed must be an integer, got {re.escape(repr(seed))}$"
+    for inst in (neg_instance(3, 3, ()), SIDE_EDGE_INSTANCES[1]):
+        with pytest.raises(ValueError, match=message):
+            randomized_insert(inst, seed=seed)
+    monkeypatch.setattr(solvers, "_approx_setup", lambda *a: pytest.fail("set-up ran"))
+    with pytest.raises(ValueError, match=message):
+        randomized_insert(neg_instance(3, 3, ()), seed=seed)
+
+
 def test_randomized_general_bound(rng):
     instances = sample_spade_instances(rng, 8, degree_pool=[(3, 5, 0.3), (4, 7, 0.3)])
     for i, inst in enumerate(instances):
@@ -413,6 +435,9 @@ PINNED_CASES = [(neg_instance(*star), greedy, rand) for star, greedy, rand in PI
 ]
 
 
+SIDE_EDGE_INSTANCES = [inst for inst, _greedy, _rand in PINNED_CASES[len(PINNED_DOUBLE_STARS):]]
+
+
 def pinned(sol: Solution) -> tuple:
     assert all(w == 1 for _pair, w in sol.edits)
     return tuple(pair for pair, _w in sol.edits), str(sol.resulting_ric), sol.drops
@@ -431,6 +456,68 @@ def test_pinned_approximation_solutions_on_the_tightness_gadget():
     assert pinned(greedy_insert(inst, start)) == adversarial
     assert pinned(greedy_insert(inst)) == (((5, 12), (6, 13), (7, 14)), "1/9", 3)
     assert pinned(randomized_insert(inst, seed=5)) == (((5, 12), (6, 13), (7, 14)), "1/9", 3)
+
+
+def _swept(inst: Instance, seed: int) -> Solution:
+    """``randomized_insert`` with no shortcut: every signature swept, the
+    witness of the least drop budget queried, at the same seed."""
+    bm = _approx_setup(inst, "randomized")
+    if isinstance(bm, Solution):
+        return bm
+    mask = bm.touchable_mask()
+    most = {x: (k, l) for x, k, l in sorted(signature_support(bm.costs, mask, trials=2, seed=seed))}
+    budget = {x: kappa_hat(k, l, x - bm.q) for x, (k, l) in most.items()}
+    _, x = min((sum(kappa), x) for x, kappa in budget.items() if kappa is not None)
+    witness = matching.matching_with_counts(bm.costs, mask, x, *most[x], trials=4, seed=seed)
+    # The query answers the least signature without a search; the F_p
+    # extraction it skips finds the same lexicographically first witness.
+    digits = _signature_digits(bm.costs, mask)
+    assert matching._search(digits, (4 * bm.q - x, *most[x]), 4, seed) == list(witness.assignment)
+    edges = select_drop_edges(bm, witness, *budget[x])
+    cm = bm.source
+    blocks = {bm.block(row, col) for row, col in edges}
+    pairs = sorted({ordered_pair(cm.row_nodes[i], cm.col_nodes[j]) for i, j in blocks})
+    edits = tuple((pair, 1) for pair in pairs)
+    flipped, ric = _flips(inst, edits)
+    assert flipped
+    return Solution(edits, ric, "randomized", drops=len(edges))
+
+
+def _sweep_spy(monkeypatch) -> list:
+    """The calls ``randomized_insert`` makes to ``signature_support``, recorded as they happen."""
+    calls = []
+    monkeypatch.setattr(solvers, "signature_support", lambda *a, **kw: calls.append(a) or signature_support(*a, **kw))
+    return calls
+
+
+def test_the_least_signature_answers_every_spade_and_tightness_instance_without_a_sweep(monkeypatch):
+    pool = sample_spade_instances(
+        random.Random(6060),
+        24,
+        degree_pool=[(2, 5, 0.3), (3, 5, 0.3), (3, 7, 0.25), (4, 7, 0.3), (3, 3, 0.25), (4, 4, 0.3)],
+    )
+    g, e, _, _ = gen_tightness_graph(6)
+    pool.append(Instance(g, e, NTP))
+    calls = _sweep_spy(monkeypatch)
+    for i, inst in enumerate(pool):
+        got = randomized_insert(inst, seed=i)
+        assert calls == []
+        assert got == _swept(inst, seed=i)
+
+
+def test_instances_whose_least_signature_lacks_3_edges_are_swept(monkeypatch):
+    # The side-edge pins select (23, 0, 4) at q = 21 and (16, 0, 5) at q = 15:
+    # no 3-edge, so their least signature cannot settle the budget alone.
+    # The q = 6 edge's least signature (8, 1, 1) sits on the boundary,
+    # 2·k0 = x0 - q, where the budget is (1, 1), not (2, 0).
+    boundary = Graph(9, [(0, 3), (0, 5), (0, 6), (0, 7), (1, 2), (1, 6), (2, 7), (3, 6), (4, 6), (5, 8), (6, 8)])
+    pool = SIDE_EDGE_INSTANCES + [Instance(boundary, (1, 6), NTP)] + sample_sweep_instances(random.Random(11), 4)
+    calls = _sweep_spy(monkeypatch)
+    for i, inst in enumerate(pool):
+        got = randomized_insert(inst, seed=i)
+        assert len(calls) == 1
+        calls.clear()
+        assert got == _swept(inst, seed=i)
 
 
 def _unstrided_dims(digits) -> tuple[int, ...]:
