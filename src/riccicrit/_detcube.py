@@ -31,8 +31,8 @@ grid in x would give. Point 0 is left out: it zeroes every entry with a
 positive digit and would often make the matrix singular.
 
 A sweep over several trials' scalars is one evaluation (``_sweep``): the
-trials share their digits, so one ``_factor``, one layout and one walk of
-the grid serve them all. Each chunk's table of monomials is built once and
+trials share their digits, so one ``_factor`` and one walk of the grid
+serve them all. Each chunk's table of monomials is built once and
 multiplied by each trial's scalars, and the chunk's matrices for every
 trial go to one ``det_batch`` call, whose fixed cost outweighs its
 arithmetic on small matrices; the Vandermonde systems are then solved with
@@ -40,30 +40,6 @@ the trial as a leading axis. The chunk bound counts matrices over all the
 trials, so no call holds more matrices than one trial's chunk would. A lone
 ``SignatureCube`` is a sweep of one trial, and each trial's cube is the
 one it would be alone.
-
-A large cube is evaluated on a smaller grid than that box. Every monomial of
-the determinant is one permutation, so along any integer direction w its
-degree w.s lies between the least and the greatest w-weight of a perfect
-matching on the reduced digits: two assignment optima, both attained, which
-the matching kernel's transportation solver computes exactly on the runs of
-equal rows and columns. A unimodular integer shear T of the axes maps each
-exponent s to T s, a bijection of Z^naxes, so the determinant with every
-entry's digits replaced by T times them has the same coefficients, each at
-T s. Along sheared axis a, T s spans exactly [low_a, high_a]; the points
-are nonzero, so the determinant divided by y^low is a polynomial of degree
-high_a - low_a along the axis, and the grid 1..(high - low + 1) recovers it.
-(T may subtract an axis, so the sheared digits get their row and column
-minima taken out before the evaluation; every permutation's sum, and the
-power of y divided out, drop by the same amount.)
-``coefficient`` maps a target through T, and ``support`` maps each index back
-through T^-1. ``_sheared`` picks T by a greedy search. The ``solve``
-benchmark's q = 40 double star has its signatures in a band (cost + n3
-varies over 11 values), so T replaces the cost axis with cost + n3 and the
-grid drops from 26 x 25 points to 11 x 25. The search costs a few
-transportation problems, so only a cube whose box work (points times n^3)
-reaches ``_LAYOUT_MIN`` is laid out, and the layout is cached per digit
-array: a sweep computes it once for all its trials, and a search's later
-trials, evaluated alone, reuse it.
 
 Witness extraction fixes the rows in order, each to the first column that
 keeps the target reachable, and needs one row's worth of coefficients at a
@@ -109,16 +85,13 @@ from __future__ import annotations
 
 import collections
 import functools
-import itertools
 import math
-import operator
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from . import matching
 from .errors import FieldConfigError
-from .matching import _runs, _transport
 
 PRIME = (1 << 31) - 1
 
@@ -131,16 +104,6 @@ _MAX_GRID_POINTS = 2_000_000
 # the tree 20 us at 8 and 33-37 from 64 to 128. They cross between 92 and
 # 100, where they differ by less than the noise.
 _TREE_MIN = 100
-
-# Box work (grid points times n^3) from which a SignatureCube is evaluated on
-# the exact windows of a sheared layout (``_sheared``) instead of the box.
-# The layout costs 0.3 to 3 ms of transportation problems per digit array;
-# the two trials of a sweep share it. Both trials, best of 5 on a 2-vCPU VM,
-# with the layout against without: the solve benchmark's main-class cubes
-# (work up to 171,072) lose 0.4 to 0.8 ms and the m = 6 tightness cube
-# (606,528) 1.9 ms; double-star blow-ups gain 0.6 ms at 1.14 M, 1.9 ms at
-# 2.96 M and 53 ms at the q = 40 cube's 41.6 M.
-_LAYOUT_MIN = 1_000_000
 
 
 def _inverse_vec(x: np.ndarray) -> np.ndarray:
@@ -328,16 +291,6 @@ def _mod_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _minima(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Take the row minima, then the column minima, out of an (n, n, naxes)
-    digit array; returns the digits left and the per-axis sum taken out,
-    which every permutation's digit sums lose."""
-    rowmin = digits.min(axis=1, keepdims=True)
-    digits = digits - rowmin
-    colmin = digits.min(axis=0, keepdims=True)
-    return digits - colmin, rowmin.sum(axis=(0, 1)) + colmin.sum(axis=(0, 1))
-
-
 def _factor(digits: np.ndarray) -> tuple[np.ndarray, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Factor the row minima, then the column minima, out of an (n, n, naxes)
     digit array, then divide each axis by its common factor.
@@ -352,105 +305,15 @@ def _factor(digits: np.ndarray) -> tuple[np.ndarray, tuple[int, ...], tuple[int,
     row-maxima and column-maxima sums of ``reduced``, which bound s. A
     target off its axis's residue class has no permutation.
     """
-    digits, offset = _minima(digits)
+    rowmin = digits.min(axis=1, keepdims=True)
+    digits = digits - rowmin
+    colmin = digits.min(axis=0, keepdims=True)
+    digits = digits - colmin
+    offset = rowmin.sum(axis=(0, 1)) + colmin.sum(axis=(0, 1))
     stride = np.maximum(np.gcd.reduce(digits.reshape(-1, digits.shape[2]), axis=0), 1)
     digits //= stride
     bound = np.minimum(digits.max(axis=1).sum(axis=0), digits.max(axis=0).sum(axis=0))
     return digits, tuple(map(int, offset)), tuple(int(b) + 1 for b in bound), tuple(int(g) for g in stride)
-
-
-class _Layout(NamedTuple):
-    """A unimodular shear of the digit axes and the exact window of each sheared axis.
-
-    Sheared axis a reads the digit sums s through row a of ``shear`` (T), and
-    over the permutations T s spans ``low[a]`` to ``low[a] + dims[a] - 1``
-    exactly; ``unshear`` is T^-1, an integer matrix too. The matrices are
-    tuples of rows, so a cached layout cannot be written to.
-    """
-
-    shear: tuple[tuple[int, ...], ...]
-    unshear: tuple[tuple[int, ...], ...]
-    low: tuple[int, ...]
-    dims: tuple[int, ...]
-
-
-def _box_layout(dims: tuple[int, ...]) -> _Layout:
-    """The plain grid of ``_factor``: no shear, every window from 0."""
-    eye = tuple(map(tuple, np.eye(len(dims), dtype=int).tolist()))
-    return _Layout(eye, eye, (0,) * len(dims), dims)
-
-
-def _least_sum(cost: np.ndarray, supply: list[int], demand: list[int]) -> int:
-    """The least cost of a perfect matching, on a matrix grouped into runs of
-    equal rows (``supply``) and columns (``demand``), by ``_transport``."""
-    base = int(cost.min())
-    shifted = (cost - base).tolist()
-    flow = _transport(shifted, supply, demand)[0]
-    return sum(f * c for fr, cr in zip(flow, shifted) for f, c in zip(fr, cr)) + base * sum(supply)
-
-
-def _layout(reduced: np.ndarray) -> _Layout:
-    """The sheared layout of ``reduced``, once per digit array (see ``_sheared``)."""
-    return _sheared(reduced.tobytes(), reduced.shape)
-
-
-@functools.lru_cache(maxsize=16)
-def _sheared(data: bytes, shape: tuple[int, ...]) -> _Layout:
-    """Greedy shear search on exact windows.
-
-    Each permutation's sheared sum along a direction w is w . s, a sum of
-    one entry per row of the digits contracted with w, so its window's ends
-    are the least and the greatest cost of a perfect matching on that
-    matrix: two transportation problems on the runs of equal rows and
-    columns, which every direction shares. Starting from no shear, each
-    round tries every row operation T_a <- T_a +- T_b between two axes of
-    width above 1 and keeps the one that shrinks the grid most, until none
-    shrinks it. A row operation keeps T unimodular, and its inverse is the
-    column operation on T^-1.
-    """
-    reduced = np.frombuffer(data, dtype=np.int64).reshape(shape)
-    row_runs, row_keys = _runs(tuple(map(tuple, row)) for row in reduced.tolist())
-    col_runs, col_keys = _runs(zip(*row_keys))
-    grouped = np.array(list(zip(*col_keys)), dtype=np.int64)
-    supply, demand = [0] * len(row_keys), [0] * len(col_keys)
-    for g, k in row_runs:
-        supply[g] += k
-    for h, k in col_runs:
-        demand[h] += k
-    windows: dict[tuple[int, ...], tuple[int, int]] = {}
-
-    def window(w: np.ndarray) -> tuple[int, int]:
-        key = tuple(w.tolist())
-        if key not in windows:
-            cost = grouped @ w
-            windows[key] = (_least_sum(cost, supply, demand), -_least_sum(-cost, supply, demand))
-        return windows[key]
-
-    naxes = shape[2]
-    shear, unshear = np.eye(naxes, dtype=np.int64), np.eye(naxes, dtype=np.int64)
-    bounds = [window(row) for row in shear]
-    while True:
-        widths = [hi - lo + 1 for lo, hi in bounds]
-        best, smallest = None, math.prod(widths)
-        for a, b in itertools.permutations(range(naxes), 2):
-            if widths[a] == 1 or widths[b] == 1:
-                continue
-            for c in (1, -1):
-                lo, hi = window(shear[a] + c * shear[b])
-                size = math.prod(widths[:a] + [hi - lo + 1] + widths[a + 1 :])
-                if size < smallest:
-                    best, smallest = (a, b, c, (lo, hi)), size
-        if best is None:
-            break
-        a, b, c, bounds[a] = best
-        shear[a] += c * shear[b]
-        unshear[:, b] -= c * unshear[:, a]
-    return _Layout(
-        tuple(map(tuple, shear.tolist())),
-        tuple(map(tuple, unshear.tolist())),
-        tuple(lo for lo, _ in bounds),
-        tuple(hi - lo + 1 for lo, hi in bounds),
-    )
 
 
 def _grid(digits: np.ndarray, scalars: np.ndarray, dims: tuple[int, ...]):
@@ -502,57 +365,45 @@ def _grid(digits: np.ndarray, scalars: np.ndarray, dims: tuple[int, ...]):
 class _Sweep(NamedTuple):
     """The signature cubes of one digit array at T trials' scalars, from one evaluation.
 
-    ``cubes[t]`` is trial t's coefficient array on the grid of ``layout``;
-    ``offset`` and ``stride`` are ``_factor``'s.
+    ``cubes[t]`` is trial t's coefficient array on the grid ``dims``;
+    ``offset``, ``dims`` and ``stride`` are ``_factor``'s.
     """
 
     offset: tuple[int, ...]
+    dims: tuple[int, ...]
     stride: tuple[int, ...]
-    layout: _Layout
     cubes: np.ndarray
 
 
 def _sweep(digits: np.ndarray, scalars: np.ndarray) -> _Sweep:
     """Evaluate the signature cubes of ``digits`` at a (T, n, n) stack of scalars in one pass.
 
-    One ``_factor`` and one layout serve every trial. The grid is walked
-    once: each chunk's monomial table is shared, its matrices for all
-    trials go to one ``det_batch`` call, and the chunk bound counts those
-    matrices, so no call holds more than one trial's chunk would. The
-    Vandermonde systems are solved with the trial as a leading axis.
+    One ``_factor`` serves every trial. The grid is walked once: each
+    chunk's monomial table is shared, its matrices for all trials go to one
+    ``det_batch`` call, and the chunk bound counts those matrices, so no
+    call holds more than one trial's chunk would. The Vandermonde systems
+    are solved with the trial as a leading axis.
     """
     n = digits.shape[0]
-    reduced, offset, box, stride = _factor(digits)
-    layout = _layout(reduced) if math.prod(box) * n**3 >= _LAYOUT_MIN else _box_layout(box)
-    # The grid's digits are the sheared ones with their row and column
-    # minima out, so each permutation's sum along sheared axis a is its
-    # T s minus shift[a], at least low[a] - shift[a].
-    grid_digits, shift = _minima(reduced @ np.array(layout.shear).T)
-    trials, dims = len(scalars), layout.dims
-    values = [det_batch(mats.reshape(-1, n, n)).reshape(trials, -1) for _, mats in _grid(grid_digits, scalars, dims)]
+    reduced, offset, dims, stride = _factor(digits)
+    trials = len(scalars)
+    values = [det_batch(mats.reshape(-1, n, n)).reshape(trials, -1) for _, mats in _grid(reduced, scalars, dims)]
     val = np.concatenate(values, axis=1).reshape((trials,) + dims)
-    for axis, (d, lo) in enumerate(zip(dims, np.subtract(layout.low, shift).tolist())):
-        if lo:
-            # Divide by x^lo, which no point zeroes.
-            scale = np.array([pow(x, -lo, PRIME) for x in range(1, d + 1)], dtype=np.int64)
-            val = (val * scale.reshape((d,) + (1,) * (len(dims) - axis - 1))) % PRIME
     # Invert the Vandermonde system along each axis in turn; axis 0 is the trial.
     for axis, d in enumerate(dims, start=1):
         if d == 1:
             continue
         moved = _mod_matmul(vandermonde_inverse(d), np.moveaxis(val, axis, 0).reshape(d, -1))
         val = np.moveaxis(moved.reshape((d,) + val.shape[:axis] + val.shape[axis + 1 :]), 0, axis)
-    return _Sweep(offset, stride, layout, val)
+    return _Sweep(offset, dims, stride, val)
 
 
 class SignatureCube:
     """Coefficient array of the digit-generating determinant polynomial.
 
-    Its index is the sheared one: ``cube[u]`` is the coefficient of the
-    digit sums ``offset + stride * s`` with T s = ``low`` + u, T being
-    ``shear`` (the identity, and ``low`` zero, below ``_LAYOUT_MIN``). It is
-    nonzero only if some perfect matching of the digitized matrix has those
-    digit sums; nonzero is a certificate, zero is correct with high
+    ``cube[s]`` is the coefficient of the digit sums ``offset + stride * s``.
+    It is nonzero only if some perfect matching of the digitized matrix has
+    those digit sums; nonzero is a certificate, zero is correct with high
     probability. ``coefficient`` and ``support`` speak digit sums.
     """
 
@@ -564,32 +415,26 @@ class SignatureCube:
         if digits.shape[:2] != (n, n):
             raise ValueError("digits must be (n, n, naxes)")
         self.n = n
-        self.naxes = digits.shape[2]
         self.scalars = np.asarray(scalars, dtype=np.int64) % PRIME
         if sweep is None:
             sweep = _sweep(digits, self.scalars[None])
-        self.offset, self.stride = sweep.offset, sweep.stride
-        self.shear, self.unshear, self.low, self.dims = sweep.layout
+        self.offset, self.dims, self.stride = sweep.offset, sweep.dims, sweep.stride
         self.cube = sweep.cubes[trial]
 
     def coefficient(self, target: tuple[int, ...]) -> int:
         """Coefficient at absolute digit sums ``target`` (0 if out of range or
         off an axis's residue class)."""
-        reduced = []
-        for axis in range(self.naxes):
-            s, off = divmod(target[axis] - self.offset[axis], self.stride[axis])
-            if off:
+        idx = []
+        for t, o, g, d in zip(target, self.offset, self.stride, self.dims):
+            s, off = divmod(t - o, g)
+            if off or s < 0 or s >= d:
                 return 0
-            reduced.append(s)
-        idx = tuple(sum(map(operator.mul, row, reduced)) - lo for row, lo in zip(self.shear, self.low))
-        if any(i < 0 or i >= d for i, d in zip(idx, self.dims)):
-            return 0
-        return int(self.cube[idx])
+            idx.append(s)
+        return int(self.cube[tuple(idx)])
 
     def support(self) -> set[tuple[int, ...]]:
         """All absolute digit-sum signatures with nonzero coefficient."""
-        sums = (np.argwhere(self.cube != 0) + self.low) @ np.array(self.unshear).T
-        return set(map(tuple, (sums * self.stride + self.offset).tolist()))
+        return set(map(tuple, (np.argwhere(self.cube != 0) * self.stride + self.offset).tolist()))
 
 
 # Signature cubes by (digits, shape, seed, prime, trial), least recently used first.

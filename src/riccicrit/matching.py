@@ -23,7 +23,9 @@ Three layers live here:
   can only cause a miss, never a wrong answer. The least signature needs
   no search: one exact minimum-cost matching on weights that order every
   matching by its signature finds it and its lexicographically first
-  matching (``_least_signature``).
+  matching (``_least_signature``). One more, on the costs capped at 2,
+  bounds how many 3-edges a matching of each cost can have
+  (``_least_capped_cost``).
 
 numpy and ``_detcube`` are imported when a randomized search first runs, so
 the matching kernel (and with it every curvature route, and every query the
@@ -440,13 +442,12 @@ def _signature_digits(
     grids differ: after ``_factor`` takes out the row and column minima,
     the blow-ups of the ``solve`` benchmark keep a shorter cost axis under
     4 - c, and one whose digits are all even, which the axis's stride
-    halves; under c they are not. With c, the cubes of one ``solve`` pass
-    at seed 1 grow from 7,688 to 16,994 grid points (two trials per sweep;
-    the boxes, before the large cubes' sheared windows, from 8,438 to
-    18,994). Over the ``uw-rt-ins-ntp`` slots at seeds 1-3 and solver seeds
-    0 and 11, cube points grow from 39,504 to 82,764 and ``LiveMinor``
-    points from 12,030 to 54,320, for identical Solutions in 4.5 s against
-    1.6 s.
+    halves; under c they are not. With c, the box grids of one ``solve``
+    pass at seed 1, measured when that pass still swept, grow from 8,438 to
+    18,994 points (two trials per sweep). Over the ``uw-rt-ins-ntp`` slots
+    at seeds 1-3 and solver seeds 0 and 11, cube points grow from 39,504 to
+    82,764 and ``LiveMinor`` points from 12,030 to 54,320, for identical
+    Solutions in 4.5 s against 1.6 s.
     """
     import numpy as np
 
@@ -489,6 +490,24 @@ def _least_signature(
     return Matching(least.assignment, x), (x, k, l)
 
 
+def _least_capped_cost(costs: Sequence[Sequence[int]]) -> int:
+    """The least total of a perfect matching when every 3-cost counts as 2.
+
+    One ``min_cost_perfect_matching`` on min(c, 2). A matching's capped
+    total is its cost minus its 3-edges, so no matching has more 3-edges
+    than this total allows at its cost. A row that is the same object as
+    the row before it shares its capped row, as in ``_least_signature``.
+    """
+    capped: list[tuple[int, ...]] = []
+    prev = line = None
+    for row in costs:
+        if row is not prev:
+            line = tuple(min(c, 2) for c in row)
+            prev = row
+        capped.append(line)
+    return min_cost_perfect_matching(capped).cost
+
+
 def _check_seed(seed: int) -> None:
     """Reject a negative seed, which numpy's generator would refuse without naming it."""
     if seed < 0:
@@ -496,10 +515,11 @@ def _check_seed(seed: int) -> None:
 
 
 def _check_integers(**values) -> None:
-    """Reject a non-integer target, count, trial count or seed, on which numpy
-    indexing, ``range`` or numpy's generator would fail without naming it."""
+    """Reject a non-integer target, count, trial count, seed or budget, on
+    which numpy indexing, ``range`` or numpy's generator would fail without
+    naming it. A bool is no integer here, as it is no node id in ``Graph``."""
     for name, value in values.items():
-        if not isinstance(value, numbers.Integral):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
@@ -644,9 +664,9 @@ def matching_with_counts(
     if trials < 1:
         raise ValueError("trials must be positive")
     q = _check_square(costs)
-    least, (x0, k0, l0) = _least_signature(costs, touchable_mask)
     if k < 0 or l < 0 or k + l > q:
         return None
+    least, (x0, k0, l0) = _least_signature(costs, touchable_mask)
     if (target_cost, -k, -l) <= (x0, -k0, -l0):
         return least if (target_cost, k, l) == (x0, k0, l0) else None
     digits = _signature_digits(costs, touchable_mask)

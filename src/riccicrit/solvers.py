@@ -13,9 +13,11 @@ algorithms exist only where the underlying theory provides them:
 * a randomized sweep over matching signatures that picks the matching whose
   minimum drop count is smallest (factor b, respectively a+b), built on the
   exact-cost matching machinery; when the least signature, found exactly by
-  one min-cost matching, already has more 3-edges than half its excess over
-  q, it is the sweep's pick, and its lex-min matching the witness, so no
-  sweep runs;
+  one min-cost matching, is certified to be the sweep's pick -- it has more
+  3-edges than half its excess over q, or one more min-cost matching, on
+  costs capped at 2, shows that no costlier matching has enough 3-edges to
+  need fewer drops -- its lex-min matching is the witness, and no sweep
+  runs;
 * plain brute force over edit subsets as the acceptance oracle.
 
 Every variant runs one screened search. Each ``Instance`` has a local
@@ -67,6 +69,7 @@ from .matching import (
     Matching,
     _check_integers,
     _check_seed,
+    _least_capped_cost,
     _least_signature,
     _transport,
     matching_cost,
@@ -198,7 +201,8 @@ class Instance:
     def _start(self) -> Matching:
         """Greedy's default start: the blow-up's lex-min minimum-cost matching, canonicalized.
 
-        Its cost is q * EMD, so it also gives rho = q * EMD - q.
+        Only greedy builds it: the rho = 0 test reads q * EMD off the local
+        evaluator instead.
         """
         bm = self._blow_up
         return _mirror_swaps(bm, min_cost_perfect_matching(bm.costs))
@@ -462,8 +466,10 @@ def brute_force_opt(inst: Instance, max_k: int, *, budget: int = 2_000_000) -> S
     Returns None when nothing within ``max_k`` edits flips. Exponential by
     design; refuses search spaces beyond ``budget`` subsets. Unrestricted
     insertion takes every non-edge as a candidate: those are counted, not
-    listed, until a level fits the budget.
+    listed, until a level fits the budget. ``max_k`` and ``budget`` must be
+    integers.
     """
+    _check_integers(max_k=max_k, budget=budget)
     g, variant = inst.graph, inst.variant
     if variant.operation == "ins" and variant.restriction == "ut":
         cands, count = None, g.node_count * (g.node_count - 1) // 2 - g.edge_count()
@@ -523,7 +529,9 @@ def _approx_setup(inst: Instance, method: str) -> BlowUpMatrix | Solution:
     Raises unless the variant is restricted unweighted insert-to-positive
     and inserting every permissible edge flips the sign (saturation). When
     the minimum matched cost sits at the threshold (rho = 0), the first
-    single edit that flips, confirmed by the flow route, is the answer.
+    single edit that flips, confirmed by the flow route, is the answer. The
+    local evaluator's unedited total is that minimum (q * EMD), so no
+    matching of the blow-up is built to test it.
     """
     if inst.variant.key_tuple != _APPROX_VARIANT:
         raise UnsupportedVariantError(
@@ -532,12 +540,12 @@ def _approx_setup(inst: Instance, method: str) -> BlowUpMatrix | Solution:
     edits, flips = inst._saturation
     if not flips:
         raise InfeasibleInstanceError("no permissible insertion set flips this edge")
-    bm = inst._blow_up
-    if inst._start.cost == bm.q:
+    total, threshold = inst._local.unedited
+    if total == threshold:
         hit = _first_flip(inst, ((edit,) for edit in edits))
         if hit is not None:
             return Solution(hit[0], hit[1], method, drops=1)
-    return bm
+    return inst._blow_up
 
 
 def _finish_insert_solution(
@@ -634,13 +642,26 @@ def randomized_insert(inst: Instance, seed: int) -> Solution:
     validity. The seed must be a non-negative integer.
 
     The sweep is skipped when the least signature (x0, k0, l0), found
-    exactly by one min-cost matching, already has 2·k0 > tau0 = x0 - q.
-    Its budget is then (tau0 // 2 + 1, 0), and no signature does better: a
-    wanted one at any tau needs at least tau // 2 + 1 drops in both branches
-    of ``kappa_hat``, a bound that never falls as tau grows, and ties go to
-    the smaller cost. The sweep would pick (x0, k0, l0) too, and its witness
-    is the lexicographically first matching with that signature, which
-    ``_least_signature`` returns. So the Solution is the same, without numpy.
+    exactly by one min-cost matching, is certified to be its pick. Let
+    tau0 = x0 - q and kappa0 = kappa_hat(k0, l0, tau0), and let kappa0 be
+    wanted (not None). Two certificates are tried, in this order:
+
+    * 2·k0 > tau0. The budget is then (tau0 // 2 + 1, 0), and no signature
+      does better: a wanted one at any tau needs at least tau // 2 + 1
+      drops in both branches of ``kappa_hat``, a bound that never falls as
+      tau grows.
+    * ``_least_capped_cost`` is x0 - k0. The budget is then
+      (k0, tau0 - 2·k0 + 1), tau0 - k0 + 1 drops. A matching's capped total
+      is its cost minus its 3-edges, so every matching of cost x0 + d has
+      n3 <= k0 + d. At tau = tau0 + d, if 2·n3 > tau, then
+      d >= tau0 - 2·k0 + 1, so tau // 2 + 1 >= tau0 - k0 + 1 drops;
+      otherwise it needs tau - n3 + 1 >= tau0 - k0 + 1.
+
+    Either way no signature needs fewer drops, and ties go to the smaller
+    cost, so the sweep would pick (x0, k0, l0) too. Its witness is the
+    lexicographically first matching with that signature, which
+    ``_least_signature`` returns, as ``matching_with_counts`` would. So the
+    Solution is the same, without numpy. Otherwise the sweep runs.
     """
     _check_integers(seed=seed)
     _check_seed(seed)
@@ -649,8 +670,9 @@ def randomized_insert(inst: Instance, seed: int) -> Solution:
         return bm
     mask = bm.touchable_mask()
     least, (x, k, l) = _least_signature(bm.costs, mask)
-    if 2 * k > x - bm.q:
-        witness, (kappa3, kappa2) = least, kappa_hat(k, l, x - bm.q)
+    kappa = kappa_hat(k, l, x - bm.q)
+    if kappa is not None and (2 * k > x - bm.q or _least_capped_cost(bm.costs) == x - k):
+        witness, (kappa3, kappa2) = least, kappa
     else:
         support = signature_support(bm.costs, mask, trials=_SWEEP_TRIALS, seed=seed)
         # Sorted, so each cost x keeps its most 3-edges, then most touchable 2-edges.

@@ -21,7 +21,7 @@ from riccicrit import (
     feasible_by_saturation,
     ricci,
 )
-from riccicrit import _detcube
+from riccicrit import _detcube, solvers
 from riccicrit.matching import _least_signature
 
 
@@ -126,7 +126,8 @@ def sample_spade_instances(
 def sample_sweep_instances(rng: random.Random, count: int, *, max_q: int = 40) -> list[Instance]:
     """Feasible uw-rt-ins-ntp instances on seeded random graphs of 6 to 9
     nodes, with rho > 0 and q <= ``max_q``, whose least signature (x0, k0,
-    l0) has 2·k0 <= x0 - q: ``randomized_insert`` sweeps their signatures."""
+    l0) has 2·k0 <= x0 - q: ``randomized_insert`` sweeps their signatures
+    unless its capped-cost certificate settles the pick."""
     variant = ProblemVariant.parse("uw-rt-ins-ntp")
     out: list[Instance] = []
     attempts = 0
@@ -162,3 +163,11 @@ def field(monkeypatch):
     and Vandermonde caches are keyed by the prime in force, so nothing
     built over one field is reused over another."""
     return lambda prime: monkeypatch.setattr(_detcube, "PRIME", prime)
+
+
+@pytest.fixture
+def force_sweep(monkeypatch):
+    """``force_sweep()`` makes ``randomized_insert``'s capped-cost
+    certificate fail until the test ends: no matching has a negative capped
+    total, so an instance whose least signature has 2·k0 <= x0 - q sweeps."""
+    return lambda: monkeypatch.setattr(solvers, "_least_capped_cost", lambda costs: -1)

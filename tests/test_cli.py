@@ -257,11 +257,14 @@ def sweep9_instance():
     return riccicrit.Instance(riccicrit.parse_edge_list(SWEEP9), (1, 6), variant)
 
 
-def test_a_witness_short_of_its_drop_budget_is_a_verification_failure(capsys, tmp_path, monkeypatch):
+def test_a_witness_short_of_its_drop_budget_is_a_verification_failure(capsys, tmp_path, monkeypatch, force_sweep):
     # SWEEP9's selected signature is cost 8 with one 3-edge and one
     # touchable 2-edge, both to drop. A cost-8 witness without 3-edges
     # cannot realize that budget: an internal failure, reported as such and
-    # not as a usage error.
+    # not as a usage error. The capped-cost certificate, which settles
+    # SWEEP9's pick, is made to fail, so the sweep runs and the witness is
+    # queried.
+    force_sweep()
     real = riccicrit.solvers.matching_with_counts
     returned = []
 
@@ -286,7 +289,10 @@ def test_a_witness_short_of_its_drop_budget_is_a_verification_failure(capsys, tm
         ("matching_with_counts", lambda *a, **kw: None, "witness extraction failed"),
     ],
 )
-def test_randomized_retry_exhaustion_is_a_verification_failure(capsys, tmp_path, monkeypatch, name, fake, message):
+def test_randomized_retry_exhaustion_is_a_verification_failure(
+    capsys, tmp_path, monkeypatch, force_sweep, name, fake, message
+):
+    force_sweep()
     monkeypatch.setattr(riccicrit.solvers, name, fake)
     with pytest.raises(riccicrit.RetryExhaustedError, match=message):
         riccicrit.randomized_insert(sweep9_instance(), seed=1)
@@ -686,10 +692,11 @@ def test_numpy_is_imported_only_by_the_randomized_solvers(tmp_path):
     star.write_text(STAR6)
     out = tmp_path / "out.json"
 
-    def numpy_loaded_by(argv):
-        """Whether a fresh interpreter has numpy loaded after importing the CLI and running ``argv``."""
+    def numpy_loaded_by(argv, setup=""):
+        """Whether a fresh interpreter has numpy loaded after importing the
+        CLI, running ``setup`` and then ``argv``."""
         probe = (
-            "import sys, riccicrit, riccicrit.cli; "
+            f"import sys, riccicrit, riccicrit.cli; {setup}"
             "code = riccicrit.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
             "print(code, 'numpy' in sys.modules)"
         )
@@ -705,13 +712,23 @@ def test_numpy_is_imported_only_by_the_randomized_solvers(tmp_path):
     for route in ("matching", "flow"):
         assert not numpy_loaded_by(["curvature", str(star), "--all", "--route", route, "--output", str(out)])
         assert len(json.loads(out.read_text())["results"]) == 5
-    # STAR6's least signature answers randomized_insert exactly; SWEEP9 runs the F_p sweep.
+    # The least signature answers randomized_insert exactly on STAR6 and on
+    # SWEEP9, whose pick the capped-cost certificate settles; with that
+    # certificate failing, SWEEP9 runs the F_p sweep, to the same Solution.
     sweep = tmp_path / "sweep9.edges"
     sweep.write_text(SWEEP9)
-    for graph, edge, loaded in ((star, ["0", "1"], False), (sweep, ["1", "6"], True)):
+    forced = "riccicrit.solvers._least_capped_cost = lambda costs: -1; "
+    results = []
+    for graph, edge, setup, loaded in (
+        (star, ["0", "1"], "", False),
+        (sweep, ["1", "6"], "", False),
+        (sweep, ["1", "6"], forced, True),
+    ):
         solve = ["solve", str(graph), "--edge", *edge, "--variant", "uw-rt-ins-ntp", "--method", "randomized"]
-        assert numpy_loaded_by([*solve, "--seed", "1", "--output", str(out)]) is loaded
-        assert json.loads(out.read_text())["verified"] is True
+        assert numpy_loaded_by([*solve, "--seed", "1", "--output", str(out)], setup) is loaded
+        results.append(json.loads(out.read_text()))
+        assert results[-1]["verified"] is True
+    assert results[1] == results[2]
 
 
 @pytest.fixture(scope="module")

@@ -301,7 +301,7 @@ def test_strided_axes_agree_with_enumeration():
             assert _extract_assignment(digits, scalars, target) == first[target], target
 
 
-def layout_instances(seed: int, count: int):
+def mixed_digit_instances(seed: int, count: int):
     """Seeded digits and scalars, n from 1 to 6 and 1 to 3 axes. Every other
     instance is blow-up-shaped: the signature digits of a 0..3 cost matrix
     whose rows and columns come in runs of equal copies, as a blow-up's do;
@@ -326,15 +326,11 @@ def layout_instances(seed: int, count: int):
         yield digits, scalars
 
 
-def test_sheared_windowed_cube_agrees_with_enumeration(monkeypatch):
-    # With every cube laid out, each coefficient is still the enumerated
-    # signed sum of scalar products, at every signature and at every target
-    # one step off one along an axis, and the support is the enumerated
-    # signature set. Some layouts shear, and some windows start above 0, so
-    # the shear's inverse and the division by x^low are both exercised.
-    monkeypatch.setattr(_detcube, "_LAYOUT_MIN", 0)
-    sheared = lifted = 0
-    for digits, scalars in layout_instances(41, 120):
+def test_cube_agrees_with_enumeration_at_and_beside_every_signature():
+    # Each coefficient is the enumerated signed sum of scalar products, at
+    # every signature and at every target one step off one along an axis,
+    # and the support is the enumerated signature set.
+    for digits, scalars in mixed_digit_instances(41, 120):
         cube = SignatureCube(digits, scalars)
         want, _ = enumerated_coefficients(digits, scalars)
         targets = set(want)
@@ -345,73 +341,27 @@ def test_sheared_windowed_cube_agrees_with_enumeration(monkeypatch):
         for target in sorted(targets):
             assert cube.coefficient(target) == want.get(target, 0), target
         assert cube.support() == {t for t, c in want.items() if c}
-        sheared += cube.shear != tuple(map(tuple, np.eye(cube.naxes, dtype=int).tolist()))
-        lifted += any(cube.low)
-    assert sheared >= 10 and lifted >= 10, (sheared, lifted)
 
 
-def test_each_window_end_is_reached_by_some_permutation():
-    # The layout's windows are exact: along every sheared axis, the least and
-    # the greatest sheared digit sum over the permutations are the window's
-    # ends, and the shear's inverse is an integer inverse.
-    for digits, _ in layout_instances(43, 120):
-        n = digits.shape[0]
-        reduced = _detcube._factor(digits)[0]
-        layout = _detcube._layout(reduced)
-        assert (np.array(layout.shear) @ layout.unshear).tolist() == np.eye(digits.shape[2], dtype=int).tolist()
-        sums = np.array([reduced[range(n), p].sum(axis=0) for p in itertools.permutations(range(n))])
-        sheared = sums @ np.array(layout.shear).T
-        assert sheared.min(axis=0).tolist() == list(layout.low)
-        assert (sheared.max(axis=0) - sheared.min(axis=0) + 1).tolist() == list(layout.dims)
-
-
-def test_layout_is_computed_once_per_digit_array_and_only_above_the_threshold(monkeypatch):
-    # Both trials of a sweep share one layout, and a cube whose box work
-    # (grid points times n^3) is under the threshold solves no transport.
-    calls = []
-    original = _detcube._transport
-    monkeypatch.setattr(_detcube, "_transport", lambda *a: calls.append(1) or original(*a))
-    paid = unpaid = 0
-    for digits, scalars in seeded_signature_instances(47, 40, 12):
-        n = digits.shape[0]
-        box = _detcube._factor(digits)[2]
-        _detcube._sheared.cache_clear()
-        calls.clear()
-        first = SignatureCube(digits, scalars)
-        laid_out = math.prod(box) * n**3 >= _detcube._LAYOUT_MIN
-        assert bool(calls) == laid_out
-        calls.clear()
-        second = SignatureCube(digits, (scalars * 3) % PRIME)
-        assert not calls and second.dims == first.dims
-        if laid_out:
-            paid += 1
-            assert math.prod(first.dims) <= math.prod(box)
-        else:
-            unpaid += 1
-            assert first.dims == box and not any(first.low)
-    assert paid and unpaid
-
-
-def sweep_instances(seed: int):
-    """Box, sheared-window and strided digit arrays: ``layout_instances``
-    (1 to 3 axes, half blow-up-shaped) and ``planted_stride_instances``."""
-    for digits, _ in layout_instances(seed, 24):
-        yield digits
-    for digits, _, _ in planted_stride_instances(seed, 8):
-        yield digits
+def sweep_instances(seed: int, family: str):
+    """Digit arrays of one family: "box", ``mixed_digit_instances`` (1 to 3
+    axes, half blow-up-shaped), or "strided", ``planted_stride_instances``."""
+    if family == "box":
+        for digits, _ in mixed_digit_instances(seed, 24):
+            yield digits
+    else:
+        for digits, _, _ in planted_stride_instances(seed, 8):
+            yield digits
 
 
 @pytest.mark.parametrize("prime", [PRIME, 101])
-@pytest.mark.parametrize("laid_out", [False, True], ids=["box", "sheared"])
-def test_a_sweeps_cubes_are_the_cubes_built_alone(monkeypatch, field, prime, laid_out):
+@pytest.mark.parametrize("family", ["box", "strided"])
+def test_a_sweeps_cubes_are_the_cubes_built_alone(field, prime, family):
     # One evaluation for every trial of a sweep gives each trial the very
     # coefficient array, grid and support of its cube built alone, at 1, 2
     # and 4 trials, over the full field and over F_101.
     field(prime)
-    if laid_out:
-        monkeypatch.setattr(_detcube, "_LAYOUT_MIN", 0)
-    sheared = 0
-    for case, digits in enumerate(sweep_instances(53)):
+    for case, digits in enumerate(sweep_instances(53, family)):
         for trials in (1, 2, 4):
             _detcube._CUBES.clear()
             swept = _detcube._trial_cubes(digits, case, range(trials))
@@ -421,10 +371,8 @@ def test_a_sweeps_cubes_are_the_cubes_built_alone(monkeypatch, field, prime, lai
                 assert cube.scalars.tolist() == alone.scalars.tolist()
                 assert cube.cube.dtype == alone.cube.dtype and cube.cube.tolist() == alone.cube.tolist(), (case, t)
                 assert cube.support() == alone.support()
-                for name in ("offset", "stride", "shear", "unshear", "low", "dims"):
+                for name in ("offset", "stride", "dims"):
                     assert getattr(cube, name) == getattr(alone, name)
-                sheared += any(cube.low)
-    assert bool(sheared) == laid_out
 
 
 def test_a_search_after_a_sweep_reads_the_sweeps_cubes():

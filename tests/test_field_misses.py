@@ -125,9 +125,10 @@ def test_misses_stay_one_sided_where_they_are_common(field):
 
 
 # Two q = 15 edges, drawn from seeded random graphs, whose least signature
-# has too few 3-edges for the exact shortcut, so randomized_insert sweeps
-# them. At seed 0 over F_101 both sweep trials miss the least signature, and
-# the extraction for the signature picked instead gives up.
+# has too few 3-edges for 2·k0 > x0 - q to settle the budget. The capped-cost
+# certificate settles it; with that certificate failing, randomized_insert
+# sweeps them. At seed 0 over F_101 both sweep trials miss the least
+# signature, and the extraction for the signature picked instead gives up.
 SWEPT_AT_SMALL_FIELD = [
     (
         12,
@@ -144,7 +145,8 @@ SWEPT_AT_SMALL_FIELD = [
 ]
 
 
-def test_randomized_insert_returns_only_verified_sets_at_a_small_field(field):
+def test_randomized_insert_returns_only_verified_sets_at_a_small_field(field, force_sweep):
+    force_sweep()
     variant = ProblemVariant.parse("uw-rt-ins-ntp")
     pool = [Instance(Graph(n, edges), edge, variant) for n, edges, edge in SWEPT_AT_SMALL_FIELD]
     for inst in pool:

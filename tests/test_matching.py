@@ -25,6 +25,7 @@ from riccicrit._detcube import LiveMinor, SignatureCube, coefficient_at, det_bat
 from riccicrit.matching import (
     _check_square,
     _extract_assignment,
+    _least_capped_cost,
     _least_signature,
     _signature_digits,
     _transport,
@@ -427,14 +428,15 @@ def test_a_negative_seed_is_rejected_before_any_work(call):
     ids=["exact_cost_matching", "target_cost", "k", "l"],
 )
 def test_a_non_integer_target_or_count_is_rejected_before_any_work(call, name):
-    # numpy would fail on these with a bare IndexError; numpy integers stay accepted.
-    for bad in (0.5, 2.0, "2"):
+    # numpy would fail on these with a bare IndexError, and True would pass
+    # for 1; numpy integers stay accepted.
+    for bad in (0.5, 2.0, "2", True):
         with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {re.escape(repr(bad))}$"):
             call(bad)
     call(np.int64(2))
 
 
-NON_INTEGERS = (1.5, 2.0, "2")
+NON_INTEGERS = (1.5, 2.0, "2", True)
 
 
 def _no_cubes(monkeypatch):
@@ -551,6 +553,22 @@ def test_least_signature_is_the_first_enumerated_matching_with_the_least_signatu
         least, found = _least_signature(costs, touch)
         assert (least, found) == (expected, signature)
         assert least.cost == matching_cost(costs, least.assignment)
+
+
+def test_least_capped_cost_is_the_enumerated_least_cost_less_3_edges():
+    # Counting every 3 as 2 takes one off a matching's cost per 3-edge, on
+    # plain matrices and on blow-ups whose rows share one object.
+    for costs, touch in _least_signature_cases():
+        least = min(m.cost - class_counts(costs, touch, m).n3 for m in enumerate_matchings(costs))
+        assert _least_capped_cost(costs) == least
+
+
+def test_matching_with_counts_checks_the_counts_before_any_matching(monkeypatch):
+    # A count out of range is answered None without solving the least signature.
+    monkeypatch.setattr(matching, "_least_signature", lambda *a: pytest.fail("the least signature was solved"))
+    costs, touch = [[0, 3], [3, 0]], [[True] * 2] * 2
+    for k, l in ((-1, 0), (0, -1), (2, 1), (3, 0)):
+        assert matching_with_counts(costs, touch, 6, k, l) is None
 
 
 def test_matching_with_counts_answers_the_least_signature_and_below_without_a_search(monkeypatch):

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 import random
 import re
@@ -38,7 +40,15 @@ from riccicrit import _detcube, curvature, matching, solvers
 from riccicrit.curvature import _adjacency_costs
 from riccicrit.gadgets import cover_insertions_maxcov
 from riccicrit.graphs import ordered_pair
-from riccicrit.matching import _signature_digits, min_cost_perfect_matching, signature_support
+from riccicrit.matching import (
+    _least_capped_cost,
+    _least_signature,
+    _signature_digits,
+    class_counts,
+    enumerate_matchings,
+    min_cost_perfect_matching,
+    signature_support,
+)
 from riccicrit.solvers import (
     _LocalEvaluator,
     _approx_setup,
@@ -379,10 +389,11 @@ def test_randomized_rejects_a_negative_seed_before_any_work(monkeypatch):
         randomized_insert(neg_instance(), seed=-1)
 
 
-@pytest.mark.parametrize("seed", [1.5, "3"])
+@pytest.mark.parametrize("seed", [1.5, "3", True])
 def test_randomized_names_a_non_integer_seed_before_any_work(monkeypatch, seed):
-    # The double star STAR6 takes the exact shortcut, which reads no seed,
-    # and the side-edge instance sweeps; both refuse the seed first.
+    # The double star STAR6 and the side-edge instance are answered by their
+    # least signature, which reads no seed; both refuse the seed first. True
+    # would otherwise run as seed 1.
     message = rf"^seed must be an integer, got {re.escape(repr(seed))}$"
     for inst in (neg_instance(3, 3, ()), SIDE_EDGE_INSTANCES[1]):
         with pytest.raises(ValueError, match=message):
@@ -390,6 +401,20 @@ def test_randomized_names_a_non_integer_seed_before_any_work(monkeypatch, seed):
     monkeypatch.setattr(solvers, "_approx_setup", lambda *a: pytest.fail("set-up ran"))
     with pytest.raises(ValueError, match=message):
         randomized_insert(neg_instance(3, 3, ()), seed=seed)
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [({"max_k": 2.5}, "max_k"), ({"max_k": True}, "max_k"), ({"budget": 1.5}, "budget"), ({"budget": True}, "budget")],
+)
+def test_brute_force_names_a_non_integer_max_k_or_budget_before_any_work(monkeypatch, kwargs, name):
+    # range() would fail on max_k=2.5 with a bare TypeError, and budget=1.5
+    # or a bool would be taken as a number.
+    monkeypatch.setattr(solvers, "permissible_edits", lambda *a: pytest.fail("edits were listed"))
+    args = {"max_k": 2, **kwargs}
+    message = rf"^{name} must be an integer, got {re.escape(repr(kwargs[name]))}$"
+    with pytest.raises(ValueError, match=message):
+        brute_force_opt(neg_instance(), args.pop("max_k"), **args)
 
 
 def test_randomized_general_bound(rng):
@@ -505,19 +530,74 @@ def test_the_least_signature_answers_every_spade_and_tightness_instance_without_
         assert got == _swept(inst, seed=i)
 
 
-def test_instances_whose_least_signature_lacks_3_edges_are_swept(monkeypatch):
+def test_instances_whose_least_signature_lacks_3_edges_are_swept(monkeypatch, force_sweep):
     # The side-edge pins select (23, 0, 4) at q = 21 and (16, 0, 5) at q = 15:
-    # no 3-edge, so their least signature cannot settle the budget alone.
-    # The q = 6 edge's least signature (8, 1, 1) sits on the boundary,
-    # 2·k0 = x0 - q, where the budget is (1, 1), not (2, 0).
+    # no 3-edge, so 2·k0 > x0 - q cannot settle the budget. The q = 6
+    # edge's least signature (8, 1, 1) sits on the boundary, 2·k0 = x0 - q,
+    # where the budget is (1, 1), not (2, 0). The capped-cost certificate
+    # settles all of them without a sweep; with it failing, each sweeps
+    # once, and the Solution is the same.
     boundary = Graph(9, [(0, 3), (0, 5), (0, 6), (0, 7), (1, 2), (1, 6), (2, 7), (3, 6), (4, 6), (5, 8), (6, 8)])
     pool = SIDE_EDGE_INSTANCES + [Instance(boundary, (1, 6), NTP)] + sample_sweep_instances(random.Random(11), 4)
     calls = _sweep_spy(monkeypatch)
+    certified = [randomized_insert(inst, seed=i) for i, inst in enumerate(pool)]
+    assert calls == []
+    force_sweep()
     for i, inst in enumerate(pool):
         got = randomized_insert(inst, seed=i)
         assert len(calls) == 1
         calls.clear()
-        assert got == _swept(inst, seed=i)
+        assert got == _swept(inst, seed=i) == certified[i]
+
+
+def test_the_capped_cost_certificate_agrees_with_enumeration():
+    # Random 0..3 matrices, q <= 7, with random masks and flip thresholds t
+    # (q for a blow-up). Whenever the rule of ``randomized_insert`` takes the
+    # least signature (x0, k0, l0), the enumerated landscape -- each cost's
+    # most 3-edges, then most touchable 2-edges, and its kappa-hat budget at
+    # tau = cost - t -- picks it too, ``_least_signature``'s matching is the
+    # first enumerated one with it, and the capped cost is the enumerated
+    # least cost less 3-edges. Some cases are taken only by the certificate.
+    rng = random.Random(8128)
+    fired = by_certificate = 0
+    for _ in range(900):
+        q = rng.randint(2, 7)
+        weights = [rng.random() for _ in range(4)]
+        costs = [rng.choices(range(4), weights=weights, k=q) for _ in range(q)]
+        mask = [[rng.random() < 0.5 for _ in range(q)] for _ in range(q)]
+        least, (x0, k0, l0) = _least_signature(costs, mask)
+        threshold = rng.randint(0, x0)
+        tau0 = x0 - threshold
+        capped = _least_capped_cost(costs)
+        if kappa_hat(k0, l0, tau0) is None or (2 * k0 <= tau0 and capped != x0 - k0):
+            continue
+        fired += 1
+        by_certificate += 2 * k0 <= tau0
+        most, first = {}, {}
+        for m in enumerate_matchings(costs):
+            counts = class_counts(costs, mask, m)
+            signature = (m.cost, counts.n3, counts.n2_touchable)
+            most[m.cost] = max(most.get(m.cost, (0, 0)), signature[1:])
+            first.setdefault(signature, m)
+        budget = {x: kappa_hat(k, l, x - threshold) for x, (k, l) in most.items()}
+        _, x = min((sum(kappa), x) for x, kappa in budget.items() if kappa is not None)
+        assert (x, *most[x]) == (x0, k0, l0)
+        assert first[x0, k0, l0].assignment == least.assignment
+        assert capped == min(cost - k for cost, (k, _l) in most.items())
+    assert fired > 50 and by_certificate > 20, (fired, by_certificate)
+
+
+def test_randomized_insert_on_sweep_instances_returns_the_pinned_solutions():
+    # One SHA-256 over the Solutions, drops included, on seeded instances
+    # whose least signature has 2·k0 <= x0 - q, pinned when every one of
+    # them was swept over F_p.
+    h = hashlib.sha256()
+    for seed in (0, 1):
+        for i, inst in enumerate(sample_sweep_instances(random.Random(seed), 50, max_q=60)):
+            sol = randomized_insert(inst, seed=seed)
+            record = {**sol.to_json_dict(), "drops": sol.drops}
+            h.update(json.dumps([seed, i, record], sort_keys=True).encode() + b"\n")
+    assert h.hexdigest() == "b57fad9587470fb81141ce9091a0ad941b61424f5bbdc3f419b3b97dd3ac54ff"
 
 
 def _unstrided_dims(digits) -> tuple[int, ...]:
@@ -534,11 +614,9 @@ def test_q40_cube_takes_the_even_cost_axis_at_half_the_points():
     # sample_spade_instances(random.Random(4), 1, degree_pool=[(4, 7, 0.3)]).
     # Its reduced cost digits are all even, so the digits' cost axis has
     # stride 2 and keeps (d + 1) / 2 of its d points: the strided box is at
-    # most half the unstrided one, plus the layer at cost-axis exponent 0.
-    # The cube is then laid out on exact windows: the 3-edge axis becomes
-    # cost + n3, whose sums span 11 values, so the grid is 16 x 11 = 176
-    # points instead of the box's 16 x 25 = 400. The Solutions are pinned at
-    # their values from before the stride.
+    # most half the unstrided one, plus the layer at cost-axis exponent 0:
+    # 16 x 25 = 400 points. The Solutions are pinned at their values from
+    # before the stride.
     inst = neg_instance(4, 7, [(0, 0), (1, 0), (1, 4), (2, 0)])
     bm = inst._blow_up
     assert bm.q == 40
@@ -549,8 +627,7 @@ def test_q40_cube_takes_the_even_cost_axis_at_half_the_points():
     assert cube.stride == (2, 1, 1)
     assert strided == ((box[0] + 1) // 2,) + box[1:] == (16, 25, 1)
     assert 2 * math.prod(strided) <= math.prod(box) + math.prod(box[1:])
-    assert cube.shear == ((1, 0, 0), (1, 1, 0), (0, 0, 1))
-    assert cube.dims == (16, 11, 1) and math.prod(cube.dims) == 176
+    assert cube.dims == (16, 25, 1)
     edits = ((2, 7), (3, 7), (3, 8), (4, 8), (4, 10))
     assert pinned(greedy_insert(inst)) == (edits, "7/40", 5)
     for seed in (1, 2):
@@ -826,6 +903,17 @@ def test_setup_holds_one_cost_matrix_and_its_matching():
         shape = blow_up_shape(inst)
         assert (bm.q, bm.a, bm.b) == shape[:3]
         assert inst._start.cost - bm.q == shape.rho
+
+
+def test_randomized_insert_builds_no_canonical_start():
+    # The rho = 0 test reads q * EMD off the local evaluator, so only greedy
+    # builds its start: not at rho = 0, where one edit answers, nor above.
+    boundary = Instance(double_star(3, 3, [(1, 1)]), (0, 1), NTP)
+    pool = [boundary, neg_instance()] + [Instance(inst.graph, inst.edge, NTP) for inst in SIDE_EDGE_INSTANCES]
+    for inst in pool:
+        randomized_insert(inst, seed=1)
+        assert "_start" not in vars(inst)
+    assert randomized_insert(boundary, seed=1).drops == 1
 
 
 def test_an_instances_canonical_start_solves_its_blow_up_once(monkeypatch):
