@@ -7,10 +7,12 @@ the same exact rational:
 
 * the matching route replicates the r x s neighborhood cost matrix into a
   q x q matrix (q = lcm(r, s)) whose minimum-cost perfect matchings have cost
-  exactly q * EMD; the matching solver groups the blow-up's runs of identical
-  rows and columns back into the r x s transportation problem, solves that
-  by the primal-dual method (one Dijkstra per phase) and expands the
-  lexicographically smallest optimal matching a run of rows at a time, and
+  exactly q * EMD; the blow-up is a view of the r x s blocks, and the matching
+  solver groups runs of identical block rows and columns into the r x s
+  transportation problem (Hitchcock 1941) without building a row of the q x q
+  matrix, solves that by the primal-dual method (one Dijkstra per phase) and
+  expands the lexicographically smallest optimal matching a run of rows at a
+  time, and
 * the flow route solves the transportation LP directly as an integer
   min-cost-flow (networkx network simplex) after scaling both marginals by q.
 
@@ -19,11 +21,9 @@ library, and its plan is deterministic: the lexicographically smallest
 optimal matching, folded into blocks. networkx is imported on the first
 flow-route call, so the matching route never loads it. The solvers read
 neither route's plan; they verify edit sets by the flow route's sign. The
-flow route stays as the independent oracle and also avoids building the
-blown-up matrix when q is huge. Building
-the blow-up (r distinct rows of q cells, each row object repeated a times)
-and folding the q matched pairs back into a plan run at C speed
-(``itertools``, ``collections.Counter``).
+flow route stays as the independent oracle and also answers an edge whose
+q exceeds the blow-up cap. Folding the q matched pairs back into a plan
+runs at C speed (``itertools``, ``collections.Counter``).
 
 Both routes start from the same ``CostMatrix``, the one per-edge object that
 ``build_cost_matrix`` returns: the r x s distances between N[u] and N[v].
@@ -42,12 +42,12 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import repeat
 from operator import floordiv
 
 from .errors import BlowUpTooLargeError, RicciCritError
 from .graphs import Graph, ordered_pair
-from .matching import Matching, matching_cost, min_cost_perfect_matching
+from .matching import Matching, _BlockRows, matching_cost, min_cost_perfect_matching
 
 DEFAULT_BLOWUP_CAP = 10_000
 BLOWUP_CAP_ENV = "RICCI_BLOWUP_CAP"
@@ -120,14 +120,16 @@ class BlowUpMatrix:
 
     Row copies of row node i occupy rows i*a..(i+1)*a-1 and column copies of
     column node j occupy cols j*b..(j+1)*b-1; every cell of a block carries
-    the source entry's cost.
+    the source entry's cost. ``costs`` is a read-only view of the source's
+    r x s costs that reads as the q x q tuple of rows; the matching kernel
+    reads its blocks, and a row is built only when something indexes it.
     """
 
     source: CostMatrix
     q: int
     a: int
     b: int
-    costs: tuple[tuple[int, ...], ...]
+    costs: _BlockRows
 
     def block(self, row: int, col: int) -> tuple[int, int]:
         return (row // self.a, col // self.b)
@@ -136,9 +138,9 @@ class BlowUpMatrix:
         i, j = self.block(row, col)
         return self.source.touchable[i][j]
 
-    def touchable_mask(self) -> tuple[tuple[bool, ...], ...]:
-        """The q x q mask of touchable cells, expanded as ``blow_up`` expands costs."""
-        return _expand(self.source.touchable, self.a, self.b)
+    def touchable_mask(self) -> _BlockRows:
+        """The q x q mask of touchable cells, a view of the source's mask as ``costs`` is of its costs."""
+        return _BlockRows(self.source.touchable, self.a, self.b)
 
 
 @dataclass(frozen=True)
@@ -238,22 +240,25 @@ def build_cost_matrix(g: Graph, e: tuple[int, int]) -> CostMatrix:
 
 
 def blowup_cap() -> int:
+    """The largest q a blow-up may have: the value of ``BLOWUP_CAP_ENV`` if set, which must be a positive integer."""
     env = os.environ.get(BLOWUP_CAP_ENV)
     if env:
         try:
-            return int(env)
+            cap = int(env)
         except ValueError:
-            raise RicciCritError(f"{BLOWUP_CAP_ENV} must be an integer, got {env!r}") from None
+            cap = 0
+        if cap < 1:
+            raise RicciCritError(f"{BLOWUP_CAP_ENV} must be a positive integer, got {env!r}")
+        return cap
     return DEFAULT_BLOWUP_CAP
 
 
 def blow_up(cm: CostMatrix) -> BlowUpMatrix:
     """Replicate the cost matrix to a q x q matrix, q = lcm(r, s).
 
-    Each row node's expanded row (every entry repeated b times) is built
-    once, and its a copies in the blow-up are that same tuple. ``itertools``
-    repeats the cells at C speed, so the Python work is one step per row
-    node, not per cell.
+    The replication is a view of ``cm.costs`` with a = q/r row copies and
+    b = q/s column copies, so no cell is copied: a row is built on first
+    read, once per row node.
     """
     r, s = cm.r, cm.s
     q = math.lcm(r, s)
@@ -261,16 +266,7 @@ def blow_up(cm: CostMatrix) -> BlowUpMatrix:
     if q > limit:
         raise BlowUpTooLargeError(f"blow-up size q={q} exceeds cap {limit}")
     a, b = q // r, q // s
-    return BlowUpMatrix(cm, q, a, b, _expand(cm.costs, a, b))
-
-
-def _expand(matrix, a: int, b: int) -> tuple[tuple, ...]:
-    """Each cell repeated b times along its row, each expanded row a times.
-
-    A row is expanded once, and its a copies are that same tuple.
-    """
-    rows = (tuple(chain.from_iterable(map(repeat, row, repeat(b)))) for row in matrix)
-    return tuple(chain.from_iterable(map(repeat, rows, repeat(a))))
+    return BlowUpMatrix(cm, q, a, b, _BlockRows(cm.costs, a, b))
 
 
 def emd_via_matching(bm: BlowUpMatrix) -> tuple[Fraction, Matching]:

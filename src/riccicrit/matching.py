@@ -3,12 +3,14 @@
 Three layers live here:
 
 * an exact minimum-cost perfect matching solver: runs of identical rows and
-  columns are grouped into a transportation problem, which the primal-dual
-  method solves. Each phase is a greedy pass along the tight cells, then
-  blocking-flow searches, each one forest that serves every column it
-  reaches, then one Dijkstra. The lexicographically smallest optimal
-  assignment is expanded from its tight groups, a run of rows taking a run
-  of one group's free columns per step;
+  columns are grouped into a transportation problem. A blow-up is a view
+  (``_BlockRows``) of its r x s blocks and a copy count per axis, and the
+  solver groups the blocks, so it reads r x s cells, not q². The primal-dual
+  method solves the problem in phases. Each phase is a greedy pass along the
+  tight cells, then blocking-flow searches, each one forest that serves
+  every column it reaches, then one Dijkstra. The lexicographically smallest
+  optimal assignment is expanded from its tight groups, a run of rows taking
+  a run of one group's free columns per step;
 * an exhaustive enumerator used as the desk-scale oracle;
 * randomized search for perfect matchings of a prescribed exact cost, and the
   refinement that also prescribes how many 3-cost and touchable 2-cost edges
@@ -40,7 +42,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
-from operator import eq, sub
+from operator import eq, getitem, sub
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import OracleBoundError
@@ -92,16 +94,72 @@ class EdgeClassCounts:
         return self.n1 + 2 * (self.n2_touchable + self.n2_untouchable) + 3 * self.n3
 
 
+class _BlockRows:
+    """The q x q blow-up of an r x s block matrix, read as a tuple of rows.
+
+    Row i is block row i // a with every cell repeated b times; it is built
+    on first read, and the block row's a copies share that one tuple.
+    Iteration, indices, slices, ``==`` and ``hash`` behave as on the
+    materialized tuple of tuples. The matching kernel reads the blocks, so
+    solving a blow-up builds no row.
+    """
+
+    __slots__ = ("blocks", "a", "b", "_rows")
+
+    def __init__(self, blocks: Sequence[Sequence], a: int, b: int):
+        self.blocks, self.a, self.b = blocks, a, b
+        self._rows: list[tuple | None] = [None] * len(blocks)
+
+    def _row(self, k: int) -> tuple:
+        """Block row k with each cell repeated b times, built once at C speed."""
+        row = self._rows[k]
+        if row is None:
+            cells = map(itertools.repeat, self.blocks[k], itertools.repeat(self.b))
+            row = self._rows[k] = tuple(itertools.chain.from_iterable(cells))
+        return row
+
+    def __len__(self) -> int:
+        return len(self.blocks) * self.a
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(*i.indices(len(self)))))
+        n = len(self)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("tuple index out of range")
+        return self._row(i // self.a)
+
+    def __iter__(self) -> Iterator[tuple]:
+        rows = map(self._row, range(len(self.blocks)))
+        return itertools.chain.from_iterable(map(itertools.repeat, rows, itertools.repeat(self.a)))
+
+    def __eq__(self, other):
+        if isinstance(other, _BlockRows):
+            other = tuple(other)
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
+def _blocks(costs: Sequence[Sequence]) -> tuple[Sequence[Sequence], int, int]:
+    """(blocks, a, b): a ``_BlockRows`` view's own, or (costs, 1, 1) for any other matrix."""
+    if isinstance(costs, _BlockRows):
+        return costs.blocks, costs.a, costs.b
+    return costs, 1, 1
+
+
 def _check_square(costs: Sequence[Sequence[int]]) -> int:
-    n = len(costs)
+    """The side of a square matrix of non-negative integers, checked block by
+    block on a view: each of its cells is one of the blocks' cells."""
+    blocks, a, b = _blocks(costs)
+    n = len(blocks) * a
     if n == 0:
         raise ValueError("cost matrix must be non-empty")
-    prev = None
-    for row in costs:
-        if row is prev:
-            continue  # a blow-up repeats one row object for a row node's copies
-        prev = row
-        if len(row) != n:
+    for row in blocks:
+        if len(row) * b != n:
             raise ValueError("cost matrix must be square")
         if set(map(type, row)) == {int} and min(row) >= 0:
             continue  # the common all-int row, checked without a Python-level loop
@@ -112,19 +170,18 @@ def _check_square(costs: Sequence[Sequence[int]]) -> int:
 
 
 def matching_cost(costs: Sequence[Sequence[int]], assignment: Sequence[int]) -> int:
-    return sum(costs[i][j] for i, j in enumerate(assignment))
+    rows = tuple(costs)  # a view's rows, built once per call
+    return sum(rows[i][j] for i, j in enumerate(assignment))
 
 
-def _runs(rows: Iterable[tuple]) -> tuple[list[tuple[int, int]], list[tuple]]:
-    """Group the runs of consecutive equal rows.
+def _runs(rows: Iterable[tuple], scale: int) -> tuple[list[tuple[int, int]], list[tuple]]:
+    """Group the runs of consecutive equal rows, each row standing for ``scale`` copies.
 
     Returns each run's (label, length) in order, labelling a run by the first
-    run with an equal row, and the distinct rows by label. A blow-up repeats
-    one row object for a row node's copies, and ``groupby`` checks identity
-    before equality, so such a run costs no element comparisons.
+    run with an equal row, and the distinct rows by label.
     """
     index: dict[tuple, int] = {}
-    runs = [(index.setdefault(key, len(index)), len(list(run))) for key, run in itertools.groupby(rows)]
+    runs = [(index.setdefault(key, len(index)), scale * len(list(run))) for key, run in itertools.groupby(rows)]
     return runs, list(index)
 
 
@@ -344,19 +401,23 @@ def min_cost_perfect_matching(costs: Sequence[Sequence[int]]) -> Matching:
     """The lexicographically smallest minimum-cost perfect matching.
 
     Runs of consecutive identical rows, and of identical columns, are
-    grouped into a transportation problem (r x s or smaller for the blow-up
-    of an r x s matrix) whose optimal duals mark the tight groups, which
-    every minimum-cost matching uses exclusively. The rows are expanded in
-    order, each taking the smallest free column of a tight group that still
-    leaves a feasible plan for the remaining rows. Those groups only shrink
-    as a run is expanded, so a stretch of a run taking consecutive free
-    columns of one group is placed in one step: from the plan's own
-    shipment, else after one reroute (``_take_units``). The Python work is
-    per run, not per row, and the cost is an exact int.
+    grouped into a transportation problem whose optimal duals mark the tight
+    groups, which every minimum-cost matching uses exclusively. The rows are
+    expanded in order, each taking the smallest free column of a tight group
+    that still leaves a feasible plan for the remaining rows. Those groups
+    only shrink as a run is expanded, so a stretch of a run taking
+    consecutive free columns of one group is placed in one step: from the
+    plan's own shipment, else after one reroute (``_take_units``). The
+    Python work is per run, not per row, and the cost is an exact int. A
+    blow-up view is grouped from its r x s blocks, each block row standing
+    for a rows and each block column for b columns, so the problem is r x s
+    or smaller and no q-cell row is built; any other matrix is its own
+    blocks with a = b = 1.
     """
     _check_square(costs)
-    row_runs, row_keys = _runs(map(tuple, costs))
-    col_runs, col_keys = _runs(zip(*row_keys))
+    blocks, a, b = _blocks(costs)
+    row_runs, row_keys = _runs(map(tuple, blocks), a)
+    col_runs, col_keys = _runs(zip(*row_keys), b)
     # Plain ints: numpy entries could overflow in the potentials and the total.
     cost = [[int(c) for c in row] for row in zip(*col_keys)]
     free = _FreeColumns(col_runs, len(col_keys))
@@ -394,8 +455,9 @@ def enumerate_matchings(costs: Sequence[Sequence[int]], *, bound: int = ENUMERAT
     n = _check_square(costs)
     if n > bound:
         raise OracleBoundError(f"enumeration refused: q={n} exceeds bound {bound}")
+    rows = tuple(costs)  # each cost sum indexes a tuple, not a view
     for perm in itertools.permutations(range(n)):
-        yield Matching(perm, matching_cost(costs, perm))
+        yield Matching(perm, sum(map(getitem, rows, perm)))
 
 
 def class_counts(
@@ -469,22 +531,22 @@ def _least_signature(
     One exact ``min_cost_perfect_matching`` on the weights
     c·W² - [c = 3]·W - [c = 2 and touchable], W = q + 1, answers it: they
     are non-negative, and a matching's total x·W² - k·W - l orders it as its
-    signature does, since k·W + l <= q·W < W². A row that is the same object
-    as the row before it, with the same mask row, shares its weight row, so
-    a blow-up keeps its runs. Costs must lie in 0..3.
+    signature does, since k·W + l <= q·W < W². Blow-up views of costs and
+    mask with the same copy counts are weighted block by block. Costs must
+    lie in 0..3.
     """
     q = _check_square(costs)
     w = q + 1
-    weights: list[tuple[int, ...]] = []
-    prev = None
-    for row, mask_row in zip(costs, touchable_mask):
-        if prev is None or row is not prev[0] or mask_row is not prev[1]:
-            if max(row) > 3:
-                raise ValueError("signature queries expect costs in 0..3")
-            line = tuple(c * w * w - (c == 3) * w - (c == 2 and bool(t)) for c, t in zip(row, mask_row))
-            prev = row, mask_row
-        weights.append(line)
-    least = min_cost_perfect_matching(weights)
+    blocks, a, b = _blocks(costs)
+    mask_blocks, mask_a, mask_b = _blocks(touchable_mask)
+    if (mask_a, mask_b) != (a, b):  # a view beside another shape: read both cell by cell
+        blocks, mask_blocks, a, b = costs, touchable_mask, 1, 1
+    weights = []
+    for row, mask_row in zip(blocks, mask_blocks):
+        if max(row) > 3:
+            raise ValueError("signature queries expect costs in 0..3")
+        weights.append(tuple(c * w * w - (c == 3) * w - (c == 2 and bool(t)) for c, t in zip(row, mask_row)))
+    least = min_cost_perfect_matching(_BlockRows(weights, a, b))
     x = -(-least.cost // (w * w))
     k, l = divmod(x * w * w - least.cost, w)
     return Matching(least.assignment, x), (x, k, l)
@@ -493,19 +555,12 @@ def _least_signature(
 def _least_capped_cost(costs: Sequence[Sequence[int]]) -> int:
     """The least total of a perfect matching when every 3-cost counts as 2.
 
-    One ``min_cost_perfect_matching`` on min(c, 2). A matching's capped
-    total is its cost minus its 3-edges, so no matching has more 3-edges
-    than this total allows at its cost. A row that is the same object as
-    the row before it shares its capped row, as in ``_least_signature``.
+    One ``min_cost_perfect_matching`` on min(c, 2), block by block on a
+    view. A matching's capped total is its cost minus its 3-edges, so no
+    matching has more 3-edges than this total allows at its cost.
     """
-    capped: list[tuple[int, ...]] = []
-    prev = line = None
-    for row in costs:
-        if row is not prev:
-            line = tuple(min(c, 2) for c in row)
-            prev = row
-        capped.append(line)
-    return min_cost_perfect_matching(capped).cost
+    blocks, a, b = _blocks(costs)
+    return min_cost_perfect_matching(_BlockRows([tuple(min(c, 2) for c in row) for row in blocks], a, b)).cost
 
 
 def _check_seed(seed: int) -> None:

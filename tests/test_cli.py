@@ -187,6 +187,16 @@ def test_blowup_cap_env_must_be_an_integer(capsys, p3_file, monkeypatch):
     assert err.startswith("error:") and "RICCI_BLOWUP_CAP" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_blowup_cap_env_must_be_positive(capsys, p3_file, monkeypatch, value):
+    # A cap below 1 is a usage error, not a refusal of every edge.
+    monkeypatch.setenv("RICCI_BLOWUP_CAP", value)
+    code, out, err = run(capsys, "curvature", p3_file, "--all")
+    assert code == 4
+    assert out == ""
+    assert err == f"error: RICCI_BLOWUP_CAP must be a positive integer, got '{value}'\n"
+
+
 def test_curvature_all_reports_oversized_edges_and_keeps_the_rest(capsys, tmp_path, monkeypatch):
     # Triangle 0-1-2 with pendant 3: q = 3 on (0, 1), 12 on (0, 2) and
     # (1, 2), 4 on (2, 3); a cap of 4 refuses only the q = 12 edges.

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from riccicrit import (
     BlowUpTooLargeError,
     Graph,
+    RicciCritError,
     Sign,
     blow_up,
     build_cost_matrix,
@@ -18,8 +20,9 @@ from riccicrit import (
     plan_from_matching,
     ricci,
 )
-from riccicrit.curvature import BLOWUP_CAP_ENV, CostMatrix
-from riccicrit.matching import class_counts, min_cost_perfect_matching
+from riccicrit import curvature
+from riccicrit.curvature import BLOWUP_CAP_ENV, CostMatrix, blowup_cap
+from riccicrit.matching import _BlockRows, class_counts, min_cost_perfect_matching
 
 from conftest import double_star, graphs, random_connected_graph
 
@@ -69,6 +72,16 @@ def test_blow_up_cap(monkeypatch):
         blow_up(cm)
     monkeypatch.setenv(BLOWUP_CAP_ENV, "6")
     assert blow_up(cm).q == 6
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "abc", "2.5"])
+def test_blow_up_cap_must_be_a_positive_integer(monkeypatch, value):
+    # A cap below 1 would refuse every edge, the smallest q being 1.
+    monkeypatch.setenv(BLOWUP_CAP_ENV, value)
+    with pytest.raises(RicciCritError, match=f"^{BLOWUP_CAP_ENV} must be a positive integer, got '{value}'$"):
+        blowup_cap()
+    monkeypatch.setenv(BLOWUP_CAP_ENV, "1")
+    assert blowup_cap() == 1
 
 
 def test_path_emd_both_routes():
@@ -234,6 +247,29 @@ def test_matching_cost_is_q_times_flow_emd_on_a_sparse_random_graph():
         assert min_cost_perfect_matching(bm.costs).cost == bm.q * emd
         checked += 1
     assert checked > 600
+
+
+def test_default_route_builds_no_blow_up_row(monkeypatch):
+    # The edges of the ``ricci-sparse`` benchmark graph, G(2000, 10000) drawn
+    # as the benchmark draws it, with the largest blow-ups: the matching
+    # kernel reads the r x s blocks, so no q-cell row of the view is built.
+    rng = random.Random("ricci-sparse:graph")
+    edges: set[tuple[int, int]] = set()
+    while len(edges) < 10000:
+        a, b = rng.randrange(2000), rng.randrange(2000)
+        if a != b:
+            edges.add((min(a, b), max(a, b)))
+    g = Graph(2000, sorted(edges))
+    largest = sorted(edges, key=lambda e: (-math.lcm(g.degree(e[0]) + 1, g.degree(e[1]) + 1), e))[:6]
+    blow_ups, built = [], []
+    original_blow_up, original_row = curvature.blow_up, _BlockRows._row
+    monkeypatch.setattr(curvature, "blow_up", lambda cm: blow_ups.append(original_blow_up(cm)) or blow_ups[-1])
+    monkeypatch.setattr(_BlockRows, "_row", lambda view, k: built.append(k) or original_row(view, k))
+    results = [ricci(g, e) for e in largest]
+    assert min(bm.q for bm in blow_ups) >= 100 and len(blow_ups) == len(largest)
+    assert built == []
+    monkeypatch.undo()
+    assert [res.ric for res in results] == [ricci(g, e, route="flow").ric for e in largest]
 
 
 def _full_row_cost_matrix(g: Graph, e: tuple[int, int]) -> tuple:

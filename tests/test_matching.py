@@ -23,6 +23,7 @@ from riccicrit import (
 from riccicrit import _detcube, matching
 from riccicrit._detcube import LiveMinor, SignatureCube, coefficient_at, det_batch
 from riccicrit.matching import (
+    _BlockRows,
     _check_square,
     _extract_assignment,
     _least_capped_cost,
@@ -525,14 +526,15 @@ def _first_least(costs, touch) -> tuple[Matching, tuple[int, int, int]]:
 
 
 def _blown(matrix, a: int, b: int) -> list[tuple]:
-    """Each cell repeated b times along its row, and each expanded row a times as one object, as blow-ups are."""
+    """Each cell repeated b times along its row, and each expanded row a times as one object."""
     rows = [tuple(c for c in row for _ in range(b)) for row in matrix]
     return [row for row in rows for _ in range(a)]
 
 
 def _least_signature_cases():
     """Seeded 0..3 matrices with q from 1 to 7 under random, all-true and
-    all-false masks, and blow-ups whose mask rows repeat with their cost rows."""
+    all-false masks, and blow-ups whose mask rows repeat with their cost
+    rows, each once materialized and once as a view of its blocks."""
     rng = random.Random(2718)
     for q in range(1, 8):
         for _ in range(3 if q < 7 else 1):
@@ -545,6 +547,7 @@ def _least_signature_cases():
         costs = [[rng.randint(0, 3) for _ in range(s)] for _ in range(r)]
         touch = [[rng.random() < 0.5 for _ in range(s)] for _ in range(r)]
         yield _blown(costs, q // r, q // s), _blown(touch, q // r, q // s)
+        yield _BlockRows(costs, q // r, q // s), _BlockRows(touch, q // r, q // s)
 
 
 def test_least_signature_is_the_first_enumerated_matching_with_the_least_signature():
@@ -557,7 +560,7 @@ def test_least_signature_is_the_first_enumerated_matching_with_the_least_signatu
 
 def test_least_capped_cost_is_the_enumerated_least_cost_less_3_edges():
     # Counting every 3 as 2 takes one off a matching's cost per 3-edge, on
-    # plain matrices and on blow-ups whose rows share one object.
+    # plain matrices and on blow-ups, materialized or as views.
     for costs, touch in _least_signature_cases():
         least = min(m.cost - class_counts(costs, touch, m).n3 for m in enumerate_matchings(costs))
         assert _least_capped_cost(costs) == least
@@ -809,9 +812,8 @@ def test_a_singular_grid_point_aborts_the_extraction_and_the_next_trial_retries(
     ids=["negative", "non-integer", "short-row"],
 )
 def test_check_square_rejects_bad_cells_in_repeated_rows(bad, message):
-    # A blow-up repeats one row object for a row node's copies; a bad row is
-    # still rejected wherever its run of copies starts, with the message a
-    # matrix of distinct row objects gets.
+    # A matrix that repeats one row object is checked as one of distinct
+    # rows: a bad row is rejected wherever its run of copies starts.
     good = (1, 2, 3)
     for rows in ([good, good, bad], [bad, bad, good], [good, bad, bad]):
         with pytest.raises(ValueError) as distinct:
@@ -822,11 +824,95 @@ def test_check_square_rejects_bad_cells_in_repeated_rows(bad, message):
 
 
 def test_check_square_checks_an_equal_row_that_is_another_object():
-    # (1.0, 2) == (1, 2), but only a row that is the same object as the one
-    # before it may be skipped.
+    # (1.0, 2) == (1, 2), but each row is checked for itself.
     assert _check_square([(1, 2), (1, 2)]) == 2
     with pytest.raises(ValueError, match=r"^costs must be non-negative integers, got 1\.0$"):
         _check_square([(1, 2), (1.0, 2)])
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ((0, -1), "costs must be non-negative integers, got -1"),
+        ((0, 0.5), "costs must be non-negative integers, got 0.5"),
+        ((0,), "cost matrix must be square"),
+        ((0, 1, 2), "cost matrix must be square"),
+    ],
+    ids=["negative", "non-integer", "short-row", "long-row"],
+)
+def test_check_square_rejects_a_views_bad_block_cell_as_the_materialized_matrix(bad, message):
+    # Every cell of a view is one of its block cells, so the blocks are
+    # checked for it, with the errors of the q x q matrix it stands for.
+    good = (1, 2)
+    for blocks in ([good, good, bad], [bad, good, good], [good, bad, bad]):
+        view = _BlockRows(blocks, 2, 3)
+        for matrix in ([[c for c in row for _ in range(3)] for row in blocks for _ in range(2)], view):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                _check_square(matrix)
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                min_cost_perfect_matching(matrix)
+    with pytest.raises(ValueError, match="^cost matrix must be non-empty$"):
+        _check_square(_BlockRows([], 2, 3))
+
+
+def test_block_rows_read_as_the_materialized_tuple_of_rows():
+    blocks = ((0, 1), (2, 3), (0, 1))
+    view = _BlockRows(blocks, 2, 3)
+    rows = tuple(tuple(blocks[i // 2][j // 3] for j in range(6)) for i in range(6))
+    # A block row's copies are one tuple, built on first read.
+    assert len(view) == 6 and view._rows == [None] * 3
+    assert view[-1] == rows[-1] and view._rows == [None, None, rows[4]]
+    assert view[0] is view[1] and view[4] is view[5] and view[0] is not view[4]
+    assert tuple(view) == rows and list(iter(view)) == list(rows) and view[-6] == rows[0]
+    assert [row is view[2] for row in view] == [False, False, True, True, False, False]
+    assert view[1:5] == rows[1:5] and view[::-2] == rows[::-2] and view[7:] == ()
+    for i in (6, -7):
+        with pytest.raises(IndexError):
+            view[i]
+    assert view == rows and rows == view and view == _BlockRows(blocks, 2, 3)
+    assert hash(view) == hash(rows)
+    assert view != [list(row) for row in rows] and view != _BlockRows(blocks, 2, 1)
+    assert view != rows[:5] and rows[:5] != view
+
+
+def _costs_or_mask(draw, r: int, s: int, cells):
+    """An r x s matrix of ``cells`` whose rows are drawn from a pool of at
+    most three and whose columns from three, so that equal rows and columns,
+    adjacent ones among them, are common."""
+    pool = draw(st.lists(st.lists(cells, min_size=3, max_size=3), min_size=1, max_size=3))
+    row_of = draw(st.lists(st.integers(0, len(pool) - 1), min_size=r, max_size=r))
+    col_of = draw(st.lists(st.integers(0, 2), min_size=s, max_size=s))
+    return tuple(tuple(pool[i][j] for j in col_of) for i in row_of)
+
+
+@st.composite
+def _views(draw):
+    """A view of r x s 0..3 blocks (r, s <= 5) with a·r = b·s = q for q a
+    multiple of lcm(r, s) up to 24, its touchable mask's view, and both
+    materialized as lists of lists of distinct row objects."""
+    r, s = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    q = math.lcm(r, s) * draw(st.sampled_from([k for k in (1, 2, 3) if math.lcm(r, s) * k <= 24]))
+    a, b = q // r, q // s
+    costs = _costs_or_mask(draw, r, s, st.integers(0, 3))
+    mask = _costs_or_mask(draw, r, s, st.booleans())
+    plain = [[[m[i // a][j // b] for j in range(q)] for i in range(q)] for m in (costs, mask)]
+    return _BlockRows(costs, a, b), _BlockRows(mask, a, b), *plain
+
+
+@settings(max_examples=150, deadline=None)
+@given(_views())
+def test_kernel_and_least_matchings_read_a_view_as_its_materialized_matrix(case):
+    view, mask_view, costs, mask = case
+    got = min_cost_perfect_matching(view)
+    assert got == min_cost_perfect_matching(costs)
+    least = _least_signature(costs, mask)
+    assert _least_signature(view, mask_view) == least
+    assert _least_capped_cost(view) == _least_capped_cost(costs)
+    # The kernel and both least matchings read the blocks alone.
+    assert view._rows == [None] * len(view.blocks) and mask_view._rows == view._rows
+    # A view beside a plain mask is read cell by cell.
+    assert _least_signature(view, mask) == _least_signature(costs, mask_view) == least
+    assert got.cost == matching_cost(costs, got.assignment) == matching_cost(view, got.assignment)
 
 
 def test_signature_cubes_are_reused_across_calls(monkeypatch):
