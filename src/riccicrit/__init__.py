@@ -15,7 +15,6 @@ from .curvature import (
     ricci,
 )
 from .errors import (
-    BlowUpTooLargeError,
     BudgetExceededError,
     EdgeListParseError,
     FieldConfigError,

@@ -21,9 +21,10 @@ library, and its plan is deterministic: the lexicographically smallest
 optimal matching, folded into blocks. networkx is imported on the first
 flow-route call, so the matching route never loads it. The solvers read
 neither route's plan; they verify edit sets by the flow route's sign. The
-flow route stays as the independent oracle and also answers an edge whose
-q exceeds the blow-up cap. Folding the q matched pairs back into a plan
-runs at C speed (``itertools``, ``collections.Counter``).
+flow route stays as the independent oracle. Both answer every edge: the
+matching route reads the r x s blocks and q-length lists, never q² cells.
+Folding the q matched pairs back into a plan runs at C speed
+(``itertools``, ``collections.Counter``).
 
 Both routes start from the same ``CostMatrix``, the one per-edge object that
 ``build_cost_matrix`` returns: the r x s distances between N[u] and N[v].
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 import enum
 import math
-import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,12 +45,8 @@ from functools import cached_property
 from itertools import repeat
 from operator import floordiv
 
-from .errors import BlowUpTooLargeError, RicciCritError
 from .graphs import Graph, ordered_pair
 from .matching import Matching, _BlockRows, matching_cost, min_cost_perfect_matching
-
-DEFAULT_BLOWUP_CAP = 10_000
-BLOWUP_CAP_ENV = "RICCI_BLOWUP_CAP"
 
 
 class Sign(enum.Enum):
@@ -239,20 +235,6 @@ def build_cost_matrix(g: Graph, e: tuple[int, int]) -> CostMatrix:
     return CostMatrix(u, v, vu, vv, costs)
 
 
-def blowup_cap() -> int:
-    """The largest q a blow-up may have: the value of ``BLOWUP_CAP_ENV`` if set, which must be a positive integer."""
-    env = os.environ.get(BLOWUP_CAP_ENV)
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            cap = 0
-        if cap < 1:
-            raise RicciCritError(f"{BLOWUP_CAP_ENV} must be a positive integer, got {env!r}")
-        return cap
-    return DEFAULT_BLOWUP_CAP
-
-
 def blow_up(cm: CostMatrix) -> BlowUpMatrix:
     """Replicate the cost matrix to a q x q matrix, q = lcm(r, s).
 
@@ -262,9 +244,6 @@ def blow_up(cm: CostMatrix) -> BlowUpMatrix:
     """
     r, s = cm.r, cm.s
     q = math.lcm(r, s)
-    limit = blowup_cap()
-    if q > limit:
-        raise BlowUpTooLargeError(f"blow-up size q={q} exceeds cap {limit}")
     a, b = q // r, q // s
     return BlowUpMatrix(cm, q, a, b, _BlockRows(cm.costs, a, b))
 

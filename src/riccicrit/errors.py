@@ -19,10 +19,6 @@ class InputFileError(RicciCritError):
     """A named input file is not UTF-8 text; the message names the file."""
 
 
-class BlowUpTooLargeError(RicciCritError):
-    """LCM of the two neighborhood sizes exceeds the configured cap."""
-
-
 class OracleBoundError(RicciCritError):
     """Exhaustive matching enumeration refused: matrix larger than the bound."""
 

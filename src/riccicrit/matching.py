@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from operator import eq, getitem, sub
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .errors import OracleBoundError
+from .errors import FieldConfigError, OracleBoundError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -170,8 +170,9 @@ def _check_square(costs: Sequence[Sequence[int]]) -> int:
 
 
 def matching_cost(costs: Sequence[Sequence[int]], assignment: Sequence[int]) -> int:
-    rows = tuple(costs)  # a view's rows, built once per call
-    return sum(rows[i][j] for i, j in enumerate(assignment))
+    """The sum of the matched cells; on a view, cell (i, j) is read from block (i // a, j // b)."""
+    blocks, a, b = _blocks(costs)
+    return sum(blocks[i // a][j // b] for i, j in enumerate(assignment))
 
 
 def _runs(rows: Iterable[tuple], scale: int) -> tuple[list[tuple[int, int]], list[tuple]]:
@@ -465,19 +466,24 @@ def class_counts(
     touchable_mask: Sequence[Sequence[bool]],
     m: Matching,
 ) -> EdgeClassCounts:
-    """Count the matched edges of each cost class (costs must lie in 0..3)."""
+    """Count the matched edges of each cost class (costs must lie in 0..3).
+
+    A view, of the costs or the mask, is read from its blocks.
+    """
     n = _check_square(costs)
     if len(m.assignment) != n:
         raise ValueError("matching size does not fit the matrix")
+    blocks, a, b = _blocks(costs)
+    mask_blocks, mask_a, mask_b = _blocks(touchable_mask)
     n0 = n1 = n2t = n2u = n3 = 0
     for i, j in enumerate(m.assignment):
-        c = costs[i][j]
+        c = blocks[i // a][j // b]
         if c == 0:
             n0 += 1
         elif c == 1:
             n1 += 1
         elif c == 2:
-            if touchable_mask[i][j]:
+            if mask_blocks[i // mask_a][j // mask_b]:
                 n2t += 1
             else:
                 n2u += 1
@@ -491,6 +497,19 @@ def class_counts(
 # -- randomized exact-cost search ---------------------------------------------
 
 
+def _check_dense(q: int) -> None:
+    """Refuse a q x q matrix with more entries than ``_detcube._MAX_GRID_POINTS``.
+
+    The F_p engine reads every cell of a dense digit array, so it is checked
+    before that array exists: at q = 10,000 the signature digits alone would
+    take 2.4 GB (q² cells of three int64 digits).
+    """
+    from ._detcube import _MAX_GRID_POINTS
+
+    if q * q > _MAX_GRID_POINTS:
+        raise FieldConfigError(f"the F_p engine takes at most {_MAX_GRID_POINTS} matrix entries, got q={q}")
+
+
 def _signature_digits(
     costs: Sequence[Sequence[int]],
     touchable_mask: Sequence[Sequence[bool]],
@@ -498,7 +517,9 @@ def _signature_digits(
     """Per-edge digits (4 - c, is-3, is-touchable-2) of a 0..3 cost matrix.
 
     A perfect matching of cost x with k 3-edges and l touchable 2-edges has
-    digit sums (4q - x, k, l).
+    digit sums (4q - x, k, l). The array is dense, so a q x q matrix with
+    more than ``_detcube._MAX_GRID_POINTS`` entries (q > 1414) is refused
+    with ``FieldConfigError`` before it is built (``_check_dense``).
 
     The cost digit is 4 - c, not c. Both find the same matchings, but the
     grids differ: after ``_factor`` takes out the row and column minima,
@@ -511,6 +532,7 @@ def _signature_digits(
     82,764 and ``LiveMinor`` points from 12,030 to 54,320, for identical
     Solutions in 4.5 s against 1.6 s.
     """
+    _check_dense(len(costs))
     import numpy as np
 
     c = np.array(costs, dtype=np.int64)
@@ -662,13 +684,16 @@ def exact_cost_matching(
     about 2.5e-4 at q = 40 and G = 650). None is wrong only if every trial
     misses. A returned matching is always genuine: its cost is verified
     before returning. The seed must be a non-negative integer, ``trials``
-    positive and ``target`` an integer.
+    positive and ``target`` an integer. A target the minimum cost answers
+    needs no search; any other searches a dense q x q digit array, so a
+    matrix with more than ``_detcube._MAX_GRID_POINTS`` entries (q > 1414)
+    is then refused with ``FieldConfigError`` before that array is built.
     """
     _check_integers(trials=trials, seed=seed, target=target)
     _check_seed(seed)
     if trials < 1:
         raise ValueError("trials must be positive")
-    _check_square(costs)
+    q = _check_square(costs)
     if target < 0:
         return None
     # The minimum-cost matching is a free certificate for its own cost.
@@ -677,6 +702,7 @@ def exact_cost_matching(
         return mcpm
     if target < mcpm.cost:
         return None
+    _check_dense(q)
     import numpy as np
 
     digits = np.array(costs, dtype=np.int64)[:, :, None]

@@ -66,6 +66,35 @@ def double_star(du: int, dv: int, cross: list[tuple[int, int]]) -> Graph:
     return Graph(2 + du - 1 + dv - 1, edges)
 
 
+def hub_double_star(du: int, dv: int) -> Graph:
+    """``double_star(du, dv, ...)`` (du <= dv) with every fourth private
+    u-neighbor crossing to its counterpart, and one more node, outside both
+    neighborhoods, joined to every other private neighbor on both sides.
+    Private neighbors that share it lie at distance 2, so the blow-up has
+    touchable 2-cost cells, which a plain double star lacks."""
+    g = double_star(du, dv, [(i, i) for i in range(0, du - 1, 4)])
+    n = g.node_count
+    hub = [(x, n) for x in range(2, 2 + du - 1, 2)] + [(y, n) for y in range(2 + du - 1, n, 2)]
+    return Graph(n + 1, [(u, v) for u, v, _w in g.edges()] + hub)
+
+
+def preferential_attachment(n: int, m: int, seed) -> Graph:
+    """Seeded preferential attachment: a star on nodes 0..m, then each new
+    node joins m distinct earlier nodes, each draw proportional to degree.
+    It has m·(n - m) edges, and its hubs give blow-ups far past q = 10,000."""
+    rng = random.Random(seed)
+    edges = [(0, x) for x in range(1, m + 1)]
+    ends = [x for edge in edges for x in edge]  # each node once per edge it is on
+    for new in range(m + 1, n):
+        targets: set[int] = set()
+        while len(targets) < m:
+            targets.add(rng.choice(ends))
+        for t in sorted(targets):
+            edges.append((t, new))
+            ends += (t, new)
+    return Graph(n, edges)
+
+
 def enumerated_signatures(digits: np.ndarray) -> set[tuple[int, ...]]:
     """The digit sums of every perfect matching of an (n, n, naxes) digit array."""
     n = digits.shape[0]

@@ -20,7 +20,7 @@ import riccicrit
 from riccicrit import Graph, cli, format_edge_list
 from riccicrit.cli import main
 
-from conftest import blow_up_shape, random_connected_graph
+from conftest import blow_up_shape, double_star, random_connected_graph
 
 # Double star: (0, 1) has curvature -1/2 and is a feasible uw-rt-ins-ntp instance.
 STAR6 = "0 1\n0 2\n0 3\n1 4\n1 5\n"
@@ -142,9 +142,8 @@ def test_curvature_batch_output_is_what_json_dumps_prints_for_the_payload(capsys
     # Records are encoded one at a time and joined into the payload's text;
     # that text must be the one json.dumps prints for the whole payload, on
     # stdout and in --output, for an edgeless graph, a path that JSON
-    # escapes, and a batch holding an oversized-edge error record.
+    # escapes, and the paw.
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    monkeypatch.setenv("RICCI_BLOWUP_CAP", "6")  # refuses only the paw's q = 12 edges
     out_file = tmp_path / "out.json"
     graphs = {"edgeless.edges": "# nodes: 3\n", 'q"uote\\é.edges': "0 1\n1 2\n", "paw.edges": "0 1\n1 2\n0 2\n2 3\n"}
     for name, text in graphs.items():
@@ -152,7 +151,6 @@ def test_curvature_batch_output_is_what_json_dumps_prints_for_the_payload(capsys
         path.write_text(text, encoding="utf-8")
         g = riccicrit.load_edge_list(str(path))
         records = [cli._curvature_one(g, "matching", (u, v)) for u, v, _ in g.edges()]
-        assert any("error" in r for r in records) == (name == "paw.edges")
         expected = json.dumps({"input": str(path), "results": records}, indent=2, sort_keys=True) + "\n"
         assert run(capsys, "curvature", str(path), "--all", "--jobs", jobs) == (0, expected, ""), name
         assert run(capsys, "curvature", str(path), "--all", "--jobs", jobs, "--output", str(out_file)) == (0, "", "")
@@ -179,42 +177,26 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert "line 4: duplicate edge (0, 1)" in err
 
 
-def test_blowup_cap_env_must_be_an_integer(capsys, p3_file, monkeypatch):
-    monkeypatch.setenv("RICCI_BLOWUP_CAP", "abc")
-    code, out, err = run(capsys, "curvature", p3_file, "--all")
-    assert code == 4
-    assert out == ""
-    assert err.startswith("error:") and "RICCI_BLOWUP_CAP" in err
-
-
-@pytest.mark.parametrize("value", ["0", "-3"])
-def test_blowup_cap_env_must_be_positive(capsys, p3_file, monkeypatch, value):
-    # A cap below 1 is a usage error, not a refusal of every edge.
-    monkeypatch.setenv("RICCI_BLOWUP_CAP", value)
-    code, out, err = run(capsys, "curvature", p3_file, "--all")
-    assert code == 4
-    assert out == ""
-    assert err == f"error: RICCI_BLOWUP_CAP must be a positive integer, got '{value}'\n"
-
-
-def test_curvature_all_reports_oversized_edges_and_keeps_the_rest(capsys, tmp_path, monkeypatch):
-    # Triangle 0-1-2 with pendant 3: q = 3 on (0, 1), 12 on (0, 2) and
-    # (1, 2), 4 on (2, 3); a cap of 4 refuses only the q = 12 edges.
-    path = tmp_path / "paw.edges"
-    path.write_text("0 1\n1 2\n0 2\n2 3\n")
-    monkeypatch.setenv("RICCI_BLOWUP_CAP", "4")
+def test_curvature_all_answers_every_edge_at_every_blow_up_size(capsys, tmp_path, monkeypatch):
+    # Triangle 0-1-2 with pendant 3 (q = 3 on (0, 1), 12 on (0, 2) and
+    # (1, 2), 4 on (2, 3)), and a double star whose edge (0, 1) blows up to
+    # q = 101 * 100 = 10,100: every edge gets its curvature, none an error.
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    code, out, _ = run(capsys, "curvature", str(path), "--all")
-    assert code == 0
-    # Two workers give the same records, errors included, in edge order.
-    assert run(capsys, "curvature", str(path), "--all", "--jobs", "2") == (0, out, "")
-    assert [r["edge"] for r in json.loads(out)["results"]] == [[0, 1], [0, 2], [1, 2], [2, 3]]
-    records = {tuple(r["edge"]): r for r in json.loads(out)["results"]}
-    for edge in [(0, 2), (1, 2)]:
-        assert "q=12 exceeds cap 4" in records[edge]["error"]
-        assert "ric" not in records[edge]
-    for edge in [(0, 1), (2, 3)]:
-        assert "error" not in records[edge] and "ric" in records[edge]
+    star = double_star(100, 99, [(i, i) for i in range(0, 98, 3)])
+    assert math.lcm(star.degree(0) + 1, star.degree(1) + 1) == 10_100
+    graphs = {"paw.edges": Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)]), "star.edges": star}
+    for name, g in graphs.items():
+        path = tmp_path / name
+        path.write_text(format_edge_list(g))
+        code, out, _ = run(capsys, "curvature", str(path), "--all")
+        assert code == 0
+        # Two workers give the same records, in edge order.
+        assert run(capsys, "curvature", str(path), "--all", "--jobs", "2") == (0, out, "")
+        records = json.loads(out)["results"]
+        assert [r["edge"] for r in records] == [[u, v] for u, v, _ in g.edges()]
+        assert all("error" not in r and "ric" in r for r in records)
+    flow = riccicrit.ricci(star, (0, 1), route="flow").ric
+    assert records[0]["ric"] == {"num": flow.numerator, "den": flow.denominator}
 
 
 def test_missing_file_exit_code(capsys):
@@ -448,6 +430,9 @@ def test_oracle_check_refuses_an_enumeration_bound_above_nine(capsys):
     for bound in ("10", "100"):
         code, out, err = run(capsys, "oracle-check", "--random", "2", "--enum-bound", bound)
         assert code == 4 and out == "" and err == f"error: --enum-bound must be at most 9, got {bound}\n"
+    # A negative bound would enumerate nothing, silently.
+    code, out, err = run(capsys, "oracle-check", "--random", "2", "--enum-bound", "-5")
+    assert code == 4 and out == "" and err == "error: --enum-bound must be at least 0, got -5\n"
     code, out, _ = run(capsys, "oracle-check", "--random", "1", "--seed", "3", "--enum-bound", "9")
     assert code == 0 and json.loads(out)["mismatches"] == 0
 
@@ -466,32 +451,9 @@ def test_oracle_check_file_and_output(capsys, p3_file, tmp_path):
     assert payload["mismatches"] == 0
 
 
-def test_oracle_check_lists_skipped_edges_and_does_not_count_them(capsys, tmp_path, monkeypatch):
-    # Paw graph: the triangle edges (0, 2) and (1, 2) blow up to q = 12, past
-    # a cap of 4, so only (0, 1) and (2, 3) are compared; the skipped ones are
-    # listed even without --verbose.
-    path = tmp_path / "paw.edges"
-    path.write_text("0 1\n1 2\n0 2\n2 3\n")
-    monkeypatch.setenv("RICCI_BLOWUP_CAP", "4")
-    code, out, err = run(capsys, "oracle-check", str(path))
-    assert (code, err) == (0, "")
-    payload = json.loads(out)
-    assert (payload["edges_checked"], payload["mismatches"]) == (2, 0)
-    assert payload["results"] == [
-        {"edge": [0, 2], "skipped": "blow-up size q=12 exceeds cap 4"},
-        {"edge": [1, 2], "skipped": "blow-up size q=12 exceeds cap 4"},
-    ]
-
-
-def test_oracle_check_fails_when_it_compared_no_edge(capsys, tmp_path, monkeypatch):
-    # Every edge skipped, or no edge at all: nothing was cross-checked, so
-    # the check does not pass; the report stays as it is.
-    monkeypatch.setenv("RICCI_BLOWUP_CAP", "1")
-    code, out, err = run(capsys, "oracle-check", "--random", "3", "--seed", "5")
-    payload = json.loads(out)
-    assert (code, err, payload["edges_checked"], payload["mismatches"]) == (1, "", 0, 0)
-    assert payload["results"] and all("skipped" in rec for rec in payload["results"])
-    monkeypatch.delenv("RICCI_BLOWUP_CAP")
+def test_oracle_check_fails_when_it_compared_no_edge(capsys, tmp_path):
+    # No edge at all: nothing was cross-checked, so the check does not pass;
+    # the report stays as it is.
     path = tmp_path / "empty.edges"
     path.write_text("# nodes: 3\n")
     code, out, err = run(capsys, "oracle-check", str(path))

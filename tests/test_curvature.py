@@ -1,14 +1,17 @@
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riccicrit import (
-    BlowUpTooLargeError,
     Graph,
-    RicciCritError,
+    Instance,
+    ProblemVariant,
     Sign,
     blow_up,
     build_cost_matrix,
@@ -17,14 +20,16 @@ from riccicrit import (
     emd_via_matching,
     enumerate_matchings,
     gen_tightness,
+    greedy_insert,
     plan_from_matching,
+    randomized_insert,
     ricci,
 )
 from riccicrit import curvature
-from riccicrit.curvature import BLOWUP_CAP_ENV, CostMatrix, blowup_cap
+from riccicrit.curvature import CostMatrix
 from riccicrit.matching import _BlockRows, class_counts, min_cost_perfect_matching
 
-from conftest import double_star, graphs, random_connected_graph
+from conftest import double_star, graphs, hub_double_star, preferential_attachment, random_connected_graph
 
 P3 = Graph(3, [(0, 1), (1, 2)])
 K3 = Graph(3, [(0, 1), (1, 2), (0, 2)])
@@ -63,25 +68,6 @@ def test_blow_up_shapes():
         for col in range(6):
             i, j = bm.block(row, col)
             assert bm.costs[row][col] == cm.costs[i][j]
-
-
-def test_blow_up_cap(monkeypatch):
-    cm = build_cost_matrix(P3, (0, 1))
-    monkeypatch.setenv(BLOWUP_CAP_ENV, "5")
-    with pytest.raises(BlowUpTooLargeError):
-        blow_up(cm)
-    monkeypatch.setenv(BLOWUP_CAP_ENV, "6")
-    assert blow_up(cm).q == 6
-
-
-@pytest.mark.parametrize("value", ["0", "-3", "abc", "2.5"])
-def test_blow_up_cap_must_be_a_positive_integer(monkeypatch, value):
-    # A cap below 1 would refuse every edge, the smallest q being 1.
-    monkeypatch.setenv(BLOWUP_CAP_ENV, value)
-    with pytest.raises(RicciCritError, match=f"^{BLOWUP_CAP_ENV} must be a positive integer, got '{value}'$"):
-        blowup_cap()
-    monkeypatch.setenv(BLOWUP_CAP_ENV, "1")
-    assert blowup_cap() == 1
 
 
 def test_path_emd_both_routes():
@@ -160,6 +146,52 @@ def test_scale_invariance(rng):
         )
         for u, v, _ in g.edges():
             assert ricci(g, (u, v)).ric == ricci(scaled, (u, v)).ric
+
+
+@st.composite
+def _relabeled_graphs(draw):
+    """A graph of 2 to 12 nodes with at least one edge, unweighted or with
+    weights 1..5, the permutation ``perm`` of its nodes, and the graph with
+    node x renamed perm[x], built from its edges in shuffled order."""
+    n = draw(st.integers(2, 12))
+    weighted = draw(st.booleans())
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] < p[1])
+    pairs = draw(st.lists(pair, min_size=1, max_size=18, unique=True))
+    edges = [(u, v, draw(st.integers(1, 5)) if weighted else 1) for u, v in pairs]
+    perm = draw(st.permutations(range(n)))
+    shuffled = draw(st.permutations([(perm[u], perm[v], w) for u, v, w in edges]))
+    return Graph(n, edges, weighted=weighted), perm, Graph(n, shuffled, weighted=weighted)
+
+
+def _invariants(res) -> tuple:
+    return res.ric, res.emd, res.witness.total_cost
+
+
+@settings(max_examples=200, deadline=None)
+@given(_relabeled_graphs())
+def test_relabeling_shuffling_and_swapping_ends_change_no_curvature(case):
+    # ric, EMD and the plan's total on both routes, for (u, v) against
+    # (perm[u], perm[v]) and (perm[v], perm[u]) of the relabeled graph
+    # built from a shuffled edge list, and against (v, u) of the original.
+    g, perm, h = case
+    for u, v, _w in g.edges():
+        for route in ("matching", "flow"):
+            want = _invariants(ricci(g, (u, v), route=route))
+            for graph, edge in ((g, (v, u)), (h, (perm[u], perm[v])), (h, (perm[v], perm[u]))):
+                assert _invariants(ricci(graph, edge, route=route)) == want, (route, edge)
+
+
+def test_relabeling_changes_no_curvature_past_q_10000():
+    # A double star whose edge blows up to q = 101 * 100 = 10,100, its
+    # nodes renamed by a seeded permutation, on both routes.
+    g = double_star(100, 99, [(i, i) for i in range(0, 98, 3)])
+    perm = list(range(g.node_count))
+    random.Random(10_100).shuffle(perm)
+    h = Graph(g.node_count, [(perm[u], perm[v]) for u, v, _w in reversed(g.edges())])
+    assert math.lcm(g.degree(0) + 1, g.degree(1) + 1) == 10_100
+    for route in ("matching", "flow"):
+        want = _invariants(ricci(g, (0, 1), route=route))
+        assert _invariants(ricci(h, (perm[1], perm[0]), route=route)) == want
 
 
 def test_canonicalize_fixed_point_and_groups():
@@ -267,9 +299,38 @@ def test_default_route_builds_no_blow_up_row(monkeypatch):
     monkeypatch.setattr(_BlockRows, "_row", lambda view, k: built.append(k) or original_row(view, k))
     results = [ricci(g, e) for e in largest]
     assert min(bm.q for bm in blow_ups) >= 100 and len(blow_ups) == len(largest)
+    # The approximations read the blocks too: greedy's canonical start, its
+    # check of a given start, and randomized_insert's least signatures.
+    inst = Instance(hub_double_star(37, 38), (0, 1), ProblemVariant.parse("uw-rt-ins-ntp"))
+    assert inst._blow_up.q == 1482
+    assert greedy_insert(inst) == greedy_insert(inst, inst._start)
+    randomized_insert(inst, seed=3)
+    # So do the mirror swaps' cost checks at q = 254,520 (r = 504, s = 505,
+    # 500 common neighbors), where the rows would hold 128 million cells.
+    common = range(2, 502)
+    private = [(0, 502), (0, 503), (1, 504), (1, 505), (1, 506)]
+    star = Graph(507, [(0, 1), *((0, x) for x in common), *((1, x) for x in common), *private])
+    bm = blow_up(build_cost_matrix(star, (0, 1)))
+    assert bm.q == 254_520
+    assert canonicalize_matching(bm, min_cost_perfect_matching(bm.costs)).cost == bm.q * ricci(star, (0, 1)).emd
     assert built == []
     monkeypatch.undo()
     assert [res.ric for res in results] == [ricci(g, e, route="flow").ric for e in largest]
+
+
+def test_default_route_answers_blow_ups_past_q_10000_as_pinned():
+    # Every edge with q > 10,000 of a seeded preferential-attachment graph
+    # (11 edges, up to q = 16,362) and a coprime double star (q = 40,200):
+    # ric, EMD and plan, hashed when a q above 10,000 was still refused by
+    # default and answered only with the cap raised.
+    g = preferential_attachment(2000, 5, seed=4)
+    big = [(u, v) for u, v, _w in g.edges() if math.lcm(g.degree(u) + 1, g.degree(v) + 1) > 10_000]
+    star = double_star(199, 200, [(i, i) for i in range(0, 198, 3)])
+    records = [{"edge": [u, v], **ricci(g, (u, v)).to_json_dict()} for u, v in big]
+    records.append({"edge": [0, 1], **ricci(star, (0, 1)).to_json_dict()})
+    assert len(big) == 11
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+    assert digest == "0235a0f5a80c36efaecf4adf7e0a60958896adb5f818ed3d283aa8937aaeef53"
 
 
 def _full_row_cost_matrix(g: Graph, e: tuple[int, int]) -> tuple:

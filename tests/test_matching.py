@@ -908,7 +908,12 @@ def test_kernel_and_least_matchings_read_a_view_as_its_materialized_matrix(case)
     least = _least_signature(costs, mask)
     assert _least_signature(view, mask_view) == least
     assert _least_capped_cost(view) == _least_capped_cost(costs)
-    # The kernel and both least matchings read the blocks alone.
+    for m in (got, least[0], Matching(tuple(reversed(got.assignment)), 0)):
+        assert matching_cost(view, m.assignment) == matching_cost(costs, m.assignment)
+        counts = class_counts(costs, mask, m)
+        for pair in ((view, mask_view), (view, mask), (costs, mask_view)):
+            assert class_counts(*pair, m) == counts
+    # The kernel, both least matchings, the cost and the class counts read the blocks alone.
     assert view._rows == [None] * len(view.blocks) and mask_view._rows == view._rows
     # A view beside a plain mask is read cell by cell.
     assert _least_signature(view, mask) == _least_signature(costs, mask_view) == least

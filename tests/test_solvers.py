@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import networkx
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from riccicrit import (
     BudgetExceededError,
+    FieldConfigError,
     Graph,
     InfeasibleInstanceError,
     Instance,
@@ -46,6 +48,7 @@ from riccicrit.matching import (
     _signature_digits,
     class_counts,
     enumerate_matchings,
+    exact_cost_matching,
     min_cost_perfect_matching,
     signature_support,
 )
@@ -63,6 +66,7 @@ from riccicrit.solvers import (
 from conftest import (
     blow_up_shape,
     double_star,
+    hub_double_star,
     random_connected_graph,
     sample_spade_instances,
     sample_sweep_instances,
@@ -548,6 +552,32 @@ def test_instances_whose_least_signature_lacks_3_edges_are_swept(monkeypatch, fo
         assert len(calls) == 1
         calls.clear()
         assert got == _swept(inst, seed=i) == certified[i]
+
+
+def test_a_sweep_past_the_f_p_size_bound_is_refused_before_any_dense_array(force_sweep):
+    # q = 38 * 39 = 1482, so q² passes the F_p engine's 2,000,000 entries.
+    # The least signature (3171, 702, 360) has 2·k0 <= x0 - q; the
+    # capped-cost certificate settles it, and with that failing the sweep
+    # is refused before its q x q digits (53 MB) or scalars are built.
+    # exact_cost_matching is refused the same way, unless the minimum cost
+    # answers it.
+    inst = Instance(hub_double_star(37, 38), (0, 1), NTP)
+    bm = inst._blow_up
+    assert bm.q == 1482 and _least_signature(bm.costs, bm.touchable_mask())[1] == (3171, 702, 360)
+    assert randomized_insert(inst, seed=3).drops == 988
+    force_sweep()
+    refused = "^the F_p engine takes at most 2000000 matrix entries, got q=1482$"
+    tracemalloc.start()
+    try:
+        with pytest.raises(FieldConfigError, match=refused):
+            randomized_insert(Instance(inst.graph, inst.edge, NTP), seed=3)
+        least = exact_cost_matching(bm.costs, 3171)
+        with pytest.raises(FieldConfigError, match=refused):
+            exact_cost_matching(bm.costs, 3172)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert least.cost == 3171 and peak < 4_000_000
 
 
 def test_the_capped_cost_certificate_agrees_with_enumeration():
