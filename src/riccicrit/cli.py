@@ -5,8 +5,9 @@ unreadable, not UTF-8 or malformed, or an output path cannot be written;
 3 infeasible instance; 4 usage error (bad flags, unsupported variant or
 method, malformed --start sidecar); 5 internal verification failure -- a
 solver produced something it could not verify, which the library is
-designed never to do; oracle-check exits 1 when the routes disagree, and
-when it compared no edge at all.
+designed never to do; oracle-check exits 1 when the routes disagree or the
+matching route's optimality certificate fails, and when it compared no edge
+at all.
 Commands raise, and `main` maps the exception to its exit code through
 `_EXIT_CODES`. Randomized methods require an explicit --seed so runs stay
 reproducible; JSON output is byte-stable for a given input and seed.
@@ -30,7 +31,7 @@ import sys
 from fractions import Fraction
 
 from . import gadgets
-from .curvature import blow_up, build_cost_matrix, edge_ref, emd_via_flow, emd_via_matching, ricci
+from .curvature import blow_up, certificate_fault, edge_ref, emd_via_flow, ricci
 from .errors import (
     EdgeListParseError,
     InfeasibleInstanceError,
@@ -270,13 +271,14 @@ def _cmd_gadget(args) -> int:
 
 def _check_edge_routes(g: Graph, edge, enum_bound: int) -> dict:
     record: dict = {"edge": list(edge)}
-    cm = build_cost_matrix(g, edge)
+    res = ricci(g, edge)
+    cm, emd_m = res.cost_matrix, res.emd
     bm = blow_up(cm)
-    emd_m, _ = emd_via_matching(bm)
     emd_f, _ = emd_via_flow(cm)
     record["emd_matching"] = f"{emd_m.numerator}/{emd_m.denominator}"
     record["emd_flow"] = f"{emd_f.numerator}/{emd_f.denominator}"
-    agree = emd_m == emd_f
+    # The matching route's answer must also pass its optimality certificate.
+    agree = emd_m == emd_f and certificate_fault(res) is None
     if bm.q <= enum_bound:
         best = min(m.cost for m in enumerate_matchings(bm.costs, bound=enum_bound))
         emd_e = Fraction(best, bm.q)

@@ -19,9 +19,11 @@ the same exact rational:
 The matching route is the default because it needs only the standard
 library, and its plan is deterministic: the lexicographically smallest
 optimal matching, folded into blocks. networkx is imported on the first
-flow-route call, so the matching route never loads it. The solvers read
-neither route's plan; they verify edit sets by the flow route's sign. The
-flow route stays as the independent oracle. Both answer every edge: the
+flow-route call, so the matching route never loads it. The matching route
+also returns its optimal duals, and ``certificate_fault`` checks the answer
+by them, in integers, without a second solver: the solvers verify each edit
+set they return that way. The flow route stays as the independent oracle,
+of the CLI's checks and the tests. Both answer every edge: the
 matching route reads the r x s blocks and q-length lists, never q² cells.
 Folding the q matched pairs back into a plan runs at C speed
 (``itertools``, ``collections.Counter``).
@@ -39,7 +41,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
@@ -155,11 +157,18 @@ class TransportPlan:
 
 @dataclass(frozen=True)
 class CurvatureResult:
+    """An edge's curvature and its plan; the matching route also carries the
+    edge's cost matrix and its optimal duals (pot_r, pot_c), one per row and
+    column node, which ``certificate_fault`` checks. They take no part in
+    ``==`` or the JSON."""
+
     emd: Fraction
     dist_uv: int
     ric: Fraction
     sign: Sign
     witness: TransportPlan
+    cost_matrix: CostMatrix | None = field(default=None, compare=False, repr=False)
+    duals: tuple[tuple[int, ...], tuple[int, ...]] | None = field(default=None, compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -375,13 +384,64 @@ def ricci(
     if route == "matching":
         bm = blow_up(cm)
         emd, m = emd_via_matching(bm)
-        witness = plan_from_matching(bm, m)
-    elif route == "flow":
+        ric = 1 - emd / dist_uv
+        return CurvatureResult(emd, dist_uv, ric, sign_of(ric), plan_from_matching(bm, m), cm, (m.pot_r, m.pot_c))
+    if route == "flow":
         emd, witness = emd_via_flow(cm)
-    else:
-        raise ValueError(f"unknown route {route!r}")
-    ric = 1 - emd / dist_uv
-    return CurvatureResult(emd, dist_uv, ric, sign_of(ric), witness)
+        ric = 1 - emd / dist_uv
+        return CurvatureResult(emd, dist_uv, ric, sign_of(ric), witness)
+    raise ValueError(f"unknown route {route!r}")
+
+
+def certificate_fault(res: CurvatureResult) -> str | None:
+    """None when a matching-route answer's duals prove its plan optimal and its
+    curvature right; else the first check that fails.
+
+    In units of 1/q, q = lcm(r, s), the plan F must ship a = q/r from each
+    row node and b = q/s to each column node. Duals with every reduced cost
+    c_ij + pot_r_i - pot_c_j >= 0 bound the cost of every such plan below by
+    b·sum(pot_c) - a·sum(pot_r) (weak duality); a plan that ships only on
+    cells of reduced cost 0 meets that bound, so it is optimal (Kantorovich
+    duality). Its cost must also be q·EMD, and ric and sign must follow from
+    EMD and dist(u, v). Integers only, one pass over the r x s cells.
+    """
+    cm, duals = res.cost_matrix, res.duals
+    if cm is None or duals is None:
+        return "the answer carries no duals"
+    pot_r, pot_c = duals
+    r, s = cm.r, cm.s
+    if len(pot_r) != r or len(pot_c) != s:
+        return f"{len(pot_r)} x {len(pot_c)} duals for an {r} x {s} cost matrix"
+    q = math.lcm(r, s)
+    a, b = q // r, q // s
+    row_of = {x: i for i, x in enumerate(cm.row_nodes)}
+    col_of = {y: j for j, y in enumerate(cm.col_nodes)}
+    flow = [[0] * s for _ in range(r)]
+    for x, y, mass in res.witness.entries:
+        if x not in row_of or y not in col_of or q % mass.denominator or mass < 0:
+            return f"the plan ships {mass} from {x} to {y}, not a cell's whole units of 1/q"
+        flow[row_of[x]][col_of[y]] += mass.numerator * (q // mass.denominator)
+    if any(sum(row) != a for row in flow) or any(sum(col) != b for col in zip(*flow)):
+        return f"a row of the plan does not ship {a}/q or a column does not take {b}/q"
+    total = 0
+    for x, costs, shipped, p in zip(cm.row_nodes, cm.costs, flow, pot_r):
+        for y, c, f, pc in zip(cm.col_nodes, costs, shipped, pot_c):
+            reduced = c + p - pc
+            if reduced < 0:
+                return f"reduced cost {reduced} < 0 from {x} to {y}"
+            if f and reduced:
+                return f"the plan ships on reduced cost {reduced} from {x} to {y}"
+            total += c * f
+    bound = b * sum(pot_c) - a * sum(pot_r)
+    if total != bound:
+        return f"the plan costs {total}/q, the duals bound it by {bound}/q"
+    emd, ric, dist = res.emd, res.ric, res.dist_uv
+    if total * emd.denominator != emd.numerator * q:
+        return f"the plan costs {total}/q, not the EMD {emd}"
+    # ric = 1 - EMD/dist(u, v) = (q·dist - total) / (q·dist), compared in integers.
+    if dist != cm.dist_uv or ric.numerator * q * dist != ric.denominator * (q * dist - total) or res.sign != sign_of(ric):
+        return "ric or its sign does not follow from the EMD and dist(u, v)"
+    return None
 
 
 def edge_ref(u: int, v: int) -> tuple[int, int]:

@@ -41,7 +41,7 @@ import heapq
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import eq, getitem, sub
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -61,10 +61,16 @@ class Matching:
 
     ``assignment[i]`` is the column matched to row ``i``; ``cost`` is the sum
     of the matched entries under the matrix the matching was computed for.
+    ``min_cost_perfect_matching`` also hands out its optimal duals, one per
+    block row (``pot_r``) and block column (``pot_c``) of the matrix it
+    solved: every block has c + pot_r - pot_c >= 0, with equality on the
+    blocks the matching uses. They take no part in ``==`` or the JSON.
     """
 
     assignment: tuple[int, ...]
     cost: int
+    pot_r: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
+    pot_c: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         n = len(self.assignment)
@@ -425,7 +431,7 @@ def min_cost_perfect_matching(costs: Sequence[Sequence[int]]) -> Matching:
     supply = [0] * len(row_keys)
     for g, n in row_runs:
         supply[g] += n
-    flow, tight_of, _, _ = _transport(cost, supply, list(map(len, free.members)))
+    flow, tight_of, pot_r, pot_c = _transport(cost, supply, list(map(len, free.members)))
     tight_rows: list[list[int]] = [[] for _ in free.members]
     for g, cols in enumerate(tight_of):
         for h in cols:
@@ -445,7 +451,10 @@ def min_cost_perfect_matching(costs: Sequence[Sequence[int]]) -> Matching:
             assignment += free.take(h, k)
             total += k * cost[g][h]
             left -= k
-    return Matching(tuple(assignment), total)
+    # Each block row and column takes its group's dual.
+    row_duals = tuple(itertools.chain.from_iterable(itertools.repeat(pot_r[g], n // a) for g, n in row_runs))
+    col_duals = tuple(itertools.chain.from_iterable(itertools.repeat(pot_c[h], n // b) for h, n in col_runs))
+    return Matching(tuple(assignment), total, row_duals, col_duals)
 
 
 def enumerate_matchings(costs: Sequence[Sequence[int]], *, bound: int = ENUMERATION_BOUND) -> Iterator[Matching]:

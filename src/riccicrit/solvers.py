@@ -28,11 +28,13 @@ all go through it. On unweighted graphs the evaluator reads the cost matrix
 from the adjacency sets of the nodes of N[u] and N[v], without building a
 graph, and greedy re-reads its weights from the same edited sets after each
 insertion; on weighted graphs it reads the cost matrix of the edited graph.
-Each edit set a solver returns is verified by the flow route on the edited
-graph; an unverified set is never returned. An ``Instance`` keeps the flow
-route's verdict on each edit set it has verified, its blow-up, and greedy's
-canonical start (the blow-up's lex-min minimum-cost matching, canonicalized
-once), so solvers run on one instance share them.
+Each edit set a solver returns is verified on the edited graph by the
+default route, whose answer is held only once its optimality certificate
+(feasible plan and duals with no duality gap) checks; an unverified set is
+never returned. An ``Instance`` keeps the verdict on each edit set it has
+verified, its blow-up, and greedy's canonical start (the blow-up's lex-min
+minimum-cost matching, canonicalized once), so solvers run on one instance
+share them.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from .curvature import (
     _mirror_swaps,
     blow_up,
     build_cost_matrix,
+    certificate_fault,
     fraction_json,
     ricci,
     sign_of,
@@ -209,7 +212,7 @@ class Instance:
 
     @cached_property
     def _verdicts(self) -> dict[frozenset, tuple[bool, Fraction]]:
-        """The flow route's verdict on each edit set ``_flips`` has verified."""
+        """The certified verdict on each edit set ``_flips`` has verified."""
         return {}
 
 
@@ -302,13 +305,17 @@ def apply_edits(inst: Instance, edits: Iterable) -> Graph:
 
 
 def _flips(inst: Instance, edits: Iterable) -> tuple[bool, Fraction]:
-    """Whether the flow route on the edited graph gives the demanded sign, and
-    the resulting curvature; each distinct edit set is verified once per instance."""
+    """Whether the edited graph's curvature has the demanded sign, and that
+    curvature: the default route's answer, held only once its optimality
+    certificate checks. Each distinct edit set is verified once per instance."""
     edits = tuple(edits)
     key = frozenset(edits)
     verdict = inst._verdicts.get(key)
     if verdict is None:
-        res = ricci(apply_edits(inst, edits), inst.edge, route="flow")
+        res = ricci(apply_edits(inst, edits), inst.edge)
+        fault = certificate_fault(res)
+        if fault is not None:
+            raise RetryExhaustedError(f"the edited graph's curvature failed its certificate: {fault}; nothing returned")
         demanded = Sign.POSITIVE if inst.variant.direction == "ntp" else Sign.NEGATIVE
         verdict = inst._verdicts[key] = (res.sign == demanded, res.ric)
     return verdict
@@ -413,7 +420,7 @@ def _first_flip(inst: Instance, subsets: Iterable[tuple]) -> tuple[tuple, Fracti
     """The first subset whose edits flip the sign, with the resulting curvature.
 
     Every subset is screened by the instance's local evaluator; a subset is
-    taken only once the flow route on the edited graph confirms it.
+    taken only once ``_flips`` confirms it on the edited graph.
     """
     local = inst._local
     for edits in subsets:
@@ -529,7 +536,7 @@ def _approx_setup(inst: Instance, method: str) -> BlowUpMatrix | Solution:
     Raises unless the variant is restricted unweighted insert-to-positive
     and inserting every permissible edge flips the sign (saturation). When
     the minimum matched cost sits at the threshold (rho = 0), the first
-    single edit that flips, confirmed by the flow route, is the answer. The
+    single edit that flips, confirmed by ``_flips``, is the answer. The
     local evaluator's unedited total is that minimum (q * EMD), so no
     matching of the blow-up is built to test it.
     """

@@ -1,5 +1,6 @@
 import concurrent.futures
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -294,9 +295,9 @@ def test_randomized_retry_exhaustion_is_a_verification_failure(
 
 
 def test_an_approximation_never_returns_an_unverified_edit_set(capsys, tmp_path, monkeypatch):
-    # With the flow route reporting no flip, the set each approximation
-    # constructs fails its final check, and nothing is returned. STAR6 has
-    # rho > 0, so no single verified edit answers first.
+    # With the certified verification reporting no flip, the set each
+    # approximation constructs fails its final check, and nothing is
+    # returned. STAR6 has rho > 0, so no single verified edit answers first.
     star = riccicrit.Instance(Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)]), (0, 1),
                               riccicrit.ProblemVariant.parse("uw-rt-ins-ntp"))
     assert blow_up_shape(star).rho > 0
@@ -435,6 +436,25 @@ def test_oracle_check_refuses_an_enumeration_bound_above_nine(capsys):
     assert code == 4 and out == "" and err == "error: --enum-bound must be at least 0, got -5\n"
     code, out, _ = run(capsys, "oracle-check", "--random", "1", "--seed", "3", "--enum-bound", "9")
     assert code == 0 and json.loads(out)["mismatches"] == 0
+
+
+def test_oracle_check_counts_a_failed_certificate_as_a_mismatch(capsys, monkeypatch):
+    # A kernel handing out one potential off by 1 still answers every EMD
+    # right, so the routes agree; the certificate fails on every edge.
+    real = riccicrit.curvature.min_cost_perfect_matching
+
+    def nudged(costs):
+        m = real(costs)
+        return dataclasses.replace(m, pot_r=(m.pot_r[0] + 1, *m.pot_r[1:]))
+
+    monkeypatch.setattr(riccicrit.curvature, "min_cost_perfect_matching", nudged)
+    code, out, err = run(capsys, "oracle-check", "--random", "2", "--seed", "3")
+    payload = json.loads(out)
+    assert (code, err) == (1, "")
+    assert payload["mismatches"] == payload["edges_checked"] == len(payload["results"]) > 0
+    for record in payload["results"]:
+        assert record["agree"] is False and record["emd_matching"] == record["emd_flow"]
+        assert set(record) <= {"edge", "emd_matching", "emd_flow", "emd_enumeration", "agree"}
 
 
 def test_oracle_check_random_count_below_one(capsys):
@@ -646,6 +666,46 @@ def test_networkx_is_imported_only_by_the_flow_route(capsys, tmp_path):
     checked = fresh("-m", "riccicrit.cli", "oracle-check", "--random", "2", "--seed", "3")
     assert json.loads(checked)["mismatches"] == 0
     assert run(capsys, "oracle-check", "--random", "2", "--seed", "3") == (0, checked, "")
+
+
+def test_solving_loads_no_networkx(tmp_path):
+    # Each solver verifies its edit set by the default route's certificate:
+    # saturation, greedy, randomized and brute force on STAR6, and
+    # saturation and brute force on a weighted maxcov gadget, leave networkx
+    # unloaded.
+    src = str(Path(riccicrit.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    star = tmp_path / "star.edges"
+    star.write_text(STAR6)
+    g, (u, v), _ = riccicrit.gen_maxcov(5, [[0, 1, 2], [2, 3], [4]], 2)
+    cover = tmp_path / "maxcov.edges"
+    cover.write_text(format_edge_list(g))
+    on_star = [str(star), "--edge", "0", "1", "--variant", "uw-rt-ins-ntp"]
+    on_cover = [str(cover), "--edge", str(u), str(v), "--variant", "wt-rt-ins-ntp"]
+    runs = [
+        ["feasible", *on_star],
+        ["solve", *on_star, "--method", "greedy"],
+        ["solve", *on_star, "--method", "randomized", "--seed", "1"],
+        ["solve", *on_star, "--method", "brute", "--max-k", "3"],
+        ["feasible", *on_cover],
+        ["solve", *on_cover, "--method", "brute", "--max-k", "2"],
+    ]
+    outputs = [tmp_path / f"out{k}.json" for k in range(len(runs))]
+    argvs = [[*argv, "--output", str(out)] for argv, out in zip(runs, outputs)]
+    probe = (
+        "import json, sys, riccicrit.cli; "
+        "codes = [riccicrit.cli.main(argv) for argv in json.loads(sys.argv[1])]; "
+        "print(codes, 'networkx' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, json.dumps(argvs)], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout) == (0, f"{[0] * len(runs)} False\n"), proc.stderr
+    payloads = [json.loads(out.read_text()) for out in outputs]
+    for payload in payloads:
+        solution = payload.get("saturation_solution", payload)
+        assert solution["verified"] is True
+    assert payloads[0]["feasible"] and payloads[4]["feasible"]
 
 
 def test_importing_the_cli_leaves_concurrent_futures_unloaded():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -26,7 +27,7 @@ from riccicrit import (
     ricci,
 )
 from riccicrit import curvature
-from riccicrit.curvature import CostMatrix
+from riccicrit.curvature import CostMatrix, TransportPlan, certificate_fault
 from riccicrit.matching import _BlockRows, class_counts, min_cost_perfect_matching
 
 from conftest import double_star, graphs, hub_double_star, preferential_attachment, random_connected_graph
@@ -255,6 +256,89 @@ def test_canonicalize_untouchable_structure(rng):
             )
             assert unt1 == bm.a - bm.b
             checked += 1
+
+
+def _units(res) -> dict[tuple[int, int], int]:
+    """The plan's shipments in units of 1/q, by (row index, column index)."""
+    cm = res.cost_matrix
+    q = math.lcm(cm.r, cm.s)
+    rows, cols = cm.row_nodes, cm.col_nodes
+    return {(rows.index(x), cols.index(y)): int(mass * q) for x, y, mass in res.witness.entries}
+
+
+def _with_units(res, units: dict[tuple[int, int], int]):
+    cm = res.cost_matrix
+    q = math.lcm(cm.r, cm.s)
+    entries = [(cm.row_nodes[i], cm.col_nodes[j], Fraction(n, q)) for (i, j), n in sorted(units.items()) if n]
+    return dataclasses.replace(res, witness=TransportPlan(tuple(entries), res.witness.total_cost))
+
+
+def _with_dual(res, side: int, k: int, delta: int):
+    duals = [list(res.duals[0]), list(res.duals[1])]
+    duals[side][k] += delta
+    return dataclasses.replace(res, duals=tuple(map(tuple, duals)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(min_nodes=2, min_edges=1), st.data())
+def test_the_default_routes_certificate_holds_and_names_each_broken_part(g, data):
+    # The default route's plan and duals check; a plan or a dual broken in
+    # one place fails, and the fault names the check that caught it.
+    u, v, _w = data.draw(st.sampled_from(g.edges()))
+    res = ricci(g, (u, v))
+    assert certificate_fault(res) is None
+    assert certificate_fault(ricci(g, (u, v), route="flow")) == "the answer carries no duals"
+    cm, (pot_r, pot_c) = res.cost_matrix, res.duals
+    units = _units(res)
+    (i, j), n = data.draw(st.sampled_from(sorted(units.items())))
+    reduced = [[c + p - pc for c, pc in zip(row, pot_c)] for row, p in zip(cm.costs, pot_r)]
+    assert reduced[i][j] == 0
+    # A marginal off by one unit, on a used cell.
+    for delta in (1, -1):
+        fault = certificate_fault(_with_units(res, {**units, (i, j): n + delta}))
+        assert fault.startswith("a row of the plan does not ship"), fault
+    # One unit moved to another cell breaks the marginals. Two used cells
+    # (i, j) and (k, l) that each send one unit across, to (i, l) and
+    # (k, j), keep them; that plan is optimal only if both cells are tight.
+    k, l = data.draw(st.tuples(st.integers(0, cm.r - 1), st.integers(0, cm.s - 1)).filter(lambda c: c != (i, j)))
+    moved = {**units, (i, j): n - 1, (k, l): units.get((k, l), 0) + 1}
+    assert certificate_fault(_with_units(res, moved)).startswith("a row of the plan does not ship")
+    if i != k and j != l and units.get((k, l)):
+        crossed = {**units, (i, j): n - 1, (k, l): units[k, l] - 1}
+        crossed[i, l] = units.get((i, l), 0) + 1
+        crossed[k, j] = units.get((k, j), 0) + 1
+        fault = certificate_fault(_with_units(res, crossed))
+        if reduced[i][l] or reduced[k][j]:
+            assert fault.startswith("the plan ships on reduced cost"), fault
+        else:
+            assert fault is None  # another optimal plan
+    # A potential nudged by 1 at the used cell: its reduced cost goes to 1
+    # or to -1.
+    fault = certificate_fault(_with_dual(res, 0, i, 1))
+    assert fault.startswith("the plan ships on reduced cost 1 "), fault
+    fault = certificate_fault(_with_dual(res, 1, j, -1))
+    assert fault.startswith("the plan ships on reduced cost 1 "), fault
+    for side, k in ((0, i), (1, j)):
+        fault = certificate_fault(_with_dual(res, side, k, 2 * side - 1))
+        assert fault.startswith("reduced cost -1 < 0"), fault
+    # A wrong EMD or curvature, with plan and duals intact.
+    fault = certificate_fault(dataclasses.replace(res, emd=res.emd + 1))
+    assert fault.startswith("the plan costs"), fault
+    fault = certificate_fault(dataclasses.replace(res, sign=Sign.ZERO if res.sign != Sign.ZERO else Sign.POSITIVE))
+    assert fault == "ric or its sign does not follow from the EMD and dist(u, v)"
+
+
+def test_the_certificate_checks_blow_ups_past_q_10000():
+    # The duals come one per row and column node however many copies the
+    # kernel's groups stand for: a coprime double star, q = 40,200, and
+    # common neighbors, whose identical rows form one group.
+    common = range(2, 60)
+    star = Graph(63, [(0, 1), *((0, x) for x in common), *((1, x) for x in common), (0, 60), (1, 61), (1, 62)])
+    for g in (double_star(199, 200, [(i, i) for i in range(0, 198, 3)]), star):
+        res = ricci(g, (0, 1))
+        assert (len(res.duals[0]), len(res.duals[1])) == (res.cost_matrix.r, res.cost_matrix.s)
+        assert certificate_fault(res) is None
+        assert res.ric == ricci(g, (0, 1), route="flow").ric
 
 
 def test_curvature_result_json_plan_optional():

@@ -20,6 +20,7 @@ from riccicrit import (
     InfeasibleInstanceError,
     Instance,
     ProblemVariant,
+    RetryExhaustedError,
     Sign,
     Solution,
     UnsupportedVariantError,
@@ -803,6 +804,66 @@ def test_weighted_local_evaluator_matches_flow_route(g, key, picks):
     assert not local.out_of_reach(cands, 1)
 
 
+def _edited_instances(rng: random.Random):
+    """Instances of every variant, each with edit sets to verify: seeded random
+    graphs, unweighted and weighted, each variant on the edges whose starting
+    sign admits it, double stars of negative curvature under both insertion
+    variants, and the weighted maxcov gadget."""
+    keys = UW_VARIANTS + WT_VARIANTS
+    for _ in range(12):
+        for weighted in (False, True):
+            g = random_connected_graph(rng, rng.randint(4, 7), weighted=weighted, max_w=3, p=0.5)
+            for key in keys[4:] if weighted else keys:
+                for u, v, _w in g.edges():
+                    try:
+                        yield Instance(g, (u, v), ProblemVariant.parse(key))
+                    except ValueError:
+                        continue
+    for inst in sample_spade_instances(rng, 4, degree_pool=[(3, 4, 0.3), (3, 5, 0.25)]):
+        yield inst
+        yield Instance(inst.graph, inst.edge, UT_NTP)
+    for universe, sets, kappa in ((4, [[0, 1], [2, 3]], 1), (5, [[0, 1, 2], [2, 3], [4]], 2)):
+        g, e, _ = gen_maxcov(universe, sets, kappa)
+        yield Instance(g, e, WT_NTP)
+
+
+def test_flips_agrees_with_the_flow_route_on_edited_graphs_of_every_variant():
+    # The certified default route and networkx's network simplex give the
+    # same verdict and curvature on each edited graph: the saturated set and
+    # random subsets of the candidates, of every variant.
+    rng = random.Random(919)
+    seen: dict[str, set[bool]] = {}
+    for inst in _edited_instances(rng):
+        cands = permissible_edits(inst)
+        subsets = [cands] + [[c for c in cands if rng.random() < 0.4] for _ in range(3)]
+        demanded = Sign.POSITIVE if inst.variant.direction == "ntp" else Sign.NEGATIVE
+        for edits in subsets:
+            flipped, ric_after = _flips(inst, edits)
+            after = ricci(apply_edits(inst, edits), inst.edge, route="flow")
+            assert (flipped, ric_after) == (after.sign == demanded, after.ric), (inst, edits)
+            seen.setdefault(inst.variant.key, set()).add(flipped)
+    assert seen.keys() == set(UW_VARIANTS + WT_VARIANTS)
+    for variant in (NTP, UT_NTP, DEL_PTN, WT_NTP, WT_PTN):
+        assert seen[variant.key] == {True, False}, variant.key
+
+
+def test_an_edit_set_whose_certificate_fails_is_never_returned(monkeypatch):
+    # A failed certificate raises, and no verdict is kept, for every solver.
+    inst = sample_spade_instances(random.Random(884), 1, degree_pool=[(3, 4, 0.3)])[0]
+    monkeypatch.setattr(solvers, "certificate_fault", lambda res: "forced")
+    message = "the edited graph's curvature failed its certificate: forced; nothing returned"
+    for solve in (
+        feasible_by_saturation,
+        greedy_insert,
+        lambda inst: randomized_insert(inst, seed=1),
+        lambda inst: brute_force_opt(inst, 3),
+    ):
+        fresh = Instance(inst.graph, inst.edge, inst.variant)
+        with pytest.raises(RetryExhaustedError, match=message):
+            solve(fresh)
+        assert fresh._verdicts == {}
+
+
 def _reference_brute_force(inst, max_k):
     """Graph-level brute force: every subset checked on the edited graph, in order."""
     cands = permissible_edits(inst)
@@ -948,12 +1009,13 @@ def test_randomized_insert_builds_no_canonical_start():
 
 def test_an_instances_canonical_start_solves_its_blow_up_once(monkeypatch):
     # The start is the kernel's own lex-min optimum, canonicalized without
-    # re-solving the blow-up to prove it optimal.
+    # re-solving the blow-up to prove it optimal. The verification of the
+    # returned set solves the edited graph's blow-up, which is not counted.
     solved = []
     real = min_cost_perfect_matching
 
     def spy(costs):
-        solved.append(len(costs))
+        solved.append(costs)
         return real(costs)
 
     monkeypatch.setattr(solvers, "min_cost_perfect_matching", spy)
@@ -961,13 +1023,14 @@ def test_an_instances_canonical_start_solves_its_blow_up_once(monkeypatch):
     for inst in sample_spade_instances(random.Random(882), 4, degree_pool=[(3, 4, 0.3), (4, 6, 0.3)]):
         solved.clear()
         greedy_insert(inst)
-        assert solved == [inst._blow_up.q]
+        assert sum(costs is inst._blow_up.costs for costs in solved) == 1
 
 
 def test_an_instance_builds_one_blow_up_and_verifies_each_edit_set_once(monkeypatch):
     # Greedy and randomized share the instance's blow-up and lex-min matching,
-    # and the flow route sees each edited graph once, however many solvers
-    # return its edit set; every returned set is among those it verified.
+    # and the certified verification sees each edited graph once, however
+    # many solvers return its edit set; every returned set is among those it
+    # verified.
     built, verified = [], []
     real_blow_up, real_ricci = solvers.blow_up, solvers.ricci
     monkeypatch.setattr(solvers, "blow_up", lambda cm: built.append(cm) or real_blow_up(cm))
