@@ -49,3 +49,19 @@ def test_ricci_digest_returns_the_pinned_results_and_writes_nothing_under_perfbe
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "3a7f653edb7124fa4608d4db082551a280ba8631d908f9742acd92af3a95288d\n"
     assert sorted((ROOT / "perfbench").rglob("*")) == before
+
+
+def test_engine_digest_returns_the_pinned_answers_and_writes_nothing():
+    # Supports at 1, 2 and 4 trials, exact-cost witnesses and misses at every
+    # target, and a counts witness at every certified signature, on seeded
+    # random matrices and double-star blow-ups, as hashed while signature
+    # cubes were still evaluated several trials at a time and small batches
+    # inverted in Python ints: the cube of a trial is the one built alone,
+    # and every inversion is exact, so no answer moves.
+    argv = [sys.executable, str(ROOT / "tools" / "engine_digest.py")]
+    trees = [ROOT / "src", ROOT / "tools", ROOT / "perfbench"]
+    before = [sorted(tree.rglob("*")) for tree in trees]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "2bd38471561e268ae498f6a6051ed6f0aa72ddfdf735187881f1504ffd3f2d9b\n"
+    assert [sorted(tree.rglob("*")) for tree in trees] == before
