@@ -30,16 +30,13 @@ Vandermonde systems along each axis. They are the same field elements a
 grid in x would give. Point 0 is left out: it zeroes every entry with a
 positive digit and would often make the matrix singular.
 
-A sweep over several trials' scalars is one evaluation (``_sweep``): the
-trials share their digits, so one ``_factor`` and one walk of the grid
-serve them all. Each chunk's table of monomials is built once and
-multiplied by each trial's scalars, and the chunk's matrices for every
-trial go to one ``det_batch`` call, whose fixed cost outweighs its
-arithmetic on small matrices; the Vandermonde systems are then solved with
-the trial as a leading axis. The chunk bound counts matrices over all the
-trials, so no call holds more matrices than one trial's chunk would. A lone
-``SignatureCube`` is a sweep of one trial, and each trial's cube is the
-one it would be alone.
+Each trial's scalars give one cube, evaluated on its own: a
+``SignatureCube`` factors its digits, walks its grid and solves its
+Vandermonde systems. Trials share their digits but not their scalars, so a
+query over several trials builds one cube per trial, and ``_trial_cube``
+caches each by its digits, seed and trial: later targets on the same
+digits and seed, and a witness search after ``signature_support``, read
+the cubes already built.
 
 Witness extraction fixes the rows in order, each to the first column that
 keeps the target reachable, and needs one row's worth of coefficients at a
@@ -70,15 +67,14 @@ elimination step's fixed cost matters as much as its arithmetic, and no
 step inverts anything: the elimination is fraction-free (Bareiss's update,
 without his exact division), and one ``_inverse_vec`` call at the end
 inverts the determinant's denominator and, for an inverse, the pivots
-(Montgomery's batch trick: one modular exponentiation, in Python ints below
-``_TREE_MIN`` values). ``LiveMinor.take`` inverts its pivot at every grid
-point the same way, once per take. A scale carried through the takes
-instead would not save that inversion: a row's shares sum over the grid
-points, so each point's scale would have to be divided out before the sum,
-one inversion per row all the same. Each block update is reduced by floor
-division, which numpy does by a multiply and a shift (Granlund and
-Montgomery's division by invariant integers), instead of its much slower
-``%``.
+(Montgomery's batch trick on a product tree: one modular exponentiation).
+``LiveMinor.take`` inverts its pivot at every grid point the same way,
+once per take. A scale carried through the takes instead would not save
+that inversion: a row's shares sum over the grid points, so each point's
+scale would have to be divided out before the sum, one inversion per row
+all the same. Each block update is reduced by floor division, which numpy
+does by a multiply and a shift (Granlund and Montgomery's division by
+invariant integers), instead of its much slower ``%``.
 """
 
 from __future__ import annotations
@@ -86,7 +82,6 @@ from __future__ import annotations
 import collections
 import functools
 import math
-from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -97,39 +92,15 @@ PRIME = (1 << 31) - 1
 
 _MAX_GRID_POINTS = 2_000_000
 
-# Batch size from which _inverse_vec's product tree beats its Python-int loop.
-# It gets B values from det_batch in determinant mode, (n + 1) B in inverse
-# mode and B per LiveMinor.take. Best of 7 x 300 calls on a 2-vCPU VM: the
-# loop takes 4.5 us at 8 values, 24 at 64, 33-37 at 88-100 and 47 at 128;
-# the tree 20 us at 8 and 33-37 from 64 to 128. They cross between 92 and
-# 100, where they differ by less than the noise.
-_TREE_MIN = 100
-
 
 def _inverse_vec(x: np.ndarray) -> np.ndarray:
     """Elementwise inverse mod PRIME of a vector of residues; a 0 is taken as 1.
 
-    Montgomery's trick: invert the product of all the elements with one
-    exponentiation, then peel each inverse off with two multiplications by
-    the prefix products. Small batches, most of them in practice, do this in
-    Python ints, where a call costs a few microseconds; from ``_TREE_MIN``
-    elements on the Python loop costs more than a product tree in numpy,
-    which multiplies neighbours pairwise up to one product and back down,
-    each inverse being its parent's times its sibling.
+    Montgomery's trick on a product tree: the vector, padded with ones to a
+    power of two, is multiplied pairwise up to one product, which one
+    exponentiation inverts, and back down, each inverse being its parent's
+    times its sibling. Every level is one numpy pass, whatever the size.
     """
-    if x.size < _TREE_MIN:
-        vals = [v or 1 for v in x.tolist()]
-        prefix = []
-        acc = 1
-        for v in vals:
-            prefix.append(acc)
-            acc = acc * v % PRIME
-        inv = pow(acc, -1, PRIME)
-        for i in range(len(vals) - 1, -1, -1):
-            v = vals[i]
-            vals[i] = inv * prefix[i] % PRIME
-            inv = inv * v % PRIME
-        return np.array(vals, dtype=np.int64)
     size = 1 << (x.size - 1).bit_length()
     levels = [np.concatenate([np.where(x == 0, 1, x), np.ones(size - x.size, dtype=np.int64)])]
     while levels[-1].size > 1:
@@ -320,9 +291,6 @@ def _grid(digits: np.ndarray, scalars: np.ndarray, dims: tuple[int, ...]):
     """Yield ``(points, mats)`` over the grid 1..d per axis, in C order, chunk by chunk.
 
     ``mats[b]`` is the matrix ``scalars * x^digits`` evaluated at ``points[b]``.
-    With a (T, n, n) stack of scalars, ``mats[t, b]`` is trial t's: every
-    trial shares the chunk's monomial table, and a chunk holds no more
-    matrices, over all trials, than one trial's chunk would.
     """
     n, _, naxes = digits.shape
     ngrid = math.prod(dims)
@@ -338,11 +306,7 @@ def _grid(digits: np.ndarray, scalars: np.ndarray, dims: tuple[int, ...]):
     _, first, which = np.unique(key, return_index=True, return_inverse=True)
     monos = vectors[first]
     which = which.reshape(n, n)
-    trials = 1
-    if scalars.ndim == 3:
-        # Broadcast against a chunk's (c, n, n) matrices: each trial's along a new axis 0.
-        trials, scalars = len(scalars), scalars[:, None]
-    chunk = max(1, min(ngrid, (4096 * 49 // (n * n) + 1) // trials))
+    chunk = max(1, min(ngrid, 4096 * 49 // (n * n) + 1))
     for start in range(0, ngrid, chunk):
         flat = np.arange(start, min(start + chunk, ngrid))
         pts = np.stack(np.unravel_index(flat, dims), axis=1).astype(np.int64) + 1  # (c, naxes)
@@ -356,46 +320,8 @@ def _grid(digits: np.ndarray, scalars: np.ndarray, dims: tuple[int, ...]):
             for e in range(1, maxdig + 1):
                 pows[:, e] = (pows[:, e - 1] * pts[:, axis]) % PRIME
             values = (values * pows[:, monos[:, axis]]) % PRIME
-        # An explicit C-order output: a broadcast product may lay the trial axis out innermost.
-        mats = np.empty(scalars.shape[:-3] + (len(pts), n, n), dtype=np.int64)
-        np.multiply(values[:, which], scalars, out=mats)
+        mats = values[:, which] * scalars
         yield pts, _mod_prime(mats, np.empty_like(mats))
-
-
-class _Sweep(NamedTuple):
-    """The signature cubes of one digit array at T trials' scalars, from one evaluation.
-
-    ``cubes[t]`` is trial t's coefficient array on the grid ``dims``;
-    ``offset``, ``dims`` and ``stride`` are ``_factor``'s.
-    """
-
-    offset: tuple[int, ...]
-    dims: tuple[int, ...]
-    stride: tuple[int, ...]
-    cubes: np.ndarray
-
-
-def _sweep(digits: np.ndarray, scalars: np.ndarray) -> _Sweep:
-    """Evaluate the signature cubes of ``digits`` at a (T, n, n) stack of scalars in one pass.
-
-    One ``_factor`` serves every trial. The grid is walked once: each
-    chunk's monomial table is shared, its matrices for all trials go to one
-    ``det_batch`` call, and the chunk bound counts those matrices, so no
-    call holds more than one trial's chunk would. The Vandermonde systems
-    are solved with the trial as a leading axis.
-    """
-    n = digits.shape[0]
-    reduced, offset, dims, stride = _factor(digits)
-    trials = len(scalars)
-    values = [det_batch(mats.reshape(-1, n, n)).reshape(trials, -1) for _, mats in _grid(reduced, scalars, dims)]
-    val = np.concatenate(values, axis=1).reshape((trials,) + dims)
-    # Invert the Vandermonde system along each axis in turn; axis 0 is the trial.
-    for axis, d in enumerate(dims, start=1):
-        if d == 1:
-            continue
-        moved = _mod_matmul(vandermonde_inverse(d), np.moveaxis(val, axis, 0).reshape(d, -1))
-        val = np.moveaxis(moved.reshape((d,) + val.shape[:axis] + val.shape[axis + 1 :]), 0, axis)
-    return _Sweep(offset, dims, stride, val)
 
 
 class SignatureCube:
@@ -407,19 +333,24 @@ class SignatureCube:
     probability. ``coefficient`` and ``support`` speak digit sums.
     """
 
-    def __init__(self, digits: np.ndarray, scalars: np.ndarray, sweep: _Sweep | None = None, trial: int = 0):
-        """The cube of ``digits`` at ``scalars``: evaluated alone, as a sweep of
-        one trial, or read off ``sweep``, whose trial ``trial`` has these scalars."""
+    def __init__(self, digits: np.ndarray, scalars: np.ndarray):
+        """The cube of ``digits`` at ``scalars``: ``_factor``, the determinants
+        at every point of its grid, then the Vandermonde system along each axis."""
         digits = np.asarray(digits, dtype=np.int64)
         n = digits.shape[0]
         if digits.shape[:2] != (n, n):
             raise ValueError("digits must be (n, n, naxes)")
         self.n = n
         self.scalars = np.asarray(scalars, dtype=np.int64) % PRIME
-        if sweep is None:
-            sweep = _sweep(digits, self.scalars[None])
-        self.offset, self.dims, self.stride = sweep.offset, sweep.dims, sweep.stride
-        self.cube = sweep.cubes[trial]
+        reduced, self.offset, self.dims, self.stride = _factor(digits)
+        val = np.concatenate([det_batch(mats) for _, mats in _grid(reduced, self.scalars, self.dims)])
+        val = val.reshape(self.dims)
+        for axis, d in enumerate(self.dims):
+            if d == 1:
+                continue
+            moved = _mod_matmul(vandermonde_inverse(d), np.moveaxis(val, axis, 0).reshape(d, -1))
+            val = np.moveaxis(moved.reshape((d,) + val.shape[:axis] + val.shape[axis + 1 :]), 0, axis)
+        self.cube = val
 
     def coefficient(self, target: tuple[int, ...]) -> int:
         """Coefficient at absolute digit sums ``target`` (0 if out of range or
@@ -442,32 +373,23 @@ _CUBES: collections.OrderedDict[tuple, SignatureCube] = collections.OrderedDict(
 _CUBE_CACHE_SIZE = 64
 
 
-def _trial_cubes(digits: np.ndarray, seed: int, trials: Iterable[int]) -> list[SignatureCube]:
-    """The signature cube of ``digits`` at the scalars of (seed, t), for each trial t.
+def _trial_cube(digits: np.ndarray, seed: int, trial: int) -> SignatureCube:
+    """The signature cube of ``digits`` at the scalars of (seed, trial).
 
     Cubes are shared across targets and calls: queries against the same
     digits and seed re-use the same random scalars, so sweeping many
     targets costs one interpolation per trial, and a witness query after a
-    ``signature_support`` sweep starts on the sweep's cubes. The trials not
-    cached yet are evaluated together, by one ``_sweep``. The key holds the
+    ``signature_support`` call starts on its cubes. The key holds the
     ``PRIME`` in force at the call, so a cube is never reused over another
     field.
     """
-    base = (digits.tobytes(), digits.shape, seed, PRIME)
-    trials = list(trials)
-    missing = [t for t in trials if base + (t,) not in _CUBES]
-    if missing:
-        scalars = np.stack([matching._trial_scalars(seed, t, digits.shape[0]) for t in missing])
-        sweep = _sweep(digits, scalars)
-        for i, t in enumerate(missing):
-            _CUBES[base + (t,)] = SignatureCube(digits, scalars[i], sweep, i)
-    cubes = []
-    for t in trials:
-        _CUBES.move_to_end(base + (t,))
-        cubes.append(_CUBES[base + (t,)])
-    while len(_CUBES) > _CUBE_CACHE_SIZE:
-        _CUBES.popitem(last=False)
-    return cubes
+    key = (digits.tobytes(), digits.shape, seed, PRIME, trial)
+    if key not in _CUBES:
+        _CUBES[key] = SignatureCube(digits, matching._trial_scalars(seed, trial, digits.shape[0]))
+        if len(_CUBES) > _CUBE_CACHE_SIZE:
+            _CUBES.popitem(last=False)
+    _CUBES.move_to_end(key)
+    return _CUBES[key]
 
 
 def _window(digits: np.ndarray, scalars: np.ndarray, target: tuple[int, ...]):

@@ -175,6 +175,8 @@ def _start_matching_from(path: str) -> Matching:
 
 
 def _cmd_solve(args) -> int:
+    if args.start and args.method != "greedy":
+        raise RicciCritError(f"--start applies to --method greedy only, not {args.method}")
     g = load_edge_list(args.input)
     inst = Instance(g, edge_ref(*args.edge), ProblemVariant.parse(args.variant))
     if args.method == "greedy":
@@ -338,8 +340,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("curvature", help="curvature of one or more edges of an edge-list file")
     p.add_argument("input")
-    p.add_argument("--edge", nargs=2, type=int, action="append", metavar=("U", "V"))
-    p.add_argument("--all", action="store_true", help="every edge of the graph")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--edge", nargs=2, type=int, action="append", metavar=("U", "V"))
+    which.add_argument("--all", action="store_true", help="every edge of the graph")
     p.add_argument("--route", choices=["matching", "flow"], default="matching")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--output")

@@ -36,7 +36,12 @@ class InfeasibleInstanceError(RicciCritError):
 
 
 class RetryExhaustedError(RicciCritError):
-    """All randomized trials failed to certify a matching; nothing returned."""
+    """A solver could not verify its answer, so nothing is returned.
+
+    Raised when every randomized trial failed to certify a matching or to
+    extract its witness, when an edited graph's curvature failed its
+    optimality certificate, and when a built edit set failed verification.
+    """
 
 
 class FieldConfigError(RicciCritError):

@@ -50,8 +50,6 @@ from .errors import FieldConfigError, OracleBoundError
 if TYPE_CHECKING:
     import numpy as np
 
-    from ._detcube import SignatureCube
-
 ENUMERATION_BOUND = 8
 
 
@@ -609,6 +607,16 @@ def _check_integers(**values) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_query(trials: int, seed: int, **values) -> None:
+    """Reject a randomized query's bad trial count, seed, target or count
+    before any work: each must be an integer, the seed non-negative and
+    ``trials`` positive."""
+    _check_integers(trials=trials, seed=seed, **values)
+    _check_seed(seed)
+    if trials < 1:
+        raise ValueError("trials must be positive")
+
+
 def _trial_scalars(seed: int, trial: int, q: int) -> np.ndarray:
     import numpy as np
 
@@ -616,13 +624,6 @@ def _trial_scalars(seed: int, trial: int, q: int) -> np.ndarray:
 
     rng = np.random.default_rng((seed, trial, q))
     return rng.integers(1, PRIME, size=(q, q), dtype=np.int64)
-
-
-def _trial_cube(digits: np.ndarray, seed: int, trial: int) -> SignatureCube:
-    """The signature cube of ``digits`` at the scalars of (seed, trial), from ``_detcube``'s cache."""
-    from ._detcube import _trial_cubes
-
-    return _trial_cubes(digits, seed, [trial])[0]
 
 
 def _extract_assignment(
@@ -667,6 +668,8 @@ def _search(digits: np.ndarray, target: tuple[int, ...], trials: int, seed: int)
     Each trial certifies the target on its (cached) cube before paying for
     the extraction; a failed extraction moves on to fresh scalars.
     """
+    from ._detcube import _trial_cube
+
     for trial in range(trials):
         cube = _trial_cube(digits, seed, trial)
         if cube.coefficient(target) == 0:
@@ -698,10 +701,7 @@ def exact_cost_matching(
     matrix with more than ``_detcube._MAX_GRID_POINTS`` entries (q > 1414)
     is then refused with ``FieldConfigError`` before that array is built.
     """
-    _check_integers(trials=trials, seed=seed, target=target)
-    _check_seed(seed)
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    _check_query(trials, seed, target=target)
     q = _check_square(costs)
     if target < 0:
         return None
@@ -749,10 +749,7 @@ def matching_with_counts(
     be a non-negative integer, ``trials`` positive and ``target_cost``,
     ``k`` and ``l`` integers.
     """
-    _check_integers(trials=trials, seed=seed, target_cost=target_cost, k=k, l=l)
-    _check_seed(seed)
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    _check_query(trials, seed, target_cost=target_cost, k=k, l=l)
     q = _check_square(costs)
     if k < 0 or l < 0 or k + l > q:
         return None
@@ -781,22 +778,18 @@ def signature_support(
 
     Every returned signature truly has a matching; signatures can only be
     missed, with per-cell probability at most q/PRIME per trial. Used by the
-    solver sweep, which wants the whole landscape at once. The trials are
-    one evaluation: they share one grid walk, and each chunk of it is one
-    determinant batch over every trial's matrices, no larger than one
-    trial's chunk would be. Each trial's cube is cached as if built alone,
-    so a witness query on the same seed starts on them. The seed must be a
-    non-negative integer and ``trials`` a positive integer.
+    solver sweep, which wants the whole landscape at once. Each trial
+    evaluates its own cube, and the support is the union of theirs. The
+    cubes are cached by digits, seed and trial, so a witness query on the
+    same seed starts on them. The seed must be a non-negative integer and
+    ``trials`` a positive integer.
     """
-    _check_integers(trials=trials, seed=seed)
-    _check_seed(seed)
+    _check_query(trials, seed)
     q = _check_square(costs)
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    from ._detcube import _trial_cubes
+    from ._detcube import _trial_cube
 
     digits = _signature_digits(costs, touchable_mask)
     merged: set[tuple[int, int, int]] = set()
-    for cube in _trial_cubes(digits, seed, range(trials)):
-        merged.update((4 * q - alpha, n3, n2t) for alpha, n3, n2t in cube.support())
+    for trial in range(trials):
+        merged.update((4 * q - alpha, n3, n2t) for alpha, n3, n2t in _trial_cube(digits, seed, trial).support())
     return merged

@@ -220,6 +220,26 @@ def test_usage_errors(capsys, p3_file):
         assert code == 4 and out == "" and "--max-k" in err
 
 
+def test_curvature_all_and_edge_together_are_a_usage_error(capsys, p3_file):
+    # --all would answer every edge and ignore --edge, even one that is no edge.
+    for flags in (["--all", "--edge", "5", "6"], ["--edge", "0", "1", "--all"]):
+        code, out, err = run(capsys, "curvature", p3_file, *flags)
+        assert (code, out) == (4, "")
+        assert len(err.splitlines()) == 1 and "not allowed with argument" in err
+
+
+@pytest.mark.parametrize("method", ["randomized", "brute"])
+def test_solve_start_with_a_method_other_than_greedy_is_a_usage_error(capsys, tmp_path, method):
+    # Only greedy reads a start matching: the sidecar, here a missing file,
+    # is never opened, and the run stops before any solving.
+    star = tmp_path / "star.edges"
+    star.write_text(STAR6)
+    code, out, err = run(capsys, "solve", str(star), "--edge", "0", "1", "--variant", "uw-rt-ins-ntp",
+                         "--method", method, "--seed", "0", "--start", str(tmp_path / "missing.json"))
+    assert (code, out) == (4, "")
+    assert err == f"error: --start applies to --method greedy only, not {method}\n"
+
+
 def test_randomized_requires_seed(capsys, tmp_path):
     star = tmp_path / "star.edges"
     # negatively curved double star

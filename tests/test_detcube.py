@@ -5,12 +5,12 @@ import random
 import numpy as np
 import pytest
 
-from riccicrit import _detcube, matching
+from riccicrit import _detcube
 from riccicrit._detcube import PRIME, LiveMinor, SignatureCube, coefficient_at, det_batch
 from riccicrit.errors import FieldConfigError
 from riccicrit.matching import _extract_assignment, _signature_digits, _trial_scalars, signature_support
 
-from conftest import enumerated_signatures, sample_spade_instances
+from conftest import enumerated_signatures
 
 
 def exact_det(rows: list[list[int]]) -> int:
@@ -357,15 +357,15 @@ def sweep_instances(seed: int, family: str):
 @pytest.mark.parametrize("prime", [PRIME, 101])
 @pytest.mark.parametrize("family", ["box", "strided"])
 def test_a_sweeps_cubes_are_the_cubes_built_alone(field, prime, family):
-    # One evaluation for every trial of a sweep gives each trial the very
-    # coefficient array, grid and support of its cube built alone, at 1, 2
-    # and 4 trials, over the full field and over F_101.
+    # The cached cube of each trial of a sweep has the very scalars,
+    # coefficient array, grid and support of the cube built alone at that
+    # trial's scalars, at 1, 2 and 4 trials, over the full field and over F_101.
     field(prime)
     for case, digits in enumerate(sweep_instances(53, family)):
         for trials in (1, 2, 4):
             _detcube._CUBES.clear()
-            swept = _detcube._trial_cubes(digits, case, range(trials))
-            assert len(swept) == trials
+            swept = [_detcube._trial_cube(digits, case, t) for t in range(trials)]
+            assert len(_detcube._CUBES) == trials
             for t, cube in enumerate(swept):
                 alone = SignatureCube(digits, _trial_scalars(case, t, digits.shape[0]))
                 assert cube.scalars.tolist() == alone.scalars.tolist()
@@ -376,9 +376,9 @@ def test_a_sweeps_cubes_are_the_cubes_built_alone(field, prime, family):
 
 
 def test_a_search_after_a_sweep_reads_the_sweeps_cubes():
-    # signature_support evaluates its trials together and caches each cube
-    # by its trial, so the witness search's _trial_cube hands back the very
-    # objects; a trial past the sweep is built alone.
+    # signature_support caches each trial's cube by its trial, so the
+    # witness search's _trial_cube hands back the very objects; a trial past
+    # the sweep is built then.
     rng = random.Random(59)
     costs = [[rng.randint(0, 3) for _ in range(6)] for _ in range(6)]
     touch = [[rng.random() < 0.5 for _ in range(6)] for _ in range(6)]
@@ -387,44 +387,10 @@ def test_a_search_after_a_sweep_reads_the_sweeps_cubes():
     signature_support(costs, touch, trials=2, seed=5)
     swept = list(_detcube._CUBES.values())
     assert len(swept) == 2
-    assert all(matching._trial_cube(digits, 5, t) is cube for t, cube in enumerate(swept))
-    third = matching._trial_cube(digits, 5, 2)
+    assert all(_detcube._trial_cube(digits, 5, t) is cube for t, cube in enumerate(swept))
+    third = _detcube._trial_cube(digits, 5, 2)
     assert third not in swept and len(_detcube._CUBES) == 3
     assert third.cube.tolist() == SignatureCube(digits, _trial_scalars(5, 2, 6)).cube.tolist()
-
-
-def test_a_sweep_makes_one_det_batch_call_per_chunk_for_all_trials(monkeypatch):
-    # The chunk bound counts matrices over every trial: a q = 12 double
-    # star's two-trial sweep evaluates both trials' grids in one call, and
-    # larger grids are cut into chunks of at most one trial's bound.
-    calls = []
-    original = _detcube.det_batch
-
-    def spy(mats, inverse=False):
-        if not inverse:
-            calls.append(len(mats))
-        return original(mats, inverse)
-
-    monkeypatch.setattr(_detcube, "det_batch", spy)
-    (inst,) = sample_spade_instances(random.Random(7), 1, degree_pool=[(3, 5, 0.3)])
-    bm = inst._blow_up
-    _detcube._CUBES.clear()
-    calls.clear()
-    signature_support(bm.costs, bm.touchable_mask(), trials=2, seed=1)
-    cubes = list(_detcube._CUBES.values())
-    assert bm.q == 12 and len(cubes) == 2
-    assert calls == [2 * math.prod(cubes[0].dims)]
-    rng = random.Random(61)
-    for n, trials in ((16, 4), (20, 2), (30, 3)):
-        digits = np.array([[[rng.randint(0, 1) for _ in range(2)] for _ in range(n)] for _ in range(n)], dtype=np.int64)
-        _detcube._CUBES.clear()
-        calls.clear()
-        cubes = _detcube._trial_cubes(digits, 3, range(trials))
-        ngrid = math.prod(cubes[0].dims)
-        bound = 4096 * 49 // (n * n) + 1
-        per_chunk = bound // trials
-        assert calls == [trials * min(per_chunk, ngrid - start) for start in range(0, ngrid, per_chunk)], (n, trials)
-        assert len(calls) > 1 and max(calls) <= bound
 
 
 def modular_det(rows: list[list[int]]) -> int:
@@ -550,17 +516,22 @@ def kernel_batch(seed: int, n: int, count: int) -> np.ndarray:
     return np.array(mats, dtype=np.int64).reshape(count, n, n)
 
 
-def _straddling_sizes(n: int) -> list[int]:
-    """Batch sizes B with B, and (n + 1) B, on both sides of ``_TREE_MIN``."""
-    tree = _detcube._TREE_MIN
-    return sorted({1, max(1, (tree - 1) // (n + 1)), tree // (n + 1) + 1, tree - 1, tree})
+# Batch sizes B per n: the B values a determinant batch inverts and the
+# (n + 1) B of an inverse batch run from 1 to 600, on and off a power of two.
+STRADDLING_SIZES = {
+    0: [1, 99, 100, 101],
+    1: [1, 49, 51, 99, 100],
+    2: [1, 33, 34, 99, 100],
+    3: [1, 24, 26, 99, 100],
+    5: [1, 16, 17, 99, 100],
+}
 
 
-@pytest.mark.parametrize("n, count", [(n, count) for n in (0, 1, 2, 3, 5) for count in _straddling_sizes(n)])
+@pytest.mark.parametrize("n, count", [(n, count) for n, sizes in STRADDLING_SIZES.items() for count in sizes])
 def test_both_modes_match_a_python_int_reference_across_the_tree_crossover(n, count):
-    # The pivots and the determinant's denominator are inverted together, so
-    # the batch crosses from _inverse_vec's Python-int loop to its product
-    # tree at a size set by n + 1 and B; a singular member's inverse is zero.
+    # The pivots and the determinant's denominator are inverted together, in
+    # one product tree whose size n + 1 and B set; a singular member's
+    # inverse is zero.
     mats = kernel_batch(700 + 10 * n + count, n, count)
     dets = det_batch(mats)
     det, inv = det_batch(mats, inverse=True)
@@ -585,7 +556,7 @@ def test_det_batch_inverts_once_per_call(monkeypatch, n):
     sizes = []
     real = _detcube._inverse_vec
     monkeypatch.setattr(_detcube, "_inverse_vec", lambda x: sizes.append(x.size) or real(x))
-    for count in (1, 7, _detcube._TREE_MIN + 3):
+    for count in (1, 7, 103):
         mats = kernel_batch(900 + n, n, count)
         for inverse, size in ((False, count), (True, (n + 1) * count)):
             sizes.clear()
@@ -631,9 +602,9 @@ def test_vandermonde_inverse_rejects_more_points_than_field_elements():
         _detcube.vandermonde_inverse(PRIME)
 
 
-@pytest.mark.parametrize("size", [1, 2, _detcube._TREE_MIN - 1, _detcube._TREE_MIN, _detcube._TREE_MIN + 1, 1000])
+@pytest.mark.parametrize("size", [1, 2, 99, 100, 101, 1000])
 def test_inverse_vec_is_the_elementwise_inverse(size):
-    # Both sides of the crossover between the Python-int loop and the product
+    # Sizes on and off a power of two, padded up to the next one in the
     # tree. A 0 (a singular matrix's pivot) is taken as 1 and spoils no other entry.
     rng = random.Random(size)
     vals = [1, PRIME - 1, 2, (PRIME + 1) // 2] + [rng.randrange(1, PRIME) for _ in range(size)]
@@ -665,3 +636,8 @@ def test_grid_evaluates_every_entry_at_every_point():
                 for i in range(n)
             ]
             assert m == want
+    # A grid of more points than one chunk holds, 4096 * 49 // n² + 1
+    # matrices, comes in chunks of that many and a last one of the rest.
+    chunks = _detcube._grid(np.zeros((30, 30, 2), dtype=np.int64), np.ones((30, 30), dtype=np.int64), (20, 20))
+    sizes = [len(pts) for pts, _ in chunks]
+    assert sizes == [224, 176]

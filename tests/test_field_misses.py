@@ -24,7 +24,6 @@ from riccicrit import (
     RetryExhaustedError,
     Sign,
     _detcube,
-    matching,
     randomized_insert,
     ricci,
 )
@@ -36,11 +35,11 @@ from conftest import enumerated_signatures
 
 def test_cubes_and_vandermonde_inverses_are_cached_per_field(field):
     digits = _signature_digits([[0, 1, 2], [3, 1, 0], [2, 2, 1]], [[True] * 3] * 3)
-    cube = matching._trial_cube(digits, 0, 0)
-    assert matching._trial_cube(digits, 0, 0) is cube
+    cube = _detcube._trial_cube(digits, 0, 0)
+    assert _detcube._trial_cube(digits, 0, 0) is cube
     assert _detcube.vandermonde_inverse(5).max() >= 101
     field(101)
-    small = matching._trial_cube(digits, 0, 0)
+    small = _detcube._trial_cube(digits, 0, 0)
     assert small is not cube and 0 < small.scalars.min() and small.scalars.max() < 101
     inv = _detcube.vandermonde_inverse(5)
     assert inv.max() < 101

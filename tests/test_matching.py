@@ -442,7 +442,7 @@ NON_INTEGERS = (1.5, 2.0, "2", True)
 
 def _no_cubes(monkeypatch):
     """Make building any signature cube fail the test."""
-    monkeypatch.setattr(_detcube, "_trial_cubes", lambda *a: pytest.fail("a cube was built"))
+    monkeypatch.setattr(_detcube, "_trial_cube", lambda *a: pytest.fail("a cube was built"))
 
 
 @pytest.mark.parametrize("name", ["trials", "seed"])
@@ -789,7 +789,7 @@ def test_a_singular_grid_point_aborts_the_extraction_and_the_next_trial_retries(
             )
             _detcube._CUBES.clear()
             for target in _interior_targets(digits)[:3]:
-                if matching._trial_cube(digits, 7, 0).coefficient((target,)) == 0:
+                if _detcube._trial_cube(digits, 7, 0).coefficient((target,)) == 0:
                     continue
                 assert _extract_assignment(digits, singular, (target,)) is None
                 extractions.clear()

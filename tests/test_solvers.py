@@ -652,7 +652,7 @@ def test_q40_cube_takes_the_even_cost_axis_at_half_the_points():
     bm = inst._blow_up
     assert bm.q == 40
     digits = _signature_digits(bm.costs, bm.touchable_mask())
-    cube = matching._trial_cube(digits, 1, 0)
+    cube = _detcube._trial_cube(digits, 1, 0)
     box = _unstrided_dims(digits)
     strided = _detcube._factor(digits)[2]
     assert cube.stride == (2, 1, 1)
@@ -802,6 +802,69 @@ def test_weighted_local_evaluator_matches_flow_route(g, key, picks):
     demanded = Sign.POSITIVE if variant.direction == "ntp" else Sign.NEGATIVE
     assert local.flips(edits) == (after.sign == demanded)
     assert not local.out_of_reach(cands, 1)
+
+
+@st.composite
+def _relabeled_instances(draw):
+    """An instance on the edge (0, 1) of a graph of 3 to 8 nodes, unweighted
+    or with weights 1..3, under either restriction, the direction its sign
+    admits and, on a weighted graph, either operation; the permutation
+    ``perm`` of its nodes; and the same instance on the graph with node x
+    renamed perm[x], built from its edges in shuffled order. The graph
+    comes from a ``random.Random`` at a drawn seed: every other node is
+    joined to 0 and to 1 with probability 1/2 each, and to the other nodes
+    with probability 0.1 to 0.4, so the edge often has few triangles and a
+    non-positive curvature.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n, density = rng.randint(3, MAX_NODES), rng.choice([0.1, 0.25, 0.4])
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < (0.5 if a < 2 else density)]
+    pairs = sorted({(0, 1), *pairs})
+    weighted = draw(st.booleans())
+    weights = draw(st.lists(st.integers(1, 3), min_size=len(pairs), max_size=len(pairs))) if weighted else [1] * len(pairs)
+    edges = [(a, b, w) for (a, b), w in zip(pairs, weights)]
+    perm = draw(st.permutations(range(n)))
+    shuffled = draw(st.permutations([(perm[a], perm[b], w) for a, b, w in edges]))
+    g = Graph(n, edges, weighted=weighted)
+    ntp = ricci(g, (0, 1)).sign != Sign.POSITIVE
+    operation = draw(st.sampled_from(["ins", "del"])) if weighted else ("ins" if ntp else "del")
+    variant = ProblemVariant(
+        "wt" if weighted else "uw", draw(st.sampled_from(["rt", "ut"])), operation, "ntp" if ntp else "ptn"
+    )
+    return Instance(g, (0, 1), variant), perm, Instance(Graph(n, shuffled, weighted=weighted), (perm[0], perm[1]), variant)
+
+
+def _renamed(edits: tuple, name) -> tuple:
+    """``edits`` with node x renamed name[x]; a weighted edit keeps its weight."""
+    pair = lambda e: ordered_pair(name[e[0]], name[e[1]])
+    return tuple((pair(e[0]), e[1]) if isinstance(e[0], tuple) else pair(e) for e in edits)
+
+
+def _saturation_verdict(inst: Instance):
+    """Whether saturation flips ``inst``, or the type of its refusal."""
+    try:
+        return feasible_by_saturation(inst)[0]
+    except UnsupportedVariantError as exc:
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_relabeled_instances())
+def test_relabeling_changes_no_saturation_verdict_or_brute_force_optimum(case):
+    # Saturation decides the same, and brute force at max_k 2 finds an
+    # optimum of the same size. Which optimum it returns first follows the
+    # labels, so each side's edit set is renamed onto the other instance's
+    # graph, where it flips the edge to the same resulting_ric.
+    inst, perm, renamed = case
+    assert _saturation_verdict(renamed) == _saturation_verdict(inst)
+    sol, other = brute_force_opt(inst, 2), brute_force_opt(renamed, 2)
+    assert (sol is None) == (other is None)
+    if sol is None:
+        return
+    assert len(other.edits) == len(sol.edits)
+    back = {x: i for i, x in enumerate(perm)}
+    for target, edits, want in ((renamed, _renamed(sol.edits, perm), sol), (inst, _renamed(other.edits, back), other)):
+        assert _flips(target, edits) == (True, want.resulting_ric)
 
 
 def _edited_instances(rng: random.Random):
