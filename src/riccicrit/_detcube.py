@@ -1,9 +1,11 @@
-"""Batched determinant evaluation and coefficient interpolation over F_p.
+"""The randomized exact-cost matching engine: determinant interpolation over F_p.
 
-The randomized exact-cost matching machinery represents a cost matrix as a
-per-edge vector of small "digits" (base cost, count of one special class,
-count of another). Each edge also gets a random nonzero field scalar. The
-determinant of the matrix whose (i, j) entry is
+``matching``'s entry points call ``cost_witness``, ``signature_witness``
+and ``support`` in costs and signatures; every digit lives here. A matrix
+is a per-edge vector of small "digits": its cost alone, or the signature
+digits of ``_signature_digits``. Each edge also gets a random nonzero field
+scalar (``_trial_scalars``). The determinant of the matrix whose (i, j)
+entry is
 
     scalar[i,j] * x^d0 * y^d1 * z^d2
 
@@ -21,13 +23,13 @@ digit sum on the axis is a multiple of g, so the determinant is a polynomial
 in x^g, and the grid needs 1/g of the points along that axis (the
 no-side-edges double stars of the ``solve`` benchmark have even cost digits,
 so their cost axis keeps about half its points). A target off the residue
-class has no permutation.
-Each axis's degree, in x^g, is bounded by both the sum of the row maxima and
-the sum of the column maxima of the divided digits. With d one more than
-that bound, the determinant is evaluated on the grid of points 1..d per
-axis, in chunks, and the coefficients are recovered by inverting the
-Vandermonde systems along each axis. They are the same field elements a
-grid in x would give. Point 0 is left out: it zeroes every entry with a
+class has no permutation, nor has one outside the degree window, and
+``_search`` answers either before it builds a cube. Each axis's degree, in
+x^g, is bounded by both the sum of the row maxima and the sum of the column
+maxima of the divided digits. With d one more than that bound, the
+determinant is evaluated on the grid of points 1..d per axis, in chunks, and
+the coefficients are recovered by inverting the Vandermonde systems along
+each axis. They are the same field elements a grid in x would give. Point 0 is left out: it zeroes every entry with a
 positive digit and would often make the matrix singular.
 
 Each trial's scalars give one cube, evaluated on its own: a
@@ -82,15 +84,55 @@ from __future__ import annotations
 import collections
 import functools
 import math
+from typing import Sequence
 
 import numpy as np
 
-from . import matching
 from .errors import FieldConfigError
 
 PRIME = (1 << 31) - 1
 
 _MAX_GRID_POINTS = 2_000_000
+
+
+def _check_dense(q: int) -> None:
+    """Refuse a q x q matrix with more entries than ``_MAX_GRID_POINTS``.
+
+    The engine reads every cell of a dense digit array, so it is checked
+    before that array exists: at q = 10,000 the signature digits alone would
+    take 2.4 GB (q² cells of three int64 digits).
+    """
+    if q * q > _MAX_GRID_POINTS:
+        raise FieldConfigError(f"the F_p engine takes at most {_MAX_GRID_POINTS} matrix entries, got q={q}")
+
+
+def _signature_digits(costs: Sequence[Sequence[int]], touchable_mask: Sequence[Sequence[bool]]) -> np.ndarray:
+    """Per-edge digits (4 - c, is-3, is-touchable-2) of a 0..3 cost matrix.
+
+    A perfect matching of cost x with k 3-edges and l touchable 2-edges has
+    digit sums (4q - x, k, l). q > 1414 is refused first (``_check_dense``).
+
+    The cost digit is 4 - c, not c. Both find the same matchings, but after
+    ``_factor`` the blow-ups of the ``solve`` benchmark keep a shorter cost
+    axis under 4 - c, all even, which the axis's stride halves. Under c,
+    one seed-1 ``solve`` pass, measured when it still swept, grew its box
+    grids from 8,438 to 18,994 points; the ``uw-rt-ins-ntp`` slots at seeds
+    1-3 and solver seeds 0 and 11 grew cube points from 39,504 to 82,764 and
+    ``LiveMinor`` points from 12,030 to 54,320, for identical Solutions in
+    4.5 s against 1.6 s.
+    """
+    _check_dense(len(costs))
+    c = np.array(costs, dtype=np.int64)
+    if c.max() > 3:
+        raise ValueError("signature queries expect costs in 0..3")
+    touchable_2 = (c == 2) & np.array(touchable_mask, dtype=bool)
+    return np.stack([4 - c, c == 3, touchable_2], axis=2).astype(np.int64)
+
+
+def _trial_scalars(seed: int, trial: int, q: int) -> np.ndarray:
+    """The random nonzero field scalars of trial ``trial`` at ``seed``, one per cell of a q x q matrix."""
+    rng = np.random.default_rng((seed, trial, q))
+    return rng.integers(1, PRIME, size=(q, q), dtype=np.int64)
 
 
 def _inverse_vec(x: np.ndarray) -> np.ndarray:
@@ -287,6 +329,19 @@ def _factor(digits: np.ndarray) -> tuple[np.ndarray, tuple[int, ...], tuple[int,
     return digits, tuple(map(int, offset)), tuple(int(b) + 1 for b in bound), tuple(int(g) for g in stride)
 
 
+def _grid_index(target: tuple, offset: tuple, dims: tuple, stride: tuple) -> tuple[int, ...] | None:
+    """The grid index s of the digit sums ``target = offset + stride * s`` under
+    ``_factor``'s offset, dims and stride, or None when ``target`` is off an
+    axis's residue class or outside its window 0..d-1: no permutation has it."""
+    index = []
+    for t, o, d, g in zip(target, offset, dims, stride):
+        s, off = divmod(t - o, g)
+        if off or not 0 <= s < d:
+            return None
+        index.append(s)
+    return tuple(index)
+
+
 def _grid(digits: np.ndarray, scalars: np.ndarray, dims: tuple[int, ...]):
     """Yield ``(points, mats)`` over the grid 1..d per axis, in C order, chunk by chunk.
 
@@ -355,13 +410,8 @@ class SignatureCube:
     def coefficient(self, target: tuple[int, ...]) -> int:
         """Coefficient at absolute digit sums ``target`` (0 if out of range or
         off an axis's residue class)."""
-        idx = []
-        for t, o, g, d in zip(target, self.offset, self.stride, self.dims):
-            s, off = divmod(t - o, g)
-            if off or s < 0 or s >= d:
-                return 0
-            idx.append(s)
-        return int(self.cube[tuple(idx)])
+        index = _grid_index(target, self.offset, self.dims, self.stride)
+        return 0 if index is None else int(self.cube[index])
 
     def support(self) -> set[tuple[int, ...]]:
         """All absolute digit-sum signatures with nonzero coefficient."""
@@ -385,7 +435,7 @@ def _trial_cube(digits: np.ndarray, seed: int, trial: int) -> SignatureCube:
     """
     key = (digits.tobytes(), digits.shape, seed, PRIME, trial)
     if key not in _CUBES:
-        _CUBES[key] = SignatureCube(digits, matching._trial_scalars(seed, trial, digits.shape[0]))
+        _CUBES[key] = SignatureCube(digits, _trial_scalars(seed, trial, digits.shape[0]))
         if len(_CUBES) > _CUBE_CACHE_SIZE:
             _CUBES.popitem(last=False)
     _CUBES.move_to_end(key)
@@ -411,12 +461,10 @@ def _window(digits: np.ndarray, scalars: np.ndarray, target: tuple[int, ...]):
     every minor on the way to it.
     """
     reduced, offset, dims, stride = _factor(digits)
-    shifted = []
-    for t, o, g, d in zip(target, offset, stride, dims):
-        s, off = divmod(t - o, g)
-        if off or s < 0 or s >= d:
-            return None
-        shifted.append(s)
+    index = _grid_index(target, offset, dims, stride)
+    if index is None:
+        return None
+    shifted = list(index)
     kept = np.ones(digits.shape[:2], dtype=bool)
     dims = list(dims)
     for axis, (t, d) in enumerate(zip(shifted, dims)):
@@ -526,9 +574,74 @@ class LiveMinor:
         self.inv = inv
 
 
+def _extract_assignment(digits: np.ndarray, scalars: np.ndarray, target: tuple[int, ...]) -> list[int] | None:
+    """Self-reduction: fix the rows in order, each to the first column whose
+    ``LiveMinor`` share is nonzero, so that its minor still certifies the
+    rest of the target. Each share is zero exactly when ``coefficient_at``
+    is on the same minor with the same scalars, unless a live minor is
+    singular at a grid point, which zeroes every share. A row with no
+    nonzero share gives None, and the caller retries with fresh scalars.
+    """
+    minor = LiveMinor(digits, scalars, target)
+    cols = list(range(digits.shape[0]))
+    assignment = []
+    while cols:
+        shares = np.flatnonzero(minor.shares())
+        if not shares.size:
+            return None
+        c = int(shares[0])
+        assignment.append(cols.pop(c))
+        minor.take(c)
+    return assignment
+
+
+def _search(digits: np.ndarray, target: tuple[int, ...], trials: int, seed: int) -> list[int] | None:
+    """An assignment whose digit sums are ``target``, or None after ``trials`` misses.
+
+    A target no permutation has (``_grid_index``) builds no cube. Otherwise
+    each trial certifies the target on its (cached) cube before paying for
+    the extraction; a failed extraction moves on to fresh scalars.
+    """
+    if _grid_index(target, *_factor(digits)[1:]) is None:
+        return None
+    for trial in range(trials):
+        cube = _trial_cube(digits, seed, trial)
+        if cube.coefficient(target) == 0:
+            continue
+        assignment = _extract_assignment(digits, cube.scalars, target)
+        if assignment is not None:
+            return assignment
+    return None
+
+
+def cost_witness(costs: Sequence[Sequence[int]], target: int, trials: int, seed: int) -> list[int] | None:
+    """An assignment of cost exactly ``target``, or None after ``trials`` misses; the costs are the one digit axis."""
+    _check_dense(len(costs))
+    return _search(np.array(costs, dtype=np.int64)[:, :, None], (target,), trials, seed)
+
+
+def signature_witness(
+    costs: Sequence[Sequence[int]], touchable_mask: Sequence[Sequence[bool]], signature: tuple, trials: int, seed: int
+) -> list[int] | None:
+    """An assignment of cost x with k 3-edges and l touchable 2-edges, for
+    ``signature`` (x, k, l), or None after ``trials`` misses. It searches the
+    signature digits for the sums (4q - x, k, l), on the cubes ``support``
+    builds for the same matrix and seed."""
+    x, k, l = signature
+    return _search(_signature_digits(costs, touchable_mask), (4 * len(costs) - x, k, l), trials, seed)
+
+
+def support(
+    costs: Sequence[Sequence[int]], touchable_mask: Sequence[Sequence[bool]], trials: int, seed: int
+) -> set[tuple[int, int, int]]:
+    """The (cost, n3, touchable-n2) signatures certified by the cubes of ``trials`` trials."""
+    digits, q = _signature_digits(costs, touchable_mask), len(costs)
+    cubes = (_trial_cube(digits, seed, trial) for trial in range(trials))
+    return {(4 * q - alpha, n3, n2t) for cube in cubes for alpha, n3, n2t in cube.support()}
+
+
 def coefficient_at(digits: np.ndarray, scalars: np.ndarray, target: tuple[int, ...]) -> int:
     """One-shot coefficient lookup (builds a full cube for the submatrix)."""
     if digits.shape[0] == 0:
         return 1 if all(t == 0 for t in target) else 0
-    cube = SignatureCube(digits, scalars)
-    return cube.coefficient(target)
+    return SignatureCube(digits, scalars).coefficient(target)

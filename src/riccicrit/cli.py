@@ -380,8 +380,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_gadget)
 
     p = sub.add_parser("oracle-check", help="cross-check the two EMD routes (and enumeration)")
-    p.add_argument("input", nargs="?")
-    p.add_argument("--random", type=int, help="number of random graphs to draw")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("input", nargs="?")
+    source.add_argument("--random", type=int, help="number of random graphs to draw")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--enum-bound",

@@ -1,4 +1,4 @@
-"""Min-cost perfect matching and randomized exact-cost matching on square matrices.
+"""Min-cost perfect matching, and the entry points of exact-cost matching, on square matrices.
 
 Three layers live here:
 
@@ -12,26 +12,22 @@ Three layers live here:
   optimal assignment is expanded from its tight groups, a run of rows taking
   a run of one group's free columns per step;
 * an exhaustive enumerator used as the desk-scale oracle;
-* randomized search for perfect matchings of a prescribed exact cost, and the
-  refinement that also prescribes how many 3-cost and touchable 2-cost edges
-  the matching uses. Every edge carries a small vector of digits -- its cost
-  alone, or the signature digits (4 - cost, is-3, is-touchable-2) -- and one
-  search loop asks for a matching with prescribed digit sums. Search runs
-  over a prime field via determinant interpolation (see ``_detcube``): a
-  signature cube certifies the target, then the witness is fixed row by
-  row from one inversion per grid point, each fixed row a rank-one update
-  that gives the next row the target's share of every column at once.
-  Every witness is verified before it is returned, so randomness
-  can only cause a miss, never a wrong answer. The least signature needs
-  no search: one exact minimum-cost matching on weights that order every
-  matching by its signature finds it and its lexicographically first
+* the exact half of randomized exact-cost matching: three entry points
+  (``exact_cost_matching``, ``matching_with_counts`` and
+  ``signature_support``) check their arguments, answer what an exact
+  matching answers and verify every witness before it is returned, so
+  randomness can only cause a miss, never a wrong answer. The minimum cost
+  certifies itself. The least signature (cost, -n3, -touchable n2) needs
+  no search either: one exact minimum-cost matching on weights that order
+  every matching by its signature finds it and its lexicographically first
   matching (``_least_signature``). One more, on the costs capped at 2,
   bounds how many 3-edges a matching of each cost can have
-  (``_least_capped_cost``).
+  (``_least_capped_cost``). Any other query goes to ``_detcube``, the
+  randomized engine over a prime field, in costs and signatures.
 
-numpy and ``_detcube`` are imported when a randomized search first runs, so
-the matching kernel (and with it every curvature route, and every query the
-least signature answers) never loads numpy.
+``_detcube`` and numpy are imported when a randomized search first runs, so
+the matching kernel (and with it every curvature route, and every query an
+exact shortcut answers) never loads numpy.
 """
 
 from __future__ import annotations
@@ -43,12 +39,9 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from operator import eq, getitem, sub
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .errors import FieldConfigError, OracleBoundError
-
-if TYPE_CHECKING:
-    import numpy as np
+from .errors import OracleBoundError
 
 ENUMERATION_BOUND = 8
 
@@ -501,52 +494,7 @@ def class_counts(
     return EdgeClassCounts(n0, n1, n2t, n2u, n3)
 
 
-# -- randomized exact-cost search ---------------------------------------------
-
-
-def _check_dense(q: int) -> None:
-    """Refuse a q x q matrix with more entries than ``_detcube._MAX_GRID_POINTS``.
-
-    The F_p engine reads every cell of a dense digit array, so it is checked
-    before that array exists: at q = 10,000 the signature digits alone would
-    take 2.4 GB (q² cells of three int64 digits).
-    """
-    from ._detcube import _MAX_GRID_POINTS
-
-    if q * q > _MAX_GRID_POINTS:
-        raise FieldConfigError(f"the F_p engine takes at most {_MAX_GRID_POINTS} matrix entries, got q={q}")
-
-
-def _signature_digits(
-    costs: Sequence[Sequence[int]],
-    touchable_mask: Sequence[Sequence[bool]],
-) -> np.ndarray:
-    """Per-edge digits (4 - c, is-3, is-touchable-2) of a 0..3 cost matrix.
-
-    A perfect matching of cost x with k 3-edges and l touchable 2-edges has
-    digit sums (4q - x, k, l). The array is dense, so a q x q matrix with
-    more than ``_detcube._MAX_GRID_POINTS`` entries (q > 1414) is refused
-    with ``FieldConfigError`` before it is built (``_check_dense``).
-
-    The cost digit is 4 - c, not c. Both find the same matchings, but the
-    grids differ: after ``_factor`` takes out the row and column minima,
-    the blow-ups of the ``solve`` benchmark keep a shorter cost axis under
-    4 - c, and one whose digits are all even, which the axis's stride
-    halves; under c they are not. With c, the box grids of one ``solve``
-    pass at seed 1, measured when that pass still swept, grow from 8,438 to
-    18,994 points (two trials per sweep). Over the ``uw-rt-ins-ntp`` slots
-    at seeds 1-3 and solver seeds 0 and 11, cube points grow from 39,504 to
-    82,764 and ``LiveMinor`` points from 12,030 to 54,320, for identical
-    Solutions in 4.5 s against 1.6 s.
-    """
-    _check_dense(len(costs))
-    import numpy as np
-
-    c = np.array(costs, dtype=np.int64)
-    if c.max() > 3:
-        raise ValueError("signature queries expect costs in 0..3")
-    touchable_2 = (c == 2) & np.array(touchable_mask, dtype=bool)
-    return np.stack([4 - c, c == 3, touchable_2], axis=2).astype(np.int64)
+# -- exact-cost and signature queries ----------------------------------------
 
 
 def _least_signature(
@@ -617,69 +565,6 @@ def _check_query(trials: int, seed: int, **values) -> None:
         raise ValueError("trials must be positive")
 
 
-def _trial_scalars(seed: int, trial: int, q: int) -> np.ndarray:
-    import numpy as np
-
-    from ._detcube import PRIME
-
-    rng = np.random.default_rng((seed, trial, q))
-    return rng.integers(1, PRIME, size=(q, q), dtype=np.int64)
-
-
-def _extract_assignment(
-    digits: np.ndarray,
-    scalars: np.ndarray,
-    target: tuple[int, ...],
-) -> list[int] | None:
-    """Self-reduction: fix the rows in order, each to the first column that
-    keeps the target reachable, in one elimination.
-
-    ``LiveMinor`` inverts the matrix once at every point of one grid. Row
-    i's shares split the remaining digit budget's coefficient by the column
-    row i takes, and row i keeps the first column whose share is nonzero: its
-    minor then still certifies the rest of the budget. A rank-one update of
-    the inverses then gives that minor's, so no row pays for a new
-    elimination. Each share is zero exactly when ``coefficient_at`` is on
-    the same minor with the same scalars, as long as no live minor is
-    singular at a grid point; where one is, every share is zero. Either
-    kind of random unluck, a false zero share or a singular point, aborts
-    the attempt, and the caller retries with fresh scalars.
-    """
-    import numpy as np
-
-    from ._detcube import LiveMinor
-
-    minor = LiveMinor(digits, scalars, target)
-    cols = list(range(digits.shape[0]))
-    assignment = []
-    while cols:
-        shares = np.flatnonzero(minor.shares())
-        if not shares.size:
-            return None
-        c = int(shares[0])
-        assignment.append(cols.pop(c))
-        minor.take(c)
-    return assignment
-
-
-def _search(digits: np.ndarray, target: tuple[int, ...], trials: int, seed: int) -> list[int] | None:
-    """An assignment whose digit sums are ``target``, or None after ``trials`` misses.
-
-    Each trial certifies the target on its (cached) cube before paying for
-    the extraction; a failed extraction moves on to fresh scalars.
-    """
-    from ._detcube import _trial_cube
-
-    for trial in range(trials):
-        cube = _trial_cube(digits, seed, trial)
-        if cube.coefficient(target) == 0:
-            continue
-        assignment = _extract_assignment(digits, cube.scalars, target)
-        if assignment is not None:
-            return assignment
-    return None
-
-
 def exact_cost_matching(
     costs: Sequence[Sequence[int]],
     target: int,
@@ -689,20 +574,21 @@ def exact_cost_matching(
 ) -> Matching | None:
     """Perfect matching of cost exactly ``target``, or None if none was found.
 
-    The costs themselves are the one digit axis. A trial misses when its
+    A target the minimum cost answers needs no search; any other goes to
+    ``_detcube.cost_witness``. A trial misses when its
     random scalars kill the certifying coefficient (probability at most
     q/PRIME), or make a live minor of the witness extraction singular at one
     of its G grid points or zero a share (at most (G + 1)·q(q + 1)/(2·PRIME),
     about 2.5e-4 at q = 40 and G = 650). None is wrong only if every trial
     misses. A returned matching is always genuine: its cost is verified
     before returning. The seed must be a non-negative integer, ``trials``
-    positive and ``target`` an integer. A target the minimum cost answers
-    needs no search; any other searches a dense q x q digit array, so a
-    matrix with more than ``_detcube._MAX_GRID_POINTS`` entries (q > 1414)
-    is then refused with ``FieldConfigError`` before that array is built.
+    positive and ``target`` an integer. The search reads a dense q x q
+    digit array, so it refuses a matrix with more than
+    ``_detcube._MAX_GRID_POINTS`` entries (q > 1414) with
+    ``FieldConfigError`` before that array is built.
     """
     _check_query(trials, seed, target=target)
-    q = _check_square(costs)
+    _check_square(costs)
     if target < 0:
         return None
     # The minimum-cost matching is a free certificate for its own cost.
@@ -711,11 +597,9 @@ def exact_cost_matching(
         return mcpm
     if target < mcpm.cost:
         return None
-    _check_dense(q)
-    import numpy as np
+    from . import _detcube
 
-    digits = np.array(costs, dtype=np.int64)[:, :, None]
-    assignment = _search(digits, (target,), trials, seed)
+    assignment = _detcube.cost_witness(costs, target, trials, seed)
     if assignment is None:
         return None
     cost = matching_cost(costs, assignment)
@@ -740,9 +624,9 @@ def matching_with_counts(
     (cost, -n3, -touchable n2) is lexicographically least, exactly. A target
     equal to that signature gets its lexicographically first matching,
     which is the witness the search below would extract, and a target
-    ordered below it has no matching, so None. Any other target searches
-    the signature digits for the sums (4q - target_cost, k, l), on the same
-    cubes ``signature_support`` builds for the same matrix and seed. A trial
+    ordered below it has no matching, so None. Any other target goes to
+    ``_detcube.signature_witness``, on the same cubes ``signature_support``
+    builds for the same matrix and seed. A trial
     misses as in ``exact_cost_matching``, also when a live minor of the
     extraction is singular at a grid point. Returned witnesses are
     re-verified against the original matrix unconditionally. The seed must
@@ -756,8 +640,9 @@ def matching_with_counts(
     least, (x0, k0, l0) = _least_signature(costs, touchable_mask)
     if (target_cost, -k, -l) <= (x0, -k0, -l0):
         return least if (target_cost, k, l) == (x0, k0, l0) else None
-    digits = _signature_digits(costs, touchable_mask)
-    assignment = _search(digits, (4 * q - target_cost, k, l), trials, seed)
+    from . import _detcube
+
+    assignment = _detcube.signature_witness(costs, touchable_mask, (target_cost, k, l), trials, seed)
     if assignment is None:
         return None
     found = Matching(tuple(assignment), matching_cost(costs, assignment))
@@ -785,11 +670,7 @@ def signature_support(
     ``trials`` a positive integer.
     """
     _check_query(trials, seed)
-    q = _check_square(costs)
-    from ._detcube import _trial_cube
+    _check_square(costs)
+    from . import _detcube
 
-    digits = _signature_digits(costs, touchable_mask)
-    merged: set[tuple[int, int, int]] = set()
-    for trial in range(trials):
-        merged.update((4 * q - alpha, n3, n2t) for alpha, n3, n2t in _trial_cube(digits, seed, trial).support())
-    return merged
+    return _detcube.support(costs, touchable_mask, trials, seed)

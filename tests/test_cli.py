@@ -158,6 +158,68 @@ def test_curvature_batch_output_is_what_json_dumps_prints_for_the_payload(capsys
         assert out_file.read_text(encoding="utf-8") == expected, name
 
 
+# Double stars (du, dv, cross edges) whose edge (0, 1) is a feasible
+# uw-rt-ins-ntp instance, and seeded random graphs, unweighted and weighted.
+RELATION_STARS = [(3, 4, []), (3, 5, [(1, 2)]), (4, 5, [(0, 0), (2, 3)])]
+
+
+def _relation_graphs():
+    rng = random.Random(14)
+    graphs = [double_star(*star) for star in RELATION_STARS]
+    return graphs + [random_connected_graph(rng, 7, weighted=weighted, max_w=3) for weighted in (False, True)]
+
+
+def test_padding_with_isolated_nodes_changes_no_stdout(capsys, tmp_path):
+    # A "# nodes: N" header that appends isolated nodes adds no edge, no
+    # distance and no restricted candidate, so each command prints the same
+    # bytes. The file keeps its name, which the curvature report quotes.
+    path = tmp_path / "graph.edges"
+    stars = len(RELATION_STARS)
+    for i, g in enumerate(_relation_graphs()):
+        commands = [["--all"], ["--all", "--route", "flow"]]
+        commands = [["curvature", str(path), *flags] for flags in commands]
+        if i < stars:
+            edge = [str(path), "--edge", "0", "1", "--variant", "uw-rt-ins-ntp"]
+            methods = [["greedy"], ["randomized", "--seed", "3"], ["brute", "--max-k", "3"]]
+            commands += [["feasible", *edge]] + [["solve", *edge, "--method", *method] for method in methods]
+        outputs = []
+        for nodes in (g.node_count, g.node_count + 3):
+            text = format_edge_list(g).replace(f"# nodes: {g.node_count}\n", f"# nodes: {nodes}\n", 1)
+            assert riccicrit.parse_edge_list(text).node_count == nodes
+            path.write_text(text)
+            outputs.append([run(capsys, *argv) for argv in commands])
+        assert outputs[0] == outputs[1], i
+        assert all(code == 0 and err == "" for code, _, err in outputs[0]), i
+
+
+def test_relabeled_curvature_records_map_back_to_the_originals(capsys, tmp_path):
+    # curvature --all on the relabeled graph, written from a shuffled edge
+    # list: each record, its edge mapped back, keeps emd, ric, dist_uv and
+    # sign on both routes. The plan names nodes in their order, so it is not
+    # compared.
+    rng = random.Random(30)
+    path = tmp_path / "graph.edges"
+    for g in _relation_graphs():
+        n = g.node_count
+        perm = list(range(n))
+        rng.shuffle(perm)
+        back = {x: i for i, x in enumerate(perm)}
+        edges = [(perm[u], perm[v], w) for u, v, w in g.edges()]
+        rng.shuffle(edges)
+        h = Graph(n, edges, weighted=g.weighted)
+        for route in ("matching", "flow"):
+            reports = []
+            for graph, name in ((g, lambda x: x), (h, back.__getitem__)):
+                path.write_text(format_edge_list(graph))
+                code, out, _ = run(capsys, "curvature", str(path), "--all", "--route", route)
+                assert code == 0
+                reports.append({
+                    frozenset(map(name, record["edge"])): {key: record[key] for key in ("emd", "ric", "dist_uv", "sign")}
+                    for record in json.loads(out)["results"]
+                })
+            assert reports[0] == reports[1] and len(reports[0]) == len(g.edges()), route
+
+
 def test_curvature_flow_route_agrees(capsys, p3_file):
     _, out_m, _ = run(capsys, "curvature", p3_file, "--all", "--route", "matching")
     _, out_f, _ = run(capsys, "curvature", p3_file, "--all", "--route", "flow")
@@ -481,6 +543,15 @@ def test_oracle_check_random_count_below_one(capsys):
     for count in ("0", "-2"):
         code, out, err = run(capsys, "oracle-check", "--random", count)
         assert code == 4 and out == "" and err.startswith("error:") and "--random" in err
+
+
+def test_oracle_check_file_and_random_together_are_a_usage_error(capsys, p3_file):
+    # The file would be checked alone and --random dropped without a word.
+    for argv in ([p3_file, "--random", "3"], ["--random", "3", p3_file], [p3_file, "--random", "0"]):
+        code, out, err = run(capsys, "oracle-check", *argv)
+        assert (code, out) == (4, "")
+        assert len(err.splitlines()) == 1 and err.startswith("riccicrit oracle-check: error:")
+        assert "not allowed with argument" in err
 
 
 def test_oracle_check_file_and_output(capsys, p3_file, tmp_path):

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -6,11 +7,21 @@ import numpy as np
 import pytest
 
 from riccicrit import _detcube
-from riccicrit._detcube import PRIME, LiveMinor, SignatureCube, coefficient_at, det_batch
+from riccicrit._detcube import (
+    PRIME,
+    LiveMinor,
+    SignatureCube,
+    _extract_assignment,
+    _signature_digits,
+    _trial_scalars,
+    coefficient_at,
+    det_batch,
+)
 from riccicrit.errors import FieldConfigError
-from riccicrit.matching import _extract_assignment, _signature_digits, _trial_scalars, signature_support
+from riccicrit import blow_up, build_cost_matrix, exact_cost_matching
+from riccicrit.matching import signature_support
 
-from conftest import enumerated_signatures
+from conftest import double_star, enumerated_signatures
 
 
 def exact_det(rows: list[list[int]]) -> int:
@@ -391,6 +402,24 @@ def test_a_search_after_a_sweep_reads_the_sweeps_cubes():
     third = _detcube._trial_cube(digits, 5, 2)
     assert third not in swept and len(_detcube._CUBES) == 3
     assert third.cube.tolist() == SignatureCube(digits, _trial_scalars(5, 2, 6)).cube.tolist()
+
+
+def test_a_target_outside_the_degree_window_builds_no_cube(monkeypatch):
+    # The costs of this blow-up factor to the window 46..81 (q = 35), so no
+    # matching costs 3q = 105 and the search answers before its first cube;
+    # a reachable target above the minimum cost 69 still builds one.
+    bm = blow_up(build_cost_matrix(double_star(4, 6, []), (0, 1)))
+    digits = np.array(bm.costs, dtype=np.int64)[:, :, None]
+    assert (bm.q, _detcube._factor(digits)[1:]) == (35, ((46,), (36,), (1,)))
+    built = []
+    init = SignatureCube.__init__
+    monkeypatch.setattr(SignatureCube, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+    monkeypatch.setattr(_detcube, "_CUBES", collections.OrderedDict())
+    assert exact_cost_matching(bm.costs, 3 * bm.q) is None
+    assert built == []
+    found = exact_cost_matching(bm.costs, 71)
+    assert found is not None and found.cost == 71
+    assert len(built) == 1
 
 
 def modular_det(rows: list[list[int]]) -> int:

@@ -27,7 +27,8 @@ from riccicrit import (
     randomized_insert,
     ricci,
 )
-from riccicrit.matching import _least_signature, _search, _signature_digits, signature_support
+from riccicrit._detcube import _search, _signature_digits
+from riccicrit.matching import _least_signature, signature_support
 from riccicrit.solvers import apply_edits
 
 from conftest import enumerated_signatures

@@ -172,6 +172,74 @@ def test_unused_public_check_reads_the_tracer_table():
     assert _unused_public(sources, set()) == ["_a.py: Traced (line 3)", "_a.py: dead (line 4)", "_a.py: traced (line 2)"]
 
 
+def _package_imports(sources: dict[str, str]) -> dict[str, set[str]]:
+    """Each module's package modules that it imports, at module level or
+    inside a function, relative (``from . import b``, ``from .b import f``)
+    or absolute (``import riccicrit.b``, ``from riccicrit.b import f``)."""
+    modules = {name.removesuffix(".py") for name in sources}
+    graph = {}
+    for name, source in sources.items():
+        found = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                if not node.level:
+                    if module.split(".")[0] != "riccicrit":
+                        continue
+                    module = module.partition(".")[2]
+                found |= {module.split(".")[0]} if module else {alias.name for alias in node.names}
+            elif isinstance(node, ast.Import):
+                found |= {alias.name.split(".")[1] for alias in node.names if alias.name.startswith("riccicrit.")}
+        graph[name.removesuffix(".py")] = found & modules
+    return graph
+
+
+def _import_cycle(graph: dict[str, set[str]]) -> list[str] | None:
+    """One cycle of ``graph`` as the modules along it, the first repeated at the end, or None."""
+    done: set[str] = set()
+
+    def visit(module: str, path: list[str]) -> list[str] | None:
+        if module in path:
+            return path[path.index(module) :] + [module]
+        if module in done:
+            return None
+        for imported in sorted(graph[module]):
+            cycle = visit(imported, path + [module])
+            if cycle:
+                return cycle
+        done.add(module)
+        return None
+
+    for module in sorted(graph):
+        cycle = visit(module, [])
+        if cycle:
+            return cycle
+    return None
+
+
+def test_package_imports_form_no_cycle():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    graph = _package_imports(sources)
+    assert {"curvature", "errors"} <= graph["solvers"]
+    cycle = _import_cycle(graph)
+    assert cycle is None, f"riccicrit modules import each other in a cycle: {' -> '.join(cycle)}"
+
+
+def test_import_cycle_check_counts_imports_inside_functions():
+    sources = {
+        "__init__.py": "from .a import f\n",
+        "a.py": "import os\nfrom .b import g\ndef f():\n    return g()\n",
+        "b.py": "def g():\n    from . import a\n    return a\n",
+        "c.py": "import riccicrit.a\nfrom riccicrit.b import g\nfrom riccicrit import errors\n",
+    }
+    assert _package_imports(sources) == {"__init__": {"a"}, "a": {"b"}, "b": {"a"}, "c": {"a", "b"}}
+    assert _import_cycle(_package_imports(sources)) == ["a", "b", "a"]
+    sources["b.py"] = "def g():\n    from .c import h\n"
+    assert _import_cycle(_package_imports(sources)) == ["a", "b", "c", "a"]
+    sources["c.py"] = "import riccicrit.errors\n"
+    assert _import_cycle(_package_imports(sources)) is None
+
+
 # A double-backtick reference that is a name, alone or called, indexed or dotted.
 _DOC_REFERENCE = re.compile(r"``([A-Za-z_]\w*)(?=``|[.(\[])")
 

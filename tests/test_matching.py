@@ -21,16 +21,21 @@ from riccicrit import (
     min_cost_perfect_matching,
 )
 from riccicrit import _detcube, matching
-from riccicrit._detcube import LiveMinor, SignatureCube, coefficient_at, det_batch
+from riccicrit._detcube import (
+    LiveMinor,
+    SignatureCube,
+    _extract_assignment,
+    _signature_digits,
+    _trial_scalars,
+    coefficient_at,
+    det_batch,
+)
 from riccicrit.matching import (
     _BlockRows,
     _check_square,
-    _extract_assignment,
     _least_capped_cost,
     _least_signature,
-    _signature_digits,
     _transport,
-    _trial_scalars,
     matching_cost,
     signature_support,
 )
@@ -579,7 +584,7 @@ def test_matching_with_counts_answers_the_least_signature_and_below_without_a_se
     # F_p extraction would return; every target ordered below it has no
     # matching. Neither builds a cube or loads the search.
     _no_cubes(monkeypatch)
-    monkeypatch.setattr(matching, "_search", lambda *a: pytest.fail("a search ran"))
+    monkeypatch.setattr(_detcube, "_search", lambda *a: pytest.fail("a search ran"))
     below = 0
     for case, (costs, touch) in enumerate(_least_signature_cases()):
         q = len(costs)
@@ -774,8 +779,8 @@ def test_a_singular_grid_point_aborts_the_extraction_and_the_next_trial_retries(
     # cube certified the target, and _search takes its witness from trial 1's
     # scalars, the lexicographically first matching with that digit sum.
     extractions = []
-    extract = matching._extract_assignment
-    monkeypatch.setattr(matching, "_extract_assignment", lambda *a: extractions.append(extract(*a)) or extractions[-1])
+    extract = _detcube._extract_assignment
+    monkeypatch.setattr(_detcube, "_extract_assignment", lambda *a: extractions.append(extract(*a)) or extractions[-1])
     rng = random.Random(43)
     cases = 0
     try:
@@ -785,7 +790,7 @@ def test_a_singular_grid_point_aborts_the_extraction_and_the_next_trial_retries(
             singular = _trial_scalars(100 + cases, 0, q)
             singular[q - 1] = singular[0]
             monkeypatch.setattr(
-                matching, "_trial_scalars", lambda seed, trial, q: singular if trial == 0 else _trial_scalars(seed, trial, q)
+                _detcube, "_trial_scalars", lambda seed, trial, q: singular if trial == 0 else _trial_scalars(seed, trial, q)
             )
             _detcube._CUBES.clear()
             for target in _interior_targets(digits)[:3]:
@@ -793,7 +798,7 @@ def test_a_singular_grid_point_aborts_the_extraction_and_the_next_trial_retries(
                     continue
                 assert _extract_assignment(digits, singular, (target,)) is None
                 extractions.clear()
-                got = matching._search(digits, (target,), 2, 7)
+                got = _detcube._search(digits, (target,), 2, 7)
                 assert extractions == [None, got]
                 reach = [list(p) for p in itertools.permutations(range(q)) if sum(digits[i, p[i], 0] for i in range(q)) == target]
                 assert got == reach[0]

@@ -41,12 +41,12 @@ from riccicrit import (
 )
 from riccicrit import _detcube, curvature, matching, solvers
 from riccicrit.curvature import _adjacency_costs
+from riccicrit._detcube import _signature_digits
 from riccicrit.gadgets import cover_insertions_maxcov
 from riccicrit.graphs import ordered_pair
 from riccicrit.matching import (
     _least_capped_cost,
     _least_signature,
-    _signature_digits,
     class_counts,
     enumerate_matchings,
     exact_cost_matching,
@@ -502,7 +502,7 @@ def _swept(inst: Instance, seed: int) -> Solution:
     # The query answers the least signature without a search; the F_p
     # extraction it skips finds the same lexicographically first witness.
     digits = _signature_digits(bm.costs, mask)
-    assert matching._search(digits, (4 * bm.q - x, *most[x]), 4, seed) == list(witness.assignment)
+    assert _detcube._search(digits, (4 * bm.q - x, *most[x]), 4, seed) == list(witness.assignment)
     edges = select_drop_edges(bm, witness, *budget[x])
     cm = bm.source
     blocks = {bm.block(row, col) for row, col in edges}
@@ -865,6 +865,30 @@ def test_relabeling_changes_no_saturation_verdict_or_brute_force_optimum(case):
     back = {x: i for i, x in enumerate(perm)}
     for target, edits, want in ((renamed, _renamed(sol.edits, perm), sol), (inst, _renamed(other.edits, back), other)):
         assert _flips(target, edits) == (True, want.resulting_ric)
+
+
+def test_relabeling_keeps_the_approximations_flipping_within_their_factors():
+    # Greedy's and randomized's edit sets follow the labels, as their
+    # tie-breaks do, so only their guarantees are compared: on the relabeled
+    # double star, built from a shuffled edge list, each flips the edge to
+    # positive curvature, and stays within 2b (greedy) and b (randomized, no
+    # side edges) of the relabeled brute-force optimum, which keeps its size.
+    rng = random.Random(1998)
+    for i, inst in enumerate(sample_spade_instances(rng, 6, degree_pool=[(3, 4, 0.3), (3, 5, 0.3), (4, 5, 0.25)])):
+        n = inst.graph.node_count
+        perm = list(range(n))
+        rng.shuffle(perm)
+        edges = [(perm[a], perm[b]) for a, b, _w in inst.graph.edges()]
+        rng.shuffle(edges)
+        renamed = Instance(Graph(n, edges), (perm[0], perm[1]), inst.variant)
+        b = blow_up_shape(renamed).b
+        assert b == blow_up_shape(inst).b
+        opt = brute_force_opt(renamed, 6)
+        assert opt is not None and len(opt.edits) == len(brute_force_opt(inst, 6).edits)
+        for sol, factor in ((greedy_insert(renamed), 2 * b), (randomized_insert(renamed, seed=i), b)):
+            assert sol.resulting_ric > 0
+            assert _flips(renamed, sol.edits) == (True, sol.resulting_ric)
+            assert len(sol.edits) <= factor * len(opt.edits)
 
 
 def _edited_instances(rng: random.Random):
