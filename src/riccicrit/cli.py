@@ -2,12 +2,12 @@
 
 Exit codes: 0 success; 2 a file named on the command line is missing,
 unreadable, not UTF-8 or malformed, or an output path cannot be written;
-3 infeasible instance; 4 usage error (bad flags, unsupported variant or
-method, malformed --start sidecar); 5 internal verification failure -- a
-solver produced something it could not verify, which the library is
-designed never to do; oracle-check exits 1 when the routes disagree or the
-matching route's optimality certificate fails, and when it compared no edge
-at all.
+3 infeasible instance; 4 usage error (bad flags, checked before any file is
+read, unsupported variant or method, malformed --start sidecar); 5 internal
+verification failure -- a solver produced something it could not verify,
+which the library is designed never to do; oracle-check exits 1 when the
+routes disagree or the matching route's optimality certificate fails, and
+when it compared no edge at all.
 Commands raise, and `main` maps the exception to its exit code through
 `_EXIT_CODES`. Randomized methods require an explicit --seed so runs stay
 reproducible; JSON output is byte-stable for a given input and seed.
@@ -40,7 +40,7 @@ from .errors import (
     RicciCritError,
 )
 from .graphs import Graph, format_edge_list, load_edge_list, read_text
-from .matching import Matching, enumerate_matchings
+from .matching import Matching, _check_seed, enumerate_matchings
 from .solvers import (
     Instance,
     ProblemVariant,
@@ -177,18 +177,20 @@ def _start_matching_from(path: str) -> Matching:
 def _cmd_solve(args) -> int:
     if args.start and args.method != "greedy":
         raise RicciCritError(f"--start applies to --method greedy only, not {args.method}")
-    g = load_edge_list(args.input)
-    inst = Instance(g, edge_ref(*args.edge), ProblemVariant.parse(args.variant))
+    variant = ProblemVariant.parse(args.variant)
+    if args.method == "randomized":
+        if args.seed is None:
+            raise RicciCritError("--seed is required for randomized solving")
+        _check_seed(args.seed)
+    if args.method == "brute" and args.max_k < 1:
+        raise RicciCritError(f"--max-k must be at least 1, got {args.max_k}")
+    inst = Instance(load_edge_list(args.input), edge_ref(*args.edge), variant)
     if args.method == "greedy":
         start = _start_matching_from(args.start) if args.start else None
         sol = greedy_insert(inst, start)
     elif args.method == "randomized":
-        if args.seed is None:
-            raise RicciCritError("--seed is required for randomized solving")
         sol = randomized_insert(inst, args.seed)
     else:
-        if args.max_k < 1:
-            raise RicciCritError(f"--max-k must be at least 1, got {args.max_k}")
         sol = brute_force_opt(inst, args.max_k)
         if sol is None:
             raise InfeasibleInstanceError(f"no edit set of size <= {args.max_k} flips the sign")
@@ -200,9 +202,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_feasible(args) -> int:
-    g = load_edge_list(args.input)
     variant = ProblemVariant.parse(args.variant)
-    feasible, sol = feasible_by_saturation(Instance(g, edge_ref(*args.edge), variant))
+    feasible, sol = feasible_by_saturation(Instance(load_edge_list(args.input), edge_ref(*args.edge), variant))
     payload: dict = {"variant": variant.key, "feasible": feasible}
     if sol is not None:
         payload["saturation_solution"] = sol.to_json_dict()

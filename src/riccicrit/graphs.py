@@ -2,18 +2,21 @@
 
 Node ids are integers ``0..node_count-1``. Each edge is stored once in a
 sparse adjacency map that holds only nodes with edges, so a graph's memory
-follows its edges, not its largest node id. Mutation helpers return new
+follows its edges, not its largest node id. ``_add_edge`` checks every edge
+that construction, insertion or parsing adds. Mutation helpers return new
 graph values, so instances can be shared freely between threads and used as
-dictionary keys. Distances are exact integers computed on demand (BFS for
-unweighted graphs, Dijkstra otherwise) over a bounded ball: a search from x
-with radius r stops at distance r and returns the distance to every node
-within r of x. Balls are memoized per source node; the memo keeps the largest
-radius computed so far and serves every request up to it, so the curvature of
-an edge, which needs only radius-1 balls on unweighted graphs, never searches
-the whole graph. A radius-1 ball is a node and its neighbors, so ``_bfs``
-builds it from the adjacency map at C speed, with no search loop. A ball
-that holds every node is the whole row and serves every radius, so a source
-whose first search reaches the whole graph is never searched again.
+dictionary keys; an edit copies only its endpoints' maps and shares the
+rest, as no map changes once built (path copying). Distances are exact
+integers computed on demand (BFS for unweighted graphs, Dijkstra otherwise)
+over a bounded ball: a search from x with radius r stops at distance r and
+returns the distance to every node within r of x. Balls are memoized per
+source node; the memo keeps the largest radius computed so far and serves
+every request up to it, so the curvature of an edge, which needs only
+radius-1 balls on unweighted graphs, never searches the whole graph. A
+radius-1 ball is a node and its neighbors, so ``_bfs`` builds it from the
+adjacency map at C speed, with no search loop. A ball that holds every node
+is the whole row and serves every radius, so a source whose first search
+reaches the whole graph is never searched again.
 """
 
 from __future__ import annotations
@@ -21,13 +24,15 @@ from __future__ import annotations
 import math
 import re
 from heapq import heappop, heappush
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .errors import EdgeListParseError, InputFileError
 
 INFINITY = math.inf
 
 Pair = tuple[int, int]
+Triple = tuple[int, int, int]
 
 # The header ``format_edge_list`` writes; it keeps trailing isolated nodes.
 _NODES_HEADER = re.compile(r"# nodes: ([0-9]+)")
@@ -42,6 +47,47 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _add_edge(adj: dict, item: tuple, node_count, weighted: bool, parent: Mapping = MappingProxyType({})) -> Triple:
+    """Check one ``(u, v)`` or ``(u, v, w)`` edge and record it in ``adj`` both ways.
+
+    ``adj`` is a new map, or a shallow copy of ``parent``, the adjacency of
+    the graph being edited: an endpoint's inner map is copied before its
+    first change, so ``parent`` never changes and shares every map the edit
+    does not touch. Returns the edge as ``(u, v, w)`` with ``u < v``.
+    """
+    if len(item) == 2:
+        u, v = item
+        w = 1
+    elif len(item) == 3:
+        u, v, w = item
+    else:
+        raise ValueError(f"edge must be (u, v) or (u, v, w), got {item!r}")
+    if not (_is_int(u) and _is_int(v)):
+        raise ValueError(f"node ids must be integers, got {item!r}")
+    if not (0 <= u < node_count and 0 <= v < node_count):
+        raise ValueError(f"node id out of range in edge {item!r}")
+    if u == v:
+        raise ValueError(f"self-loop at node {u} is not allowed")
+    if not _is_int(w) or w < 1:
+        raise ValueError(f"edge weight must be a positive integer, got {item!r}")
+    if not weighted and w != 1:
+        raise ValueError(f"unweighted graph cannot carry weight {w} on edge ({u}, {v})")
+    near_u, near_v = adj.get(u), adj.get(v)
+    if near_u is None:
+        near_u = adj[u] = {}
+    elif v in near_u:
+        raise ValueError(f"duplicate edge {ordered_pair(u, v)}")
+    elif near_u is parent.get(u):
+        near_u = adj[u] = dict(near_u)
+    if near_v is None:
+        near_v = adj[v] = {}
+    elif near_v is parent.get(v):
+        near_v = adj[v] = dict(near_v)
+    near_u[v] = w
+    near_v[u] = w
+    return (u, v, w) if u < v else (v, u, w)
+
+
 class Graph:
     """Undirected graph value: weighted or unweighted, never both at once.
 
@@ -52,46 +98,22 @@ class Graph:
 
     __slots__ = ("node_count", "weighted", "_adj", "_balls", "_edge_tuple", "_hash")
 
-    def __init__(
-        self,
-        node_count: int,
-        edges: Iterable[tuple] = (),
-        weighted: bool = False,
-    ):
+    def __init__(self, node_count: int, edges: Iterable[tuple] = (), weighted: bool = False):
         if not isinstance(node_count, int) or node_count < 0:
             raise ValueError(f"node_count must be a non-negative integer, got {node_count!r}")
         adj: dict[int, dict[int, int]] = {}
-        triples: list[tuple[int, int, int]] = []
-        for item in edges:
-            if len(item) == 2:
-                u, v = item
-                w = 1
-            elif len(item) == 3:
-                u, v, w = item
-            else:
-                raise ValueError(f"edge must be (u, v) or (u, v, w), got {item!r}")
-            if not (_is_int(u) and _is_int(v)):
-                raise ValueError(f"node ids must be integers, got {item!r}")
-            if not (0 <= u < node_count and 0 <= v < node_count):
-                raise ValueError(f"node id out of range in edge {item!r}")
-            if u == v:
-                raise ValueError(f"self-loop at node {u} is not allowed")
-            if not _is_int(w) or w < 1:
-                raise ValueError(f"edge weight must be a positive integer, got {item!r}")
-            if not weighted and w != 1:
-                raise ValueError(f"unweighted graph cannot carry weight {w} on edge ({u}, {v})")
-            if v in adj.get(u, ()):
-                raise ValueError(f"duplicate edge {ordered_pair(u, v)}")
-            adj.setdefault(u, {})[v] = w
-            adj.setdefault(v, {})[u] = w
-            triples.append((u, v, w) if u < v else (v, u, w))
+        triples = [_add_edge(adj, item, node_count, weighted) for item in edges]
+        self._fill(node_count, weighted, adj, tuple(sorted(triples)))
 
+    def _fill(self, node_count: int, weighted: bool, adj: dict, edge_tuple: tuple[Triple, ...]) -> "Graph":
+        """Set every slot; ``object.__new__(Graph)._fill(...)`` is a graph of parts ``_add_edge`` checked."""
         object.__setattr__(self, "node_count", node_count)
         object.__setattr__(self, "weighted", bool(weighted))
         object.__setattr__(self, "_adj", adj)
         object.__setattr__(self, "_balls", {})
-        object.__setattr__(self, "_edge_tuple", tuple(sorted(triples)))
-        object.__setattr__(self, "_hash", hash((node_count, self.weighted, self._edge_tuple)))
+        object.__setattr__(self, "_edge_tuple", edge_tuple)
+        object.__setattr__(self, "_hash", hash((node_count, self.weighted, edge_tuple)))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph values are immutable")
@@ -125,11 +147,11 @@ class Graph:
         return len(self._edge_tuple)
 
     def has_edge(self, u: int, v: int) -> bool:
-        """Whether u and v are joined; a bool is never a node, though True and False hash as 1 and 0."""
-        return v in self._adj.get(u, ()) and not (isinstance(u, bool) or isinstance(v, bool))
+        """Whether u and v are joined; only an int is a node, though True and 1.0 hash as 1."""
+        return v in self._adj.get(u, ()) and _is_int(u) and _is_int(v)
 
     def weight(self, u: int, v: int) -> int:
-        self._reject_bool(u, v)
+        self._reject_non_int(u, v)
         try:
             return self._adj[u][v]
         except KeyError:
@@ -143,10 +165,10 @@ class Graph:
         if not _is_int(x) or not 0 <= x < self.node_count:
             raise ValueError(f"invalid node id {x!r} for graph with {self.node_count} nodes")
 
-    def _reject_bool(self, *xs) -> None:
-        """``_check_node``'s error for a bool id; other ids are left to the caller's own check."""
+    def _reject_non_int(self, *xs) -> None:
+        """``_check_node``'s error for an id that is not an int, a bool included; the caller checks the range."""
         for x in xs:
-            if isinstance(x, bool):
+            if not _is_int(x):
                 self._check_node(x)
 
     def neighbors(self, x: int) -> tuple[int, ...]:
@@ -236,22 +258,24 @@ class Graph:
         The new edges pass the constructor's checks, so inserting into an
         unweighted graph demands weight 1; weighted graphs cap inserted
         weights at ``(node_count - 1) * W`` since heavier edges can never
-        shorten any path.
+        shorten any path. Only the endpoints' adjacency maps are copied.
         """
-        additions = tuple((u, v, w) for (u, v), w in es)
-        if not additions:
+        adj = dict(self._adj)
+        added = [_add_edge(adj, (u, v, w), self.node_count, self.weighted, self._adj) for (u, v), w in es]
+        if not added:
             return self
-        g = Graph(self.node_count, self._edge_tuple + additions, weighted=self.weighted)
         cap = (self.node_count - 1) * self.max_weight()
-        if g.max_weight() > cap:
-            raise ValueError(f"inserted weight {g.max_weight()} exceeds the (n-1)*W cap of {cap}")
-        return g
+        heaviest = max(w for _, _, w in added)
+        if heaviest > cap:
+            raise ValueError(f"inserted weight {heaviest} exceeds the (n-1)*W cap of {cap}")
+        edge_tuple = tuple(sorted(self._edge_tuple + tuple(added)))  # the parent's edges sort as one run
+        return object.__new__(Graph)._fill(self.node_count, self.weighted, adj, edge_tuple)
 
     def delete_edges(self, es: Iterable[Pair]) -> "Graph":
-        """New graph with the given unordered node pairs removed."""
+        """New graph with the given unordered node pairs removed; only their endpoints' adjacency maps are copied."""
         removals: set[Pair] = set()
         for u, v in es:
-            self._reject_bool(u, v)
+            self._reject_non_int(u, v)
             key = ordered_pair(u, v)
             if not self.has_edge(u, v):
                 raise ValueError(f"edge {key} not present")
@@ -260,8 +284,14 @@ class Graph:
             removals.add(key)
         if not removals:
             return self
-        kept = [t for t in self._edge_tuple if t[:2] not in removals]
-        return Graph(self.node_count, kept, weighted=self.weighted)
+        adj = dict(self._adj)
+        for u, v in removals:
+            for x, y in ((u, v), (v, u)):
+                near = adj[x] = {z: w for z, w in adj[x].items() if z != y}
+                if not near:  # the map holds only nodes with edges
+                    del adj[x]
+        kept = tuple(t for t in self._edge_tuple if t[:2] not in removals)
+        return object.__new__(Graph)._fill(self.node_count, self.weighted, adj, kept)
 
 
 # -- edge-list text format ---------------------------------------------------
@@ -278,9 +308,8 @@ def parse_edge_list(text: str) -> Graph:
     the node count, which is max(N, largest node id + 1); every other
     comment is ignored.
     """
-    triples: list[tuple[int, int, int]] = []
-    seen: set[Pair] = set()
-    weighted = False
+    adj: dict[int, dict[int, int]] = {}
+    triples: list[Triple] = []
     max_node = -1
     for line_no, raw in enumerate(text.splitlines(), start=1):
         header = _NODES_HEADER.fullmatch(raw.strip())
@@ -294,26 +323,15 @@ def parse_edge_list(text: str) -> Graph:
         if len(parts) not in (2, 3):
             raise EdgeListParseError(line_no, f"expected 'u v' or 'u v w', got {raw.strip()!r}")
         try:
-            values = [int(p) for p in parts]
+            item = tuple(int(p) for p in parts)
         except ValueError:
             raise EdgeListParseError(line_no, f"non-integer field in {raw.strip()!r}") from None
-        u, v = values[0], values[1]
-        w = values[2] if len(values) == 3 else 1
-        if u < 0 or v < 0:
-            raise EdgeListParseError(line_no, "node ids must be non-negative")
-        if u == v:
-            raise EdgeListParseError(line_no, f"self-loop at node {u}")
-        if w < 1:
-            raise EdgeListParseError(line_no, f"weight must be positive, got {w}")
-        key = ordered_pair(u, v)
-        if key in seen:
-            raise EdgeListParseError(line_no, f"duplicate edge {key}")
-        seen.add(key)
-        if w != 1:
-            weighted = True
-        triples.append((u, v, w))
-        max_node = max(max_node, u, v)
-    return Graph(max_node + 1, triples, weighted=weighted)
+        try:
+            triples.append(_add_edge(adj, item, INFINITY, True))
+        except ValueError as exc:
+            raise EdgeListParseError(line_no, str(exc)) from None
+    weighted = any(w != 1 for _, _, w in triples)  # any positive weight was accepted above
+    return object.__new__(Graph)._fill(max([max_node, *adj]) + 1, weighted, adj, tuple(sorted(triples)))
 
 
 def format_edge_list(g: Graph) -> str:

@@ -25,9 +25,9 @@ evaluator that judges an edit set by the small r x s transportation problem
 of the edited cost matrix: brute force, the single-edit shortcut, the
 feasibility check inside greedy and randomized, and the starting-sign check
 all go through it. On unweighted graphs the evaluator reads the cost matrix
-from the adjacency sets of the nodes of N[u] and N[v], without building a
-graph, and greedy re-reads its weights from the same edited sets after each
-insertion; on weighted graphs it reads the cost matrix of the edited graph.
+from the edited graph's adjacency maps of the nodes of N[u] and N[v], and
+greedy re-reads its weights the same way after each insertion; on weighted
+graphs it reads the cost matrix of the edited graph.
 Each edit set a solver returns is verified on the edited graph by the
 default route, whose answer is held only once its optimality certificate
 (feasible plan and duals with no duality gap) checks; an unverified set is
@@ -42,7 +42,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from collections.abc import Set
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -329,9 +328,10 @@ class _LocalEvaluator:
     crosses q * dist(u, v). On weighted graphs the matrix, dist(u, v)
     included (an insertion can shorten it), is ``build_cost_matrix`` of the
     edited graph. On unweighted graphs dist(u, v) is 1 and the entries follow
-    ``_adjacency_costs`` on adjacency sets: an edit changes only its two
-    endpoints' sets, copied before they change, and N[u] and N[v] are read
-    from the edited sets, so edits at u or v are covered too.
+    ``_adjacency_costs`` on the edited graph's adjacency maps, which the edit
+    copies only at its endpoints (every node of N[u] and N[v] has an edge, so
+    a map); N[u] and N[v] are read from the edited graph, so edits at u or v
+    are covered too.
     """
 
     def __init__(self, g: Graph, edge: tuple[int, int], variant: ProblemVariant):
@@ -340,47 +340,21 @@ class _LocalEvaluator:
         self._insert = variant.operation == "ins"
         self._to_positive = variant.direction == "ntp"
         self._restricted = variant.restriction == "rt"
-        self._adjacency: dict[int, frozenset[int]] = {}
 
     @cached_property
     def unedited(self) -> tuple[int, int]:
         """``total(())``, solved once: the starting sign and every reach bound read it."""
         return self.total(())
 
-    def neighbors(self, x: int, edited: dict[int, set[int]]) -> Set[int]:
-        """Adjacency set of ``x`` under ``edited``, the sets the edits so far changed."""
-        near = edited.get(x)
-        if near is None:
-            near = self._adjacency.get(x)
-            if near is None:
-                near = self._adjacency[x] = frozenset(self._graph.neighbors(x))
-        return near
-
-    def apply(self, edited: dict[int, set[int]], edit) -> None:
-        """Apply one edit to ``edited``, copying each endpoint's set on first change."""
-        a, b = edit[0] if self._insert else edit
-        for x, y in ((a, b), (b, a)):
-            near = edited.get(x)
-            if near is None:
-                near = edited[x] = set(self.neighbors(x, edited))
-            if self._insert:
-                near.add(y)
-            else:
-                near.discard(y)
-
     def total(self, edits: Iterable) -> tuple[int, int]:
         """(q * EMD, q * dist(u, v)) of the edge after ``edits``."""
-        if self._graph.weighted:
-            edited_graph = self._graph.insert_edges(edits) if self._insert else self._graph.delete_edges(edits)
-            cm = build_cost_matrix(edited_graph, (self._u, self._v))
+        edited = self._graph.insert_edges(edits) if self._insert else self._graph.delete_edges(edits)
+        if edited.weighted:
+            cm = build_cost_matrix(edited, (self._u, self._v))
             costs, dist_uv = cm.costs, cm.dist_uv
         else:
-            edited: dict[int, set[int]] = {}
-            for edit in edits:
-                self.apply(edited, edit)
-            rows = [self._u, *self.neighbors(self._u, edited)]
-            cols = [self._v, *self.neighbors(self._v, edited)]
-            costs, dist_uv = _adjacency_costs(rows, cols, lambda x: self.neighbors(x, edited)), 1
+            near = edited._adj.__getitem__
+            costs, dist_uv = _adjacency_costs([self._u, *near(self._u)], [self._v, *near(self._v)], near), 1
         r, s = len(costs), len(costs[0])
         q = math.lcm(r, s)
         flow = _transport(costs, [q // r] * r, [q // s] * s)[0]
@@ -406,8 +380,8 @@ class _LocalEvaluator:
             return False
         total, q = self.unedited
         gap = total - q if self._to_positive else q - total
-        rows = self.neighbors(self._u, {}) | {self._u}
-        cols = self.neighbors(self._v, {}) | {self._v}
+        rows = set(self._graph.closed_neighborhood(self._u))
+        cols = set(self._graph.closed_neighborhood(self._v))
         a, b = q // len(rows), q // len(cols)
         reach = sorted(
             (sum(a * (x in rows) + b * (x in cols) for x in (edit[0] if self._insert else edit)) for edit in cands),
@@ -584,8 +558,9 @@ def greedy_schedule(
     lexicographically first matched touchable 3-entry (then 2-entry) to 1
     until the matched cost is strictly below ``threshold``.
     ``after_drop(weights, (i, j))`` may rewrite ``weights`` in place after
-    each drop; ``greedy_insert`` re-reads every entry from the adjacency sets
-    with the inserted edge. Returns the dropped cells and the final weights.
+    each drop; ``greedy_insert`` re-reads every entry from the adjacency maps
+    of the graph with the inserted edges. Returns the dropped cells and the
+    final weights.
     """
     weights = [list(row) for row in costs]
     counts = sorted(Counter(matched_blocks).items())
@@ -611,6 +586,7 @@ def greedy_insert(inst: Instance, start: Matching | None = None) -> Solution:
     3-entry (then 2-entry), insert the corresponding graph edge, and re-read
     the weights of the edited neighborhoods, until the matched cost falls
     below q. One drop per inserted edge: all copies of a block fall together.
+    A ``start`` must fit the blow-up, be minimum-cost and carry that cost.
     """
     bm = _approx_setup(inst, "greedy")
     if isinstance(bm, Solution):
@@ -622,13 +598,16 @@ def greedy_insert(inst: Instance, start: Matching | None = None) -> Solution:
             raise ValueError("start matching does not fit the blow-up")
         if matching_cost(bm.costs, start.assignment) != inst._start.cost:
             raise ValueError("start matching must be minimum-cost")
+        if start.cost != inst._start.cost:
+            raise ValueError(f"start matching says it costs {start.cost}, but its assignment costs {inst._start.cost}")
 
-    cm, local = bm.source, inst._local
-    inserted: dict[int, set[int]] = {}
+    cm = bm.source
+    edited = inst.graph
 
     def after_drop(weights, cell):
-        local.apply(inserted, (ordered_pair(cm.row_nodes[cell[0]], cm.col_nodes[cell[1]]), 1))
-        weights[:] = _adjacency_costs(cm.row_nodes, cm.col_nodes, lambda x: local.neighbors(x, inserted))
+        nonlocal edited
+        edited = edited.insert_edges([((cm.row_nodes[cell[0]], cm.col_nodes[cell[1]]), 1)])
+        weights[:] = _adjacency_costs(cm.row_nodes, cm.col_nodes, edited._adj.__getitem__)
 
     matched_blocks = map(bm.block, range(bm.q), start.assignment)
     drops, _ = greedy_schedule(cm.costs, cm.touchable, matched_blocks, bm.q, after_drop=after_drop)

@@ -498,6 +498,38 @@ def test_solve_greedy_rejects_a_start_that_does_not_fit(capsys, tmp_path, reshap
     assert err == f"error: {message}\n"
 
 
+def test_solve_greedy_rejects_a_start_whose_cost_is_not_its_assignments(capsys, tmp_path):
+    base = str(tmp_path / "tight")
+    assert main(["gadget", "tightness", "--m", "4", "--graph-form", "--output", base]) == 0
+    with open(base + ".json") as fh:
+        sidecar = json.load(fh)
+    sidecar["descriptor"]["parameters"]["adversarial_cost"] = 999
+    start = tmp_path / "start.json"
+    start.write_text(json.dumps(sidecar))
+    code, out, err = run(capsys, "solve", base + ".edges", "--edge", "0", "1",
+                         "--variant", "uw-rt-ins-ntp", "--method", "greedy", "--start", str(start))
+    assert (code, out) == (4, "")
+    assert err == "error: start matching says it costs 999, but its assignment costs 10\n"
+
+
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        ("solve", ["--variant", "uw-rt-ins-ntp", "--method", "randomized"], "--seed is required for randomized solving"),
+        ("solve", ["--variant", "uw-rt-ins-ntp", "--method", "randomized", "--seed", "-1"],
+         "seed must be non-negative, got -1"),
+        ("solve", ["--variant", "bogus", "--method", "greedy"], "variant must look like 'uw-rt-ins-ntp', got 'bogus'"),
+        ("solve", ["--variant", "uw-rt-ins-ntp", "--method", "brute", "--max-k", "0"], "--max-k must be at least 1, got 0"),
+        ("feasible", ["--variant", "bogus"], "variant must look like 'uw-rt-ins-ntp', got 'bogus'"),
+    ],
+    ids=["seed-missing", "seed-negative", "solve-variant", "max-k", "feasible-variant"],
+)
+def test_flags_are_checked_before_the_graph_is_read(capsys, tmp_path, command, flags, message):
+    code, out, err = run(capsys, command, str(tmp_path / "missing.edges"), "--edge", "0", "1", *flags)
+    assert (code, out) == (4, "")
+    assert err == f"error: {message}\n"
+
+
 def test_oracle_check_random(capsys):
     code, out, _ = run(capsys, "oracle-check", "--random", "3", "--seed", "5")
     assert code == 0

@@ -1,12 +1,15 @@
 import math
 import pickle
+import re
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riccicrit import EdgeListParseError, Graph, INFINITY, format_edge_list, parse_edge_list, ricci
+from riccicrit.graphs import ordered_pair
 
 from conftest import graphs
 
@@ -67,6 +70,22 @@ def test_edge_queries_and_deletion_never_take_a_bool_for_a_node():
     with pytest.raises(ValueError, match=r"^edge \(0, 2\) not present$"):
         g.delete_edges([(0, 2)])
     assert g.delete_edges([(2, 1)]).edges() == ((0, 1, 1),)
+
+
+def test_a_non_integer_node_id_is_never_a_node():
+    # 1.0 and Fraction(1) hash as 1: without the check, has_edge(0, 1.0)
+    # would read edge (0, 1) and delete_edges([(0, 1.0)]) would delete it.
+    g = Graph(3, [(0, 1), (1, 2)])
+    for x in (1.0, Fraction(1), 2.0):
+        assert not g.has_edge(0, x) and not g.has_edge(x, 0) and not g.has_edge(x, 2)
+        for call in (lambda: g.weight(0, x), lambda: g.weight(x, 2), lambda: g.delete_edges([(0, x)])):
+            with pytest.raises(ValueError, match=f"^{re.escape(f'invalid node id {x!r} for graph with 3 nodes')}$"):
+                call()
+    # Insertion and construction already refused them, with the constructor's message.
+    for call in (lambda: g.insert_edges([((0, 2.0), 1)]), lambda: Graph(3, [(0, 2.0)])):
+        with pytest.raises(ValueError, match="^node ids must be integers"):
+            call()
+    assert g.delete_edges([(1, 0)]).edges() == ((1, 2, 1),)
 
 
 def test_basic_accessors():
@@ -313,3 +332,82 @@ def test_parse_error_carries_line_number():
         assert exc.line_no == 2
     else:
         pytest.fail("expected a parse error")
+
+
+@pytest.mark.parametrize(
+    "text, line_no, message",
+    [
+        ("0 1\n1 1\n", 2, "self-loop at node 1 is not allowed"),
+        ("0 1\n# comment\n1 2 0\n", 3, "edge weight must be a positive integer, got (1, 2, 0)"),
+        ("0 1\n1 2\n\n1 0\n", 4, "duplicate edge (0, 1)"),
+        ("0 1\n-1 2\n", 2, "node id out of range in edge (-1, 2)"),
+    ],
+    ids=["self-loop", "weight-0", "duplicate", "negative-id"],
+)
+def test_a_rejected_edge_keeps_its_line_number(text, line_no, message):
+    with pytest.raises(EdgeListParseError) as exc:
+        parse_edge_list(text)
+    assert exc.value.line_no == line_no
+    assert str(exc.value) == f"line {line_no}: {message}"
+
+
+# -- the edit path: an edit copies its endpoints' maps and shares the rest -------
+
+
+def _answers(g: Graph):
+    """What a graph answers: its edges, hash, and every node's neighbors and distances."""
+    nodes = range(g.node_count)
+    return g.edges(), hash(g), [g.neighbors(x) for x in nodes], [g.distances_from(x) for x in nodes]
+
+
+def _draw_edit(data, g: Graph):
+    """A random valid insertion or deletion on ``g``, pairs either way round: (the edited graph, its edge list)."""
+    n = g.node_count
+    present = [(u, v) for u, v, _ in g.edges()]
+    absent = [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]
+    deleting = present and (not absent or data.draw(st.booleans()))
+    if not (deleting or absent):
+        return g, list(g.edges())
+    pairs = data.draw(st.lists(st.sampled_from(present if deleting else absent), min_size=1, unique=True))
+    turned = [p[::-1] if data.draw(st.booleans()) else p for p in pairs]
+    if deleting:
+        return g.delete_edges(turned), [t for t in g.edges() if t[:2] not in set(pairs)]
+    cap = (n - 1) * g.max_weight()
+    added = [(u, v, data.draw(st.integers(1, cap)) if g.weighted else 1) for u, v in turned]
+    return g.insert_edges([((u, v), w) for u, v, w in added]), list(g.edges()) + added
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(min_nodes=2), st.data())
+def test_an_edit_equals_the_edited_edge_list_and_changes_no_graph_it_shares_maps_with(g: Graph, data):
+    twin = Graph(g.node_count, g.edges(), weighted=g.weighted)
+    child, edges = _draw_edit(data, g)
+    rebuilt = Graph(g.node_count, edges, weighted=g.weighted)
+    assert child == rebuilt and _answers(child) == _answers(rebuilt)
+    child_neighbors = [child.neighbors(x) for x in range(child.node_count)]
+    grandchild, edges = _draw_edit(data, child)
+    assert _answers(grandchild) == _answers(Graph(g.node_count, edges, weighted=g.weighted))
+    # No memo of g was filled before the edits, so its distances are searched on its maps now.
+    assert g == twin and _answers(g) == _answers(twin)
+    assert [child.neighbors(x) for x in range(child.node_count)] == child_neighbors
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(min_nodes=2), st.data())
+def test_an_invalid_insertion_raises_the_constructors_message(g: Graph, data):
+    n = g.node_count
+    present = [(u, v) for u, v, _ in g.edges()]
+    bad = [(0, 0, 1), (0, n, 1), (-1, 1, 1), (0, 1, 0), (0, 1, 1.5), (0, 1.0, 1)]
+    bad += [(v, u, 1) for u, v in present]  # already an edge
+    if not g.weighted:
+        bad.append((0, 1, 2))
+    if n > 2 and not g.has_edge(1, 2):
+        bad.append((2, 1, 1))  # repeats the first insertion below
+    u, v, w = data.draw(st.sampled_from(bad))
+    batch = ([(1, 2, 1)] if n > 2 and not g.has_edge(1, 2) else []) + [(u, v, w)]
+    with pytest.raises(ValueError) as inserted:
+        g.insert_edges([((a, b), c) for a, b, c in batch])
+    with pytest.raises(ValueError) as built:
+        Graph(n, list(g.edges()) + batch, weighted=g.weighted)
+    assert str(inserted.value) == str(built.value)
+    assert _answers(g) == _answers(Graph(n, g.edges(), weighted=g.weighted))

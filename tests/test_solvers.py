@@ -19,6 +19,7 @@ from riccicrit import (
     Graph,
     InfeasibleInstanceError,
     Instance,
+    Matching,
     ProblemVariant,
     RetryExhaustedError,
     Sign,
@@ -363,6 +364,14 @@ def test_greedy_rejects_bad_start():
     assert worst.cost > shape.q + shape.rho
     with pytest.raises(ValueError):
         greedy_insert(inst, worst)
+
+
+def test_greedy_rejects_a_start_whose_cost_is_not_its_assignments():
+    g, e, start, _ = gen_tightness_graph(4)
+    inst = Instance(g, e, NTP)
+    assert greedy_insert(inst, start).edits
+    with pytest.raises(ValueError, match=rf"^start matching says it costs 999, but its assignment costs {start.cost}$"):
+        greedy_insert(inst, Matching(start.assignment, 999))
 
 
 def test_greedy_infeasible_raises():
@@ -758,13 +767,9 @@ def test_local_evaluator_matches_flow_route(graph, key, picks):
     assert local.flips(edits) == (after.sign == demanded)
     if local.flips(edits):
         assert not local.out_of_reach(edits, len(edits))
-    sets: dict[int, set[int]] = {}
-    for edit in edits:
-        local.apply(sets, edit)
+    # The evaluator's unweighted matrix, read from the edited graph's adjacency maps, is build_cost_matrix's.
     cm = build_cost_matrix(edited, (0, 1))
-    assert _adjacency_costs(cm.row_nodes, cm.col_nodes, lambda x: local.neighbors(x, sets)) == [
-        list(row) for row in cm.costs
-    ]
+    assert _adjacency_costs(cm.row_nodes, cm.col_nodes, edited._adj.__getitem__) == [list(row) for row in cm.costs]
 
 
 WT_VARIANTS = [f"wt-{r}-{o}-{d}" for r in ("rt", "ut") for o in ("ins", "del") for d in ("ntp", "ptn")]
